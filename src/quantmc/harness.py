@@ -244,6 +244,22 @@ def _bound_inputs(cfg: ExperimentConfig, m_prime: int, **overrides) -> bnd.Bound
     return bnd.BoundInputs(**base)
 
 
+def _regime_bound(cfg: ExperimentConfig, m_prime: int) -> bnd.BoundValue:
+    """The zeta-free bound a solver scenario's trials are judged by; failed
+    trials carry it too."""
+    if cfg.scenario == "onebit_dithers_known":
+        T = DitherSpec(cfg.dither_kind, cfg.dither_param).variance
+        return bnd.bound_subgaussian(_bound_inputs(cfg, m_prime, T=T))
+    if cfg.scenario == "onebit_stats_only":
+        return bnd.bound_statistics_only(_bound_inputs(cfg, m_prime, delta=cfg.delta))
+    if cfg.scenario == "onebit_noisy":
+        sigma1 = cfg.noise_sigma if cfg.sigma1 is None else cfg.sigma1
+        sigma2 = cfg.noise_sigma if cfg.sigma2 is None else cfg.sigma2
+        beta = _resolve_beta(cfg, m_prime)
+        return bnd.bound_noisy(_bound_inputs(cfg, m_prime, delta=cfg.delta, beta=beta, sigma1=sigma1, sigma2=sigma2))
+    return bnd.bound_quantized(_bound_inputs(cfg, m_prime, delta=cfg.delta, K=cfg.K))
+
+
 def _record(
     cfg, trial, m_prime, err, ref_norm, bound, report, *,
     zeta=None, wall_ms=0.0, group="", dither=None,
@@ -298,7 +314,7 @@ def _quantized_trial(cfg: ExperimentConfig, trial: int, m_prime: int, group: str
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(gt.matrix - report.matrix))
     ref = float(np.linalg.norm(gt.matrix))
-    bound = bnd.bound_quantized(_bound_inputs(cfg, m_prime, delta=cfg.delta, K=cfg.K))
+    bound = _regime_bound(cfg, m_prime)
     return [_record(cfg, trial, m_prime, err, ref, bound, report, wall_ms=wall_ms, group=group, dither=dither)]
 
 
@@ -320,11 +336,7 @@ def _onebit_known_trial(cfg: ExperimentConfig, trial: int):
     zeta = consistency_report(report.matrix, obs, gt.matrix).zeta
     T = dspec.variance
     records = [
-        _record(
-            cfg, trial, m_prime, err, ref,
-            bnd.bound_subgaussian(_bound_inputs(cfg, m_prime, T=T)),
-            report, zeta=zeta, wall_ms=wall_ms,
-        ),
+        _record(cfg, trial, m_prime, err, ref, _regime_bound(cfg, m_prime), report, zeta=zeta, wall_ms=wall_ms),
         _record(
             cfg, trial, m_prime, err, ref,
             bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=T, zeta=zeta)),
@@ -362,17 +374,7 @@ def _stats_only_trial(cfg: ExperimentConfig, trial: int, *, noisy: bool):
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(gt.matrix - report.matrix))
     ref = float(np.linalg.norm(gt.matrix))
-    if noisy:
-        sigma1 = cfg.noise_sigma if cfg.sigma1 is None else cfg.sigma1
-        sigma2 = cfg.noise_sigma if cfg.sigma2 is None else cfg.sigma2
-        bound = bnd.bound_noisy(
-            _bound_inputs(
-                cfg, m_prime, delta=cfg.delta, beta=_resolve_beta(cfg, m_prime),
-                sigma1=sigma1, sigma2=sigma2,
-            )
-        )
-    else:
-        bound = bnd.bound_statistics_only(_bound_inputs(cfg, m_prime, delta=cfg.delta))
+    bound = _regime_bound(cfg, m_prime)
     return [_record(cfg, trial, m_prime, err, ref, bound, report, wall_ms=wall_ms, dither=dspec)]
 
 
@@ -424,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig):
         try:
             records.extend(fn(cfg, trial, *args, **kwargs))
         except np.linalg.LinAlgError:
-            bound = bnd.bound_quantized(_bound_inputs(cfg, fallback_m_prime, delta=cfg.delta, K=cfg.K))
+            bound = _regime_bound(cfg, fallback_m_prime)
             failed = _record(
                 cfg, trial, fallback_m_prime, float("nan"), 0.0, bound, None, group=fallback_group
             )

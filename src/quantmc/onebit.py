@@ -135,12 +135,6 @@ class PolyhedronSystem:
     def n_constraints(self) -> int:
         return int(self.signs.size)
 
-    def constraints(self):
-        """Iterate (sequence, flat entry index, sign, threshold) tuples."""
-        for ell in range(self.signs.shape[0]):
-            for k in range(self.signs.shape[1]):
-                yield ell, k, int(self.signs[ell, k]), float(self.thresholds[ell, k])
-
 
 @dataclasses.dataclass(frozen=True)
 class ConsistencyReport:

@@ -9,9 +9,10 @@ proximal core:
   bisection on mu until the ball constraint is active (residual within 5%
   below the radius, never beyond its feasibility slack).
 * ``solve_one_bit_mc``: minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over
-  the sign polyhedron, handled by an exterior quadratic penalty with a x10
-  escalation schedule; the penalty enforces a tiny per-entry interior margin
-  so the final iterate satisfies the sign constraints strictly.
+  the sign polyhedron, which is a per-entry box on the mask, handled by
+  dual accelerated singular value thresholding: FISTA on the 1-smooth dual
+  of the strongly convex objective, with a clip onto the box (shrunk by a
+  tiny interior margin) as its proximal step and a duality-gap stop.
 
 Both start from the zero matrix and are fully deterministic.
 """
@@ -19,7 +20,6 @@ Both start from the zero matrix and are fully deterministic.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -52,11 +52,9 @@ _MU_BRACKET = (1e-6, 1e6)
 _MU_LIMITS = (1e-10, 1e10)
 _MAX_BISECTIONS = 40
 
-# Interior margin for the one-bit penalty, shrunk per entry to a quarter of
-# the entry's feasible interval so the shifted polyhedron stays nonempty.
+# Interior margin of the one-bit box, shrunk per entry to a quarter of the
+# entry's feasible interval so the shrunk box stays nonempty.
 _FEAS_MARGIN = 5e-7
-_PENALTY_RHO0 = 10.0
-_MAX_ESCALATIONS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,8 +63,9 @@ class ProxParams:
 
     ``max_iters`` is the total budget across all inner solves;
     ``step_size`` scales the analytic 1/L step; ``tol_rel_change`` stops an
-    inner loop; ``tol_feas`` is the relative slack on the ball radius
-    (quantized) or the absolute violation tolerance (one-bit).
+    inner loop (quantized) or bounds the relative duality gap (one-bit);
+    ``tol_feas`` is the relative slack on the ball radius (the one-bit solver
+    stops only on exact sign feasibility).
     """
 
     max_iters: int = 20000
@@ -87,8 +86,8 @@ class SolverReport:
 
     ``data_residual`` is the ball residual ||P_mask(X) - Q||_F for the
     quantized problem and the constraint violation for the one-bit problem.
-    ``stage_objectives`` holds the per-iteration penalized objective of each
-    penalty stage (one-bit solver only).
+    ``stage_objectives`` holds one stage for the one-bit solver, its
+    per-iteration primal objective, and is empty otherwise.
     """
 
     matrix: np.ndarray
@@ -98,18 +97,6 @@ class SolverReport:
     converged: bool
     nuclear_norm: float
     stage_objectives: tuple = ()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "objective": self.objective,
-                "residual": self.data_residual,
-                "converged": self.converged,
-                "nuclear_norm": self.nuclear_norm,
-            },
-            sort_keys=True,
-        )
 
 
 def _svd_soft(Z: np.ndarray, theta: float):
@@ -277,132 +264,85 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     )
 
 
-def _penalty_objective(reg_weight, nuc, X, rho, hinge):
-    return reg_weight * nuc + 0.5 * float(np.sum(X * X)) + 0.5 * rho * float(np.sum(hinge * hinge))
-
-
 def solve_one_bit_mc(
     system: PolyhedronSystem,
     reg_weight: float,
     params: ProxParams | None = None,
-    margin: float = _FEAS_MARGIN,
 ) -> SolverReport:
     """Minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over the sign polyhedron.
 
-    Exterior quadratic penalty: alternate a gradient step on
-    1/2 ||X||_F^2 + (rho/2) * sum of squared hinge violations with a
-    singular-value soft-threshold of weight step * reg_weight, escalating
-    rho x10 (up to 8 times) until the unshifted violation drops below
-    tol_feas.  The hinge targets s*(x - t) >= margin_k with
-    margin_k = min(margin, interval_width_k / 4), so at convergence the
-    iterate sits strictly inside the polyhedron and the reported violation
-    is exactly zero.  The step size halves whenever a candidate would
-    increase the penalized objective, keeping it non-increasing per stage.
+    The polyhedron is the per-entry box lo <= X_mask <= hi of
+    ``feasible_intervals``; the solver targets the box shrunk by
+    gamma_k = min(_FEAS_MARGIN, width_k / 4) on each side.  The objective is
+    1-strongly convex, so the dual over the box multipliers y is 1-smooth:
+    accelerated proximal gradient on the dual (dual accelerated SVT) maps
+    each extrapolated multiplier w to X = SVT(-P_mask^*(w)), one SVD per
+    step, and its proximal step is a clip onto the shrunk box.  The loop
+    stops once X satisfies every sign constraint (lo <= x < hi, the strict
+    side matching the +1 tie rule of ``consistency_report``) and the duality
+    gap against the shrunk box is at most tol_rel_change * max(1, |P(X)|).
+    An empty box (some lo > hi) returns the zero matrix after 0 iterations.
     """
     params = params or ProxParams()
     if reg_weight < 0:
         raise ValueError(f"reg_weight must be nonnegative, got {reg_weight}")
     mask = system.mask
     rows, cols = mask.rows, mask.cols
-    S = system.signs.astype(float)
-    T = system.thresholds
-    m_seq = S.shape[0]
     shape = (mask.dims.n1, mask.dims.n2)
 
     lo, hi = feasible_intervals(system)
-    width = hi - lo
-    gamma = np.minimum(margin, 0.25 * np.clip(width, 0.0, np.inf))
+    if np.any(lo > hi):
+        X = np.zeros(shape)
+        return SolverReport(
+            matrix=X, iterations=0, objective=0.0, data_residual=violation_measure(system, X),
+            converged=False, nuclear_norm=0.0,
+        )
+    gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+    box_lo, box_hi = lo + gamma, hi - gamma
 
-    def smooth_parts(M, rho):
-        masked = M[rows, cols]
-        hinge = np.maximum(0.0, gamma[None, :] - S * (masked[None, :] - T))
-        f = 0.5 * float(np.sum(M * M)) + 0.5 * rho * float(np.sum(hinge * hinge))
-        return masked, hinge, f
+    def primal_of(y):
+        W = np.zeros(shape)
+        W[rows, cols] = -y
+        return _svd_soft(W, reg_weight)
 
-    X = np.zeros(shape)
-    nuc = 0.0
-    total = 0
-    stage_histories = []
-    rho = _PENALTY_RHO0
-    viol = violation_measure(system, X)
-    feas_exit_tol = max(params.tol_rel_change, 1e-8)
+    def dual_value(y):
+        # -f*(-P^* y) - support of the shrunk box; f*(Z) = 1/2 ||SVT(Z)||_F^2,
+        # and a zero multiplier costs nothing against an infinite bound
+        _, sv = primal_of(y)
+        up, down = y > 0, y < 0
+        support = float(y[up] @ box_hi[up] + y[down] @ box_lo[down])
+        return -0.5 * float(sv @ sv) - support
 
-    for _ in range(_MAX_ESCALATIONS + 1):
-        if viol <= params.tol_feas or total >= params.max_iters:
-            break
-        # accelerated proximal gradient with a monotone safeguard: the prox
-        # candidate comes from the extrapolated point, but the iterate only
-        # advances when the penalized objective does not increase, so the
-        # recorded objective is non-increasing within every stage
-        step = params.step_size / (1.0 + rho)
-        _, hinge, f_x = smooth_parts(X, rho)
-        obj = reg_weight * nuc + f_x
-        history = [obj]
-        Y = X.copy()
-        X_prev = X.copy()
-        t_mom = 1.0
-        stalled = 0
-        done = False
-        budget = params.max_iters - total
-        for _ in range(budget):
-            _, hinge_y, f_y = smooth_parts(Y, rho)
-            grad = Y.copy()
-            grad[rows, cols] -= rho * np.sum(S * hinge_y, axis=0)
-            accepted = False
-            for _ in range(60):
-                Z, sv = _svd_soft(Y - step * grad, step * reg_weight)
-                _, hinge_z, f_z = smooth_parts(Z, rho)
-                diff = Z - Y
-                model = f_y + float(np.sum(grad * diff)) + float(np.sum(diff * diff)) / (2.0 * step)
-                if f_z <= model + 1e-12 * (1.0 + abs(model)):
-                    accepted = True
-                    break
-                step *= 0.5
-            total += 1
-            if not accepted:
+    s = params.step_size
+    y = w = np.zeros(mask.m_prime)
+    t = 1.0
+    history = []
+    converged = False
+    for iters in range(1, params.max_iters + 1):
+        X, sv = primal_of(w)
+        x = X[rows, cols]
+        nuc = float(sv.sum())
+        objective = reg_weight * nuc + 0.5 * float(sv @ sv)
+        history.append(objective)
+        v = w + s * x
+        y_next = v - s * np.clip(v / s, box_lo, box_hi)
+        if np.all((lo <= x) & (x < hi)):
+            gap = objective - dual_value(y_next)
+            if gap <= params.tol_rel_change * max(1.0, abs(objective)):
+                converged = True
                 break
-            nuc_z = float(sv.sum())
-            obj_z = reg_weight * nuc_z + f_z
-            if obj_z <= obj + 1e-12 * (1.0 + abs(obj)):
-                X_new, nuc_new, obj_new, hinge_new = Z, nuc_z, obj_z, hinge_z
-            else:
-                # momentum overshot: keep the current iterate, restart momentum
-                X_new, nuc_new, obj_new, hinge_new = X, nuc, obj, hinge
-                t_mom = 1.0
-            rel = np.linalg.norm(X_new - X) / max(1.0, np.linalg.norm(X))
-            # consecutive iterations without measurable objective progress
-            # certify stage stationarity (the objective is monotone)
-            stalled = stalled + 1 if obj - obj_new <= 1e-13 * (1.0 + abs(obj)) else 0
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            Y = X_new + (t_mom / t_next) * (Z - X_new) + ((t_mom - 1.0) / t_next) * (X_new - X_prev)
-            X_prev = X
-            X, nuc, obj, hinge = X_new, nuc_new, obj_new, hinge_new
-            t_mom = t_next
-            history.append(obj)
-            step = min(step * 1.2, params.step_size)
-            masked_x = X[rows, cols]
-            raw = np.minimum(S * (masked_x[None, :] - T), 0.0)
-            feasible_now = float(np.sqrt(np.sum(raw * raw))) <= params.tol_feas
-            if feasible_now and (rel <= feas_exit_tol or stalled >= 3):
-                done = True
-                break
-            if (0.0 < rel <= params.tol_rel_change) or stalled >= 5:
-                break
-        stage_histories.append(np.array(history))
-        viol = violation_measure(system, X)
-        if done:
-            break
-        rho *= 10.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = y_next + ((t - 1.0) / t_next) * (y_next - y)
+        y, t = y_next, t_next
 
-    objective = reg_weight * nuc + 0.5 * float(np.sum(X * X))
     return SolverReport(
         matrix=X,
-        iterations=total,
+        iterations=iters,
         objective=objective,
-        data_residual=viol,
-        converged=viol <= params.tol_feas,
+        data_residual=violation_measure(system, X),
+        converged=converged,
         nuclear_norm=nuc,
-        stage_objectives=tuple(stage_histories),
+        stage_objectives=(np.array(history),),
     )
 
 

@@ -195,6 +195,33 @@ class TestBatchResilience:
         assert all(np.isnan(r.err_fro) for r in records)
         assert summary["trials"] == 2
 
+    @pytest.mark.parametrize(
+        "solver, scenario, extra, bound_id",
+        [
+            (
+                "solve_one_bit_mc", "onebit_dithers_known",
+                dict(dither_kind="uniform", dither_param=1.0, m=4), "subgaussian",
+            ),
+            ("solve_statistics_only", "onebit_stats_only", dict(delta=2.0), "statistics_only"),
+            ("solve_statistics_only", "onebit_noisy", dict(delta=2.0, noise_sigma=0.1), "noisy"),
+        ],
+        ids=["onebit_known", "stats_only", "noisy"],
+    )
+    def test_failure_row_carries_regime_bound(self, monkeypatch, solver, scenario, extra, bound_id):
+        import quantmc.harness as hz
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(hz, solver, boom)
+        cfg = ExperimentConfig(
+            scenario=scenario, n1=6, n2=6, r=1, alpha=1.0, m_prime=12, trials=1, base_seed=0, **extra
+        )
+        records, _ = run_experiment(cfg)
+        assert len(records) == 1
+        assert records[0].bound_id == bound_id
+        assert np.isnan(records[0].err_fro) and not records[0].converged
+
     def test_noisy_known_dithers_reports_sign_flips(self):
         # strong pre-quantization noise flips signs; the batch still runs and
         # the measured disagreement feeds the inflated bound

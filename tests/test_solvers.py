@@ -1,7 +1,5 @@
 """Nuclear-norm proximal operator and the two recovery solvers."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,11 +9,13 @@ from quantmc.onebit import (
     UnsupportedModeError,
     build_polyhedron,
     consistency_report,
+    feasible_intervals,
     observe_one_bit,
     strip_thresholds,
 )
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
+    _FEAS_MARGIN,
     ProxParams,
     prox_nuclear,
     solve_one_bit_mc,
@@ -179,16 +179,43 @@ class TestSolveOneBitMC:
         assert rep.converged and rep.data_residual == 0.0
         assert consistency_report(rep.matrix, obs, gt.matrix).zeta == 0
 
-    def test_penalized_objective_monotone_per_stage(self):
+    def test_zero_reg_weight_matches_closed_form(self):
+        # without the nuclear term the program separates per entry: the
+        # minimum-norm point of the shrunk box on the mask, zero elsewhere
+        gt = generate_low_rank((12, 12), 2, 1.0, seed=23)
+        mask = sample_mask_uniform((12, 12), 80, seed=24)
+        thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=25)
+        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        lo, hi = feasible_intervals(system)
+        gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+        expected = np.zeros((12, 12))
+        expected[mask.rows, mask.cols] = np.clip(0.0, lo + gamma, hi - gamma)
+        assert np.count_nonzero(expected) > 10
+        rep = solve_one_bit_mc(system, 0.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
+        assert rep.converged and rep.data_residual == 0.0
+        assert np.max(np.abs(rep.matrix - expected)) <= 1e-6
+
+    def test_no_feasible_perturbation_improves_objective(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=23)
         mask = sample_mask_uniform((8, 8), 30, seed=24)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 6, 30, seed=25)
         system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
-        rep = solve_one_bit_mc(system, 1.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
-        assert rep.stage_objectives
-        for history in rep.stage_objectives:
-            diffs = np.diff(history)
-            assert np.all(diffs <= 1e-12 * (1.0 + np.abs(history[:-1])))
+        reg = 1.0
+        rep = solve_one_bit_mc(system, reg, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
+        assert rep.converged
+        assert len(rep.stage_objectives) == 1 and len(rep.stage_objectives[0]) == rep.iterations
+        lo, hi = feasible_intervals(system)
+        gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+
+        def objective(X):
+            return reg * np.linalg.norm(X, "nuc") + 0.5 * np.linalg.norm(X) ** 2
+
+        base = objective(rep.matrix)
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            Z = rep.matrix + 10.0 ** rng.uniform(-6, -1) * rng.standard_normal((8, 8))
+            Z[mask.rows, mask.cols] = np.clip(Z[mask.rows, mask.cols], lo + gamma, hi - gamma)
+            assert objective(Z) >= base - 1e-9 * (1.0 + abs(base))
 
     def test_minimality_against_feasible_truth(self):
         gt = generate_low_rank((10, 10), 2, 1.0, seed=26)
@@ -206,6 +233,7 @@ class TestSolveOneBitMC:
         system = PolyhedronSystem(np.array([[1], [-1]]), np.array([[1.0], [-1.0]]), mask)
         rep = solve_one_bit_mc(system, 0.0, ProxParams(max_iters=2000))
         assert not rep.converged
+        assert rep.iterations == 0
         assert rep.data_residual > 0.1
 
     def test_empty_system_rejected(self):
@@ -254,12 +282,3 @@ class TestSolveStatisticsOnly:
         assert rep.converged
         assert np.linalg.norm(rep.matrix - gt.matrix) <= np.linalg.norm(gt.matrix)
 
-
-class TestSolverReport:
-    def test_json_round_trip_keys(self):
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
-        system = PolyhedronSystem(np.array([[1]]), np.array([[0.5]]), mask)
-        rep = solve_one_bit_mc(system, 0.0, ProxParams())
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {"iterations", "objective", "residual", "converged", "nuclear_norm"}
-        assert payload["converged"] is True
