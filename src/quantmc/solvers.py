@@ -5,9 +5,12 @@ proximal core:
 
 * ``solve_quantized_mc``: minimize ||X||_* subject to
   ||P_mask(X) - Q||_F <= radius, handled by accelerated proximal gradient on
-  the penalized form ||X||_* + (1/2 mu) ||P_mask(X) - Q||_F^2 plus a
-  bisection on mu until the ball constraint is active (residual within 5%
-  below the radius, never beyond its feasibility slack).
+  the penalized form ||X||_* + (1/2 mu) ||P_mask(X) - Q||_F^2 plus secant
+  root-finding on the residual-vs-mu curve, as in SPGL1's Pareto-curve
+  search, until the ball constraint is active (residual within 5% below the
+  radius, never beyond its feasibility slack).  The bracket's upper end,
+  mu = ||Q||_op, comes from the data, and each stage is warm-started from
+  the nearest solved mu.
 * ``solve_one_bit_mc``: minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over
   the sign polyhedron, which is a per-entry box on the mask, handled by
   dual accelerated singular value thresholding: FISTA on the 1-smooth dual
@@ -44,13 +47,21 @@ __all__ = [
 
 # Acceptable undershoot of the target radius before the ball constraint
 # stops counting as active (the overshoot side is capped by tol_feas, which
-# keeps the feasibility contract hard), and the mu-bisection limits (the
-# nominal bracket is [1e-6, 1e6]; the ends extend when the target residual
-# is out of reach).
+# keeps the feasibility contract hard; the root-finder aims at the middle of
+# the band), and the limits of the root-finding on mu: the smallest weight
+# tried, the most stages per solve, the smallest and largest step down in
+# log mu before the root is bracketed, and the share of the bracket's log
+# width kept clear at each end once it is.  The largest step keeps the warm
+# starts a continuation: a stage cold-started far below the last solved mu
+# moves by about mu per iteration, so its relative-change stop fires at a
+# point whose nuclear norm is far from minimal.
 _RESIDUAL_BAND = 0.05
-_MU_BRACKET = (1e-6, 1e6)
-_MU_LIMITS = (1e-10, 1e10)
-_MAX_BISECTIONS = 40
+_MU_FLOOR = 1e-10
+_MAX_STAGES = 40
+_MIN_LOG_STEP = 0.05
+_MAX_LOG_STEP = math.log(10.0)
+_BRACKET_MARGIN = 0.05
+_TINY_RESIDUAL = 1e-300
 
 # Interior margin of the one-bit box, shrunk per entry to a quarter of the
 # entry's feasible interval so the shrunk box stays nonempty.
@@ -87,7 +98,10 @@ class SolverReport:
     ``data_residual`` is the ball residual ||P_mask(X) - Q||_F for the
     quantized problem and the constraint violation for the one-bit problem.
     ``stage_objectives`` holds one stage for the one-bit solver, its
-    per-iteration primal objective, and is empty otherwise.
+    per-iteration primal objective; for the ball solver, one length-1 array
+    per mu stage holding that stage's final penalized objective
+    ||X||_* + ||P(X) - Q||_F^2 / (2 mu), empty when the zero matrix is
+    returned without a solve.
     """
 
     matrix: np.ndarray
@@ -125,7 +139,7 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return _svd_soft(Zm, theta)[0]
 
 
-def _fista_ball(q, mask: SampleMask, shape, mu, x0, params: ProxParams, cap: int):
+def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int):
     """Accelerated proximal gradient for ||X||_* + (1/2 mu)||P(X) - Q||_F^2.
 
     The smooth part has Lipschitz constant 1/mu, so the gradient step with
@@ -160,15 +174,43 @@ def _fista_ball(q, mask: SampleMask, shape, mu, x0, params: ProxParams, cap: int
     return X, iters, converged, residual, nuc
 
 
+def _secant(a, b, y_target):
+    """log mu where the line through points a and b reaches y_target.
+
+    Points are (log mu, log residual, ...); None unless the line rises with
+    mu, as the residual does.
+    """
+    if b[0] == a[0]:
+        return None
+    slope = (b[1] - a[1]) / (b[0] - a[0])
+    if not (math.isfinite(slope) and slope > 0):
+        return None
+    return b[0] + (y_target - b[1]) / slope
+
+
 def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | None = None) -> SolverReport:
     """Minimum nuclear norm subject to ||P_mask(X) - Q||_F <= radius.
 
     Q must vanish off the mask.  If the zero matrix is feasible it is
     returned directly (it has minimal nuclear norm).  Otherwise the data-fit
-    weight mu is bisected until the residual lands in the acceptance window
-    [0.95 * radius, radius * (1 + tol_feas)], each subproblem warm-started
-    from the previous iterate.  A radius no inner solve can reach yields
-    converged=False.
+    weight mu is moved stage by stage until a converged inner solve lands
+    its residual in the acceptance window [0.95 * radius, radius *
+    (1 + tol_feas)].  The residual rises with mu, and the search runs on the
+    curve (log mu, log residual):
+
+    * for mu >= ||Q||_op the zero matrix is optimal with residual ||q||, so
+      that point is the bracket's upper end and costs no solve; the first
+      guess is ||Q||_op * radius / ||q||;
+    * each next guess is the secant through the last two points, aimed at
+      0.975 * radius, the middle of the window;
+    * until a stage undershoots that target, mu steps down by a factor
+      between e^0.05 and 10 (never below 1e-10); after that each guess is
+      clamped into the inner 90% of the bracket, with regula falsi on the
+      bracket ends when the secant does not rise.
+
+    Each stage is warm-started from the iterate nearest in log mu, of the
+    two kept, one per side of the target.  A radius no inner solve can
+    reach yields converged=False.
     """
     params = params or ProxParams()
     Qm = as_matrix(Q)
@@ -180,11 +222,10 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         raise ValueError("Q must vanish off the sample mask")
     q = Qm[mask.rows, mask.cols]
     qnorm = float(np.linalg.norm(q))
-    shape = Qm.shape
 
     if qnorm <= radius:
         return SolverReport(
-            matrix=np.zeros(shape),
+            matrix=np.zeros(Qm.shape),
             iterations=0,
             objective=0.0,
             data_residual=qnorm,
@@ -195,18 +236,23 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     feas_limit = radius * (1.0 + params.tol_feas)
     band_lo = (1.0 - _RESIDUAL_BAND) * radius
     band_hi = feas_limit
+    target = (1.0 - 0.5 * _RESIDUAL_BAND) * radius
+    y_target = math.log(target)
+    x_floor = math.log(_MU_FLOOR)
     inner_cap = max(100, params.max_iters // 10)
 
     total = 0
     accepted = None  # (X, residual, nuclear) with residual inside the band
     best_feasible = None  # feasible iterate with the largest residual (smallest nuclear norm)
     closest = None  # smallest residual seen, fallback when nothing is feasible
+    stages = []  # final penalized objective of each mu stage
 
     def evaluate(mu, warm):
         nonlocal total
         cap = min(inner_cap, params.max_iters - total)
-        X, iters, ok, resid, nuc = _fista_ball(q, mask, shape, mu, warm, params, cap)
+        X, iters, ok, resid, nuc = _fista_ball(q, mask, mu, warm, params, cap)
         total += iters
+        stages.append(np.array([nuc + resid * resid / (2.0 * mu)]))
         return X, ok, resid, nuc
 
     def consider(X, ok, resid, nuc):
@@ -218,31 +264,40 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         if band_lo <= resid <= band_hi and ok and accepted is None:
             accepted = (X, resid, nuc, ok)
 
-    mu_lo, mu_hi = _MU_BRACKET
-    warm = np.zeros(shape)
-
-    # qnorm > radius, so the large-mu side over-shoots the band; make sure the
-    # small-mu side can undershoot it, expanding below the nominal bracket if
-    # the target is tighter than mu = 1e-6 can reach.
-    while total < params.max_iters:
-        X, ok, resid, nuc = evaluate(mu_lo, warm)
-        warm = X
+    # Points are (log mu, log residual, iterate).  Q / mu lies in the unit
+    # operator-norm ball, the subdifferential of ||.||_* at zero, once
+    # mu >= ||Q||_op, so the zero matrix is optimal there and the residual
+    # is ||q|| > radius: the bracket's upper end costs no solve.
+    op_norm = float(np.linalg.svd(Qm, compute_uv=False)[0])
+    hi = (math.log(op_norm), math.log(qnorm), np.zeros(Qm.shape))  # residual above target
+    lo = None  # residual below target, once a stage undershoots
+    last = hi
+    x = hi[0] + math.log(radius / qnorm)
+    while accepted is None and len(stages) < _MAX_STAGES and total < params.max_iters:
+        if lo is None:
+            x = max(min(x, last[0] - _MIN_LOG_STEP), last[0] - _MAX_LOG_STEP, x_floor)
+        warm = hi[2] if lo is None or hi[0] - x <= x - lo[0] else lo[2]
+        X, ok, resid, nuc = evaluate(math.exp(x), warm)
         consider(X, ok, resid, nuc)
-        if accepted is not None or resid <= band_hi or mu_lo <= _MU_LIMITS[0]:
-            break
-        mu_lo = max(mu_lo / 10.0, _MU_LIMITS[0])
-
-    for _ in range(_MAX_BISECTIONS):
-        if accepted is not None or total >= params.max_iters:
-            break
-        mu = math.sqrt(mu_lo * mu_hi)
-        X, ok, resid, nuc = evaluate(mu, warm)
-        warm = X
-        consider(X, ok, resid, nuc)
-        if resid > radius:
-            mu_hi = mu
+        point = (x, math.log(max(resid, _TINY_RESIDUAL)), X)
+        guess = _secant(last, point, y_target)
+        if resid < target:
+            lo = point
         else:
-            mu_lo = mu
+            hi = point
+        last = point
+        if lo is None:
+            # no undershoot yet: keep stepping down, by the most allowed when
+            # the secant does not rise; a converged stage at the floor ends it
+            if x <= x_floor and ok:
+                break
+            x = guess if guess is not None else -math.inf
+        else:
+            if guess is None:
+                # regula falsi on the bracket ends, which straddle the target
+                guess = lo[0] + (y_target - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
+            margin = _BRACKET_MARGIN * (hi[0] - lo[0])
+            x = min(max(guess, lo[0] + margin), hi[0] - margin)
 
     if accepted is not None:
         X, resid, nuc, ok = accepted
@@ -261,6 +316,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         data_residual=resid,
         converged=converged,
         nuclear_norm=nuc,
+        stage_objectives=tuple(stages),
     )
 
 

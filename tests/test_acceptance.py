@@ -305,6 +305,12 @@ def test_c14_end_to_end_determinism(tmp_path):
             trials=2, base_seed=SEED + 14, epsilon=0.1,
             max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
         ),
+        # the theorem radius above makes the ball solver return zero without
+        # a stage; the oracle radius runs its mu root-finding
+        _criterion7_config(
+            scenario="rate_sweep", m_prime=None, m_prime_grid=(128, 256, 512, 1024),
+            trials=1, delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+        ),
     ]
     identical = True
     for idx, cfg in enumerate(configs):
@@ -313,4 +319,4 @@ def test_c14_end_to_end_determinism(tmp_path):
         a = emit_report(rec_a, tmp_path / f"{idx}_a.csv").read_bytes()
         b = emit_report(rec_b, tmp_path / f"{idx}_b.csv").read_bytes()
         identical = identical and a == b
-    _check("end-to-end-determinism", identical, "2 configs x 2 runs, byte-identical CSV")
+    _check("end-to-end-determinism", identical, "3 configs x 2 runs, byte-identical CSV")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import quantmc.harness
 from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform
 from quantmc.onebit import (
     PolyhedronSystem,
@@ -16,7 +17,9 @@ from quantmc.onebit import (
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
     _FEAS_MARGIN,
+    _RESIDUAL_BAND,
     ProxParams,
+    _fista_ball,
     prox_nuclear,
     solve_one_bit_mc,
     solve_quantized_mc,
@@ -147,6 +150,49 @@ class TestSolveQuantizedMC:
         rep = solve_quantized_mc(Q, mask, 1e-12, ProxParams(tol_rel_change=1e-10))
         assert not rep.converged
         assert rep.data_residual > 1e-12
+
+
+class TestBallRootFinding:
+    @pytest.mark.parametrize("step_size", [1.0, 0.5])
+    @pytest.mark.parametrize("scale", [1.000001, 3.0])
+    def test_zero_is_optimal_above_operator_norm(self, step_size, scale):
+        # the bracket's upper end: for mu >= ||Q||_op the penalized problem
+        # is solved by X = 0, so its residual is ||q|| without a solve
+        gt = generate_low_rank((12, 10), 2, 1.0, seed=42)
+        mask = sample_mask_uniform((12, 10), 70, seed=43)
+        Q = project(gt.matrix, mask)
+        q = Q[mask.rows, mask.cols]
+        mu = scale * np.linalg.norm(Q, 2)
+        X, iters, ok, resid, nuc = _fista_ball(q, mask, mu, np.zeros(Q.shape), ProxParams(step_size=step_size), 50)
+        assert ok and iters == 1
+        assert np.all(X == 0.0) and nuc == 0.0
+        assert resid == pytest.approx(np.linalg.norm(q), rel=1e-15)
+
+    def test_rate_sweep_stages_and_iterations(self, monkeypatch):
+        # the c13 sweep configuration; each ball solve takes few mu stages
+        # and ends inside the acceptance band
+        solves = []
+
+        def recording(Q, mask, radius, params=None):
+            report = solve_quantized_mc(Q, mask, radius, params)
+            solves.append((mask.m_prime, radius, params, report))
+            return report
+
+        monkeypatch.setattr(quantmc.harness, "solve_quantized_mc", recording)
+        cfg = quantmc.harness.ExperimentConfig(
+            scenario="rate_sweep", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
+            dither_kind="uniform", epsilon=0.05, m_prime_grid=(128, 256, 512, 1024),
+            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+            trials=1, base_seed=100000,
+        )
+        quantmc.harness.run_experiment(cfg)
+        assert [m for m, *_ in solves] == [128, 256, 512, 1024]
+        for _, radius, params, rep in solves:
+            assert rep.converged
+            assert 1 <= len(rep.stage_objectives) <= 6
+            assert all(stage.shape == (1,) for stage in rep.stage_objectives)
+            assert (1 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1 + params.tol_feas)
+        assert solves[0][3].iterations <= 1200
 
 
 class TestSolveOneBitMC:
