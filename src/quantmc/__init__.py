@@ -25,10 +25,8 @@ from .core import (
     GroundTruth,
     SampleMask,
     generate_low_rank,
-    load_matrix_csv,
     project,
     sample_mask_uniform,
-    save_matrix_csv,
     scatter_vector,
     select_vector,
 )

@@ -14,7 +14,6 @@ Conventions frozen here and relied on everywhere else:
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -24,10 +23,8 @@ __all__ = [
     "SampleMask",
     "as_matrix",
     "generate_low_rank",
-    "load_matrix_csv",
     "project",
     "sample_mask_uniform",
-    "save_matrix_csv",
     "scatter_vector",
     "select_vector",
 ]
@@ -222,24 +219,3 @@ def scatter_vector(values, mask: SampleMask) -> np.ndarray:
     out[mask.rows, mask.cols] = v
     return out
 
-
-def save_matrix_csv(X, path) -> None:
-    """Write a matrix as CSV, one row per line, full round-trip precision."""
-    Xm = as_matrix(X)
-    lines = [",".join(repr(float(v)) for v in row) for row in Xm]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"no data in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in {path}")
-    return np.array(rows, dtype=float)

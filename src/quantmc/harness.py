@@ -23,9 +23,10 @@ from .onebit import (
     consistency_report,
     observe_one_bit,
     strip_thresholds,
+    surrogate_data,
 )
 from .quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
-from .solvers import ProxParams, solve_one_bit_mc, solve_quantized_mc, solve_statistics_only
+from .solvers import ProxParams, solve_one_bit_mc, solve_quantized_mc
 
 __all__ = [
     "CSV_COLUMNS",
@@ -111,7 +112,6 @@ class ExperimentConfig:
     m_prime_grid: tuple = ()
     perturb_scales: tuple = (0.0, 0.25, 0.5, 1.0, 2.0)
     max_iters: int = 20000
-    step_size: float = 1.0
     tol_rel_change: float = 1e-8
     tol_feas: float = 1e-6
     C: float = 1.0
@@ -171,7 +171,6 @@ class ExperimentConfig:
     def prox_params(self) -> ProxParams:
         return ProxParams(
             max_iters=self.max_iters,
-            step_size=self.step_size,
             tol_rel_change=self.tol_rel_change,
             tol_feas=self.tol_feas,
         )
@@ -296,21 +295,27 @@ def _record(
     )
 
 
+def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
+    """Ball solve of a trial against data Q, zero off the mask, whose entries
+    are bounded by q_max; the radius is the theorem's sqrt(m' (eps + q_max^2))
+    or, under the oracle policy, the trial's true masked residual."""
+    if cfg.effective_delta_policy() == "theorem":
+        radius = float(np.sqrt(mask.m_prime * (cfg.epsilon + q_max_sq)))
+    else:
+        residual = select_vector(gt.matrix, mask) - Q[mask.rows, mask.cols]
+        radius = max(float(np.linalg.norm(residual)), 1e-12)
+    return solve_quantized_mc(Q, mask, radius, cfg.prox_params())
+
+
 def _quantized_trial(cfg: ExperimentConfig, trial: int, m_prime: int, group: str = ""):
     s_gt, s_mask, s_dither = _trial_seeds(cfg.base_seed, trial, 3)
     gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
     mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
     spec = QuantizerSpec(cfg.delta, cfg.K)
     dither = DitherSpec.uniform(cfg.delta / 2.0) if cfg.dither_kind == "uniform" else DitherSpec.none()
-    q_max_sq = (cfg.K * cfg.delta / 2.0) ** 2
     t0 = time.perf_counter()
     Q = quantize_matrix(gt.matrix, mask, spec, dither, s_dither)
-    if cfg.effective_delta_policy() == "theorem":
-        radius = float(np.sqrt(m_prime * (cfg.epsilon + q_max_sq)))
-    else:
-        residual = select_vector(gt.matrix, mask) - Q[mask.rows, mask.cols]
-        radius = max(float(np.linalg.norm(residual)), 1e-12)
-    report = solve_quantized_mc(Q, mask, radius, cfg.prox_params())
+    report = _solve_ball(cfg, gt, mask, Q, (cfg.K * cfg.delta / 2.0) ** 2)
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(gt.matrix - report.matrix))
     ref = float(np.linalg.norm(gt.matrix))
@@ -364,13 +369,7 @@ def _stats_only_trial(cfg: ExperimentConfig, trial: int, *, noisy: bool):
     noise = NoiseSpec.gaussian(cfg.noise_sigma, cfg.sigma1, cfg.sigma2) if noisy else NoiseSpec.none()
     t0 = time.perf_counter()
     obs = strip_thresholds(observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise))
-    surrogate_masked = 0.5 * cfg.delta * obs.signs[0]
-    if cfg.effective_delta_policy() == "theorem":
-        radius = float(np.sqrt(m_prime * (cfg.epsilon + cfg.delta**2 / 4.0)))
-    else:
-        residual = select_vector(gt.matrix, mask) - surrogate_masked
-        radius = max(float(np.linalg.norm(residual)), 1e-12)
-    report = solve_statistics_only(obs, cfg.delta, radius, cfg.prox_params())
+    report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)
     wall_ms = 1e3 * (time.perf_counter() - t0)
     err = float(np.linalg.norm(gt.matrix - report.matrix))
     ref = float(np.linalg.norm(gt.matrix))
@@ -543,7 +542,7 @@ def emit_report(records, path, stable_timings: bool = True) -> Path:
 _INT_KEYS = {"n1", "n2", "r", "K", "m", "m_prime", "trials", "base_seed", "max_iters"}
 _FLOAT_KEYS = {
     "alpha", "delta", "dither_param", "noise_sigma", "sigma1", "sigma2", "epsilon",
-    "reg_weight", "beta", "sample_fraction", "step_size", "tol_rel_change", "tol_feas",
+    "reg_weight", "beta", "sample_fraction", "tol_rel_change", "tol_feas",
     "C", "c", "D1", "C1",
 }
 _STR_KEYS = {"scenario", "dither_kind", "delta_policy", "out"}

@@ -10,7 +10,6 @@ arrays, never as a dense constraint matrix.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -27,9 +26,7 @@ __all__ = [
     "consistency_report",
     "feasible_intervals",
     "hamming",
-    "load_observation",
     "observe_one_bit",
-    "save_observation",
     "strip_thresholds",
     "surrogate_data",
     "t_ave",
@@ -260,49 +257,3 @@ def surrogate_data(obs: OneBitObservation, delta: float) -> np.ndarray:
         raise ValueError(f"delta must be positive, got {delta}")
     return scatter_vector(0.5 * delta * obs.signs[0], obs.mask)
 
-
-def save_observation(obs: OneBitObservation, directory) -> None:
-    """Write mask.csv / signs.csv / thresholds.csv so a solver run is replayable.
-
-    mask.csv starts with an ``n1,n2`` line followed by one ``row,col`` line per
-    masked entry in canonical order; signs.csv holds one sequence per line;
-    thresholds.csv (same layout, full precision) is omitted in
-    statistics-only mode.
-    """
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    mask_lines = [f"{obs.mask.dims.n1},{obs.mask.dims.n2}"]
-    mask_lines += [f"{i},{j}" for i, j in zip(obs.mask.rows, obs.mask.cols)]
-    (d / "mask.csv").write_text("\n".join(mask_lines) + "\n")
-    sign_lines = [",".join(str(int(s)) for s in row) for row in obs.signs]
-    (d / "signs.csv").write_text("\n".join(sign_lines) + "\n")
-    if obs.thresholds is not None:
-        thr_lines = [",".join(repr(float(v)) for v in row) for row in obs.thresholds.values]
-        (d / "thresholds.csv").write_text("\n".join(thr_lines) + "\n")
-
-
-def load_observation(directory, dither_spec: DitherSpec | None = None) -> OneBitObservation:
-    """Inverse of :func:`save_observation`; thresholds.csv may be absent.
-
-    The files do not record the dither distribution (solvers never need it),
-    so pass ``dither_spec`` to restore that metadata; otherwise a loaded
-    threshold tensor is tagged with a 'none' placeholder spec and seed -1.
-    """
-    d = Path(directory)
-    mask_lines = [ln for ln in (d / "mask.csv").read_text().splitlines() if ln.strip()]
-    n1, n2 = (int(tok) for tok in mask_lines[0].split(","))
-    pairs = [tuple(int(tok) for tok in ln.split(",")) for ln in mask_lines[1:]]
-    mask = SampleMask.from_pairs(Dims(n1, n2), pairs)
-    signs = np.array(
-        [[int(tok) for tok in ln.split(",")] for ln in (d / "signs.csv").read_text().splitlines() if ln.strip()],
-        dtype=np.int64,
-    )
-    thresholds = None
-    thr_path = d / "thresholds.csv"
-    if thr_path.exists():
-        values = np.array(
-            [[float(tok) for tok in ln.split(",")] for ln in thr_path.read_text().splitlines() if ln.strip()]
-        )
-        spec = dither_spec if dither_spec is not None else DitherSpec("none")
-        thresholds = DitherTensor(values=values, spec=spec, seed=-1)
-    return OneBitObservation(signs=signs, thresholds=thresholds, mask=mask, dither_spec=dither_spec)

@@ -1,7 +1,8 @@
 """Nuclear-norm recovery solvers.
 
-Two convex programs share the singular-value soft-threshold as their
-proximal core:
+Two convex programs share one accelerated proximal loop, ``_fista`` (the
+momentum sequence of Beck-Teboulle's FISTA), around the singular-value
+soft-threshold:
 
 * ``solve_quantized_mc``: minimize ||X||_* subject to
   ||P_mask(X) - Q||_F <= radius, handled by accelerated proximal gradient on
@@ -72,23 +73,22 @@ _FEAS_MARGIN = 5e-7
 class ProxParams:
     """Iteration budget and tolerances for the proximal solvers.
 
-    ``max_iters`` is the total budget across all inner solves;
-    ``step_size`` scales the analytic 1/L step; ``tol_rel_change`` stops an
-    inner loop (quantized) or bounds the relative duality gap (one-bit);
-    ``tol_feas`` is the relative slack on the ball radius (the one-bit solver
-    stops only on exact sign feasibility).
+    ``max_iters`` is the total budget across all inner solves; both solvers
+    take the analytic 1/L step.  ``tol_rel_change`` stops an inner loop
+    (quantized) or bounds the relative duality gap (one-bit); ``tol_feas`` is
+    the relative slack on the ball radius (the one-bit solver stops only on
+    exact sign feasibility).
     """
 
     max_iters: int = 20000
-    step_size: float = 1.0
     tol_rel_change: float = 1e-8
     tol_feas: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step_size <= 0 or self.tol_rel_change <= 0 or self.tol_feas <= 0:
-            raise ValueError("step_size and tolerances must be positive")
+        if self.tol_rel_change <= 0 or self.tol_feas <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclasses.dataclass(eq=False)
@@ -139,37 +139,44 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return _svd_soft(Zm, theta)[0]
 
 
+def _fista(step, z0, cap: int):
+    """Accelerated proximal loop (FISTA momentum) shared by both solvers.
+
+    ``step(w, z)`` maps the extrapolated point w and the current iterate z
+    to ``(z_next, stop, info)``: one proximal-gradient step and its stopping
+    test.  Runs at most ``cap >= 1`` steps from z0; returns (z, iterations,
+    stopped, info of the last step).
+    """
+    z = w = z0
+    t = 1.0
+    for iters in range(1, cap + 1):
+        z_next, stop, info = step(w, z)
+        if stop:
+            return z_next, iters, True, info
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        z, t = z_next, t_next
+    return z, iters, False, info
+
+
 def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int):
     """Accelerated proximal gradient for ||X||_* + (1/2 mu)||P(X) - Q||_F^2.
 
-    The smooth part has Lipschitz constant 1/mu, so the gradient step with
-    step_size s is X - s * (P(X) - Q) on the mask and the prox weight is
-    s * mu.  Returns (X, iterations, inner_converged, residual, nuclear).
+    The smooth part has Lipschitz constant 1/mu, so the gradient step is
+    X - (P(X) - Q) on the mask and the prox weight is mu; an inner solve
+    stops on relative change.  Runs ``cap >= 1`` steps at most from x0.
+    Returns (X, iterations, inner_converged, residual, nuclear).
     """
     rows, cols = mask.rows, mask.cols
-    s = params.step_size
-    theta = s * mu
-    X = x0.copy()
-    Y = x0.copy()
-    t = 1.0
-    nuc = float(np.linalg.norm(X, "nuc")) if X.any() else 0.0
-    converged = False
-    iters = 0
-    for iters in range(1, max(cap, 0) + 1):
+
+    def step(Y, X):
         Z = Y.copy()
-        Z[rows, cols] -= s * (Y[rows, cols] - q)
-        Xn, sv = _svd_soft(Z, theta)
+        Z[rows, cols] -= Y[rows, cols] - q
+        Xn, sv = _svd_soft(Z, mu)
         rel = np.linalg.norm(Xn - X) / max(1.0, np.linalg.norm(X))
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        Y = Xn + ((t - 1.0) / t_next) * (Xn - X)
-        X = Xn
-        nuc = float(sv.sum())
-        t = t_next
-        if rel <= params.tol_rel_change:
-            converged = True
-            break
-    if cap <= 0:
-        iters = 0
+        return Xn, rel <= params.tol_rel_change, float(sv.sum())
+
+    X, iters, converged, nuc = _fista(step, x0, cap)
     residual = float(np.linalg.norm(X[rows, cols] - q))
     return X, iters, converged, residual, nuc
 
@@ -369,27 +376,22 @@ def solve_one_bit_mc(
         support = float(y[up] @ box_hi[up] + y[down] @ box_lo[down])
         return -0.5 * float(sv @ sv) - support
 
-    s = params.step_size
-    y = w = np.zeros(mask.m_prime)
-    t = 1.0
     history = []
-    converged = False
-    for iters in range(1, params.max_iters + 1):
+
+    def step(w, _):
         X, sv = primal_of(w)
         x = X[rows, cols]
         nuc = float(sv.sum())
         objective = reg_weight * nuc + 0.5 * float(sv @ sv)
         history.append(objective)
-        v = w + s * x
-        y_next = v - s * np.clip(v / s, box_lo, box_hi)
-        if np.all((lo <= x) & (x < hi)):
-            gap = objective - dual_value(y_next)
-            if gap <= params.tol_rel_change * max(1.0, abs(objective)):
-                converged = True
-                break
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = y_next + ((t - 1.0) / t_next) * (y_next - y)
-        y, t = y_next, t_next
+        v = w + x
+        y_next = v - np.clip(v, box_lo, box_hi)
+        stop = bool(np.all((lo <= x) & (x < hi))) and (
+            objective - dual_value(y_next) <= params.tol_rel_change * max(1.0, abs(objective))
+        )
+        return y_next, stop, (X, nuc, objective)
+
+    _, iters, converged, (X, nuc, objective) = _fista(step, np.zeros(mask.m_prime), params.max_iters)
 
     return SolverReport(
         matrix=X,

@@ -311,6 +311,11 @@ def test_c14_end_to_end_determinism(tmp_path):
             scenario="rate_sweep", m_prime=None, m_prime_grid=(128, 256, 512, 1024),
             trials=1, delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
         ),
+        # the statistics-only ball solve against the sign surrogate
+        ExperimentConfig(
+            scenario="onebit_stats_only", n1=24, n2=24, r=1, alpha=1.0, delta=2.0,
+            m_prime=288, trials=1, base_seed=SEED + 14, epsilon=0.05, delta_policy="oracle",
+        ),
     ]
     identical = True
     for idx, cfg in enumerate(configs):
@@ -319,4 +324,4 @@ def test_c14_end_to_end_determinism(tmp_path):
         a = emit_report(rec_a, tmp_path / f"{idx}_a.csv").read_bytes()
         b = emit_report(rec_b, tmp_path / f"{idx}_b.csv").read_bytes()
         identical = identical and a == b
-    _check("end-to-end-determinism", identical, "3 configs x 2 runs, byte-identical CSV")
+    _check("end-to-end-determinism", identical, "4 configs x 2 runs, byte-identical CSV")

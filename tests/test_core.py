@@ -9,10 +9,8 @@ from quantmc.core import (
     Dims,
     SampleMask,
     generate_low_rank,
-    load_matrix_csv,
     project,
     sample_mask_uniform,
-    save_matrix_csv,
     scatter_vector,
     select_vector,
 )
@@ -179,18 +177,3 @@ class TestProjectAndSelect:
         mask = sample_mask_uniform((4, 4), 6, seed=3)
         assert np.array_equal(project(gt, mask), project(gt.matrix, mask))
         assert np.array_equal(select_vector(gt, mask), select_vector(gt.matrix, mask))
-
-
-class TestMatrixCsv:
-    def test_round_trip_full_precision(self, tmp_path):
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((5, 3)) * np.pi
-        path = tmp_path / "x.csv"
-        save_matrix_csv(X, path)
-        assert np.array_equal(load_matrix_csv(path), X)
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ValueError):
-            load_matrix_csv(path)

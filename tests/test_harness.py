@@ -16,6 +16,7 @@ from quantmc.harness import (
     run_experiment,
     summarize,
 )
+from quantmc.solvers import solve_quantized_mc
 
 QUANTIZED_CFG = """
 # quantization sanity config
@@ -63,6 +64,11 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"scenario": "quantized", "n1": "4", "n2": "4", "r": "1", "alpha": "1", "delta": "0.1", "m_prime": "4", "bogus": "1"})
+
+    def test_step_size_key_rejected(self):
+        mapping = {"scenario": "quantized", "n1": "4", "n2": "4", "r": "1", "alpha": "1", "delta": "0.1", "m_prime": "4"}
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_mapping({**mapping, "step_size": "1.0"})
 
     def test_missing_required_field(self):
         with pytest.raises(ValueError):
@@ -176,6 +182,42 @@ class TestRunOneBit:
         # the noisy bound adds the beta budget on top of the sign-only bound
         assert records[0].bound_value > base_records[0].bound_value
 
+    def test_stats_only_solves_the_surrogate_ball_once(self, monkeypatch):
+        # one ball solve per trial, against (delta/2) * signs on the mask, at
+        # the oracle radius ||x - q||
+        import quantmc.harness as hz
+        from quantmc.core import select_vector
+
+        calls, observations = [], []
+
+        def recording(Q, mask, radius, params=None):
+            calls.append((Q.copy(), mask, radius))
+            return solve_quantized_mc(Q, mask, radius, params)
+
+        strip = hz.strip_thresholds
+
+        def stripping(obs):
+            observations.append(strip(obs))
+            return observations[-1]
+
+        monkeypatch.setattr(hz, "solve_quantized_mc", recording)
+        monkeypatch.setattr(hz, "strip_thresholds", stripping)
+        cfg = ExperimentConfig(
+            scenario="onebit_stats_only", n1=8, n2=8, r=1, alpha=1.0, delta=2.0,
+            m_prime=40, trials=3, base_seed=6, epsilon=0.05, delta_policy="oracle",
+        )
+        records, _ = run_experiment(cfg)
+        assert len(records) == len(calls) == len(observations) == 3
+        for trial, ((Q, mask, radius), obs) in enumerate(zip(calls, observations)):
+            s_gt = hz._trial_seeds(cfg.base_seed, trial, 4)[0]
+            x = select_vector(hz.generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt).matrix, mask)
+            q = Q[mask.rows, mask.cols]
+            assert np.array_equal(q, cfg.delta / 2.0 * obs.signs[0])
+            off = Q.copy()
+            off[mask.rows, mask.cols] = 0.0
+            assert np.all(off == 0.0)
+            assert radius == float(np.linalg.norm(x - q))
+
 
 class TestBatchResilience:
     def test_numerical_failure_recorded_not_raised(self, monkeypatch):
@@ -202,8 +244,8 @@ class TestBatchResilience:
                 "solve_one_bit_mc", "onebit_dithers_known",
                 dict(dither_kind="uniform", dither_param=1.0, m=4), "subgaussian",
             ),
-            ("solve_statistics_only", "onebit_stats_only", dict(delta=2.0), "statistics_only"),
-            ("solve_statistics_only", "onebit_noisy", dict(delta=2.0, noise_sigma=0.1), "noisy"),
+            ("solve_quantized_mc", "onebit_stats_only", dict(delta=2.0), "statistics_only"),
+            ("solve_quantized_mc", "onebit_noisy", dict(delta=2.0, noise_sigma=0.1), "noisy"),
         ],
         ids=["onebit_known", "stats_only", "noisy"],
     )

@@ -13,9 +13,7 @@ from quantmc.onebit import (
     consistency_report,
     feasible_intervals,
     hamming,
-    load_observation,
     observe_one_bit,
-    save_observation,
     strip_thresholds,
     surrogate_data,
     t_ave,
@@ -269,46 +267,6 @@ class TestSignExpectation:
             mean = np.mean(sign_pm1(x + tau))
             se = max(np.std(sign_pm1(x + tau)) / np.sqrt(tau.size), 1e-12)
             assert abs(mean - x / lam) <= max(3 * se, 1e-3)
-
-
-class TestObservationCsv:
-    def test_round_trip_with_thresholds(self, tmp_path):
-        gt = generate_low_rank((5, 7), 2, 1.0, seed=20)
-        mask = sample_mask_uniform((5, 7), 9, seed=21)
-        thr = generate_dither_tensor(DitherSpec.uniform(1.0), 3, 9, seed=22)
-        obs = observe_one_bit(gt.matrix, mask, thr)
-        save_observation(obs, tmp_path / "obs")
-        loaded = load_observation(tmp_path / "obs", DitherSpec.uniform(1.0))
-        assert np.array_equal(loaded.signs, obs.signs)
-        assert np.array_equal(loaded.thresholds.values, obs.thresholds.values)
-        assert loaded.mask.pairs() == obs.mask.pairs()
-        assert tuple(loaded.mask.dims) == (5, 7)
-
-    def test_round_trip_statistics_only(self, tmp_path):
-        gt = generate_low_rank((4, 4), 1, 1.0, seed=23)
-        mask = sample_mask_uniform((4, 4), 6, seed=24)
-        thr = generate_dither_tensor(DitherSpec.uniform(2.0), 1, 6, seed=25)
-        obs = strip_thresholds(observe_one_bit(gt.matrix, mask, thr))
-        save_observation(obs, tmp_path / "obs")
-        loaded = load_observation(tmp_path / "obs")
-        assert loaded.thresholds is None
-        assert np.array_equal(loaded.signs, obs.signs)
-
-    def test_solver_run_replays_from_disk(self, tmp_path):
-        # the serialized triple carries everything a solve needs
-        from quantmc.solvers import ProxParams, solve_one_bit_mc
-
-        gt = generate_low_rank((6, 6), 2, 1.0, seed=26)
-        mask = sample_mask_uniform((6, 6), 14, seed=27)
-        thr = generate_dither_tensor(DitherSpec.uniform(1.0), 4, 14, seed=28)
-        obs = observe_one_bit(gt.matrix, mask, thr)
-        save_observation(obs, tmp_path / "obs")
-        loaded = load_observation(tmp_path / "obs")
-        params = ProxParams(tol_feas=1e-9, tol_rel_change=1e-9)
-        original = solve_one_bit_mc(build_polyhedron(obs), 1.0, params)
-        replayed = solve_one_bit_mc(build_polyhedron(loaded), 1.0, params)
-        assert original.matrix.tobytes() == replayed.matrix.tobytes()
-        assert original.iterations == replayed.iterations
 
 
 class TestValidation:

@@ -165,12 +165,6 @@ class TestDitherTensor:
         assert DitherSpec.gaussian(0.5).variance == 0.25
         assert DitherSpec.none().variance == 0.0
 
-    def test_values_round_trip_through_csv(self, tmp_path):
-        from quantmc.core import load_matrix_csv, save_matrix_csv
-
-        t = generate_dither_tensor(DitherSpec.gaussian(1.3), 4, 7, seed=2)
-        save_matrix_csv(t.values, tmp_path / "dither.csv")
-        assert np.array_equal(load_matrix_csv(tmp_path / "dither.csv"), t.values)
 
 
 class TestQuantizeMatrix:
