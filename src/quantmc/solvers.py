@@ -18,7 +18,12 @@ soft-threshold:
   of the strongly convex objective, with a clip onto the box (shrunk by a
   tiny interior margin) as its proximal step and a duality-gap stop.
 
-Both start from the zero matrix and are fully deterministic.
+Both start from the zero matrix and are fully deterministic.  The
+soft-threshold, ``_svd_soft``, comes from the eigendecomposition of the
+smaller Gram matrix (numpy ``eigh``), keeping the eigenpairs above
+theta^2; a full SVD (LAPACK gesdd) remains only for theta below
+1e-4 * sigma_1, the precision floor of the squared matrix, and for a Gram
+matrix that overflows or underflows.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ _MIN_LOG_STEP = 0.05
 _MAX_LOG_STEP = math.log(10.0)
 _BRACKET_MARGIN = 0.05
 _TINY_RESIDUAL = 1e-300
+
+# Where _svd_soft's Gram path holds its precision: the smallest
+# theta / sigma_1, and the smallest ||Z||_F^2 (below it, an eps-relative
+# rounding of sigma_1^2 may be subnormal).
+_GRAM_FLOOR = 1e-4
+_GRAM_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 # Interior margin of the one-bit box, shrunk per entry to a quarter of the
 # entry's feasible interval so the shrunk box stays nonempty.
@@ -114,7 +125,28 @@ class SolverReport:
 
 
 def _svd_soft(Z: np.ndarray, theta: float):
-    """Soft-threshold the singular values of Z by theta; returns (matrix, sv)."""
+    """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
+
+    With A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the
+    smaller Gram matrix A^T A with lam > theta^2 give sigma = sqrt(lam) and
+    X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds only
+    those kept.  Squaring puts an error of about eps * sigma_1^2 into every
+    lam, so a singular value near theta is off by at most
+    eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1 (where
+    that reaches about 1e-12 * sigma_1), and when the trace of A^T A
+    overflows or comes too near the subnormal range, a full SVD (LAPACK
+    gesdd) is taken instead; its sv has one entry per singular value.
+    """
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    gram = A.T @ A
+    if _GRAM_MIN <= np.trace(gram) < math.inf:
+        lam, V = np.linalg.eigh(gram)
+        if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
+            k = np.searchsorted(lam, theta * theta, side="right")
+            sigma = np.sqrt(lam[k:])
+            Vk = V[:, k:]
+            X = (A @ (Vk * (1.0 - theta / sigma))) @ Vk.T
+            return (X if A is Z else X.T), sigma - theta
     try:
         u, s, vt = np.linalg.svd(Z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -130,6 +162,8 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     """Proximal operator of theta * ||.||_*: shrink each singular value by theta.
 
     Minimizes theta * ||X||_* + 1/2 ||X - Z||_F^2; theta = 0 returns Z.
+    Computed by ``_svd_soft``: from the Gram eigendecomposition, or a full
+    SVD when theta < 1e-4 * sigma_1(Z).
     """
     Zm = as_matrix(Z)
     if theta < 0:
@@ -339,11 +373,12 @@ def solve_one_bit_mc(
     gamma_k = min(_FEAS_MARGIN, width_k / 4) on each side.  The objective is
     1-strongly convex, so the dual over the box multipliers y is 1-smooth:
     accelerated proximal gradient on the dual (dual accelerated SVT) maps
-    each extrapolated multiplier w to X = SVT(-P_mask^*(w)), one SVD per
-    step, and its proximal step is a clip onto the shrunk box.  The loop
-    stops once X satisfies every sign constraint (lo <= x < hi, the strict
-    side matching the +1 tie rule of ``consistency_report``) and the duality
-    gap against the shrunk box is at most tol_rel_change * max(1, |P(X)|).
+    each extrapolated multiplier w to X = SVT(-P_mask^*(w)), one
+    ``_svd_soft`` per step, and its proximal step is a clip onto the shrunk
+    box.  The loop stops once X satisfies every sign constraint
+    (lo <= x < hi, the strict side matching the +1 tie rule of
+    ``consistency_report``) and the duality gap against the shrunk box is at
+    most tol_rel_change * max(1, |P(X)|).
     An empty box (some lo > hi) returns the zero matrix after 0 iterations.
     """
     params = params or ProxParams()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quantmc.harness
+import quantmc.solvers
 from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform
 from quantmc.onebit import (
     PolyhedronSystem,
@@ -17,9 +18,11 @@ from quantmc.onebit import (
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
     _FEAS_MARGIN,
+    _GRAM_FLOOR,
     _RESIDUAL_BAND,
     ProxParams,
     _fista_ball,
+    _svd_soft,
     prox_nuclear,
     solve_one_bit_mc,
     solve_quantized_mc,
@@ -64,6 +67,148 @@ class TestProxNuclear:
             for theta in (0.0, 0.3, 2.0):
                 s_out = np.linalg.svd(prox_nuclear(Z, theta), compute_uv=False)
                 assert np.max(np.abs(s_out - np.maximum(s_in - theta, 0.0))) <= 1e-10
+
+
+def _gesdd_soft(Z, theta):
+    """Reference SVT: full LAPACK gesdd SVD, shrink, recombine."""
+    u, s, vt = np.linalg.svd(Z, full_matrices=False)
+    s = np.maximum(s - theta, 0.0)
+    return (u * s) @ vt, s
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes passed to np.linalg.svd while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _with_spectrum(shape, s, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * np.asarray(s, dtype=float)) @ v.T
+
+
+class TestSvdSoft:
+    """``_svd_soft`` against the gesdd oracle, on both of its paths."""
+
+    @staticmethod
+    def _assert_matches_oracle(Z, theta):
+        X, sv = _svd_soft(Z, theta)
+        X_ref, sv_ref = _gesdd_soft(Z, theta)
+        assert X.shape == Z.shape
+        assert np.max(np.abs(X - X_ref), initial=0.0) <= 1e-10 * max(1.0, np.linalg.norm(Z))
+        assert sv.sum() == pytest.approx(sv_ref.sum(), rel=1e-12)
+        assert sv @ sv == pytest.approx(sv_ref @ sv_ref, rel=1e-12)
+        return X
+
+    @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (7, 3), (3, 7), (1, 5)])
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5])
+    def test_gaussian_shapes(self, shape, ratio):
+        Z = np.random.default_rng(sum(shape)).standard_normal(shape)
+        self._assert_matches_oracle(Z, ratio * np.linalg.norm(Z, 2))
+
+    @pytest.mark.parametrize("shape", [(60, 50), (50, 60)])
+    @pytest.mark.parametrize("ratio", [1.001 * _GRAM_FLOOR, 0.01, 0.3])
+    def test_rank_deficient(self, shape, ratio):
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        self._assert_matches_oracle(Z, ratio * np.linalg.norm(Z, 2))
+
+    def test_theta_at_a_repeated_singular_value(self):
+        Z = _with_spectrum((40, 30), [5.0, 3.0, 3.0, 3.0, 1.0], seed=4)
+        X = self._assert_matches_oracle(Z, 3.0)
+        assert np.linalg.svd(X, compute_uv=False)[0] == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-12, 2.0])
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+    def test_theta_above_sigma1_gives_zero(self, scale, shape):
+        Z = np.random.default_rng(5).standard_normal(shape)
+        X, sv = _svd_soft(Z, scale * np.linalg.norm(Z, 2))
+        assert X.shape == shape and np.all(X == 0.0)
+        assert sv.sum() == 0.0
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (0, 3)])
+    def test_zero_matrix(self, theta, shape):
+        X, sv = _svd_soft(np.zeros(shape), theta)
+        assert X.shape == shape and np.all(X == 0.0)
+        assert sv.sum() == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales(self, scale):
+        # the Gram matrix of Z underflows or overflows; the kernel must
+        # still match the oracle
+        W = np.random.default_rng(7).standard_normal((20, 12))
+        Z = scale * W
+        theta = 0.1 * np.linalg.norm(Z, 2)
+        X, sv = _svd_soft(Z, theta)
+        X_ref, sv_ref = _gesdd_soft(Z, theta)
+        assert np.max(np.abs(X - X_ref)) <= 1e-10 * scale * np.linalg.norm(W)
+        assert sv.sum() == pytest.approx(sv_ref.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160)])
+    @pytest.mark.parametrize("ratio, gesdd_calls", [(0.999 * _GRAM_FLOOR, 1), (1.001 * _GRAM_FLOOR, 0)])
+    def test_precision_floor(self, svd_calls, shape, ratio, gesdd_calls):
+        # below theta = _GRAM_FLOOR * sigma_1 the squared matrix is too coarse
+        # and the kernel falls back to gesdd; at or above it, it does not
+        Z = _with_spectrum(shape, np.geomspace(10.0, 1e-6, 40), seed=6)
+        self._assert_matches_oracle(Z, ratio * np.linalg.norm(Z, 2))
+        assert len(svd_calls) == gesdd_calls + 1  # plus the oracle's own SVD
+
+    # The three bench workloads at seed 1 (trial base_seed 100000), run once
+    # on the kernel and once on the oracle.
+    BENCH_CONFIGS = {
+        "large_n": dict(
+            scenario="quantized", n1=128, n2=128, r=2, alpha=1.0, delta=0.25, K=8,
+            dither_kind="uniform", epsilon=0.05, sample_fraction=0.3,
+            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+        ),
+        "rate_sweep": dict(
+            scenario="rate_sweep", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
+            dither_kind="uniform", epsilon=0.05, m_prime_grid=(128, 256, 512, 1024),
+            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+        ),
+        "onebit_known": dict(
+            scenario="onebit_dithers_known", n1=32, n2=32, r=2, alpha=1.0,
+            dither_kind="uniform", dither_param=1.0, m=20, m_prime=512, epsilon=0.1,
+            max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
+        ),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
+    def test_bench_workload_matches_the_oracle(self, monkeypatch, svd_calls, workload):
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **self.BENCH_CONFIGS[workload])
+        stages = []
+        for name in ("solve_quantized_mc", "solve_one_bit_mc"):
+            def recording(*args, _solve=getattr(quantmc.harness, name), **kwargs):
+                report = _solve(*args, **kwargs)
+                stages.append(len(report.stage_objectives))
+                return report
+
+            monkeypatch.setattr(quantmc.harness, name, recording)
+        records, _ = quantmc.harness.run_experiment(cfg)
+        # every soft-threshold takes the Gram path; the one SVD per solve is
+        # the ball solver's ||Q||_op, or the one-bit solver's zero first step
+        assert len(svd_calls) == len(stages)
+        kernel_stages, stages[:] = list(stages), []
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", _gesdd_soft)
+        oracle_records, _ = quantmc.harness.run_experiment(cfg)
+        assert stages == kernel_stages and len(stages) > 0
+        assert len(records) == len(oracle_records) > 0
+        for rec, ref in zip(records, oracle_records):
+            assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
+            assert rec.iterations > 0
+            assert rec.err_fro == pytest.approx(ref.err_fro, rel=1e-9)
 
 
 class TestSolveQuantizedMC:
