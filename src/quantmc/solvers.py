@@ -1,8 +1,9 @@
 """Nuclear-norm recovery solvers.
 
 Two convex programs share one accelerated proximal loop, ``_fista`` (the
-momentum sequence of Beck-Teboulle's FISTA), around the singular-value
-soft-threshold:
+momentum sequence of Beck-Teboulle's FISTA with the gradient restart of
+O'Donoghue-Candes, which drops the momentum whenever it points uphill),
+around the singular-value soft-threshold:
 
 * ``solve_quantized_mc``: minimize ||X||_* subject to
   ||P_mask(X) - Q||_F <= radius, handled by accelerated proximal gradient on
@@ -22,8 +23,9 @@ Both start from the zero matrix and are fully deterministic.  The
 soft-threshold, ``_svd_soft``, comes from the eigendecomposition of the
 smaller Gram matrix (numpy ``eigh``), keeping the eigenpairs above
 theta^2; a full SVD (LAPACK gesdd) remains only for theta below
-1e-4 * sigma_1, the precision floor of the squared matrix, and for a Gram
-matrix that overflows or underflows.
+1e-4 * sigma_1, the precision floor of the squared matrix (found without
+``eigh`` when the Gram trace already proves it), and for a Gram matrix that
+overflows or underflows.
 """
 
 from __future__ import annotations
@@ -135,11 +137,15 @@ def _svd_soft(Z: np.ndarray, theta: float):
     eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1 (where
     that reaches about 1e-12 * sigma_1), and when the trace of A^T A
     overflows or comes too near the subnormal range, a full SVD (LAPACK
-    gesdd) is taken instead; its sv has one entry per singular value.
+    gesdd) is taken instead; its sv has one entry per singular value.  A
+    theta below _GRAM_FLOOR * sqrt(trace / k), with k = A.shape[1], is below
+    the floor whatever sigma_1 is, so it goes to gesdd without an ``eigh``.
     """
     A = Z.T if Z.shape[0] < Z.shape[1] else Z
     gram = A.T @ A
-    if _GRAM_MIN <= np.trace(gram) < math.inf:
+    trace = np.trace(gram)
+    # sigma_1^2 >= trace / k, the mean of the k eigenvalues
+    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
         lam, V = np.linalg.eigh(gram)
         if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
             k = np.searchsorted(lam, theta * theta, side="right")
@@ -174,12 +180,17 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
 
 
 def _fista(step, z0, cap: int):
-    """Accelerated proximal loop (FISTA momentum) shared by both solvers.
+    """Accelerated proximal loop (FISTA with adaptive restart) shared by both solvers.
 
     ``step(w, z)`` maps the extrapolated point w and the current iterate z
     to ``(z_next, stop, info)``: one proximal-gradient step and its stopping
     test.  Runs at most ``cap >= 1`` steps from z0; returns (z, iterations,
     stopped, info of the last step).
+
+    Gradient restart (O'Donoghue-Candes): when the step's gradient mapping
+    w - z_next has a positive inner product with the move z_next - z, the
+    momentum points uphill, so t is reset to 1 and the next point is z_next
+    itself.  On the first step w = z, so it never fires there.
     """
     z = w = z0
     t = 1.0
@@ -187,8 +198,11 @@ def _fista(step, z0, cap: int):
         z_next, stop, info = step(w, z)
         if stop:
             return z_next, iters, True, info
+        move = z_next - z
+        if np.vdot(w - z_next, move) > 0:
+            t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        w = z_next + ((t - 1.0) / t_next) * move
         z, t = z_next, t_next
     return z, iters, False, info
 

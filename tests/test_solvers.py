@@ -21,6 +21,7 @@ from quantmc.solvers import (
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
     ProxParams,
+    _fista,
     _fista_ball,
     _svd_soft,
     prox_nuclear,
@@ -76,18 +77,57 @@ def _gesdd_soft(Z, theta):
     return (u * s) @ vt, s
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes passed to np.linalg.svd while the test runs."""
+def _record_shapes(monkeypatch, name):
+    """Patch np.linalg.<name> to record the shape of each matrix it is given."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes passed to np.linalg.svd while the test runs."""
+    return _record_shapes(monkeypatch, "svd")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes passed to np.linalg.eigh while the test runs."""
+    return _record_shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Reports of the solver calls the harness makes while the test runs."""
+    reports = []
+    for name in ("solve_quantized_mc", "solve_one_bit_mc"):
+        def recording(*args, _solve=getattr(quantmc.harness, name), **kwargs):
+            report = _solve(*args, **kwargs)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(quantmc.harness, name, recording)
+    return reports
+
+
+@pytest.fixture
+def inner_products(monkeypatch):
+    """Values np.vdot returns while the test runs."""
+    values = []
+    vdot = np.vdot
+
+    def recording(a, b):
+        values.append(vdot(a, b))
+        return values[-1]
+
+    monkeypatch.setattr(np, "vdot", recording)
+    return values
 
 
 def _with_spectrum(shape, s, seed):
@@ -95,6 +135,27 @@ def _with_spectrum(shape, s, seed):
     u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
     v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
     return (u * np.asarray(s, dtype=float)) @ v.T
+
+
+# The three bench workloads, run in the tests at seed 1 (trial base_seed
+# 100000).
+BENCH_CONFIGS = {
+    "large_n": dict(
+        scenario="quantized", n1=128, n2=128, r=2, alpha=1.0, delta=0.25, K=8,
+        dither_kind="uniform", epsilon=0.05, sample_fraction=0.3,
+        delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+    ),
+    "rate_sweep": dict(
+        scenario="rate_sweep", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
+        dither_kind="uniform", epsilon=0.05, m_prime_grid=(128, 256, 512, 1024),
+        delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
+    ),
+    "onebit_known": dict(
+        scenario="onebit_dithers_known", n1=32, n2=32, r=2, alpha=1.0,
+        dither_kind="uniform", dither_param=1.0, m=20, m_prime=512, epsilon=0.1,
+        max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
+    ),
+}
 
 
 class TestSvdSoft:
@@ -165,50 +226,110 @@ class TestSvdSoft:
         self._assert_matches_oracle(Z, ratio * np.linalg.norm(Z, 2))
         assert len(svd_calls) == gesdd_calls + 1  # plus the oracle's own SVD
 
-    # The three bench workloads at seed 1 (trial base_seed 100000), run once
-    # on the kernel and once on the oracle.
-    BENCH_CONFIGS = {
-        "large_n": dict(
-            scenario="quantized", n1=128, n2=128, r=2, alpha=1.0, delta=0.25, K=8,
-            dither_kind="uniform", epsilon=0.05, sample_fraction=0.3,
-            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
-        ),
-        "rate_sweep": dict(
-            scenario="rate_sweep", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
-            dither_kind="uniform", epsilon=0.05, m_prime_grid=(128, 256, 512, 1024),
-            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
-        ),
-        "onebit_known": dict(
-            scenario="onebit_dithers_known", n1=32, n2=32, r=2, alpha=1.0,
-            dither_kind="uniform", dither_param=1.0, m=20, m_prime=512, epsilon=0.1,
-            max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
-        ),
-    }
+    @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (3, 7)])
+    def test_zero_theta_skips_eigh(self, eigh_calls, svd_calls, shape):
+        # sigma_1^2 >= trace / k puts theta = 0 below the floor before the
+        # Gram matrix is decomposed: one gesdd, no eigh
+        Z = np.random.default_rng(8).standard_normal(shape)
+        X, sv = _svd_soft(Z, 0.0)
+        assert eigh_calls == [] and len(svd_calls) == 1
+        assert np.max(np.abs(X - Z)) <= 1e-12 * np.linalg.norm(Z)
+        assert sv.sum() == pytest.approx(np.linalg.norm(Z, "nuc"), rel=1e-12)
 
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
-    def test_bench_workload_matches_the_oracle(self, monkeypatch, svd_calls, workload):
-        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **self.BENCH_CONFIGS[workload])
-        stages = []
-        for name in ("solve_quantized_mc", "solve_one_bit_mc"):
-            def recording(*args, _solve=getattr(quantmc.harness, name), **kwargs):
-                report = _solve(*args, **kwargs)
-                stages.append(len(report.stage_objectives))
-                return report
-
-            monkeypatch.setattr(quantmc.harness, name, recording)
+    def test_bench_workload_matches_the_oracle(self, monkeypatch, svd_calls, solves, workload):
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
         records, _ = quantmc.harness.run_experiment(cfg)
         # every soft-threshold takes the Gram path; the one SVD per solve is
         # the ball solver's ||Q||_op, or the one-bit solver's zero first step
-        assert len(svd_calls) == len(stages)
-        kernel_stages, stages[:] = list(stages), []
+        assert len(svd_calls) == len(solves)
+        kernel_stages = [len(rep.stage_objectives) for rep in solves]
+        solves.clear()
         monkeypatch.setattr(quantmc.solvers, "_svd_soft", _gesdd_soft)
         oracle_records, _ = quantmc.harness.run_experiment(cfg)
-        assert stages == kernel_stages and len(stages) > 0
+        assert [len(rep.stage_objectives) for rep in solves] == kernel_stages and len(solves) > 0
         assert len(records) == len(oracle_records) > 0
         for rec, ref in zip(records, oracle_records):
             assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
             assert rec.iterations > 0
             assert rec.err_fro == pytest.approx(ref.err_fro, rel=1e-9)
+
+
+class TestFistaRestart:
+    """Gradient restart in ``_fista``, driven by a scripted step."""
+
+    @staticmethod
+    def _drive(z0, points):
+        """Run _fista through the given iterates; returns the (w, z) each step received."""
+        calls = []
+
+        def step(w, z):
+            calls.append((w, z))
+            return points[len(calls) - 1], False, None
+
+        _fista(step, z0, len(points))
+        return calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_fires_on_the_first_step(self, inner_products, seed):
+        # the first step extrapolates from nothing, w = z0, so its inner
+        # product is -||z1 - z0||^2, from a zero or a warm start alike
+        rng = np.random.default_rng(seed)
+        z0 = np.zeros((4, 3)) if seed == 0 else 10.0 ** (seed - 2) * rng.standard_normal((4, 3))
+        points = [z0 + rng.standard_normal((4, 3)) for _ in range(3)]
+        calls = self._drive(z0, points)
+        assert calls[0][0] is z0 and calls[0][1] is z0
+        assert inner_products[0] == pytest.approx(-np.linalg.norm(points[0] - z0) ** 2, rel=1e-12)
+        assert inner_products[0] < 0
+
+    def test_never_fires_on_the_first_step_of_a_warm_started_ball_stage(self, inner_products):
+        gt = generate_low_rank((12, 10), 2, 1.0, seed=44)
+        mask = sample_mask_uniform((12, 10), 70, seed=45)
+        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        warm = _fista_ball(q, mask, 0.5, np.zeros((12, 10)), ProxParams(), 200)[0]
+        assert np.linalg.norm(warm) > 0
+        inner_products.clear()
+        _, iters, *_ = _fista_ball(q, mask, 0.1, warm, ProxParams(), 200)
+        assert iters > 2 and inner_products[0] < 0
+
+    # Two steps along d, then a third that is short enough for the momentum
+    # to overshoot it (restart), a step back to z1 or a stall (no restart:
+    # the inner product is negative or zero), then a fourth along d.
+    @pytest.mark.parametrize("third, restarts", [(0.01, True), (-1.0, False), (0.0, False)])
+    def test_momentum_after_the_third_step(self, third, restarts):
+        z0 = np.array([0.5, -1.0, 2.0])
+        d = np.array([1.0, 2.0, -1.0])
+        points = [z0 + d, z0 + 2.0 * d, z0 + (2.0 + third) * d, z0 + 3.0 * d, z0]
+        calls = self._drive(z0, points)
+        (w3, z2), (w4, z3), (w5, z4) = calls[2:5]
+
+        def next_t(t):
+            return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+
+        t2 = next_t(1.0)
+        t3 = next_t(t2)
+        np.testing.assert_allclose(w3, z2 + ((t2 - 1.0) / t3) * d, rtol=1e-15)
+        assert (np.vdot(w3 - z3, z3 - z2) > 0) == restarts
+        if restarts:
+            np.testing.assert_array_equal(w4, z3)
+            t3 = 1.0
+        t4 = next_t(t3)
+        np.testing.assert_allclose(w4, z3 + ((t3 - 1.0) / t4) * (z3 - z2), rtol=1e-15)
+        # the fourth step moves along d from w4 and restarts nothing
+        np.testing.assert_allclose(w5, z4 + ((t4 - 1.0) / next_t(t4)) * (z4 - z3), rtol=1e-15)
+
+
+# Most iterations the first solve of each bench workload may take at trial
+# base_seed 100000; FISTA without the restart took 139, 1019 and 223.
+ITERATION_LIMITS = {"large_n": 100, "rate_sweep": 600, "onebit_known": 150}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
+def test_bench_workload_iterations(solves, workload):
+    cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
+    quantmc.harness.run_experiment(cfg)
+    assert len(solves) > 0 and all(rep.converged for rep in solves)
+    assert solves[0].iterations <= ITERATION_LIMITS[workload]
 
 
 class TestSolveQuantizedMC:
@@ -369,7 +490,7 @@ class TestSolveOneBitMC:
         assert rep.converged and rep.data_residual == 0.0
         assert consistency_report(rep.matrix, obs, gt.matrix).zeta == 0
 
-    def test_zero_reg_weight_matches_closed_form(self):
+    def test_zero_reg_weight_matches_closed_form(self, eigh_calls):
         # without the nuclear term the program separates per entry: the
         # minimum-norm point of the shrunk box on the mask, zero elsewhere
         gt = generate_low_rank((12, 12), 2, 1.0, seed=23)
@@ -384,6 +505,8 @@ class TestSolveOneBitMC:
         rep = solve_one_bit_mc(system, 0.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
         assert rep.converged and rep.data_residual == 0.0
         assert np.max(np.abs(rep.matrix - expected)) <= 1e-6
+        # every soft-threshold at theta = 0 goes straight to gesdd
+        assert eigh_calls == []
 
     def test_no_feasible_perturbation_improves_objective(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=23)
