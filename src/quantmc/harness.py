@@ -10,6 +10,7 @@ with a fixed column set and a trailing '#'-commented summary block.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from pathlib import Path
 
@@ -210,6 +211,10 @@ class TrialRecord:
     converged: bool
     wall_time_ms: float
     group: str = ""  # grouping tag (m' sweep, perturbation scale); not a CSV column
+    # Not CSV columns either: the solver returned X = 0, and the bound is met
+    # by the zero estimator too (bound_value >= ||X_true||_F).
+    trivial_solution: bool = False
+    bound_vacuous: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,6 +297,8 @@ def _record(
         converged=True if report is None else report.converged,
         wall_time_ms=wall_ms,
         group=group,
+        trivial_solution=report is not None and not np.any(report.matrix),
+        bound_vacuous=bool(ref_norm > 0 and bound.value >= ref_norm),
     )
 
 
@@ -486,10 +493,50 @@ def summarize(records) -> dict:
     return summary
 
 
-def fit_rate(records) -> RateFit:
-    """Log-log slope of median err_fro against m_prime, with a 95% half-width."""
-    from scipy import stats
+def _t_two_sided_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 1, t >= 0: the finite
+    cos^2 series of Abramowitz-Stegun 26.7.3 (odd df) and 26.7.4 (even df)
+    in theta = atan(t / sqrt(df))."""
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = math.sin(theta) * (math.cos(theta) if odd else 1.0)
+    series = 0.0
+    for k in range(odd, df - 1, 2):
+        series += term
+        term *= (k + 1) / (k + 2) * cos2
+    return 2.0 / math.pi * (theta + series) if odd else series
 
+
+def _t_quantile(p: float, df: int) -> float:
+    """Quantile of Student's t for 0.5 <= p < 1 and integer df >= 2.
+
+    df = 2 has the closed form (2p - 1) / sqrt(2p(1 - p)); larger df bisect
+    the closed-form CDF down to adjacent floats.
+    """
+    if df == 2:
+        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    target = 2.0 * p - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_two_sided_mass(hi, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _t_two_sided_mass(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def fit_rate(records) -> RateFit:
+    """Log-log slope of median err_fro against m_prime, with a 95% half-width.
+
+    Slope and standard error follow the least-squares arithmetic of SciPy's
+    ``stats.linregress`` step for step, so both figures match it bit for bit
+    on a 4-point grid; the package needs numpy alone.
+    """
     groups: dict = {}
     for rec in _unique_trials(records):
         if np.isfinite(rec.err_fro):
@@ -498,9 +545,15 @@ def fit_rate(records) -> RateFit:
         raise ValueError(f"need at least 4 distinct m_prime groups, got {len(groups)}")
     m_primes = sorted(groups)
     medians = [float(np.median(groups[mp])) for mp in m_primes]
-    res = stats.linregress(np.log(m_primes), np.log(medians))
-    half = float(stats.t.ppf(0.975, len(m_primes) - 2) * res.stderr)
-    return RateFit(slope=float(res.slope), half_width=half, m_primes=tuple(m_primes), medians=tuple(medians))
+    ssxm, ssxym, _, ssym = np.cov(np.log(m_primes), np.log(medians), bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = float("nan") if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    df = len(m_primes) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    half = float(_t_quantile(0.975, df) * stderr)
+    return RateFit(slope=float(ssxym / ssxm), half_width=half, m_primes=tuple(m_primes), medians=tuple(medians))
 
 
 def _fmt(value) -> str:

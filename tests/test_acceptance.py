@@ -2,7 +2,9 @@
 
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s``) and
 asserts the same condition, so a red test always corresponds to a FAIL line.
-The heavy Monte Carlo criteria are seeded and deterministic.
+A criterion that holds but that the zero estimator would meet too prints
+VACUOUS instead of PASS; its assert is unchanged.  The heavy Monte Carlo
+criteria are seeded and deterministic.
 """
 
 import dataclasses
@@ -40,8 +42,8 @@ from quantmc.solvers import prox_nuclear
 SEED = 20250809
 
 
-def _check(criterion: str, condition: bool, detail: str = "") -> None:
-    status = "PASS" if condition else "FAIL"
+def _check(criterion: str, condition: bool, detail: str = "", vacuous: bool = False) -> None:
+    status = "FAIL" if not condition else "VACUOUS" if vacuous else "PASS"
     print(f"[acceptance] {criterion}: {status}  {detail}".rstrip())
     assert condition, f"{criterion}: {detail}"
 
@@ -143,6 +145,12 @@ def test_c06_prox_nuclear_svd_oracle():
     _check("prox-nuclear-svd-oracle", worst <= 1e-10, f"worst sv deviation {worst:.2e} (limit 1e-10)")
 
 
+def _zero_estimator_detail(records) -> str:
+    trivial = sum(r.trivial_solution for r in records)
+    vacuous = sum(r.bound_vacuous for r in records)
+    return f"; X = 0 on {trivial} of {len(records)}, X = 0 meets the bound on {vacuous} of {len(records)}"
+
+
 def _criterion7_config(**overrides):
     base = dict(
         scenario="quantized", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
@@ -165,7 +173,9 @@ def test_c07_quantized_mc_recovery_bound():
         "quantized-mc-recovery-bound",
         len(converged) > 0 and ok_rate >= 0.98 and median_err * 5 <= bound and elapsed < 300,
         f"satisfied {ok_rate:.0%} (need 98%), median err {median_err:.2f} vs bound/5 = {bound / 5:.2f}, "
-        f"{elapsed:.0f}s (limit 300s)",
+        f"{elapsed:.0f}s (limit 300s)" + _zero_estimator_detail(converged),
+        # every error measured is the zero matrix's own
+        vacuous=all(r.trivial_solution for r in converged),
     )
 
 
@@ -232,7 +242,10 @@ def test_c09_statistics_only_recovery_bound():
     _check(
         "statistics-only-recovery-bound",
         rate == 1.0,
-        f"satisfied {rate:.0%} of 50 trials (need 100%), bound {records[0].bound_value:.2f}",
+        f"satisfied {rate:.0%} of 50 trials (need 100%), bound {records[0].bound_value:.2f}"
+        + _zero_estimator_detail(records)
+        + "; the statistics-only estimator does not beat X = 0 at desk sizes (see README)",
+        vacuous=np.mean([r.bound_vacuous for r in records]) == 1.0,
     )
 
 
@@ -251,7 +264,8 @@ def test_c10_noisy_one_bit_recovery_bound():
     _check(
         "noisy-one-bit-recovery-bound",
         rate >= 0.98,
-        f"satisfied {rate:.0%} of 50 trials (need 98%), beta = {beta:.3f}",
+        f"satisfied {rate:.0%} of 50 trials (need 98%), beta = {beta:.3f}" + _zero_estimator_detail(records),
+        vacuous=np.mean([r.bound_vacuous for r in records]) >= 0.98,
     )
 
 

@@ -1,6 +1,11 @@
 """Experiment configs, scenario runs, CSV reports, and rate fitting."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from quantmc.harness import (
     load_config,
     run_experiment,
     summarize,
+    _t_quantile,
 )
 from quantmc.solvers import solve_quantized_mc
 
@@ -234,6 +240,7 @@ class TestBatchResilience:
         records, summary = run_experiment(cfg)
         assert len(records) == 2
         assert all(not r.converged and not r.bound_satisfied for r in records)
+        assert all(not r.trivial_solution and not r.bound_vacuous for r in records)
         assert all(np.isnan(r.err_fro) for r in records)
         assert summary["trials"] == 2
 
@@ -316,6 +323,30 @@ class TestRateSweep:
         records = _planted_records([100, 200, 400, 800], [2.0, 2.0, 2.0, 2.0])
         assert fit_rate(records).slope == pytest.approx(0.0, abs=1e-12)
 
+    def test_t_quantile_reference_values(self):
+        # t_0.975 quantiles for df = 2..8 from SciPy 1.17.1 (stats.t.ppf)
+        reference = [
+            4.302652729749462, 3.1824463052837078, 2.7764451051977934, 2.5705818356363146,
+            2.4469118511449786, 2.364624251592784, 2.306004135204166,
+        ]
+        assert _t_quantile(0.975, 2) == reference[0]
+        for df, ref in enumerate(reference[1:], start=3):
+            assert _t_quantile(0.975, df) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_planted_fit_reference_values(self):
+        # SciPy 1.17.1 stats.linregress slope and t.ppf(0.975, 2) * stderr
+        records = _planted_records([100, 200, 400, 800], [1.9, 1.31, 0.98, 0.66])
+        fit = fit_rate(records)
+        assert fit.slope == -0.4995097624339727
+        assert fit.half_width == 0.08512006366879836
+
+    def test_five_point_fit_reference_values(self):
+        # df = 3 takes the bisection path of the t quantile
+        records = _planted_records([128, 256, 512, 1024, 2048], [2.1, 1.5, 1.2, 0.8, 0.61])
+        fit = fit_rate(records)
+        assert fit.slope == -0.447390695581499
+        assert fit.half_width == pytest.approx(0.0626754247664539, rel=1e-13, abs=0)
+
     def test_insufficient_groups_rejected(self):
         records = _planted_records([100, 200, 400], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -332,6 +363,82 @@ class TestRateSweep:
         fit = fit_rate(records)
         assert fit.slope == summary["rate_slope"]
         assert len(fit.m_primes) == 4
+
+
+    def test_sweep_and_report_import_numpy_only(self, tmp_path):
+        # a lazy import of a large statistics package inside fit_rate once
+        # tripled the peak memory of every process that ran a sweep
+        script = textwrap.dedent(
+            f"""
+            import sys
+
+            before = set(sys.modules)
+            from quantmc.harness import ExperimentConfig, emit_report, run_experiment
+
+            cfg = ExperimentConfig(
+                scenario="rate_sweep", n1=8, n2=8, r=1, alpha=1.0, delta=0.25, K=8,
+                dither_kind="uniform", m_prime_grid=(16, 24, 32, 48), trials=2,
+                base_seed=13, max_iters=500, tol_rel_change=1e-5,
+            )
+            records, summary = run_experiment(cfg)
+            assert "rate_slope" in summary
+            emit_report(records, {str(tmp_path / "sweep.csv")!r})
+            loaded = [name for name in set(sys.modules) - before if getattr(sys.modules[name], "__file__", None)]
+            extra = {{name.split(".")[0] for name in loaded}} - set(sys.stdlib_module_names) - {{"numpy", "quantmc"}}
+            assert not extra, sorted(extra)
+            """
+        )
+        import quantmc
+
+        src = str(Path(quantmc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+
+
+class TestTrivialFlags:
+    @staticmethod
+    def _c07_trial(**overrides):
+        # the c07 acceptance config, one trial
+        base = dict(
+            scenario="quantized", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
+            dither_kind="uniform", m_prime=512, trials=1, base_seed=20250809 + 7, epsilon=0.05,
+        )
+        records, _ = run_experiment(ExperimentConfig(**{**base, **overrides}))
+        assert len(records) == 1
+        return records[0]
+
+    def test_theorem_radius_sets_both(self):
+        rec = self._c07_trial(delta_policy="theorem")
+        assert rec.trivial_solution and rec.iterations == 0 and rec.rel_err == 1.0
+        assert rec.bound_vacuous and rec.bound_satisfied
+
+    def test_oracle_radius_solves_but_bound_stays_vacuous(self):
+        # the quantized bound is at least 2 sqrt(r n1 n2) K delta / 2, and an
+        # unsaturated quantizer has K delta / 2 >= alpha >= ||X||_F / sqrt(n1 n2),
+        # so no radius policy can make it informative
+        rec = self._c07_trial(delta_policy="oracle")
+        assert not rec.trivial_solution and rec.iterations > 0 and rec.rel_err < 1.0
+        assert rec.bound_vacuous
+
+    def test_informative_bound_and_solve_set_neither(self):
+        cfg = ExperimentConfig(
+            scenario="onebit_dithers_known", n1=32, n2=32, r=2, alpha=1.0,
+            dither_kind="uniform", dither_param=1.0, m=20, m_prime=512, trials=1,
+            base_seed=20250809 + 8, epsilon=0.001, max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
+        )
+        records, _ = run_experiment(cfg)
+        (uniform,) = [r for r in records if r.bound_id == "uniform"]
+        assert not uniform.trivial_solution and not uniform.bound_vacuous
+        assert uniform.bound_value < uniform.err_fro / uniform.rel_err
+
+    def test_flags_stay_out_of_report(self, tmp_path):
+        rec = self._c07_trial(delta_policy="theorem")
+        assert "trivial_solution" not in CSV_COLUMNS and "bound_vacuous" not in CSV_COLUMNS
+        summary = summarize([rec])
+        assert not any("trivial" in key or "vacuous" in key for key in summary)
+        text = emit_report([rec], tmp_path / "r.csv").read_text()
+        assert "trivial" not in text and "vacuous" not in text
 
 
 class TestEmitReport:
