@@ -21,6 +21,7 @@ from quantmc.solvers import (
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
     ProxParams,
+    _ball_gap,
     _fista,
     _fista_ball,
     _svd_soft,
@@ -332,6 +333,98 @@ def test_bench_workload_iterations(solves, workload):
     assert solves[0].iterations <= ITERATION_LIMITS[workload]
 
 
+# Most iterations the mu search may take at trial base_seed 100000: the
+# large_n solve, and the whole first rate_sweep sweep of four solves.  Solving
+# every search stage to relative change took 58 and 599.
+SEARCH_ITERATION_LIMITS = {"large_n": 48, "rate_sweep": 450}
+
+
+@pytest.mark.parametrize("workload", sorted(SEARCH_ITERATION_LIMITS))
+def test_bench_workload_search_iterations(solves, workload):
+    cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
+    quantmc.harness.run_experiment(cfg)
+    assert len(solves) > 0 and all(rep.converged for rep in solves)
+    assert sum(rep.iterations for rep in solves) <= SEARCH_ITERATION_LIMITS[workload]
+
+
+class TestBallGapCertificate:
+    """The bound ``_ball_gap`` puts on a mu stage's exact residual, and its use."""
+
+    @pytest.fixture
+    def gaps(self, monkeypatch):
+        """(nuc, ||r||, gap, e) of each _ball_gap call while the test runs."""
+        calls = []
+        ball_gap = quantmc.solvers._ball_gap
+
+        def recording(mu, nuc, r, d, q, y_dist):
+            gap, e = ball_gap(mu, nuc, r, d, q, y_dist)
+            calls.append((nuc, float(np.linalg.norm(r)), gap, e))
+            return gap, e
+
+        monkeypatch.setattr(quantmc.solvers, "_ball_gap", recording)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gap_bounds_the_exact_residual(self, gaps, seed):
+        rng = np.random.default_rng(700 + seed)
+        shape = tuple(int(n) for n in rng.integers(6, 17, size=2))
+        size = shape[0] * shape[1]
+        mask = sample_mask_uniform(shape, int(rng.integers(size // 3, size + 1)), seed=seed)
+        gt = generate_low_rank(shape, int(rng.integers(1, 4)), 1.0, seed=seed)
+        Q = project(gt.matrix + 0.3 * rng.standard_normal(shape), mask)
+        q = Q[mask.rows, mask.cols]
+        mu = np.linalg.norm(Q, 2) * 10.0 ** rng.uniform(-3.0, 0.0)
+        x0 = np.zeros(shape)
+        if seed % 2:
+            # warm start from a looser solve at a nearby mu, as the search does
+            x0 = _fista_ball(q, mask, mu * 10.0 ** rng.uniform(-1.0, 1.0), x0, ProxParams(tol_rel_change=1e-4), 500)[0]
+        _, _, ref_stop, exact, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-12), 100_000)
+        assert ref_stop == "change"
+        gaps.clear()
+        # the exact residual lies inside this band, so a sound certificate
+        # can never stop the stage, and every iterate outside it is checked
+        band = (exact * (1.0 - 1e-9), exact * (1.0 + 1e-9), exact)
+        _, _, stop, _, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)
+        assert stop != "gap" and len(gaps) > 0
+        for nuc, rnorm, gap, e in gaps:
+            assert gap >= -1e-12 * max(1.0, nuc + rnorm * rnorm / (2.0 * mu))
+            assert abs(rnorm - exact) <= e + 1e-9 * exact
+
+    @pytest.mark.parametrize("mu, delta", [(0.5, 0.1), (0.5, -0.2), (0.01, 0.005), (2.0, 1.5)])
+    def test_bound_is_attained_on_a_scalar_stage(self, mu, delta):
+        # F(x) = |x| + (x - q)^2 / (2 mu) with q > mu has x* = q - mu and the
+        # multiplier lam* = -1, which d = -mu with y_dist = 0 reproduces (and
+        # ||P^* d|| = mu keeps it feasible).  At x = x* + delta, |delta| < mu,
+        # the gap is delta^2 / (2 mu) and ||r|| misses ||r*|| = mu by exactly
+        # e = |delta|, so a smaller e or a larger gap is wrong.
+        q = 3.0
+        x = q - mu + delta
+        gap, e = _ball_gap(mu, x, np.array([x - q]), np.array([-mu]), np.array([q]), 0.0)
+        assert gap == pytest.approx(delta * delta / (2.0 * mu), rel=1e-9)
+        assert e == pytest.approx(abs(delta), rel=1e-9)
+        assert abs(abs(x - q) - mu) == pytest.approx(e, rel=1e-9)
+
+    @pytest.mark.parametrize("workload", ["large_n", "rate_sweep"])
+    def test_only_relative_change_stops_are_accepted(self, monkeypatch, solves, workload):
+        stages = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(*args):
+            out = fista_ball(*args)
+            stages.append((out[0], out[2]))
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
+        quantmc.harness.run_experiment(cfg)
+        assert len(solves) > 0
+        for rep in solves:
+            assert rep.converged
+            assert [stop for X, stop in stages if X is rep.matrix] == ["change"]
+        # the certificate path is exercised
+        assert any(stop == "gap" for _, stop in stages)
+
+
 class TestSolveQuantizedMC:
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
@@ -428,8 +521,8 @@ class TestBallRootFinding:
         Q = project(gt.matrix, mask)
         q = Q[mask.rows, mask.cols]
         mu = scale * np.linalg.norm(Q, 2)
-        X, iters, ok, resid, nuc = _fista_ball(q, mask, mu, np.zeros(Q.shape), ProxParams(), 50)
-        assert ok and iters == 1
+        X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, np.zeros(Q.shape), ProxParams(), 50)
+        assert stop == "change" and iters == 1
         assert np.all(X == 0.0) and nuc == 0.0
         assert resid == pytest.approx(np.linalg.norm(q), rel=1e-15)
 
