@@ -106,11 +106,12 @@ class SampleMask:
         if cols.min(initial=0) < 0 or cols.max(initial=0) >= dims.n2:
             raise ValueError("column index out of range")
         flat = rows + cols * dims.n1
-        if np.unique(flat).size != flat.size:
-            raise ValueError("mask entries must be distinct")
         order = np.argsort(flat, kind="stable")
-        rows = rows[order].copy()
-        cols = cols[order].copy()
+        flat = flat[order]
+        if (flat[1:] == flat[:-1]).any():
+            raise ValueError("mask entries must be distinct")
+        rows = rows[order]
+        cols = cols[order]
         rows.flags.writeable = False
         cols.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -142,7 +143,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(getattr(x, "matrix", x), dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -183,7 +184,8 @@ def sample_mask_uniform(dims, m_prime: int, seed: int) -> SampleMask:
     rng = np.random.default_rng(int(seed))
     flat = rng.choice(dims.size, size=int(m_prime), replace=False)
     flat.sort()
-    return SampleMask(dims, flat % dims.n1, flat // dims.n1)
+    cols, rows = np.divmod(flat, dims.n1)
+    return SampleMask(dims, rows, cols)
 
 
 def _check_dims(X: np.ndarray, mask: SampleMask) -> None:
@@ -207,7 +209,7 @@ def select_vector(X, mask: SampleMask) -> np.ndarray:
     """
     Xm = as_matrix(X)
     _check_dims(Xm, mask)
-    return Xm[mask.rows, mask.cols].copy()
+    return Xm[mask.rows, mask.cols]
 
 
 def scatter_vector(values, mask: SampleMask) -> np.ndarray:

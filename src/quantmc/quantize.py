@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import SampleMask, as_matrix, scatter_vector, select_vector
+from .core import SampleMask, scatter_vector, select_vector
 
 __all__ = [
     "DitherSpec",
@@ -127,7 +127,7 @@ def sign_pm1(z):
 
 def _finite_or_raise(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -140,7 +140,7 @@ def scalar_quantize(x, spec: QuantizerSpec):
     """
     arr = _finite_or_raise(x, "quantizer input")
     q = spec.delta * (np.floor(arr / spec.delta) + 0.5)
-    q = np.clip(q, -spec.saturation, spec.saturation)
+    q = q.clip(-spec.saturation, spec.saturation)
     if arr.ndim == 0:
         return float(q)
     return q
@@ -168,7 +168,7 @@ def stochastic_quantize(x, spec: QuantizerSpec, rng):
     p_down = 1.0 - arr / spec.delta + k
     u = gen.random(arr.shape)
     q = (k + (u >= p_down)) * spec.delta
-    q = np.clip(q, -spec.stochastic_saturation, spec.stochastic_saturation)
+    q = q.clip(-spec.stochastic_saturation, spec.stochastic_saturation)
     if arr.ndim == 0:
         return float(q)
     return q
@@ -216,12 +216,11 @@ def quantize_matrix(
     A uniform dither here must have half-width delta/2, the regime in which
     the dithered quantizer is unbiased entrywise.
     """
-    Xm = as_matrix(X)
     if dither.kind == "uniform" and abs(dither.param - spec.delta / 2.0) > 1e-12 * spec.delta:
         raise ValueError(
             f"uniform dither half-width must equal delta/2 = {spec.delta / 2.0}, got {dither.param}"
         )
-    x = select_vector(Xm, mask)
+    x = select_vector(X, mask)
     tau = generate_dither_tensor(dither, 1, mask.m_prime, seed).values[0]
     q = scalar_quantize(x + tau, spec)
     return scatter_vector(q, mask)

@@ -11,8 +11,11 @@ around the singular-value soft-threshold:
   root-finding on the residual-vs-mu curve, as in SPGL1's Pareto-curve
   search, until the ball constraint is active (residual within 5% below the
   radius, never beyond its feasibility slack).  The bracket's upper end,
-  mu = ||Q||_op, comes from the data, and each stage is warm-started from
-  the nearest solved mu.  A search stage stops as soon as its duality gap
+  mu = ||Q||_op, comes from the data.  Each stage is warm-started on the
+  line through the last two solved stages, a first-order predictor along
+  the solution path (which is affine in mu while the kept rank is fixed),
+  or from the nearest solved mu where that line would be stretched too
+  far.  A search stage stops as soon as its duality gap
   proves on which side of that band its exact residual lies, as SPGL1 solves
   its root-finding subproblems inexactly; the stage that is accepted stops
   on relative change.
@@ -28,7 +31,11 @@ smaller Gram matrix (numpy ``eigh``), keeping the eigenpairs above
 theta^2; a full SVD (LAPACK gesdd) remains only for theta below
 1e-4 * sigma_1, the precision floor of the squared matrix (found without
 ``eigh`` when the Gram trace already proves it), and for a Gram matrix that
-overflows or underflows.
+overflows or underflows.  The one-bit dual value needs the shrunk singular
+values alone and takes them from ``eigvalsh`` (``_svd_soft_values``).  A
+proximal step costs that decomposition and little else: the loops index
+the mask by a flat index computed once, take norms as dot products and
+write their temporaries into reused scratch arrays.
 """
 
 from __future__ import annotations
@@ -137,6 +144,34 @@ class SolverReport:
     stage_objectives: tuple = ()
 
 
+def _gram(Z: np.ndarray, theta: float):
+    """(A, A^T A) with A = Z, or Z^T when Z is wide; the Gram matrix is None
+    when its trace rules the Gram path out at theta.
+
+    The trace must stay clear of overflow and of the subnormal range, and
+    sigma_1^2 >= trace / k, the mean of the k = A.shape[1] eigenvalues, so a
+    theta below _GRAM_FLOOR * sqrt(trace / k) is below the floor whatever
+    sigma_1 is.
+    """
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    gram = A.T @ A
+    trace = gram.trace()
+    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
+        return A, gram
+    return A, None
+
+
+def _gesdd(Z: np.ndarray, compute_uv: bool = True):
+    """Thin LAPACK gesdd SVD of Z, with the matrix described when it fails."""
+    try:
+        return np.linalg.svd(Z, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"SVD failed on {Z.shape} matrix (fro={np.linalg.norm(Z):.3e}, "
+            f"max={np.abs(Z).max():.3e}, finite={np.all(np.isfinite(Z))})"
+        ) from exc
+
+
 def _svd_soft(Z: np.ndarray, theta: float):
     """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
 
@@ -149,30 +184,36 @@ def _svd_soft(Z: np.ndarray, theta: float):
     that reaches about 1e-12 * sigma_1), and when the trace of A^T A
     overflows or comes too near the subnormal range, a full SVD (LAPACK
     gesdd) is taken instead; its sv has one entry per singular value.  A
-    theta below _GRAM_FLOOR * sqrt(trace / k), with k = A.shape[1], is below
-    the floor whatever sigma_1 is, so it goes to gesdd without an ``eigh``.
+    theta that the trace alone puts below the floor goes to gesdd without an
+    ``eigh`` (see ``_gram``).
     """
-    A = Z.T if Z.shape[0] < Z.shape[1] else Z
-    gram = A.T @ A
-    trace = np.trace(gram)
-    # sigma_1^2 >= trace / k, the mean of the k eigenvalues
-    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
+    A, gram = _gram(Z, theta)
+    if gram is not None:
         lam, V = np.linalg.eigh(gram)
         if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
-            k = np.searchsorted(lam, theta * theta, side="right")
+            k = lam.searchsorted(theta * theta, side="right")
             sigma = np.sqrt(lam[k:])
             Vk = V[:, k:]
             X = (A @ (Vk * (1.0 - theta / sigma))) @ Vk.T
             return (X if A is Z else X.T), sigma - theta
-    try:
-        u, s, vt = np.linalg.svd(Z, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD failed on {Z.shape} matrix (fro={np.linalg.norm(Z):.3e}, "
-            f"max={np.abs(Z).max():.3e}, finite={np.all(np.isfinite(Z))})"
-        ) from exc
+    u, s, vt = _gesdd(Z)
     s_shrunk = np.maximum(s - theta, 0.0)
     return (u * s_shrunk) @ vt, s_shrunk
+
+
+def _svd_soft_values(Z: np.ndarray, theta: float) -> np.ndarray:
+    """The sv of ``_svd_soft(Z, theta)`` alone, for a caller that needs no matrix.
+
+    Takes the same path as ``_svd_soft``: on the Gram path the eigenvalues
+    come from ``eigvalsh``, with no eigenvectors; below the floor, from a
+    values-only gesdd.
+    """
+    _, gram = _gram(Z, theta)
+    if gram is not None:
+        lam = np.linalg.eigvalsh(gram)
+        if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
+            return np.sqrt(lam[lam.searchsorted(theta * theta, side="right"):]) - theta
+    return np.maximum(_gesdd(Z, compute_uv=False) - theta, 0.0)
 
 
 def prox_nuclear(Z, theta: float) -> np.ndarray:
@@ -190,13 +231,23 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return _svd_soft(Zm, theta)[0]
 
 
+def _fro(a: np.ndarray) -> float:
+    """||a||_F computed as np.linalg.norm does: the root of the dot product of
+    a raveled (in memory order) view with itself."""
+    v = a.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
 def _fista(step, z0, cap: int):
     """Accelerated proximal loop (FISTA with adaptive restart) shared by both solvers.
 
     ``step(w, z)`` maps the extrapolated point w and the current iterate z
     to ``(z_next, stop, info)``: one proximal-gradient step and its stopping
     test.  Runs at most ``cap >= 1`` steps from z0; returns (z, iterations,
-    stopped, info of the last step).
+    stopped, info of the last step).  The loop never writes into z0 or into
+    an array a step was given or returned: each w is built in the fresh
+    array that held the move z_next - z, and w - z_next goes to one scratch
+    array.
 
     Gradient restart (O'Donoghue-Candes): when the step's gradient mapping
     w - z_next has a positive inner product with the move z_next - z, the
@@ -205,15 +256,19 @@ def _fista(step, z0, cap: int):
     """
     z = w = z0
     t = 1.0
+    grad = np.empty(np.shape(z0))
     for iters in range(1, cap + 1):
         z_next, stop, info = step(w, z)
         if stop:
             return z_next, iters, True, info
         move = z_next - z
-        if np.vdot(w - z_next, move) > 0:
+        np.subtract(w, z_next, out=grad)
+        if np.vdot(grad, move) > 0:
             t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        w = z_next + ((t - 1.0) / t_next) * move
+        move *= (t - 1.0) / t_next
+        move += z_next
+        w = move
         z, t = z_next, t_next
     return z, iters, False, info
 
@@ -248,32 +303,36 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
     whose residual lies outside the band.  Runs ``cap >= 1`` steps at most
     from x0.  Returns (X, iterations, stop, residual, nuclear), where stop
     is "change" (the relative-change test, the only inner convergence),
-    "gap" (the certificate) or None (the cap).
+    "gap" (the certificate) or None (the cap).  Each step reads and writes
+    the mask through one C-order flat index, takes its norms with ``_fro``
+    and writes Xn - X and Y - Xn into one scratch array; x0 is not written.
     """
-    rows, cols = mask.rows, mask.cols
+    idx = mask.rows * mask.dims.n2 + mask.cols  # C-order flat index of the mask
+    diff = np.empty(np.shape(x0))  # scratch for Xn - X, then Y - Xn
+    if band is not None:
+        lo, hi, target = band
 
     def step(Y, X):
-        d = Y[rows, cols] - q
+        d = Y.take(idx) - q
         Z = Y.copy()
-        Z[rows, cols] -= d
+        Z.reshape(-1)[idx] -= d
         Xn, sv = _svd_soft(Z, mu)
         nuc = float(sv.sum())
-        rel = np.linalg.norm(Xn - X) / max(1.0, np.linalg.norm(X))
+        rel = _fro(np.subtract(Xn, X, out=diff)) / max(1.0, _fro(X))
         if rel <= params.tol_rel_change:
             return Xn, True, (nuc, "change")
         if band is not None:
-            lo, hi, target = band
-            r = Xn[rows, cols] - q
-            rnorm = float(np.linalg.norm(r))
+            r = Xn.take(idx) - q
+            rnorm = math.sqrt(r @ r)
             if not lo <= rnorm <= hi:
-                _, e = _ball_gap(mu, nuc, r, d, q, float(np.linalg.norm(Y - Xn)))
+                _, e = _ball_gap(mu, nuc, r, d, q, _fro(np.subtract(Y, Xn, out=diff)))
                 if (rnorm - e > hi or rnorm + e < lo) and e <= _GAP_MARGIN * abs(rnorm - target):
                     return Xn, True, (nuc, "gap")
         return Xn, False, (nuc, None)
 
     X, iters, _, (nuc, stop) = _fista(step, x0, cap)
-    residual = float(np.linalg.norm(X[rows, cols] - q))
-    return X, iters, stop, residual, nuc
+    r = X.take(idx) - q
+    return X, iters, stop, math.sqrt(r @ r), nuc
 
 
 def _secant(a, b, y_target):
@@ -288,6 +347,27 @@ def _secant(a, b, y_target):
     if not (math.isfinite(slope) and slope > 0):
         return None
     return b[0] + (y_target - b[1]) / slope
+
+
+def _warm_start(x, hi, lo, last, prev):
+    """Start for a mu stage at log mu = x.
+
+    Points are (log mu, log residual, X); ``last`` and ``prev`` are the two
+    most recently solved (``prev`` None before there are two), ``hi`` and
+    ``lo`` the bracket ends (``lo`` None until a stage undershoots).  While
+    the kept rank is fixed the stage solution is affine in mu (on a full
+    mask X(mu) = SVT_mu(Q) = sum_i (sigma_i - mu) u_i v_i^T exactly), so the
+    line through the last two points predicts X_b + f (X_b - X_a), with
+    f = (mu - mu_b) / (mu_b - mu_a).  The prediction is taken when
+    |f| <= 1, no farther from b than a is; otherwise the start is the
+    bracket end nearest in log mu.
+    """
+    if prev is not None and prev[0] != last[0]:
+        mu_a, mu_b = math.exp(prev[0]), math.exp(last[0])
+        f = (math.exp(x) - mu_b) / (mu_b - mu_a)
+        if abs(f) <= 1.0:
+            return last[2] + f * (last[2] - prev[2])
+    return hi[2] if lo is None or hi[0] - x <= x - lo[0] else lo[2]
 
 
 def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | None = None) -> SolverReport:
@@ -310,11 +390,14 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
       clamped into the inner 90% of the bracket, with regula falsi on the
       bracket ends when the secant does not rise.
 
-    Each stage is warm-started from the iterate nearest in log mu, of the
-    two kept, one per side of the target.  A stage stops on relative change
-    or, once its duality gap proves its exact residual lies outside the
-    window on one side and within half the distance to the target, on that
-    certificate; only a stage that stopped on relative change is accepted.
+    Each stage is warm-started by ``_warm_start``: on the line through the
+    last two solved stages (the zero matrix at ||Q||_op counts as one),
+    X_b + f (X_b - X_a) with f = (mu - mu_b) / (mu_b - mu_a), when
+    |f| <= 1; otherwise from the bracket end nearest in log mu.  A stage
+    stops on relative change or, once its duality gap proves its exact
+    residual lies outside the window on one side and within half the
+    distance to the target, on that certificate; only a stage that stopped
+    on relative change is accepted.
     A radius no inner solve can reach yields converged=False.
     """
     params = params or ProxParams()
@@ -377,13 +460,12 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     op_norm = float(np.linalg.svd(Qm, compute_uv=False)[0])
     hi = (math.log(op_norm), math.log(qnorm), np.zeros(Qm.shape))  # residual above target
     lo = None  # residual below target, once a stage undershoots
-    last = hi
+    last, prev = hi, None
     x = hi[0] + math.log(radius / qnorm)
     while accepted is None and len(stages) < _MAX_STAGES and total < params.max_iters:
         if lo is None:
             x = max(min(x, last[0] - _MIN_LOG_STEP), last[0] - _MAX_LOG_STEP, x_floor)
-        warm = hi[2] if lo is None or hi[0] - x <= x - lo[0] else lo[2]
-        X, stop, resid, nuc = evaluate(math.exp(x), warm)
+        X, stop, resid, nuc = evaluate(math.exp(x), _warm_start(x, hi, lo, last, prev))
         consider(X, stop == "change", resid, nuc)
         point = (x, math.log(max(resid, _TINY_RESIDUAL)), X)
         guess = _secant(last, point, y_target)
@@ -391,7 +473,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
             lo = point
         else:
             hi = point
-        last = point
+        last, prev = point, last
         if lo is None:
             # no undershoot yet: keep stepping down, by the most allowed when
             # the secant does not rise; a stage at the floor that converged
@@ -464,15 +546,18 @@ def solve_one_bit_mc(
     gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
     box_lo, box_hi = lo + gamma, hi - gamma
 
-    def primal_of(y):
-        W = np.zeros(shape)
-        W[rows, cols] = -y
-        return _svd_soft(W, reg_weight)
+    idx = rows * shape[1] + cols  # C-order flat index of the mask
+    W = np.zeros(shape)  # -P^*(y), rewritten on the mask for each y
+    W_flat = W.reshape(-1)
+
+    def adjoint(y):
+        W_flat[idx] = -y
+        return W
 
     def dual_value(y):
         # -f*(-P^* y) - support of the shrunk box; f*(Z) = 1/2 ||SVT(Z)||_F^2,
         # and a zero multiplier costs nothing against an infinite bound
-        _, sv = primal_of(y)
+        sv = _svd_soft_values(adjoint(y), reg_weight)
         up, down = y > 0, y < 0
         support = float(y[up] @ box_hi[up] + y[down] @ box_lo[down])
         return -0.5 * float(sv @ sv) - support
@@ -480,13 +565,13 @@ def solve_one_bit_mc(
     history = []
 
     def step(w, _):
-        X, sv = primal_of(w)
-        x = X[rows, cols]
+        X, sv = _svd_soft(adjoint(w), reg_weight)
+        x = X.take(idx)
         nuc = float(sv.sum())
         objective = reg_weight * nuc + 0.5 * float(sv @ sv)
         history.append(objective)
         v = w + x
-        y_next = v - np.clip(v, box_lo, box_hi)
+        y_next = v - v.clip(box_lo, box_hi)
         stop = bool(np.all((lo <= x) & (x < hi))) and (
             objective - dual_value(y_next) <= params.tol_rel_change * max(1.0, abs(objective))
         )
