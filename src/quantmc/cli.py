@@ -60,33 +60,14 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-_BOUND_CSV_HEADER = (
-    "formula_id,n1,n2,r,alpha,delta,K,epsilon,T,zeta,beta,sigma1,sigma2,m,m_prime,"
-    "C,c,D1,C1,value,exponent,flags"
-)
+# The bounds subcommand takes one flag per BoundInputs field and writes one
+# CSV column per field, in field order.
+_BOUND_FIELDS = dataclasses.fields(bnd.BoundInputs)
+_BOUND_CSV_HEADER = ",".join(("formula_id", *(f.name for f in _BOUND_FIELDS), "value", "exponent", "flags"))
 
 
 def _cmd_bounds(args) -> int:
-    inputs = bnd.BoundInputs(
-        n1=args.n1,
-        n2=args.n2,
-        r=args.r,
-        alpha=args.alpha,
-        delta=args.delta,
-        K=args.K,
-        epsilon=args.epsilon,
-        T=args.T,
-        zeta=args.zeta,
-        beta=args.beta,
-        sigma1=args.sigma1,
-        sigma2=args.sigma2,
-        m=args.m,
-        m_prime=args.m_prime,
-        C=args.C,
-        c=args.c,
-        D1=args.D1,
-        C1=args.C1,
-    )
+    inputs = bnd.BoundInputs(**{f.name: getattr(args, f.name) for f in _BOUND_FIELDS})
     value = bnd.BOUND_FORMULAS[args.formula](inputs)
     print(f"formula = {value.formula_id}")
     print(f"value = {value.value}")
@@ -95,16 +76,11 @@ def _cmd_bounds(args) -> int:
         print(f"flags = {','.join(value.flags)}")
     if args.out:
         path = Path(args.out)
-        row = ",".join(
-            str(v)
-            for v in (
-                value.formula_id, inputs.n1, inputs.n2, inputs.r, inputs.alpha, inputs.delta,
-                inputs.K, inputs.epsilon, inputs.T, inputs.zeta, inputs.beta, inputs.sigma1,
-                inputs.sigma2, inputs.m, inputs.m_prime, inputs.C, inputs.c, inputs.D1,
-                inputs.C1, value.value, value.failure_probability_exponent,
-                ";".join(value.flags),
-            )
+        cells = (
+            value.formula_id, *(getattr(inputs, f.name) for f in _BOUND_FIELDS),
+            value.value, value.failure_probability_exponent, ";".join(value.flags),
         )
+        row = ",".join(str(v) for v in cells)
         if path.exists():
             path.write_text(path.read_text() + row + "\n")
         else:
@@ -136,24 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("bounds", help="evaluate one closed-form recovery bound")
     p_b.add_argument("--formula", choices=sorted(bnd.BOUND_FORMULAS), required=True)
-    p_b.add_argument("--n1", type=int, required=True)
-    p_b.add_argument("--n2", type=int, required=True)
-    p_b.add_argument("--r", type=int, required=True)
-    p_b.add_argument("--alpha", type=float, required=True)
-    p_b.add_argument("--delta", type=float, default=0.0)
-    p_b.add_argument("--K", type=int, default=1)
-    p_b.add_argument("--epsilon", type=float, default=0.0)
-    p_b.add_argument("--T", type=float, default=0.0)
-    p_b.add_argument("--zeta", type=int, default=0)
-    p_b.add_argument("--beta", type=float, default=0.0)
-    p_b.add_argument("--sigma1", type=float, default=0.0)
-    p_b.add_argument("--sigma2", type=float, default=0.0)
-    p_b.add_argument("--m", type=int, default=1)
-    p_b.add_argument("--m-prime", dest="m_prime", type=int, default=1)
-    p_b.add_argument("--C", type=float, default=1.0)
-    p_b.add_argument("--c", type=float, default=1.0)
-    p_b.add_argument("--D1", type=float, default=1.0)
-    p_b.add_argument("--C1", type=float, default=1.0)
+    for f in _BOUND_FIELDS:
+        given = {"required": True} if f.default is dataclasses.MISSING else {"default": f.default}
+        flag_type = {"int": int, "float": float}[f.type]
+        p_b.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=flag_type, **given)
     p_b.add_argument("--out", default=None, help="append the evaluation as a CSV row")
     p_b.set_defaults(fn=_cmd_bounds)
 

@@ -1,6 +1,14 @@
 """Monte Carlo experiment engine: generate, quantize/observe, solve, measure,
 and compare against the closed-form bounds.
 
+Every scenario runs one trial pipeline, ``_trial``: draw the trial's seeds,
+the ground truth, the mask and the scenario's dither, observe and solve (the
+inconsistency sweep perturbs the truth instead), and judge the estimate by
+the regime's closed-form bound.  ``wall_time_ms`` covers the observe-and-solve
+step alone: quantize, or observe and build the polyhedron or strip the
+thresholds and form the surrogate, then solve.  The ground truth, the mask
+and the threshold tensor are drawn before the timer starts.
+
 A run is a pure function of its config: per-trial seeds are
 ``base_seed + trial`` and every random object derives from them, so two runs
 of the same config produce identical records.  Reports are plot-ready CSV
@@ -210,7 +218,7 @@ class TrialRecord:
     iterations: int
     converged: bool
     wall_time_ms: float
-    group: str = ""  # grouping tag (m' sweep, perturbation scale); not a CSV column
+    group: str = ""  # perturbation scale of an inconsistency sweep; not a CSV column
     # Not CSV columns either: the solver returned X = 0, and the bound is met
     # by the zero estimator too (bound_value >= ||X_true||_F).
     trivial_solution: bool = False
@@ -248,12 +256,22 @@ def _bound_inputs(cfg: ExperimentConfig, m_prime: int, **overrides) -> bnd.Bound
     return bnd.BoundInputs(**base)
 
 
+def _dither_spec(cfg: ExperimentConfig) -> DitherSpec:
+    """The dither a trial draws, and its rows report: uniform(delta/2) for a
+    dithered quantizer and for the sign-only surrogate, none for an
+    undithered quantizer, the configured thresholds otherwise."""
+    if cfg.scenario in ("onebit_stats_only", "onebit_noisy"):
+        return DitherSpec.uniform(cfg.delta / 2.0)
+    if cfg.scenario in ("quantized", "rate_sweep"):
+        return DitherSpec.uniform(cfg.delta / 2.0) if cfg.dither_kind == "uniform" else DitherSpec.none()
+    return DitherSpec(cfg.dither_kind, cfg.dither_param)
+
+
 def _regime_bound(cfg: ExperimentConfig, m_prime: int) -> bnd.BoundValue:
     """The zeta-free bound a solver scenario's trials are judged by; failed
     trials carry it too."""
     if cfg.scenario == "onebit_dithers_known":
-        T = DitherSpec(cfg.dither_kind, cfg.dither_param).variance
-        return bnd.bound_subgaussian(_bound_inputs(cfg, m_prime, T=T))
+        return bnd.bound_subgaussian(_bound_inputs(cfg, m_prime, T=_dither_spec(cfg).variance))
     if cfg.scenario == "onebit_stats_only":
         return bnd.bound_statistics_only(_bound_inputs(cfg, m_prime, delta=cfg.delta))
     if cfg.scenario == "onebit_noisy":
@@ -264,13 +282,9 @@ def _regime_bound(cfg: ExperimentConfig, m_prime: int) -> bnd.BoundValue:
     return bnd.bound_quantized(_bound_inputs(cfg, m_prime, delta=cfg.delta, K=cfg.K))
 
 
-def _record(
-    cfg, trial, m_prime, err, ref_norm, bound, report, *,
-    zeta=None, wall_ms=0.0, group="", dither=None,
-):
+def _record(cfg, trial, m_prime, err, ref_norm, bound, report, *, zeta=None, wall_ms=0.0, group=""):
     rel = float(err / ref_norm) if ref_norm > 0 and np.isfinite(err) else float("nan")
-    dither_kind = cfg.dither_kind if dither is None else dither.kind
-    dither_param = cfg.dither_param if dither is None else dither.param
+    dither = _dither_spec(cfg)
     return TrialRecord(
         trial=trial,
         seed=cfg.base_seed + trial,
@@ -282,8 +296,8 @@ def _record(
         m_prime=m_prime,
         delta=cfg.delta,
         K=cfg.K,
-        dither_kind=dither_kind,
-        dither_param=dither_param,
+        dither_kind=dither.kind,
+        dither_param=dither.param,
         noise_sigma=cfg.noise_sigma,
         epsilon=cfg.epsilon,
         err_fro=err,
@@ -314,76 +328,6 @@ def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
     return solve_quantized_mc(Q, mask, radius, cfg.prox_params())
 
 
-def _quantized_trial(cfg: ExperimentConfig, trial: int, m_prime: int, group: str = ""):
-    s_gt, s_mask, s_dither = _trial_seeds(cfg.base_seed, trial, 3)
-    gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
-    mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
-    spec = QuantizerSpec(cfg.delta, cfg.K)
-    dither = DitherSpec.uniform(cfg.delta / 2.0) if cfg.dither_kind == "uniform" else DitherSpec.none()
-    t0 = time.perf_counter()
-    Q = quantize_matrix(gt.matrix, mask, spec, dither, s_dither)
-    report = _solve_ball(cfg, gt, mask, Q, (cfg.K * cfg.delta / 2.0) ** 2)
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    err = float(np.linalg.norm(gt.matrix - report.matrix))
-    ref = float(np.linalg.norm(gt.matrix))
-    bound = _regime_bound(cfg, m_prime)
-    return [_record(cfg, trial, m_prime, err, ref, bound, report, wall_ms=wall_ms, group=group, dither=dither)]
-
-
-def _onebit_known_trial(cfg: ExperimentConfig, trial: int):
-    s_gt, s_mask, s_dither, s_noise = _trial_seeds(cfg.base_seed, trial, 4)
-    m_prime = cfg.resolved_m_prime()
-    gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
-    mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
-    dspec = DitherSpec(cfg.dither_kind, cfg.dither_param)
-    thresholds = generate_dither_tensor(dspec, cfg.m, m_prime, s_dither)
-    noise = NoiseSpec.gaussian(cfg.noise_sigma) if cfg.noise_sigma > 0 else NoiseSpec.none()
-    t0 = time.perf_counter()
-    obs = observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise)
-    system = build_polyhedron(obs)
-    report = solve_one_bit_mc(system, cfg.reg_weight, cfg.prox_params())
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    err = float(np.linalg.norm(gt.matrix - report.matrix))
-    ref = float(np.linalg.norm(gt.matrix))
-    zeta = consistency_report(report.matrix, obs, gt.matrix).zeta
-    T = dspec.variance
-    records = [
-        _record(cfg, trial, m_prime, err, ref, _regime_bound(cfg, m_prime), report, zeta=zeta, wall_ms=wall_ms),
-        _record(
-            cfg, trial, m_prime, err, ref,
-            bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=T, zeta=zeta)),
-            report, zeta=zeta, wall_ms=wall_ms,
-        ),
-    ]
-    if cfg.dither_kind == "uniform" and abs(cfg.dither_param - cfg.alpha) <= 1e-12 * cfg.alpha:
-        records.append(
-            _record(
-                cfg, trial, m_prime, err, ref,
-                bnd.bound_uniform(_bound_inputs(cfg, m_prime, T=T)),
-                report, zeta=zeta, wall_ms=wall_ms,
-            )
-        )
-    return records
-
-
-def _stats_only_trial(cfg: ExperimentConfig, trial: int, *, noisy: bool):
-    s_gt, s_mask, s_dither, s_noise = _trial_seeds(cfg.base_seed, trial, 4)
-    m_prime = cfg.resolved_m_prime()
-    gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
-    mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
-    dspec = DitherSpec.uniform(cfg.delta / 2.0)
-    thresholds = generate_dither_tensor(dspec, 1, m_prime, s_dither)
-    noise = NoiseSpec.gaussian(cfg.noise_sigma, cfg.sigma1, cfg.sigma2) if noisy else NoiseSpec.none()
-    t0 = time.perf_counter()
-    obs = strip_thresholds(observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise))
-    report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    err = float(np.linalg.norm(gt.matrix - report.matrix))
-    ref = float(np.linalg.norm(gt.matrix))
-    bound = _regime_bound(cfg, m_prime)
-    return [_record(cfg, trial, m_prime, err, ref, bound, report, wall_ms=wall_ms, dither=dspec)]
-
-
 def _resolve_beta(cfg: ExperimentConfig, m_prime: int, draws: int = 1000, quantile: float = 99.0) -> float:
     """Noise Frobenius budget: config value, or the 99th percentile of the
     masked noise norm over seeded draws (deterministic given base_seed)."""
@@ -394,29 +338,55 @@ def _resolve_beta(cfg: ExperimentConfig, m_prime: int, draws: int = 1000, quanti
     return float(np.percentile(norms, quantile))
 
 
-def _inconsistency_trial(cfg: ExperimentConfig, trial: int):
-    s_gt, s_mask, s_dither, s_perturb = _trial_seeds(cfg.base_seed, trial, 4)
-    m_prime = cfg.resolved_m_prime()
+def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
+    """One trial of any scenario; returns its records (one per bound, or one
+    per perturbation scale)."""
+    # The fourth seed draws the observation noise or the inconsistency sweep's
+    # perturbation direction; quantizer trials ignore it, and the first three
+    # words of a four-word draw are those of a three-word one.
+    s_gt, s_mask, s_dither, s_noise = _trial_seeds(cfg.base_seed, trial, 4)
     gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
     mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
-    dspec = DitherSpec(cfg.dither_kind, cfg.dither_param)
-    thresholds = generate_dither_tensor(dspec, cfg.m, m_prime, s_dither)
-    obs = observe_one_bit(gt.matrix, mask, thresholds)
-    direction = np.random.default_rng(s_perturb).standard_normal((cfg.n1, cfg.n2))
+    dither = _dither_spec(cfg)
     ref = float(np.linalg.norm(gt.matrix))
-    records = []
-    for idx, scale in enumerate(cfg.perturb_scales):
-        x_bar = gt.matrix + scale * cfg.alpha * direction
-        zeta = consistency_report(x_bar, obs, gt.matrix).zeta
-        err = float(np.linalg.norm(gt.matrix - x_bar))
-        bound = bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=dspec.variance, zeta=zeta))
-        records.append(
-            _record(
-                cfg, trial, m_prime, err, ref, bound, None,
-                zeta=zeta, group=f"scale:{idx:03d}",
-            )
-        )
-    return records
+    if cfg.scenario in ("quantized", "rate_sweep"):
+        spec = QuantizerSpec(cfg.delta, cfg.K)
+        t0 = time.perf_counter()
+        Q = quantize_matrix(gt.matrix, mask, spec, dither, s_dither)
+        report = _solve_ball(cfg, gt, mask, Q, (cfg.K * cfg.delta / 2.0) ** 2)
+    else:
+        thresholds = generate_dither_tensor(dither, cfg.m, m_prime, s_dither)
+        # onebit_stats_only and inconsistency_sweep observe noise-free at any noise_sigma
+        noisy = cfg.noise_sigma > 0 and cfg.scenario in ("onebit_dithers_known", "onebit_noisy")
+        noise = NoiseSpec.gaussian(cfg.noise_sigma) if noisy else NoiseSpec.none()
+        t0 = time.perf_counter()
+        obs = observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise)
+        if cfg.scenario == "inconsistency_sweep":
+            direction = np.random.default_rng(s_noise).standard_normal((cfg.n1, cfg.n2))
+            records = []
+            for idx, scale in enumerate(cfg.perturb_scales):
+                x_bar = gt.matrix + scale * cfg.alpha * direction
+                zeta = consistency_report(x_bar, obs, gt.matrix).zeta
+                err = float(np.linalg.norm(gt.matrix - x_bar))
+                bound = bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=dither.variance, zeta=zeta))
+                group = f"scale:{idx:03d}"
+                records.append(_record(cfg, trial, m_prime, err, ref, bound, None, zeta=zeta, group=group))
+            return records
+        if cfg.scenario == "onebit_dithers_known":
+            report = solve_one_bit_mc(build_polyhedron(obs), cfg.reg_weight, cfg.prox_params())
+        else:
+            obs = strip_thresholds(obs)
+            report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+    err = float(np.linalg.norm(gt.matrix - report.matrix))
+    bounds = [_regime_bound(cfg, m_prime)]
+    zeta = None
+    if cfg.scenario == "onebit_dithers_known":
+        zeta = consistency_report(report.matrix, obs, gt.matrix).zeta
+        bounds.append(bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=dither.variance, zeta=zeta)))
+        if dither.kind == "uniform" and abs(dither.param - cfg.alpha) <= 1e-12 * cfg.alpha:
+            bounds.append(bnd.bound_uniform(_bound_inputs(cfg, m_prime, T=dither.variance)))
+    return [_record(cfg, trial, m_prime, err, ref, bound, report, zeta=zeta, wall_ms=wall_ms) for bound in bounds]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -426,43 +396,24 @@ def run_experiment(cfg: ExperimentConfig):
     converged = false) and never abort the batch.
     """
     cfg.validate()
+    grid = sorted(set(cfg.m_prime_grid)) if cfg.scenario == "rate_sweep" else [cfg.resolved_m_prime()]
     records = []
-
-    def run_safely(trial, fn, fallback_m_prime, fallback_group, *args, **kwargs):
-        try:
-            records.extend(fn(cfg, trial, *args, **kwargs))
-        except np.linalg.LinAlgError:
-            bound = _regime_bound(cfg, fallback_m_prime)
-            failed = _record(
-                cfg, trial, fallback_m_prime, float("nan"), 0.0, bound, None, group=fallback_group
-            )
-            records.append(dataclasses.replace(failed, converged=False, bound_satisfied=False))
-
-    if cfg.scenario == "rate_sweep":
-        for m_prime in sorted(set(cfg.m_prime_grid)):
-            group = f"mprime:{m_prime:08d}"
-            for trial in range(cfg.trials):
-                run_safely(trial, _quantized_trial, m_prime, group, m_prime, group)
-    else:
-        m_prime = cfg.resolved_m_prime()
+    for m_prime in grid:
         for trial in range(cfg.trials):
-            if cfg.scenario == "quantized":
-                run_safely(trial, _quantized_trial, m_prime, "", m_prime)
-            elif cfg.scenario == "onebit_dithers_known":
-                run_safely(trial, _onebit_known_trial, m_prime, "")
-            elif cfg.scenario == "onebit_stats_only":
-                run_safely(trial, _stats_only_trial, m_prime, "", noisy=False)
-            elif cfg.scenario == "onebit_noisy":
-                run_safely(trial, _stats_only_trial, m_prime, "", noisy=True)
-            elif cfg.scenario == "inconsistency_sweep":
-                run_safely(trial, _inconsistency_trial, m_prime, "")
+            try:
+                records.extend(_trial(cfg, trial, m_prime))
+            except np.linalg.LinAlgError:
+                failed = _record(cfg, trial, m_prime, float("nan"), 0.0, _regime_bound(cfg, m_prime), None)
+                records.append(dataclasses.replace(failed, converged=False, bound_satisfied=False))
     return records, summarize(records)
 
 
 def _unique_trials(records):
+    """One record per solve: the rows of one solve (one per bound) share
+    their seed, so records concatenated from several runs stay apart."""
     seen = {}
     for rec in records:
-        key = (rec.group, rec.m_prime, rec.trial)
+        key = (rec.group, rec.m_prime, rec.seed)
         if key not in seen:
             seen[key] = rec
     return list(seen.values())
@@ -485,8 +436,8 @@ def summarize(records) -> dict:
     if zetas:
         summary["mean_zeta"] = float(np.mean(zetas))
         summary["consistency_rate"] = float(np.mean([z == 0 for z in zetas]))
-    m_primes = sorted({r.m_prime for r in uniq})
-    if len(m_primes) >= 4:
+    # fit_rate skips failed trials, so count only the m' values it will see
+    if len({r.m_prime for r in uniq if np.isfinite(r.err_fro)}) >= 4:
         fit = fit_rate(records)
         summary["rate_slope"] = fit.slope
         summary["rate_half_width"] = fit.half_width
@@ -592,33 +543,20 @@ def emit_report(records, path, stable_timings: bool = True) -> Path:
     return path
 
 
-_INT_KEYS = {"n1", "n2", "r", "K", "m", "m_prime", "trials", "base_seed", "max_iters"}
-_FLOAT_KEYS = {
-    "alpha", "delta", "dither_param", "noise_sigma", "sigma1", "sigma2", "epsilon",
-    "reg_weight", "beta", "sample_fraction", "tol_rel_change", "tol_feas",
-    "C", "c", "D1", "C1",
-}
-_STR_KEYS = {"scenario", "dither_kind", "delta_policy", "out"}
-_LIST_INT_KEYS = {"m_prime_grid"}
-_LIST_FLOAT_KEYS = {"perturb_scales"}
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Build a config from string values, each parsed by its field's type
+    (``int``, ``float`` or ``str``, ``| None`` ignored); tuple fields are
+    comma lists, which ``__post_init__`` turns into ints or floats."""
+    fields = {f.name: f.type.split("|")[0].strip() for f in dataclasses.fields(ExperimentConfig)}
     kwargs = {}
     for key, raw in mapping.items():
-        raw = raw.strip() if isinstance(raw, str) else raw
-        if key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
-        elif key in _STR_KEYS:
-            kwargs[key] = str(raw)
-        elif key in _LIST_INT_KEYS:
-            kwargs[key] = tuple(int(tok) for tok in str(raw).split(",") if tok.strip())
-        elif key in _LIST_FLOAT_KEYS:
-            kwargs[key] = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-        else:
+        if key not in fields:
             raise ValueError(f"unknown config key {key!r}")
+        raw = raw.strip() if isinstance(raw, str) else raw
+        if fields[key] == "tuple":
+            kwargs[key] = tuple(tok for tok in str(raw).split(",") if tok.strip())
+        else:
+            kwargs[key] = {"int": int, "float": float, "str": str}[fields[key]](raw)
     return ExperimentConfig(**kwargs)
 
 

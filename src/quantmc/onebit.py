@@ -40,18 +40,16 @@ class UnsupportedModeError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSpec:
-    """Pre-quantization additive noise; psi1/psi2 are user-declared tail proxies."""
+    """Pre-quantization additive noise."""
 
     kind: str = "none"
     sigma: float = 0.0
-    psi1: float = 0.0
-    psi2: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0 or self.psi1 < 0 or self.psi2 < 0:
-            raise ValueError("noise parameters must be nonnegative")
+        if self.sigma < 0:
+            raise ValueError("noise sigma must be nonnegative")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("gaussian noise needs sigma > 0")
 
@@ -60,8 +58,8 @@ class NoiseSpec:
         return cls()
 
     @classmethod
-    def gaussian(cls, sigma: float, psi1: float | None = None, psi2: float | None = None) -> "NoiseSpec":
-        return cls("gaussian", sigma, sigma if psi1 is None else psi1, sigma if psi2 is None else psi2)
+    def gaussian(cls, sigma: float) -> "NoiseSpec":
+        return cls("gaussian", sigma)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
 """Command-line interface: run, rate, and bounds subcommands."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quantmc.cli import main
+from quantmc.bounds import BoundInputs
+from quantmc.cli import build_parser, main
 from quantmc.harness import CSV_COLUMNS
 
 RUN_CFG = """
@@ -109,3 +112,34 @@ class TestBoundsCommand:
             ]
         )
         assert "hypothesis_violated" in capsys.readouterr().out
+
+    def test_csv_header_lists_every_input_field(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        main(
+            [
+                "bounds", "--formula", "quantized", "--n1", "4", "--n2", "4",
+                "--r", "1", "--alpha", "1.0", "--out", str(out),
+            ]
+        )
+        capsys.readouterr()
+        names = [f.name for f in dataclasses.fields(BoundInputs)]
+        header, row = out.read_text().splitlines()
+        assert header == "formula_id," + ",".join(names) + ",value,exponent,flags"
+        assert len(row.split(",")) == len(header.split(","))
+
+    def test_every_input_field_has_a_flag_with_its_default(self):
+        required = ["--formula", "quantized", "--n1", "4", "--n2", "5", "--r", "1", "--alpha", "1.0"]
+        args = build_parser().parse_args(["bounds", *required])
+        for f in dataclasses.fields(BoundInputs):
+            if f.default is dataclasses.MISSING:
+                assert f.name in ("n1", "n2", "r", "alpha")
+            else:
+                assert getattr(args, f.name) == f.default and type(getattr(args, f.name)) is type(f.default), f.name
+            flag = "--" + f.name.replace("_", "-")
+            value = "2" if f.type == "int" else "0.5"
+            parsed = build_parser().parse_args(["bounds", *required, flag, value])
+            assert getattr(parsed, f.name) == (2 if f.type == "int" else 0.5), f.name
+        for flag in ("--n1", "--n2", "--r", "--alpha"):
+            i = required.index(flag)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bounds", *required[:i], *required[i + 2:]])

@@ -51,7 +51,7 @@ def _planted_records(m_primes, errs_by_group, trials=5):
                     delta=0.1, K=4, dither_kind="none", dither_param=0.0, noise_sigma=0.0,
                     epsilon=0.05, err_fro=err, rel_err=err, bound_id="quantized",
                     bound_value=10.0, bound_satisfied=True, zeta=None, violation=0.0,
-                    iterations=1, converged=True, wall_time_ms=1.0, group=f"mprime:{mp:08d}",
+                    iterations=1, converged=True, wall_time_ms=1.0,
                 )
             )
     return records
@@ -87,6 +87,36 @@ class TestConfigParsing:
             ExperimentConfig(scenario="onebit_noisy", n1=4, n2=4, r=1, alpha=1.0, delta=2.0, m_prime=4)
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="rate_sweep", n1=4, n2=4, r=1, alpha=1.0, delta=0.1, m_prime_grid=(4, 8))
+
+    def test_every_field_settable_from_strings(self):
+        # one representative value per ExperimentConfig field, each parsed by
+        # the field's annotation
+        mapping = {
+            "scenario": "onebit_noisy", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
+            "delta": "2.0", "K": "3", "dither_kind": "gaussian", "dither_param": "0.5",
+            "m": "1", "m_prime": "20", "sample_fraction": "0.25", "noise_sigma": "0.1",
+            "sigma1": "0.2", "sigma2": "0.3", "trials": "4", "base_seed": "9",
+            "epsilon": "0.01", "reg_weight": "0.5", "delta_policy": "oracle", "beta": "1.25",
+            "m_prime_grid": "8, 16,32", "perturb_scales": "0, 0.5,2", "max_iters": "300",
+            "tol_rel_change": "1e-7", "tol_feas": "1e-5", "C": "1.1", "c": "0.9",
+            "D1": "2.5", "C1": "3.5", "out": "noisy_report.csv",
+        }
+        assert set(mapping) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        cfg = config_from_mapping(mapping)
+        expected = ExperimentConfig(
+            scenario="onebit_noisy", n1=6, n2=7, r=2, alpha=1.5, delta=2.0, K=3,
+            dither_kind="gaussian", dither_param=0.5, m=1, m_prime=20, sample_fraction=0.25,
+            noise_sigma=0.1, sigma1=0.2, sigma2=0.3, trials=4, base_seed=9, epsilon=0.01,
+            reg_weight=0.5, delta_policy="oracle", beta=1.25, m_prime_grid=(8, 16, 32),
+            perturb_scales=(0.0, 0.5, 2.0), max_iters=300, tol_rel_change=1e-7, tol_feas=1e-5,
+            C=1.1, c=0.9, D1=2.5, C1=3.5, out="noisy_report.csv",
+        )
+        assert cfg == expected
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            assert type(value) is type(getattr(expected, f.name)), f.name
+            if isinstance(value, tuple):
+                assert {type(v) for v in value} == {int if f.name == "m_prime_grid" else float}
 
     def test_grid_parsing(self):
         cfg = config_from_mapping(
@@ -244,9 +274,26 @@ class TestBatchResilience:
         assert all(np.isnan(r.err_fro) for r in records)
         assert summary["trials"] == 2
 
+    def test_failed_sweep_recorded_not_raised(self, monkeypatch):
+        # with no finite error there is no rate to fit, and the summary says so
+        import quantmc.harness as hz
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(hz, "solve_quantized_mc", boom)
+        cfg = ExperimentConfig(
+            scenario="rate_sweep", n1=6, n2=6, r=1, alpha=1.0, delta=0.5, K=4,
+            dither_kind="uniform", m_prime_grid=(8, 12, 16, 20), trials=2, base_seed=0,
+        )
+        records, summary = run_experiment(cfg)
+        assert len(records) == 8 and all(np.isnan(r.err_fro) and not r.converged for r in records)
+        assert summary["trials"] == 8 and "rate_slope" not in summary
+
     @pytest.mark.parametrize(
         "solver, scenario, extra, bound_id",
         [
+            ("solve_quantized_mc", "quantized", dict(delta=0.5, K=4, dither_kind="uniform"), "quantized"),
             (
                 "solve_one_bit_mc", "onebit_dithers_known",
                 dict(dither_kind="uniform", dither_param=1.0, m=4), "subgaussian",
@@ -254,22 +301,26 @@ class TestBatchResilience:
             ("solve_quantized_mc", "onebit_stats_only", dict(delta=2.0), "statistics_only"),
             ("solve_quantized_mc", "onebit_noisy", dict(delta=2.0, noise_sigma=0.1), "noisy"),
         ],
-        ids=["onebit_known", "stats_only", "noisy"],
+        ids=["quantized", "onebit_known", "stats_only", "noisy"],
     )
     def test_failure_row_carries_regime_bound(self, monkeypatch, solver, scenario, extra, bound_id):
+        # a failed trial's row reports the bound and the dither its solved
+        # rows would report
         import quantmc.harness as hz
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(hz, solver, boom)
         cfg = ExperimentConfig(
             scenario=scenario, n1=6, n2=6, r=1, alpha=1.0, m_prime=12, trials=1, base_seed=0, **extra
         )
+        solved = run_experiment(cfg)[0][0]
+        monkeypatch.setattr(hz, solver, boom)
         records, _ = run_experiment(cfg)
         assert len(records) == 1
         assert records[0].bound_id == bound_id
         assert np.isnan(records[0].err_fro) and not records[0].converged
+        assert (records[0].dither_kind, records[0].dither_param) == (solved.dither_kind, solved.dither_param)
 
     def test_noisy_known_dithers_reports_sign_flips(self):
         # strong pre-quantization noise flips signs; the batch still runs and
@@ -363,6 +414,28 @@ class TestRateSweep:
         fit = fit_rate(records)
         assert fit.slope == summary["rate_slope"]
         assert len(fit.m_primes) == 4
+        assert {r.group for r in records} == {""}  # m_prime alone tells the sweep points apart
+
+    def test_concatenated_runs_count_every_trial(self):
+        # single-trial sweeps of different base seeds are all trial 0; the
+        # records of all three runs are twelve solves, and the fit takes the
+        # median over each m_prime's three
+        runs = [
+            run_experiment(
+                ExperimentConfig(
+                    scenario="rate_sweep", n1=10, n2=10, r=2, alpha=1.0, delta=0.25, K=8,
+                    dither_kind="uniform", m_prime_grid=(20, 40, 60, 80), trials=1,
+                    base_seed=seed, max_iters=2000, tol_rel_change=1e-5,
+                )
+            )[0]
+            for seed in (100, 200, 300)
+        ]
+        records = [rec for run in runs for rec in run]
+        assert summarize(records)["trials"] == 12
+        fit = fit_rate(records)
+        for m_prime, median in zip(fit.m_primes, fit.medians):
+            assert median == np.median([r.err_fro for r in records if r.m_prime == m_prime])
+        assert len({r.err_fro for r in records}) == 12
 
 
     def test_sweep_and_report_import_numpy_only(self, tmp_path):
