@@ -63,7 +63,6 @@ from .solvers import (
     prox_nuclear,
     solve_one_bit_mc,
     solve_quantized_mc,
-    solve_statistics_only,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ with a fixed column set and a trailing '#'-commented summary block.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from pathlib import Path
@@ -165,6 +166,8 @@ class ExperimentConfig:
             raise ValueError("statistics-only scenarios use a single dither sequence (m = 1)")
         if self.scenario == "onebit_noisy" and self.noise_sigma <= 0:
             raise ValueError("onebit_noisy needs noise_sigma > 0")
+        if self.scenario not in ("onebit_dithers_known", "onebit_noisy") and self.noise_sigma != 0:
+            raise ValueError(f"scenario {self.scenario!r} draws no noise; noise_sigma must be 0")
         if self.scenario == "rate_sweep" and len(set(self.m_prime_grid)) < 4:
             raise ValueError("rate_sweep needs at least 4 distinct m_prime_grid values")
 
@@ -328,14 +331,34 @@ def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
     return solve_quantized_mc(Q, mask, radius, cfg.prox_params())
 
 
-def _resolve_beta(cfg: ExperimentConfig, m_prime: int, draws: int = 1000, quantile: float = 99.0) -> float:
+# Most normals _noise_norm_percentile draws at once (4 MB of float64).
+_DRAW_BLOCK = 1 << 19
+
+
+def _resolve_beta(cfg: ExperimentConfig, m_prime: int) -> float:
     """Noise Frobenius budget: config value, or the 99th percentile of the
     masked noise norm over seeded draws (deterministic given base_seed)."""
     if cfg.beta is not None:
         return float(cfg.beta)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(0xBE7A,)))
-    norms = np.linalg.norm(rng.normal(0.0, cfg.noise_sigma, size=(draws, m_prime)), axis=1)
-    return float(np.percentile(norms, quantile))
+    return _noise_norm_percentile(cfg.base_seed, cfg.noise_sigma, m_prime)
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_norm_percentile(base_seed: int, sigma: float, m_prime: int) -> float:
+    """99th percentile of ||N(0, sigma^2 I_m')|| over 1000 seeded draws.
+
+    The same for every trial of a config, so it is computed once.  The draws
+    come in row blocks of at most _DRAW_BLOCK normals from one generator, which
+    fills them in the order one (1000, m') array would be filled, so the norms
+    are those of that array without holding it.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(0xBE7A,)))
+    draws, rows = 1000, max(1, _DRAW_BLOCK // m_prime)
+    norms = np.concatenate([
+        np.linalg.norm(rng.normal(0.0, sigma, size=(min(rows, draws - start), m_prime)), axis=1)
+        for start in range(0, draws, rows)
+    ])
+    return float(np.percentile(norms, 99.0))
 
 
 def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
@@ -356,9 +379,7 @@ def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
         report = _solve_ball(cfg, gt, mask, Q, (cfg.K * cfg.delta / 2.0) ** 2)
     else:
         thresholds = generate_dither_tensor(dither, cfg.m, m_prime, s_dither)
-        # onebit_stats_only and inconsistency_sweep observe noise-free at any noise_sigma
-        noisy = cfg.noise_sigma > 0 and cfg.scenario in ("onebit_dithers_known", "onebit_noisy")
-        noise = NoiseSpec.gaussian(cfg.noise_sigma) if noisy else NoiseSpec.none()
+        noise = NoiseSpec.gaussian(cfg.noise_sigma) if cfg.noise_sigma > 0 else NoiseSpec.none()
         t0 = time.perf_counter()
         obs = observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise)
         if cfg.scenario == "inconsistency_sweep":

@@ -126,10 +126,6 @@ class PolyhedronSystem:
     def dims(self) -> Dims:
         return self.mask.dims
 
-    @property
-    def n_constraints(self) -> int:
-        return int(self.signs.size)
-
 
 @dataclasses.dataclass(frozen=True)
 class ConsistencyReport:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quantmc.harness
 from quantmc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -87,6 +88,21 @@ class TestConfigParsing:
             ExperimentConfig(scenario="onebit_noisy", n1=4, n2=4, r=1, alpha=1.0, delta=2.0, m_prime=4)
         with pytest.raises(ValueError):
             ExperimentConfig(scenario="rate_sweep", n1=4, n2=4, r=1, alpha=1.0, delta=0.1, m_prime_grid=(4, 8))
+
+    # the scenarios whose trials draw no noise, each with the keys it needs
+    NOISELESS = {
+        "quantized": dict(delta=0.25, K=8, m_prime=8),
+        "rate_sweep": dict(delta=0.25, K=8, m_prime_grid=(4, 6, 8, 10)),
+        "onebit_stats_only": dict(delta=2.0, m_prime=8),
+        "inconsistency_sweep": dict(dither_kind="uniform", dither_param=1.0, m=2, m_prime=8),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(NOISELESS))
+    def test_noise_rejected_where_no_noise_is_drawn(self, scenario):
+        base = dict(scenario=scenario, n1=4, n2=4, r=1, alpha=1.0, **self.NOISELESS[scenario])
+        ExperimentConfig(**base)
+        with pytest.raises(ValueError, match="noise_sigma must be 0"):
+            ExperimentConfig(**base, noise_sigma=0.5)
 
     def test_every_field_settable_from_strings(self):
         # one representative value per ExperimentConfig field, each parsed by
@@ -217,6 +233,25 @@ class TestRunOneBit:
         base_records, _ = run_experiment(noiseless)
         # the noisy bound adds the beta budget on top of the sign-only bound
         assert records[0].bound_value > base_records[0].bound_value
+
+    def test_noise_budget_drawn_once_per_config_in_row_blocks(self, monkeypatch):
+        # the 99th percentile of the noise norm is one seeded draw per
+        # (config, m'); row blocks give the norms of the one-shot draw
+        cfg = ExperimentConfig(
+            scenario="onebit_noisy", n1=8, n2=8, r=1, alpha=1.0, delta=2.0,
+            m_prime=40, noise_sigma=0.1, trials=3, base_seed=7, epsilon=0.05,
+        )
+        percentile = quantmc.harness._noise_norm_percentile
+        percentile.cache_clear()
+        records, _ = run_experiment(cfg)
+        assert percentile.cache_info().misses == 1 and percentile.cache_info().hits == 2
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0xBE7A,)))
+        one_shot = float(np.percentile(np.linalg.norm(rng.normal(0.0, 0.1, size=(1000, 40)), axis=1), 99.0))
+        assert percentile(7, 0.1, 40) == one_shot
+        monkeypatch.setattr(quantmc.harness, "_DRAW_BLOCK", 7 * 40)
+        percentile.cache_clear()
+        assert percentile(7, 0.1, 40) == one_shot
+        assert {r.bound_value for r in records} == {quantmc.harness._regime_bound(cfg, 40).value}
 
     def test_stats_only_solves_the_surrogate_ball_once(self, monkeypatch):
         # one ball solve per trial, against (delta/2) * signs on the mask, at

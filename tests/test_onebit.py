@@ -69,7 +69,7 @@ class TestPolyhedron:
         mask = sample_mask_uniform((7, 13), 13, seed=1)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 7, 13, seed=2)
         system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
-        assert system.n_constraints == 91
+        assert system.signs.size == 91
 
     def test_ground_truth_always_feasible(self):
         for seed in range(5):

@@ -9,6 +9,7 @@ import quantmc.harness
 import quantmc.solvers
 from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform
 from quantmc.onebit import (
+    NoiseSpec,
     PolyhedronSystem,
     UnsupportedModeError,
     build_polyhedron,
@@ -16,23 +17,25 @@ from quantmc.onebit import (
     feasible_intervals,
     observe_one_bit,
     strip_thresholds,
+    surrogate_data,
 )
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
     _FEAS_MARGIN,
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
+    _STEP_MAX,
     ProxParams,
     _ball_gap,
     _fista,
     _fista_ball,
+    _spectral_step,
     _svd_soft,
     _svd_soft_values,
     _warm_start,
     prox_nuclear,
     solve_one_bit_mc,
     solve_quantized_mc,
-    solve_statistics_only,
 )
 
 
@@ -757,16 +760,146 @@ class TestSolveOneBitMC:
             PolyhedronSystem(np.zeros((0, 1), dtype=int), np.zeros((0, 1)), mask)
 
 
+# Most iterations the one-bit solver may take over the first trial of seeds
+# 2-11 (base_seed s * 100000) of the onebit_known workload; the unit step took
+# 869, the spectral step 641.
+SPECTRAL_ITERATION_LIMIT = 660
+
+
+def test_bench_workload_spectral_iterations(solves):
+    for seed in range(2, 12):
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
+        records, _ = quantmc.harness.run_experiment(cfg)
+        assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
+    assert len(solves) == 10 and all(rep.converged for rep in solves)
+    assert sum(rep.iterations for rep in solves) <= SPECTRAL_ITERATION_LIMIT
+
+
+def _random_one_bit_problem(k):
+    """A seeded one-bit system (sides 3-24, m 1-11, noise-free or sigma 0.1)
+    and a reg_weight between 0.01 and 20."""
+    rng = np.random.default_rng(1000 + k)
+    n1, n2 = (int(v) for v in rng.integers(3, 25, size=2))
+    r = int(rng.integers(1, min(n1, n2, 3) + 1))
+    m = int(rng.integers(1, 12))
+    m_prime = int(rng.integers(1, n1 * n2 + 1))
+    reg_weight = float(10.0 ** rng.uniform(-2.0, math.log10(20.0)))
+    noise = NoiseSpec.gaussian(0.1) if rng.random() < 0.5 else NoiseSpec.none()
+    seeds = [int(v) for v in rng.integers(2**31, size=4)]
+    gt = generate_low_rank((n1, n2), r, 1.0, seed=seeds[0])
+    mask = sample_mask_uniform((n1, n2), m_prime, seed=seeds[1])
+    thr = generate_dither_tensor(DitherSpec.uniform(1.0), m, m_prime, seed=seeds[2])
+    return build_polyhedron(observe_one_bit(gt.matrix, mask, thr, noise, seeds[3])), reg_weight
+
+
+class TestSpectralStep:
+    """The safeguarded Barzilai-Borwein step of the one-bit dual SVT."""
+
+    def test_short_quotient_clipped(self):
+        dw = np.array([1.0, -2.0, 0.5])
+        assert _spectral_step(dw, -dw / 2.0) == 2.0
+        assert _spectral_step(dw, -dw / 1.25) == pytest.approx(1.25, rel=1e-15)
+        assert _spectral_step(dw, -dw / 10.0) == _STEP_MAX == 3.0
+        assert _spectral_step(dw, -2.0 * dw) == 1.0
+
+    @pytest.mark.parametrize(
+        "dw, dx",
+        [
+            ([1.0, 2.0], [1.0, 2.0]),  # negative curvature
+            ([1.0, 0.0], [0.0, 1.0]),  # zero curvature
+            ([1.0, 2.0], [0.0, 0.0]),  # the primal did not move
+            ([0.0, 0.0], [0.0, 0.0]),
+            ([1e300, 1e300], [-1e-300, -1e-300]),  # quotient overflows
+            ([math.nan, 1.0], [-1.0, -1.0]),
+            ([math.inf, 1.0], [-1.0, -1.0]),
+        ],
+    )
+    def test_unit_step_where_the_quotient_is_not_positive_and_finite(self, dw, dx):
+        assert _spectral_step(np.array(dw), np.array(dx)) == 1.0
+
+    def test_first_step_is_the_unit_step(self):
+        # the second primal of a solve is SVT(P^*(clip(0))): the first dual
+        # step from w = 0 moved by s = 1
+        gt = generate_low_rank((12, 12), 2, 1.0, seed=20)
+        mask = sample_mask_uniform((12, 12), 80, seed=21)
+        thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=22)
+        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        lo, hi = feasible_intervals(system)
+        gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+        W = np.zeros((12, 12))
+        W[mask.rows, mask.cols] = np.clip(0.0, lo + gamma, hi - gamma)
+        assert np.count_nonzero(W) > 10
+        rep = solve_one_bit_mc(system, 1.0, ProxParams(max_iters=2))
+        assert rep.iterations == 2 and not rep.converged
+        np.testing.assert_array_equal(rep.matrix, _svd_soft(W, 1.0)[0])
+
+    def test_every_step_in_range_on_the_bench_workload(self, monkeypatch, solves):
+        steps = []  # (curvature <dw, -dx>, step)
+
+        def recording(dw, dx, _step=_spectral_step):
+            steps.append((-float(dw @ dx), _step(dw, dx)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(quantmc.solvers, "_spectral_step", recording)
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS["onebit_known"])
+        quantmc.harness.run_experiment(cfg)
+        assert len(solves) == 1 and solves[0].converged
+        # every step but the first asks for the quotient
+        assert len(steps) == solves[0].iterations - 1
+        assert all(1.0 <= s <= _STEP_MAX for _, s in steps)
+        assert all(s == 1.0 for curvature, s in steps if curvature <= 0.0)
+        assert sum(s > 1.0 for _, s in steps) > len(steps) // 2
+
+    def test_agrees_with_the_unit_step_on_random_problems(self, monkeypatch):
+        # Both stops certify P(X) <= OPT_shrunk + tol * max(1, |P(X)|), and X
+        # lies in the sign box, so P(X) >= OPT_box.  Clipping the box optimum
+        # X_box into the shrunk box moves it by ||gamma|| at most, to a point
+        # where P has subgradients of norm <= reg * sqrt(min(n1, n2)) +
+        # ||X_box||_F + ||gamma||, and ||X_box||_F <= sqrt(2 P(X)): that
+        # bounds OPT_shrunk - OPT_box.
+        params = ProxParams(tol_rel_change=1e-9, tol_feas=1e-9)
+        iterations = [0, 0]
+        converged = 0
+        for k in range(48):
+            system, reg = _random_one_bit_problem(k)
+            monkeypatch.setattr(quantmc.solvers, "_STEP_MAX", 1.0)
+            unit = solve_one_bit_mc(system, reg, params)
+            monkeypatch.setattr(quantmc.solvers, "_STEP_MAX", _STEP_MAX)
+            spectral = solve_one_bit_mc(system, reg, params)
+            iterations[0] += unit.iterations
+            iterations[1] += spectral.iterations
+            if not unit.converged:
+                continue
+            converged += 1
+            assert spectral.converged, k
+            assert spectral.data_residual == 0.0, k
+            lo, hi = feasible_intervals(system)
+            gamma = float(np.linalg.norm(np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))))
+            top = max(unit.objective, spectral.objective)
+            dims = system.dims
+            margin = (reg * math.sqrt(min(dims.n1, dims.n2)) + math.sqrt(2.0 * top) + gamma) * gamma
+            tol = params.tol_rel_change * max(1.0, top) + margin
+            assert abs(unit.objective - spectral.objective) <= tol, k
+        assert converged >= 40
+        assert iterations[1] < iterations[0]
+
+
 class TestSolveStatisticsOnly:
+    """The sign-only estimator: the ball solver against the scaled-sign surrogate."""
+
     def _obs(self, X, mask, delta, seed):
         thr = generate_dither_tensor(DitherSpec.uniform(delta / 2), 1, mask.m_prime, seed)
         return strip_thresholds(observe_one_bit(X, mask, thr))
+
+    @staticmethod
+    def _solve(obs, delta, radius, params=None):
+        return solve_quantized_mc(surrogate_data(obs, delta), obs.mask, radius, params)
 
     def test_all_positive_signs_large_radius_gives_zero(self):
         gt = generate_low_rank((5, 5), 1, 1.0, seed=29)
         mask = sample_mask_uniform((5, 5), 10, seed=30)
         obs = self._obs(np.abs(gt.matrix) + 2.0, mask, 2.0, 31)
-        rep = solve_statistics_only(obs, 2.0, 100.0, ProxParams())
+        rep = self._solve(obs, 2.0, 100.0, ProxParams())
         assert np.all(rep.matrix == 0.0)
 
     def test_scalar_case_residual_contract(self):
@@ -774,7 +907,7 @@ class TestSolveStatisticsOnly:
         obs = self._obs(np.array([[0.9]]), mask, 2.0, 32)
         assert obs.signs[0, 0] in (-1, 1)
         params = ProxParams(tol_rel_change=1e-10)
-        rep = solve_statistics_only(obs, 2.0, 0.1, params)
+        rep = self._solve(obs, 2.0, 0.1, params)
         surrogate = obs.signs[0, 0] * 1.0
         assert abs(rep.matrix[0, 0] - surrogate) <= 0.1 * (1 + params.tol_feas)
 
@@ -784,7 +917,7 @@ class TestSolveStatisticsOnly:
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 2, 8, seed=35)
         obs = observe_one_bit(gt.matrix, mask, thr)
         with pytest.raises(UnsupportedModeError):
-            solve_statistics_only(obs, 2.0, 1.0)
+            self._solve(obs, 2.0, 1.0)
 
     def test_recovers_under_oracle_radius(self):
         gt = generate_low_rank((12, 12), 1, 1.0, seed=36)
@@ -793,7 +926,6 @@ class TestSolveStatisticsOnly:
         obs = self._obs(gt.matrix, mask, delta, 38)
         surrogate = 0.5 * delta * obs.signs[0]
         radius = float(np.linalg.norm(gt.matrix[mask.rows, mask.cols] - surrogate))
-        rep = solve_statistics_only(obs, delta, radius, ProxParams(tol_rel_change=1e-8))
+        rep = self._solve(obs, delta, radius, ProxParams(tol_rel_change=1e-8))
         assert rep.converged
         assert np.linalg.norm(rep.matrix - gt.matrix) <= np.linalg.norm(gt.matrix)
-
