@@ -118,13 +118,6 @@ class SampleMask:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 
-    @classmethod
-    def from_pairs(cls, dims, pairs) -> "SampleMask":
-        pairs = list(pairs)
-        rows = np.array([p[0] for p in pairs], dtype=np.int64)
-        cols = np.array([p[1] for p in pairs], dtype=np.int64)
-        return cls(_as_dims(dims), rows, cols)
-
     @property
     def m_prime(self) -> int:
         return int(self.rows.size)

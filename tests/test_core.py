@@ -76,10 +76,10 @@ class TestSampleMask:
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            SampleMask.from_pairs((3, 3), [(0, 0), (0, 0)])
+            SampleMask((3, 3), [0, 0], [0, 0])
 
     def test_canonical_column_major_order(self):
-        mask = SampleMask.from_pairs((3, 3), [(2, 1), (0, 0), (1, 2)])
+        mask = SampleMask((3, 3), [2, 0, 1], [1, 0, 2])
         assert mask.pairs() == [(0, 0), (2, 1), (1, 2)]
         assert np.all(np.diff(mask.flat) > 0)
 
@@ -110,7 +110,7 @@ class TestProjectAndSelect:
 
     def test_single_entry_projection(self):
         X = np.array([[5.0, 7.0], [2.0, 3.0]])
-        mask = SampleMask.from_pairs((2, 2), [(0, 0)])
+        mask = SampleMask((2, 2), [0], [0])
         assert np.array_equal(project(X, mask), np.array([[5.0, 0.0], [0.0, 0.0]]))
 
     def test_idempotent(self):
@@ -149,7 +149,7 @@ class TestProjectAndSelect:
 
     def test_single_entry_select(self):
         X = np.array([[5.0, 7.0], [2.0, 3.0]])
-        mask = SampleMask.from_pairs((2, 2), [(1, 0)])
+        mask = SampleMask((2, 2), [1], [0])
         assert np.array_equal(select_vector(X, mask), np.array([2.0]))
 
     def test_select_norm_matches_projection_norm(self):

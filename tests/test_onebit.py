@@ -28,7 +28,7 @@ def _tensor(values, spec=None):
 
 
 def _one_entry_mask():
-    return SampleMask.from_pairs((1, 1), [(0, 0)])
+    return SampleMask((1, 1), [0], [0])
 
 
 class TestObserveOneBit:
@@ -92,7 +92,7 @@ class TestPolyhedron:
     def test_feasible_intervals_box(self):
         signs = np.array([[1, -1], [1, 1]])
         thr = np.array([[0.2, 0.9], [-0.4, 0.1]])
-        mask = SampleMask.from_pairs((1, 2), [(0, 0), (0, 1)])
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
         lo, hi = feasible_intervals(PolyhedronSystem(signs, thr, mask))
         assert np.array_equal(lo, [0.2, 0.1])
         assert lo[1] == 0.1 and hi[0] == np.inf and hi[1] == 0.9
@@ -104,7 +104,7 @@ class TestViolationMeasure:
         assert violation_measure(system, np.array([[0.3]])) == pytest.approx(0.2)
 
     def test_two_violations_combine_in_quadrature(self):
-        mask = SampleMask.from_pairs((1, 2), [(0, 0), (0, 1)])
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
         system = PolyhedronSystem(np.array([[1, 1]]), np.array([[0.5, 0.5]]), mask)
         v = violation_measure(system, np.array([[0.2, 0.1]]))
         assert v == pytest.approx(np.sqrt(0.09 + 0.16))
@@ -275,7 +275,7 @@ class TestValidation:
             OneBitObservation(
                 signs=np.array([[0, 1]]),
                 thresholds=None,
-                mask=SampleMask.from_pairs((1, 2), [(0, 0), (0, 1)]),
+                mask=SampleMask((1, 2), [0, 0], [0, 1]),
                 dither_spec=None,
             )
 

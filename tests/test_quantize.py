@@ -201,7 +201,7 @@ class TestQuantizeMatrix:
         # mean over dither seeds approaches P_mask(X) entrywise (unsaturated)
         spec = QuantizerSpec(1.0, 8)
         X = np.array([[0.3, -1.4], [2.2, 0.0]])
-        mask = SampleMask.from_pairs((2, 2), [(0, 0), (1, 0), (0, 1)])
+        mask = SampleMask((2, 2), [0, 1, 0], [0, 0, 1])
         seeds = 100_000
         acc = np.zeros_like(X)
         for seed in range(seeds):

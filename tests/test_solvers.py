@@ -7,7 +7,7 @@ import pytest
 
 import quantmc.harness
 import quantmc.solvers
-from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform
+from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform, scatter_vector
 from quantmc.onebit import (
     NoiseSpec,
     PolyhedronSystem,
@@ -21,12 +21,15 @@ from quantmc.onebit import (
 )
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
+    _BALL_STEP_MAX,
     _FEAS_MARGIN,
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
+    _STALL_GAP,
     _STEP_MAX,
     ProxParams,
     _ball_gap,
+    _ball_step,
     _fista,
     _fista_ball,
     _spectral_step,
@@ -422,18 +425,26 @@ def test_bench_workload_predictor_iterations(solves, workload):
     assert sum(rep.iterations for rep in solves) <= PREDICTOR_ITERATION_LIMITS[workload]
 
 
+# Most iterations over the same trials with the spectral step of the ball
+# stages and the certified acceptance (checked with the certificate in
+# TestBallGapCertificate); the unit step took 381 and 3243, the spectral
+# step 324 and 2713.
+SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 335, "rate_sweep": 2790}
+
+
 class TestBallGapCertificate:
     """The bound ``_ball_gap`` puts on a mu stage's exact residual, and its use."""
 
     @pytest.fixture
     def gaps(self, monkeypatch):
-        """(nuc, ||r||, gap, e) of each _ball_gap call while the test runs."""
+        """(nuc, ||r||, gap, e, lam, s) of each _ball_gap call while the test
+        runs, with lam = d / (mu + y_dist / s) its dual point."""
         calls = []
         ball_gap = quantmc.solvers._ball_gap
 
-        def recording(mu, nuc, r, d, q, y_dist):
-            gap, e = ball_gap(mu, nuc, r, d, q, y_dist)
-            calls.append((nuc, float(np.linalg.norm(r)), gap, e))
+        def recording(mu, nuc, r, d, q, y_dist, s):
+            gap, e = ball_gap(mu, nuc, r, d, q, y_dist, s)
+            calls.append((nuc, float(np.linalg.norm(r)), gap, e, d / (mu + y_dist / s), s))
             return gap, e
 
         monkeypatch.setattr(quantmc.solvers, "_ball_gap", recording)
@@ -461,9 +472,17 @@ class TestBallGapCertificate:
         band = (exact * (1.0 - 1e-9), exact * (1.0 + 1e-9), exact)
         _, _, stop, _, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)
         assert stop != "gap" and len(gaps) > 0
-        for nuc, rnorm, gap, e in gaps:
+        for nuc, rnorm, gap, e, _, s in gaps:
+            assert 1.0 <= s <= _BALL_STEP_MAX
             assert gap >= -1e-12 * max(1.0, nuc + rnorm * rnorm / (2.0 * mu))
             assert abs(rnorm - exact) <= e + 1e-9 * exact
+        # the dual point is feasible whatever the step, ||P^* lam||_op <= 1
+        # (checked on every tenth call and the last, one SVD each)
+        for *_, lam, _ in gaps[::10] + gaps[-1:]:
+            assert np.linalg.norm(scatter_vector(lam, mask), 2) <= 1.0 + 1e-9
+        if mask.m_prime < size:
+            # a partial mask leaves the curvature below 1/mu: longer steps
+            assert any(s > 1.0 for *_, s in gaps)
 
     @pytest.mark.parametrize("mu, delta", [(0.5, 0.1), (0.5, -0.2), (0.01, 0.005), (2.0, 1.5)])
     def test_bound_is_attained_on_a_scalar_stage(self, mu, delta):
@@ -474,7 +493,7 @@ class TestBallGapCertificate:
         # e = |delta|, so a smaller e or a larger gap is wrong.
         q = 3.0
         x = q - mu + delta
-        gap, e = _ball_gap(mu, x, np.array([x - q]), np.array([-mu]), np.array([q]), 0.0)
+        gap, e = _ball_gap(mu, x, np.array([x - q]), np.array([-mu]), np.array([q]), 0.0, 1.0)
         assert gap == pytest.approx(delta * delta / (2.0 * mu), rel=1e-9)
         assert e == pytest.approx(abs(delta), rel=1e-9)
         assert abs(abs(x - q) - mu) == pytest.approx(e, rel=1e-9)
@@ -498,6 +517,109 @@ class TestBallGapCertificate:
             assert [stop for X, stop in stages if X is rep.matrix] == ["change"]
         # the certificate path is exercised
         assert any(stop == "gap" for _, stop in stages)
+
+    @pytest.mark.parametrize("workload", sorted(SPECTRAL_BALL_ITERATION_LIMITS))
+    def test_accepted_stages_carry_the_certificate(self, monkeypatch, gaps, solves, workload):
+        # every accepted stage's last gap is taken at the returned iterate and
+        # puts the stage's exact residual inside the acceptance band, and the
+        # spectral step keeps the iterations of these trials within the limit
+        stages = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(*args):
+            first = len(gaps)
+            out = fista_ball(*args)
+            stages.append((out, args[6], gaps[first:]))
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        for seed in range(2, 12):
+            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
+            quantmc.harness.run_experiment(cfg)
+        assert len(solves) >= 10
+        for rep in solves:
+            assert rep.converged
+            [(out, (lo, hi, _), calls)] = [st for st in stages if st[0][0] is rep.matrix]
+            assert out[2] == "change" and len(calls) > 0
+            _, rnorm, _, e, _, _ = calls[-1]
+            assert rnorm == pytest.approx(out[3], rel=1e-12)
+            assert lo <= rnorm - e and rnorm + e <= hi
+        assert sum(rep.iterations for rep in solves) <= SPECTRAL_BALL_ITERATION_LIMITS[workload]
+
+    def test_a_stalled_small_mu_stage_is_not_accepted(self, gaps):
+        # The inputs of test_budget_exhaustion_reports_not_converged.  From
+        # zero, a stage at mu = 8.3e-9 moves X by about mu per step, so its
+        # relative change passes after 2 steps at nuclear norm 3.727, against
+        # 3.403 by continuation.  With a band around that residual, its gap
+        # stays far above _STALL_GAP of its objective and no iterate within
+        # the cap earns the certificate, so the stage never stops on relative
+        # change and the search cannot accept it.
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        mu, x0 = 8.3e-9, np.zeros((10, 10))
+        _, iters, stop, resid, nuc = _fista_ball(q, mask, mu, x0, ProxParams(), 400)
+        assert (iters, stop) == (2, "change") and nuc == pytest.approx(3.727, abs=1e-3)
+        radius = resid / (1.0 - 0.5 * _RESIDUAL_BAND)
+        band = ((1.0 - _RESIDUAL_BAND) * radius, radius * (1.0 + ProxParams().tol_feas), resid)
+        assert band[0] <= resid <= band[1]
+        _, iters, stop, _, nuc = _fista_ball(q, mask, mu, x0, ProxParams(), 400, band)
+        assert (iters, stop) == (400, None) and nuc > 3.7
+        assert len(gaps) > 0
+        assert not any(band[0] <= rnorm - e and rnorm + e <= band[1] for _, rnorm, _, e, _, _ in gaps)
+        assert all(gap > _STALL_GAP * (nuc + rnorm * rnorm / (2.0 * mu)) for nuc, rnorm, gap, *_ in gaps)
+
+
+class TestBallStep:
+    """``_ball_step``, the spectral step of a ball stage, and its use in ``_fista_ball``."""
+
+    def test_clipped_quotient(self):
+        # rho = ||Y - Xn||^2 / ||P(Y - Xn)||^2 >= 1; the step is 0.9 rho in [1, 2]
+        assert _ball_step(1.0, 1.0) == 1.0
+        assert _ball_step(1.5, 1.0) == pytest.approx(1.35, rel=1e-15)
+        assert _ball_step(4.0, 2.0) == pytest.approx(1.8, rel=1e-15)
+        assert _ball_step(50.0, 1.0) == _BALL_STEP_MAX
+
+    @pytest.mark.parametrize(
+        "y_sq, p_sq",
+        [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+         (math.inf, 1.0), (math.inf, math.inf), (1e300, 1e-300)],
+    )
+    def test_unit_step_where_the_quotient_is_not_positive_and_finite(self, y_sq, p_sq):
+        assert _ball_step(y_sq, p_sq) == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_steps_of_a_stage(self, monkeypatch, seed):
+        # each stage, cold or warm, starts at s = 1, every step lies in
+        # [1, 2] / L, each s is _ball_step of the previous step, and a
+        # partial mask gives longer steps than 1/L
+        thetas, quotients = [], []
+        svd_soft, ball_step = quantmc.solvers._svd_soft, quantmc.solvers._ball_step
+
+        def soft(Z, theta):
+            thetas.append(theta)
+            return svd_soft(Z, theta)
+
+        def step(y_sq, p_sq):
+            assert y_sq >= p_sq * (1.0 - 1e-12)
+            quotients.append(ball_step(y_sq, p_sq))
+            return quotients[-1]
+
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", soft)
+        monkeypatch.setattr(quantmc.solvers, "_ball_step", step)
+        gt = generate_low_rank((20, 16), 2, 1.0, seed=seed)
+        mask = sample_mask_uniform((20, 16), 160, seed=seed + 10)
+        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        x0 = np.zeros((20, 16))
+        for mu in (0.3, 0.1):
+            thetas.clear()
+            quotients.clear()
+            x0, iters, *_ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 300)
+            assert iters > 3 and len(thetas) == iters == len(quotients)
+            assert thetas[0] == mu
+            assert thetas[1:] == [s * mu for s in quotients[:-1]]
+            assert all(mu <= theta <= _BALL_STEP_MAX * mu for theta in thetas)
+            assert max(thetas) > mu
 
 
 class TestSolveQuantizedMC:
@@ -574,6 +696,76 @@ class TestSolveQuantizedMC:
         rep = solve_quantized_mc(Q, mask, 1e-8, ProxParams(max_iters=3))
         assert not rep.converged
         assert rep.iterations <= 3
+
+    # Iterations and nuclear norms of the unit-step solver, which accepted any
+    # in-band stage on relative change, at these radii.
+    UNIT_STEP_SOLVES = {
+        1e-4: (3363, 3.4026671850),
+        1e-5: (3495, 3.4029059763),
+        1e-6: (3495, 3.4029304313),
+        1e-7: (3496, 3.4029328731),
+        1e-8: (3499, 3.4029331172),
+    }
+
+    @pytest.mark.parametrize("radius", sorted(UNIT_STEP_SOLVES))
+    def test_tiny_radius_converges(self, monkeypatch, radius):
+        # On the inputs of test_budget_exhaustion_reports_not_converged, the
+        # band is too narrow for the gap to certify: the search accepts a
+        # settled stage instead of spending its budget.  The nuclear norm
+        # falls with the residual at about the dual norm 2.7, so two points
+        # of the band differ by at most about 0.14 * radius.
+        stops = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(*args):
+            out = fista_ball(*args)
+            stops.append(out[2])
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        Q = project(gt.matrix, mask)
+        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        iterations, nuclear = self.UNIT_STEP_SOLVES[radius]
+        assert rep.converged and rep.iterations <= iterations
+        assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
+        assert stops[-1] == "settled"
+        assert rep.nuclear_norm == pytest.approx(nuclear, abs=3.0 * _RESIDUAL_BAND * radius + 1e-8)
+
+    @pytest.mark.parametrize("radius", [1e-2, 1e-4, 1e-8])
+    @pytest.mark.parametrize("max_iters", [400, 1000, 2500, 20000])
+    def test_converged_only_inside_the_band(self, radius, max_iters):
+        # converged means a stage was accepted, whatever the budget cut short
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        Q = project(gt.matrix, mask)
+        params = ProxParams(max_iters=max_iters)
+        rep = solve_quantized_mc(Q, mask, radius, params)
+        inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
+        assert inside or not rep.converged
+
+    def test_feasible_fallback_below_the_band_is_not_converged(self, monkeypatch):
+        # Two stages at radius 0.1, each solved to relative change without a
+        # band: the second lands feasible below the band and is returned as
+        # the best feasible stage, but no stage was accepted.
+        stops = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def unbanded(q, mask, mu, x0, params, cap, band=None):
+            out = fista_ball(q, mask, mu, x0, params, cap)
+            stops.append(out[2])
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", unbanded)
+        monkeypatch.setattr(quantmc.solvers, "_MAX_STAGES", 2)
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        Q = project(gt.matrix, mask)
+        rep = solve_quantized_mc(Q, mask, 0.1, ProxParams())
+        assert stops == ["change", "change"]
+        assert rep.data_residual < (1.0 - _RESIDUAL_BAND) * 0.1
+        assert not rep.converged
 
     def test_unreachable_radius_reports_infeasible(self):
         # a radius below what the smallest data-fit weight can reach on a
@@ -667,7 +859,7 @@ class TestPathPredictor:
 
 class TestSolveOneBitMC:
     def test_single_constraint_scalar(self):
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
+        mask = SampleMask((1, 1), [0], [0])
         system = PolyhedronSystem(np.array([[1]]), np.array([[0.5]]), mask)
         rep = solve_one_bit_mc(system, 0.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-12))
         assert abs(rep.matrix[0, 0] - 0.5) <= 1e-6
@@ -680,7 +872,7 @@ class TestSolveOneBitMC:
         assert np.all(rep.matrix == 0.0) and rep.converged
 
     def test_negative_reg_weight_rejected(self):
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
+        mask = SampleMask((1, 1), [0], [0])
         system = PolyhedronSystem(np.array([[1]]), np.array([[0.0]]), mask)
         with pytest.raises(ValueError):
             solve_one_bit_mc(system, -1.0)
@@ -747,7 +939,7 @@ class TestSolveOneBitMC:
 
     def test_infeasible_system_reports_violation(self):
         # contradictory signs around one entry: x >= 1 and x <= -1
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
+        mask = SampleMask((1, 1), [0], [0])
         system = PolyhedronSystem(np.array([[1], [-1]]), np.array([[1.0], [-1.0]]), mask)
         rep = solve_one_bit_mc(system, 0.0, ProxParams(max_iters=2000))
         assert not rep.converged
@@ -755,7 +947,7 @@ class TestSolveOneBitMC:
         assert rep.data_residual > 0.1
 
     def test_empty_system_rejected(self):
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
+        mask = SampleMask((1, 1), [0], [0])
         with pytest.raises(ValueError):
             PolyhedronSystem(np.zeros((0, 1), dtype=int), np.zeros((0, 1)), mask)
 
@@ -903,7 +1095,7 @@ class TestSolveStatisticsOnly:
         assert np.all(rep.matrix == 0.0)
 
     def test_scalar_case_residual_contract(self):
-        mask = SampleMask.from_pairs((1, 1), [(0, 0)])
+        mask = SampleMask((1, 1), [0], [0])
         obs = self._obs(np.array([[0.9]]), mask, 2.0, 32)
         assert obs.signs[0, 0] in (-1, 1)
         params = ProxParams(tol_rel_change=1e-10)
