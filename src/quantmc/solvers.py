@@ -34,24 +34,26 @@ around the singular-value soft-threshold:
   the sign polyhedron, which is a per-entry box on the mask, handled by
   dual accelerated singular value thresholding: FISTA on the 1-smooth dual
   of the strongly convex objective, with a clip onto the box (shrunk by a
-  tiny interior margin) as its proximal step and a duality-gap stop.  The
+  tiny interior margin) as its proximal step.  It stops on the duality gap
+  at its own dual point, which the Fenchel-Young identity gives from the
+  primal that point's soft-threshold already produced (``_box_gap``).  The
   mask leaves the dual's local curvature well below its global bound 1, so
   the step is the short Barzilai-Borwein quotient of the last two steps,
   clipped to [1, 3] (1 = 1/L where the quotient is unusable); the stop is
   a certificate, so the step size moves the answer only within its
   tolerance.
 
-Both start from the zero matrix and are fully deterministic.  The
-soft-threshold, ``_svd_soft``, comes from the eigendecomposition of the
-smaller Gram matrix (numpy ``eigh``), keeping the eigenpairs above
-theta^2; a full SVD (LAPACK gesdd) remains only for theta below
-1e-4 * sigma_1, the precision floor of the squared matrix (found without
-``eigh`` when the Gram trace already proves it), and for a Gram matrix that
-overflows or underflows.  The one-bit dual value needs the shrunk singular
-values alone and takes them from ``eigvalsh`` (``_svd_soft_values``).  A
-proximal step costs that decomposition and little else: the loops index
-the mask by a flat index computed once, take norms as dot products and
-write their temporaries into reused scratch arrays.
+Both start from the zero matrix and are fully deterministic, and both clip
+their spectral step with ``_clipped_step``.  The soft-threshold,
+``_svd_soft``, is the one matrix decomposition either solver takes per step:
+it comes from the eigendecomposition of the smaller Gram matrix (numpy
+``eigh``), keeping the eigenpairs above theta^2; a full SVD (LAPACK gesdd)
+remains only for theta below 1e-4 * sigma_1, the precision floor of the
+squared matrix (found without ``eigh`` when the Gram trace already proves
+it), and for a Gram matrix that overflows or underflows.  A proximal step
+costs that decomposition and little else: the loops index the mask by a
+flat index computed once, take norms as dot products and write their
+temporaries into reused scratch arrays.
 """
 
 from __future__ import annotations
@@ -161,10 +163,10 @@ class SolverReport:
 
     ``data_residual`` is the ball residual ||P_mask(X) - Q||_F for the
     quantized problem and the constraint violation for the one-bit problem.
-    ``stage_objectives`` holds one stage for the one-bit solver, its
-    per-iteration primal objective; for the ball solver, one length-1 array
-    per mu stage holding that stage's final penalized objective
-    ||X||_* + ||P(X) - Q||_F^2 / (2 mu), empty when the zero matrix is
+    ``stage_objectives`` holds one float per stage, so its length is the
+    stage count: for the ball solver, each mu stage's final penalized
+    objective ||X||_* + ||P(X) - Q||_F^2 / (2 mu); for the one-bit solver,
+    its one stage's final objective.  It is empty when the zero matrix is
     returned without a solve.
     """
 
@@ -177,27 +179,10 @@ class SolverReport:
     stage_objectives: tuple = ()
 
 
-def _gram(Z: np.ndarray, theta: float):
-    """(A, A^T A) with A = Z, or Z^T when Z is wide; the Gram matrix is None
-    when its trace rules the Gram path out at theta.
-
-    The trace must stay clear of overflow and of the subnormal range, and
-    sigma_1^2 >= trace / k, the mean of the k = A.shape[1] eigenvalues, so a
-    theta below _GRAM_FLOOR * sqrt(trace / k) is below the floor whatever
-    sigma_1 is.
-    """
-    A = Z.T if Z.shape[0] < Z.shape[1] else Z
-    gram = A.T @ A
-    trace = gram.trace()
-    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
-        return A, gram
-    return A, None
-
-
-def _gesdd(Z: np.ndarray, compute_uv: bool = True):
+def _gesdd(Z: np.ndarray):
     """Thin LAPACK gesdd SVD of Z, with the matrix described when it fails."""
     try:
-        return np.linalg.svd(Z, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(Z, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on {Z.shape} matrix (fro={np.linalg.norm(Z):.3e}, "
@@ -216,12 +201,15 @@ def _svd_soft(Z: np.ndarray, theta: float):
     eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1 (where
     that reaches about 1e-12 * sigma_1), and when the trace of A^T A
     overflows or comes too near the subnormal range, a full SVD (LAPACK
-    gesdd) is taken instead; its sv has one entry per singular value.  A
-    theta that the trace alone puts below the floor goes to gesdd without an
-    ``eigh`` (see ``_gram``).
+    gesdd) is taken instead; its sv has one entry per singular value.
+    sigma_1^2 is at least the trace over the k = A.shape[1] eigenvalues, so
+    a theta that the trace alone puts below the floor goes to gesdd without
+    an ``eigh``.
     """
-    A, gram = _gram(Z, theta)
-    if gram is not None:
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    gram = A.T @ A
+    trace = gram.trace()
+    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
         lam, V = np.linalg.eigh(gram)
         if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
             k = lam.searchsorted(theta * theta, side="right")
@@ -232,21 +220,6 @@ def _svd_soft(Z: np.ndarray, theta: float):
     u, s, vt = _gesdd(Z)
     s_shrunk = np.maximum(s - theta, 0.0)
     return (u * s_shrunk) @ vt, s_shrunk
-
-
-def _svd_soft_values(Z: np.ndarray, theta: float) -> np.ndarray:
-    """The sv of ``_svd_soft(Z, theta)`` alone, for a caller that needs no matrix.
-
-    Takes the same path as ``_svd_soft``: on the Gram path the eigenvalues
-    come from ``eigvalsh``, with no eigenvectors; below the floor, from a
-    values-only gesdd.
-    """
-    _, gram = _gram(Z, theta)
-    if gram is not None:
-        lam = np.linalg.eigvalsh(gram)
-        if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
-            return np.sqrt(lam[lam.searchsorted(theta * theta, side="right"):]) - theta
-    return np.maximum(_gesdd(Z, compute_uv=False) - theta, 0.0)
 
 
 def prox_nuclear(Z, theta: float) -> np.ndarray:
@@ -324,19 +297,29 @@ def _ball_gap(mu, nuc, r, d, q, y_dist, s):
     return gap, math.sqrt(2.0 * mu * max(gap, 0.0))
 
 
-def _ball_step(y_sq, p_sq):
-    """Spectral step of a ball stage, in units of 1/L = mu, from the last step.
+def _box_gap(w, x, box_lo, box_hi):
+    """Duality gap of the one-bit solver at its dual point w, from the step's
+    own primal x = P(X(w)): the Fenchel-Young gap sigma_B(w) - <w, x>.
 
-    y_sq = ||Y - Xn||_F^2 and p_sq = ||P(Y - Xn)||^2 of the stage's previous
-    proximal step; their quotient rho >= 1 measures how far the mask leaves
-    the data term's curvature below its bound 1/mu along that move.  Returns
-    min(_BALL_STEP_MAX, max(1, 0.9 rho)), or 1 where rho is not positive and
-    finite.
+    sigma_B(w) = sum over w > 0 of w box_hi, plus over w < 0 of w box_lo, is
+    the support function of the box B = [box_lo, box_hi]; it is +inf where w
+    meets an unbounded side, and so is the gap.  X = SVT(-P^* w) gives
+    <X, -P^* w> = reg ||X||_* + ||X||_F^2 (Fenchel-Young with equality), so
+    the gap equals the objective at X less the dual value at w.
     """
-    if not (y_sq > 0.0 and p_sq > 0.0):
+    up, down = w > 0.0, w < 0.0
+    return float(w[up] @ (box_hi[up] - x[up]) + w[down] @ (box_lo[down] - x[down]))
+
+
+def _clipped_step(num, den, s_max, scale=1.0):
+    """Spectral step of both solvers, in units of 1/L: the quotient num / den,
+    an inverse local curvature along the last move, times ``scale`` and
+    clipped to [1, s_max]; 1 where the quotient is not positive and finite.
+    """
+    if not (num > 0.0 and den > 0.0):
         return 1.0
-    rho = y_sq / p_sq
-    return min(_BALL_STEP_MAX, max(1.0, 0.9 * rho)) if math.isfinite(rho) else 1.0
+    rho = num / den
+    return min(s_max, max(1.0, scale * rho)) if math.isfinite(rho) else 1.0
 
 
 def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=None):
@@ -344,8 +327,8 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
 
     The smooth part has Lipschitz constant L = 1/mu.  Each step takes
     Z = Y - s P^*(P(Y) - q) and Xn = SVT_{s mu}(Z), a step of s / L: s = 1 on
-    a stage's first step, then ``_ball_step`` of the previous step's
-    ||Y - Xn||^2 / ||P(Y - Xn)||^2, in [1, _BALL_STEP_MAX], with no
+    a stage's first step, then ``_clipped_step`` of 0.9 times the previous
+    step's ||Y - Xn||^2 / ||P(Y - Xn)||^2, in [1, _BALL_STEP_MAX], with no
     backtracking.  FISTA has no convergence proof for steps above 1/L, so
     the stop that lets the search accept a stage is a certificate: given
     ``band = (lo, hi, target)``, ``_ball_gap`` bounds the stage's exact
@@ -394,7 +377,7 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
         rnorm = math.sqrt(r @ r)
         y_dist = _fro(np.subtract(Y, Xn, out=diff))
         p = d - r  # P(Y - Xn)
-        s_next = _ball_step(y_dist * y_dist, p @ p)
+        s_next = _clipped_step(y_dist * y_dist, p @ p, _BALL_STEP_MAX, 0.9)
         rel = _fro(np.subtract(Xn, X, out=diff)) / max(1.0, _fro(X))
         small = rel <= params.tol_rel_change
         if band is None:
@@ -538,7 +521,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         cap = min(inner_cap, params.max_iters - total)
         X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, warm, params, cap, band)
         total += iters
-        stages.append(np.array([nuc + resid * resid / (2.0 * mu)]))
+        stages.append(nuc + resid * resid / (2.0 * mu))
         return X, stop, resid, nuc
 
     def consider(X, ok, resid, nuc):
@@ -599,22 +582,6 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     )
 
 
-def _spectral_step(dw: np.ndarray, dx: np.ndarray) -> float:
-    """Short Barzilai-Borwein step of the one-bit dual, clipped to [1, _STEP_MAX].
-
-    dw is the change of the extrapolated multiplier between two steps and dx
-    that of its masked primal x = P(X(w)); the dual gradient is -x, so the
-    quotient <dw, -dx> / ||dx||^2 measures the inverse local curvature.  A
-    quotient that is not positive and finite gives the 1/L step, 1.
-    """
-    curvature = -float(dw @ dx)
-    sq = float(dx @ dx)
-    if not (curvature > 0.0 and sq > 0.0):
-        return 1.0
-    s = curvature / sq
-    return min(max(s, 1.0), _STEP_MAX) if math.isfinite(s) else 1.0
-
-
 def solve_one_bit_mc(
     system: PolyhedronSystem,
     reg_weight: float,
@@ -631,11 +598,16 @@ def solve_one_bit_mc(
     ``_svd_soft`` per step, and its proximal step is a clip onto the shrunk
     box.  With x = P_mask(X), the step v = w + s x, y = v - s clip(v / s)
     (the prox of s times the box's support function) takes s from
-    ``_spectral_step`` on the changes of w and x since the previous step,
-    and s = 1 on the first step.  The loop stops once X satisfies every sign
+    ``_clipped_step`` of the quotient <dw, -dx> / ||dx||^2 of the changes
+    of w and x since the previous step, clipped to [1, _STEP_MAX], and
+    s = 1 on the first step.  The loop stops once X satisfies every sign
     constraint (lo <= x < hi, the strict side matching the +1 tie rule of
-    ``consistency_report``) and the duality gap against the shrunk box is at
-    most tol_rel_change * max(1, |P(X)|), whatever the steps were.
+    ``consistency_report``) and the duality gap at w against the shrunk
+    box, ``_box_gap`` = sigma_B(w) - <w, x>, is at most
+    tol_rel_change * max(1, |P(X)|), whatever the steps were.  That gap is
+    exactly P(X) - D(w), D the dual objective, so X is within it of the
+    optimum; it is +inf, and the loop goes on, while w puts weight on an
+    unbounded side of the box.
     An empty box (some lo > hi) returns the zero matrix after 0 iterations.
     """
     params = params or ProxParams()
@@ -656,37 +628,27 @@ def solve_one_bit_mc(
     box_lo, box_hi = lo + gamma, hi - gamma
 
     idx = rows * shape[1] + cols  # C-order flat index of the mask
-    W = np.zeros(shape)  # -P^*(y), rewritten on the mask for each y
+    W = np.zeros(shape)  # -P^*(w), rewritten on the mask for each w
     W_flat = W.reshape(-1)
-
-    def adjoint(y):
-        W_flat[idx] = -y
-        return W
-
-    def dual_value(y):
-        # -f*(-P^* y) - support of the shrunk box; f*(Z) = 1/2 ||SVT(Z)||_F^2,
-        # and a zero multiplier costs nothing against an infinite bound
-        sv = _svd_soft_values(adjoint(y), reg_weight)
-        up, down = y > 0, y < 0
-        support = float(y[up] @ box_hi[up] + y[down] @ box_lo[down])
-        return -0.5 * float(sv @ sv) - support
-
-    history = []
     last = None  # (w, x) of the previous step
 
     def step(w, _):
         nonlocal last
-        X, sv = _svd_soft(adjoint(w), reg_weight)
+        W_flat[idx] = -w
+        X, sv = _svd_soft(W, reg_weight)
         x = X.take(idx)
         nuc = float(sv.sum())
         objective = reg_weight * nuc + 0.5 * float(sv @ sv)
-        history.append(objective)
-        s = 1.0 if last is None else _spectral_step(w - last[0], x - last[1])
+        if last is None:
+            s = 1.0
+        else:
+            dx = x - last[1]
+            s = _clipped_step(-float((w - last[0]) @ dx), float(dx @ dx), _STEP_MAX)
         last = (w, x)
         v = w + s * x
         y_next = v - s * (v / s).clip(box_lo, box_hi)
         stop = bool(np.all((lo <= x) & (x < hi))) and (
-            objective - dual_value(y_next) <= params.tol_rel_change * max(1.0, abs(objective))
+            _box_gap(w, x, box_lo, box_hi) <= params.tol_rel_change * max(1.0, abs(objective))
         )
         return y_next, stop, (X, nuc, objective)
 
@@ -699,5 +661,5 @@ def solve_one_bit_mc(
         data_residual=violation_measure(system, X),
         converged=converged,
         nuclear_norm=nuc,
-        stage_objectives=(np.array(history),),
+        stage_objectives=(objective,),
     )

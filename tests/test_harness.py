@@ -234,24 +234,29 @@ class TestRunOneBit:
         # the noisy bound adds the beta budget on top of the sign-only bound
         assert records[0].bound_value > base_records[0].bound_value
 
-    def test_noise_budget_drawn_once_per_config_in_row_blocks(self, monkeypatch):
-        # the 99th percentile of the noise norm is one seeded draw per
-        # (config, m'); row blocks give the norms of the one-shot draw
+    def test_noise_budget_is_the_closed_form_percentile(self):
+        # the 99th percentile of ||N(0, sigma^2 I_k)||: at k = 2 the chi-square
+        # quantile is exactly -2 ln 0.01, and at k = 288 (the stats-only demo
+        # size) a seeded 20 000-draw percentile agrees within its sampling
+        # error, about 0.019 sigma (the norm's density there is 0.038 / sigma)
+        def beta(sigma, m_prime):
+            cfg = ExperimentConfig(
+                scenario="onebit_noisy", n1=24, n2=24, r=1, alpha=1.0, delta=2.0,
+                m_prime=m_prime, noise_sigma=sigma, trials=1, base_seed=7,
+            )
+            return quantmc.harness._resolve_beta(cfg, m_prime)
+
+        assert beta(0.1, 2) == pytest.approx(0.1 * np.sqrt(-2.0 * np.log(0.01)), rel=1e-3)
+        rng = np.random.default_rng(288)
+        draws = np.percentile(np.linalg.norm(rng.normal(0.0, 0.1, size=(20000, 288)), axis=1), 99.0)
+        assert abs(beta(0.1, 288) - draws) <= 3.0 * 0.019 * 0.1
         cfg = ExperimentConfig(
             scenario="onebit_noisy", n1=8, n2=8, r=1, alpha=1.0, delta=2.0,
-            m_prime=40, noise_sigma=0.1, trials=3, base_seed=7, epsilon=0.05,
+            m_prime=40, noise_sigma=0.1, trials=3, base_seed=7, epsilon=0.05, beta=beta(0.1, 40),
         )
-        percentile = quantmc.harness._noise_norm_percentile
-        percentile.cache_clear()
         records, _ = run_experiment(cfg)
-        assert percentile.cache_info().misses == 1 and percentile.cache_info().hits == 2
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0xBE7A,)))
-        one_shot = float(np.percentile(np.linalg.norm(rng.normal(0.0, 0.1, size=(1000, 40)), axis=1), 99.0))
-        assert percentile(7, 0.1, 40) == one_shot
-        monkeypatch.setattr(quantmc.harness, "_DRAW_BLOCK", 7 * 40)
-        percentile.cache_clear()
-        assert percentile(7, 0.1, 40) == one_shot
-        assert {r.bound_value for r in records} == {quantmc.harness._regime_bound(cfg, 40).value}
+        drawn, _ = run_experiment(dataclasses.replace(cfg, beta=None))
+        assert [r.bound_value for r in drawn] == [r.bound_value for r in records]
 
     def test_stats_only_solves_the_surrogate_ball_once(self, monkeypatch):
         # one ball solve per trial, against (delta/2) * signs on the mask, at
@@ -550,6 +555,13 @@ class TestTrivialFlags:
 
 
 class TestEmitReport:
+    def test_header_is_pinned(self, tmp_path):
+        header = (
+            "trial,seed,n1,n2,r,alpha,m,m_prime,delta,K,dither_kind,dither_param,noise_sigma,epsilon,"
+            "err_fro,rel_err,bound_id,bound_value,bound_satisfied,zeta,violation,iterations,converged,wall_time_ms"
+        )
+        assert emit_report([], tmp_path / "h.csv").read_text().splitlines()[0] == header
+
     def test_header_only_for_empty_records(self, tmp_path):
         path = emit_report([], tmp_path / "empty.csv")
         lines = path.read_text().splitlines()
