@@ -375,11 +375,25 @@ def test_bench_workload_search_iterations(solves, workload):
     assert sum(rep.iterations for rep in solves) <= SEARCH_ITERATION_LIMITS[workload]
 
 
-# Most iterations over the first trial of seeds 2-11 (base_seed s * 100000)
-# with the spectral step of the ball stages and the certified acceptance
-# (checked with the certificate in TestBallGapCertificate).  With the unit
-# step, warm starts from the nearest solved mu alone took 406 and 3416 and the
-# path predictor 381 and 3243; the spectral step takes 324 and 2713.
+# Most iterations over the first trial of seeds 2-11 (base_seed s * 100000);
+# warm starts from the nearest solved mu alone took 406 and 3416, the path
+# predictor 381 and 3243.
+PREDICTOR_ITERATION_LIMITS = {"large_n": 395, "rate_sweep": 3330}
+
+
+@pytest.mark.parametrize("workload", sorted(PREDICTOR_ITERATION_LIMITS))
+def test_bench_workload_predictor_iterations(solves, workload):
+    for seed in range(2, 12):
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
+        quantmc.harness.run_experiment(cfg)
+    assert len(solves) >= 10 and all(rep.converged for rep in solves)
+    assert sum(rep.iterations for rep in solves) <= PREDICTOR_ITERATION_LIMITS[workload]
+
+
+# Most iterations over the same trials with the spectral step of the ball
+# stages and the certified acceptance (checked with the certificate in
+# TestBallGapCertificate); the unit step took 381 and 3243, the spectral
+# step 324 and 2713.
 SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 335, "rate_sweep": 2790}
 
 
