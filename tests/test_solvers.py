@@ -27,6 +27,7 @@ from quantmc.solvers import (
     _RESIDUAL_BAND,
     _STALL_GAP,
     _STEP_MAX,
+    _STEP_SAFETY,
     ProxParams,
     _ball_gap,
     _box_gap,
@@ -393,8 +394,9 @@ def test_bench_workload_predictor_iterations(solves, workload):
 # Most iterations over the same trials with the spectral step of the ball
 # stages and the certified acceptance (checked with the certificate in
 # TestBallGapCertificate); the unit step took 381 and 3243, the spectral
-# step 324 and 2713.
-SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 335, "rate_sweep": 2790}
+# step at 0.9 of the quotient 324 and 2713, and at 0.7 of it, with the
+# in-band stop on the step's fixed-point residual, 287 and 2463.
+SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 300, "rate_sweep": 2550}
 
 
 class TestBallGapCertificate:
@@ -511,6 +513,44 @@ class TestBallGapCertificate:
             assert lo <= rnorm - e and rnorm + e <= hi
         assert sum(rep.iterations for rep in solves) <= SPECTRAL_BALL_ITERATION_LIMITS[workload]
 
+    @pytest.mark.parametrize("workload", ["large_n", "rate_sweep"])
+    def test_in_band_stops_are_fixed_points_of_the_step(self, monkeypatch, gaps, solves, workload):
+        # inside the band a stage stops on its step's fixed-point residual
+        # ||Y - Xn|| / (s max(1, ||Y||)), which falls below tol while the
+        # momentum still moves the iterate by more
+        steps, stages = [], []  # (Y, X, Xn) of every step; (out, band, last step, last gap) per stage
+        fista, fista_ball = quantmc.solvers._fista, quantmc.solvers._fista_ball
+
+        def recording_fista(step, z0, cap):
+            def recorded(w, z):
+                out = step(w, z)
+                steps.append((w, z, out[0]))
+                return out
+
+            return fista(recorded, z0, cap)
+
+        def recording_ball(*args):
+            out = fista_ball(*args)
+            stages.append((out, args[6], steps[-1], gaps[-1] if gaps else None))
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista", recording_fista)
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording_ball)
+        tol = BENCH_CONFIGS[workload]["tol_rel_change"]
+        for seed in range(1, 4):
+            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
+            quantmc.harness.run_experiment(cfg)
+        assert len(solves) >= 3 and all(rep.converged for rep in solves)
+        accepted = [st for st in stages if any(st[0][0] is rep.matrix for rep in solves)]
+        assert len(accepted) == len(solves)
+        moving = 0
+        for (X, _, stop, resid, _), (lo, hi, _), (Y, X_prev, Xn), (_, rnorm, *_, s) in accepted:
+            assert stop == "change" and lo <= resid <= hi and Xn is X and rnorm == resid
+            assert np.linalg.norm(Y - Xn) <= tol * s * max(1.0, np.linalg.norm(Y))
+            moving += np.linalg.norm(Xn - X_prev) > tol * max(1.0, np.linalg.norm(X_prev))
+        # the iterate's change alone would have kept some of these stages going
+        assert moving > 0
+
     def test_a_stalled_small_mu_stage_is_not_accepted(self, gaps):
         # The inputs of test_budget_exhaustion_reports_not_converged.  From
         # zero, a stage at mu = 8.3e-9 moves X by about mu per step, so its
@@ -536,11 +576,15 @@ class TestBallGapCertificate:
 
 
 class TestClippedStep:
-    """``_clipped_step``, the spectral step of both solvers, as each calls it."""
+    """``_clipped_step``, the spectral step of both solvers: _STEP_SAFETY times
+    the quotient, clipped to [1, s_max]."""
 
-    # (num, den, s_max, scale, step): a ball stage passes rho = ||Y - Xn||^2 /
-    # ||P(Y - Xn)||^2 >= 1 with scale 0.9 and s_max 2; the one-bit dual passes
-    # the short Barzilai-Borwein quotient <dw, -dx> / ||dx||^2 with s_max 3
+    # (num, den, s_max, safety, step): a ball stage passes rho = ||Y - Xn||^2 /
+    # ||P(Y - Xn)||^2 >= 1 with s_max 2; the one-bit dual passes the short
+    # Barzilai-Borwein quotient <dw, -dx> / ||dx||^2 with s_max 3.  The
+    # factor is the module's _STEP_SAFETY, set here to each value listed:
+    # the factors the two steps once took (0.9 and 1.0) and the one they
+    # share now.
     CLIPPED = [
         (1.0, 1.0, _BALL_STEP_MAX, 0.9, 1.0),
         (1.5, 1.0, _BALL_STEP_MAX, 0.9, 1.35),
@@ -550,6 +594,12 @@ class TestClippedStep:
         (1.25, 1.0, _STEP_MAX, 1.0, 1.25),
         (10.0, 1.0, _STEP_MAX, 1.0, _STEP_MAX),
         (0.5, 1.0, _STEP_MAX, 1.0, 1.0),
+        (1.25, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, 1.0),
+        (2.0, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, 1.4),
+        (4.0, 2.0, _STEP_MAX, _STEP_SAFETY, 1.4),
+        (4.0, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, _BALL_STEP_MAX),
+        (4.0, 1.0, _STEP_MAX, _STEP_SAFETY, 2.8),
+        (5.0, 1.0, _STEP_MAX, _STEP_SAFETY, _STEP_MAX),
     ]
     # quotients that are not positive and finite give the 1/L step
     UNIT = [
@@ -558,12 +608,18 @@ class TestClippedStep:
     ]
 
     @pytest.mark.parametrize(
-        "num, den, s_max, scale, expected",
-        CLIPPED + [(num, den, s_max, scale, 1.0) for num, den in UNIT for s_max, scale in ((2.0, 0.9), (3.0, 1.0))],
+        "num, den, s_max, safety, expected",
+        CLIPPED
+        + [
+            (num, den, s_max, safety, 1.0)
+            for num, den in UNIT
+            for s_max, safety in ((2.0, 0.9), (3.0, 1.0), (2.0, _STEP_SAFETY), (3.0, _STEP_SAFETY))
+        ],
     )
-    def test_clipped_quotient(self, num, den, s_max, scale, expected):
-        assert _STEP_MAX == 3.0 and _BALL_STEP_MAX == 2.0
-        assert _clipped_step(num, den, s_max, scale) == pytest.approx(expected, rel=1e-15)
+    def test_clipped_quotient(self, monkeypatch, num, den, s_max, safety, expected):
+        assert _STEP_MAX == 3.0 and _BALL_STEP_MAX == 2.0 and _STEP_SAFETY == 0.7
+        monkeypatch.setattr(quantmc.solvers, "_STEP_SAFETY", safety)
+        assert _clipped_step(num, den, s_max) == pytest.approx(expected, rel=1e-15)
 
 
 class TestBallStep:
@@ -582,10 +638,11 @@ class TestBallStep:
             thetas.append(theta)
             return svd_soft(Z, theta)
 
-        def step(y_sq, p_sq, s_max, scale=1.0):
-            assert (s_max, scale) == (_BALL_STEP_MAX, 0.9)
+        def step(y_sq, p_sq, s_max):
+            assert s_max == _BALL_STEP_MAX
             assert y_sq >= p_sq * (1.0 - 1e-12)
-            quotients.append(_clipped_step(y_sq, p_sq, s_max, scale))
+            quotients.append(_clipped_step(y_sq, p_sq, s_max))
+            assert quotients[-1] == min(s_max, max(1.0, _STEP_SAFETY * (y_sq / p_sq)))
             return quotients[-1]
 
         monkeypatch.setattr(quantmc.solvers, "_svd_soft", soft)
@@ -973,6 +1030,45 @@ class TestSolveOneBitMC:
         assert _box_gap(-one, one, np.array([-math.inf]), one) == math.inf
         assert _box_gap(0.0 * one, one, np.array([-math.inf]), np.array([math.inf])) == 0.0
 
+    def test_stop_certifies_against_the_sign_box(self, monkeypatch):
+        # The stop bounds the gap against the shrunk box; X is feasible for
+        # the sign box [lo, hi] itself, and the Fenchel-Young gap against it,
+        # sigma_[lo, hi](w) - <w, x>, is the shrunk-box gap plus
+        # sum_k gamma_k |w_k|.  Weak duality puts OPT_box between
+        # D_box(w) = P(X) - that gap and P(X), so P(X) - OPT_box <=
+        # tol * max(1, |P(X)|) + sum_k gamma_k |w_k|.
+        gaps = []
+        box_gap = quantmc.solvers._box_gap
+
+        def recording(w, x, box_lo, box_hi):
+            gaps.append((w.copy(), x.copy(), box_gap(w, x, box_lo, box_hi)))
+            return gaps[-1][2]
+
+        solves = []
+        solve = quantmc.solvers.solve_one_bit_mc
+
+        def recording_solve(system, reg_weight, params=None):
+            solves.append((system, solve(system, reg_weight, params)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(quantmc.solvers, "_box_gap", recording)
+        monkeypatch.setattr(quantmc.harness, "solve_one_bit_mc", recording_solve)
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS["onebit_known"])
+        quantmc.harness.run_experiment(cfg)
+        [(system, rep)] = solves
+        assert rep.converged and rep.data_residual == 0.0
+        lo, hi = feasible_intervals(system)
+        gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+        w, x, shrunk_gap = gaps[-1]
+        assert np.all((lo <= x) & (x < hi))
+        up, down = w > 0.0, w < 0.0
+        sign_box_gap = float(w[up] @ (hi[up] - x[up]) + w[down] @ (lo[down] - x[down]))
+        margin = float(gamma @ np.abs(w))
+        scale = max(1.0, abs(rep.objective))
+        assert math.isfinite(sign_box_gap) and margin > 0.0
+        assert sign_box_gap == pytest.approx(shrunk_gap + margin, rel=1e-12, abs=1e-12 * scale)
+        assert sign_box_gap <= cfg.tol_rel_change * scale + margin
+
     def test_infeasible_system_reports_violation(self):
         # contradictory signs around one entry: x >= 1 and x <= -1
         mask = SampleMask((1, 1), [0], [0])
@@ -990,8 +1086,8 @@ class TestSolveOneBitMC:
 
 # Most iterations the one-bit solver may take over the first trial of seeds
 # 2-11 (base_seed s * 100000) of the onebit_known workload; the unit step took
-# 869, the spectral step 641.
-SPECTRAL_ITERATION_LIMIT = 660
+# 869, the spectral step at the full quotient 641 and at 0.7 of it 599.
+SPECTRAL_ITERATION_LIMIT = 620
 
 
 def test_bench_workload_spectral_iterations(solves):
@@ -1042,9 +1138,11 @@ class TestSpectralStep:
     def test_every_step_in_range_on_the_bench_workload(self, monkeypatch, solves):
         steps = []  # (curvature <dw, -dx>, step)
 
-        def recording(curvature, sq, s_max, scale=1.0):
-            assert (s_max, scale) == (_STEP_MAX, 1.0)
-            steps.append((curvature, _clipped_step(curvature, sq, s_max, scale)))
+        def recording(curvature, sq, s_max):
+            assert s_max == _STEP_MAX
+            steps.append((curvature, _clipped_step(curvature, sq, s_max)))
+            if curvature > 0.0:
+                assert steps[-1][1] == min(s_max, max(1.0, _STEP_SAFETY * (curvature / sq)))
             return steps[-1][1]
 
         monkeypatch.setattr(quantmc.solvers, "_clipped_step", recording)
