@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``run <config>``: execute a scenario config, write the CSV report.
-* ``rate <config>``: execute a sample-count sweep and print the fitted
-  log-log decay slope of the median recovery error.
+* ``run <config>``: execute a scenario config, write the CSV report and
+  print its summary (for a ``rate_sweep`` config, the fitted log-log decay
+  slope of the median recovery error and its half-width).
 * ``bounds``: evaluate one closed-form bound for explicit parameters and
-  optionally append it as a CSV row.
+  optionally append it as a CSV row to a file with the same header.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bnd
-from .harness import emit_report, fit_rate, load_config, run_experiment
+from .harness import emit_report, load_config, run_experiment
 
 
 def _apply_overrides(cfg, args):
@@ -46,20 +46,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_rate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.scenario != "rate_sweep":
-        cfg = dataclasses.replace(cfg, scenario="rate_sweep")
-    records, summary = run_experiment(cfg)
-    out = cfg.out or (Path(args.config).stem + "_rate.csv")
-    emit_report(records, out)
-    fit = fit_rate(records)
-    _print_summary(summary)
-    print(f"slope = {fit.slope} +- {fit.half_width} over m_prime = {list(fit.m_primes)}")
-    print(f"report written to {out}")
-    return 0
-
-
 # The bounds subcommand takes one flag per BoundInputs field and writes one
 # CSV column per field, in field order.
 _BOUND_FIELDS = dataclasses.fields(bnd.BoundInputs)
@@ -81,10 +67,13 @@ def _cmd_bounds(args) -> int:
             value.value, value.failure_probability_exponent, ";".join(value.flags),
         )
         row = ",".join(str(v) for v in cells)
-        if path.exists():
-            path.write_text(path.read_text() + row + "\n")
-        else:
-            path.write_text(_BOUND_CSV_HEADER + "\n" + row + "\n")
+        if not path.exists():
+            path.write_text(_BOUND_CSV_HEADER + "\n")
+        elif path.read_text().partition("\n")[0] != _BOUND_CSV_HEADER:
+            print(f"error: {path} has another header than {_BOUND_CSV_HEADER!r}; nothing appended", file=sys.stderr)
+            return 1
+        with path.open("a") as fh:
+            fh.write(row + "\n")
         print(f"row appended to {path}")
     return 0
 
@@ -102,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--out", default=None, help="override report path")
     p_run.set_defaults(fn=_cmd_run)
-
-    p_rate = sub.add_parser("rate", help="run a sample-count sweep and fit the error decay slope")
-    p_rate.add_argument("config")
-    p_rate.add_argument("--trials", type=int, default=None)
-    p_rate.add_argument("--seed", type=int, default=None)
-    p_rate.add_argument("--out", default=None)
-    p_rate.set_defaults(fn=_cmd_rate)
 
     p_b = sub.add_parser("bounds", help="evaluate one closed-form recovery bound")
     p_b.add_argument("--formula", choices=sorted(bnd.BOUND_FORMULAS), required=True)

@@ -76,10 +76,6 @@ class GroundTruth:
     max_norm: float
     seed: int
 
-    @property
-    def dims(self) -> Dims:
-        return Dims(*self.matrix.shape)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SampleMask:
@@ -121,14 +117,6 @@ class SampleMask:
     @property
     def m_prime(self) -> int:
         return int(self.rows.size)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Column-major flat indices, in canonical (sorted) order."""
-        return self.rows + self.cols * self.dims.n1
-
-    def pairs(self):
-        return list(zip(self.rows.tolist(), self.cols.tolist()))
 
 
 def as_matrix(x) -> np.ndarray:

@@ -82,8 +82,6 @@ class ExperimentConfig:
     m_prime: int | None = None
     sample_fraction: float | None = None
     noise_sigma: float = 0.0
-    sigma1: float | None = None
-    sigma2: float | None = None
     trials: int = 1
     base_seed: int = 0
     epsilon: float = 0.05
@@ -95,10 +93,6 @@ class ExperimentConfig:
     max_iters: int = 20000
     tol_rel_change: float = 1e-8
     tol_feas: float = 1e-6
-    C: float = 1.0
-    c: float = 1.0
-    D1: float = 1.0
-    C1: float = 1.0
     out: str | None = None
 
     def __post_init__(self):
@@ -218,21 +212,9 @@ def _trial_seeds(base_seed: int, trial: int, count: int):
 
 
 def _bound_inputs(cfg: ExperimentConfig, m_prime: int, **overrides) -> bnd.BoundInputs:
-    base = dict(
-        n1=cfg.n1,
-        n2=cfg.n2,
-        r=cfg.r,
-        alpha=cfg.alpha,
-        epsilon=cfg.epsilon,
-        m=cfg.m,
-        m_prime=m_prime,
-        C=cfg.C,
-        c=cfg.c,
-        D1=cfg.D1,
-        C1=cfg.C1,
+    return bnd.BoundInputs(
+        n1=cfg.n1, n2=cfg.n2, r=cfg.r, alpha=cfg.alpha, epsilon=cfg.epsilon, m=cfg.m, m_prime=m_prime, **overrides
     )
-    base.update(overrides)
-    return bnd.BoundInputs(**base)
 
 
 def _dither_spec(cfg: ExperimentConfig) -> DitherSpec:
@@ -254,10 +236,7 @@ def _regime_bound(cfg: ExperimentConfig, m_prime: int) -> bnd.BoundValue:
     if cfg.scenario == "onebit_stats_only":
         return bnd.bound_statistics_only(_bound_inputs(cfg, m_prime, delta=cfg.delta))
     if cfg.scenario == "onebit_noisy":
-        sigma1 = cfg.noise_sigma if cfg.sigma1 is None else cfg.sigma1
-        sigma2 = cfg.noise_sigma if cfg.sigma2 is None else cfg.sigma2
-        beta = _resolve_beta(cfg, m_prime)
-        return bnd.bound_noisy(_bound_inputs(cfg, m_prime, delta=cfg.delta, beta=beta, sigma1=sigma1, sigma2=sigma2))
+        return bnd.bound_noisy(_bound_inputs(cfg, m_prime, delta=cfg.delta, beta=_resolve_beta(cfg, m_prime)))
     return bnd.bound_quantized(_bound_inputs(cfg, m_prime, delta=cfg.delta, K=cfg.K))
 
 

@@ -91,10 +91,6 @@ class OneBitObservation:
     def m(self) -> int:
         return int(self.signs.shape[0])
 
-    @property
-    def m_prime(self) -> int:
-        return int(self.signs.shape[1])
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PolyhedronSystem:

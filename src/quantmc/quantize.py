@@ -107,14 +107,6 @@ class DitherTensor:
     spec: DitherSpec
     seed: int
 
-    @property
-    def m(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def m_prime(self) -> int:
-        return int(self.values.shape[1])
-
 
 def sign_pm1(z):
     """Sign with the tie broken upward: +1 for z >= 0, -1 for z < 0."""

@@ -1,64 +1,23 @@
 """Nuclear-norm recovery solvers.
 
-Two convex programs share one accelerated proximal loop, ``_fista`` (the
-momentum sequence of Beck-Teboulle's FISTA with the gradient restart of
-O'Donoghue-Candes, which drops the momentum whenever it points uphill),
-around the singular-value soft-threshold:
+Two convex programs share one accelerated proximal loop, ``_fista`` (FISTA
+with the gradient restart), around one singular-value soft-threshold per
+step, ``_svd_soft``.  Each rule is stated once, in the docstring named here:
 
-* ``solve_quantized_mc``: minimize ||X||_* subject to
-  ||P_mask(X) - Q||_F <= radius, handled by accelerated proximal gradient on
-  the penalized form ||X||_* + (1/2 mu) ||P_mask(X) - Q||_F^2 plus secant
-  root-finding on the residual-vs-mu curve, as in SPGL1's Pareto-curve
-  search, until the ball constraint is active (residual within 5% below the
-  radius, never beyond its feasibility slack).  The bracket's upper end,
-  mu = ||Q||_op, comes from the data.  Each stage is warm-started on the
-  line through the last two solved stages, a first-order predictor along
-  the solution path (which is affine in mu while the kept rank is fixed),
-  or from the nearest solved mu where that line would be stretched too
-  far.  The mask leaves the data term's local curvature well below its
-  bound 1/mu, so each proximal step takes the spectral step s / L with
-  s = min(2, max(1, 0.7 rho)), rho = ||Y - Xn||^2 / ||P(Y - Xn)||^2 of the
-  stage's previous step (s = 1 on its first), with no backtracking.  The
-  stage's duality gap bounds its exact residual to within e of the
-  iterate's residual ||r||, and a small-change stop counts only while the
-  gap is a small share of the stage objective, which tells convergence
-  from a small-mu stall.  A search stage stops on the relative change of
-  its iterate or as soon as that bound proves on which side of the band
-  its exact residual lies, as SPGL1 solves its root-finding subproblems
-  inexactly.  Inside the band the change measured is the step's own
-  fixed-point residual ||Y - Xn|| / (s max(1, ||Y||)), the gradient
-  mapping, which FISTA's momentum does not keep large the way it keeps
-  the iterate moving; a stage is accepted once that is small and
-  [||r|| - e, ||r|| + e] lies inside the band, which also gives the step,
-  unproven for FISTA above 1/L, a certified exit.  Where the band is too
-  narrow for the gap to certify (tiny radii), a stage is accepted
-  uncertified after running as many steps again as it took to reach a
-  small change.
-* ``solve_one_bit_mc``: minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over
-  the sign polyhedron, which is a per-entry box on the mask, handled by
-  dual accelerated singular value thresholding: FISTA on the 1-smooth dual
-  of the strongly convex objective, with a clip onto the box (shrunk by a
-  tiny interior margin) as its proximal step.  It stops on the duality gap
-  at its own dual point, which the Fenchel-Young identity gives from the
-  primal that point's soft-threshold already produced (``_box_gap``).  The
-  mask leaves the dual's local curvature well below its global bound 1, so
-  the step is 0.7 times the short Barzilai-Borwein quotient of the last two
-  steps, clipped to [1, 3] (1 = 1/L where the quotient is unusable); the
-  stop is a certificate, so the step size moves the answer only within its
-  tolerance.
+* ``solve_quantized_mc``: minimum nuclear norm inside the ball
+  ||P_mask(X) - Q||_F <= radius, by a secant search on the weight mu of the
+  penalized form.  The search, its bracket and its acceptance window:
+  ``solve_quantized_mc``; a stage's warm start: ``_warm_start``; a stage's
+  spectral step and its stops: ``_fista_ball``, with the duality gap of
+  ``_ball_gap``.
+* ``solve_one_bit_mc``: minimum reg_weight * ||X||_* + 1/2 ||X||_F^2 over
+  the sign polyhedron, a per-entry box, by dual accelerated singular value
+  thresholding.  Its step, its stop and what the stop certifies:
+  ``solve_one_bit_mc``, with the duality gap of ``_box_gap``.
 
-Both start from the zero matrix and are fully deterministic, and both clip
-their spectral step with ``_clipped_step``, which takes the same share,
-_STEP_SAFETY = 0.7, of either quotient.  The soft-threshold,
-``_svd_soft``, is the one matrix decomposition either solver takes per step:
-it comes from the eigendecomposition of the smaller Gram matrix (numpy
-``eigh``), keeping the eigenpairs above theta^2; a full SVD (LAPACK gesdd)
-remains only for theta below 1e-4 * sigma_1, the precision floor of the
-squared matrix (found without ``eigh`` when the Gram trace already proves
-it), and for a Gram matrix that overflows or underflows.  A proximal step
-costs that decomposition and little else: the loops index the mask by a
-flat index computed once, take norms as dot products and write their
-temporaries into reused scratch arrays.
+Both solvers start from the zero matrix, clip their spectral step with
+``_clipped_step``, take their tolerances from ``ProxParams``, and are fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -214,7 +173,8 @@ def _gesdd(Z: np.ndarray):
 def _svd_soft(Z: np.ndarray, theta: float):
     """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
 
-    With A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the
+    It is the one matrix decomposition either solver takes per step.  With
+    A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the
     smaller Gram matrix A^T A with lam > theta^2 give sigma = sqrt(lam) and
     X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds only
     those kept.  Squaring puts an error of about eps * sigma_1^2 into every
@@ -346,7 +306,8 @@ def _clipped_step(num, den, s_max):
 def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=None):
     """Accelerated proximal gradient for ||X||_* + (1/2 mu)||P(X) - Q||_F^2.
 
-    The smooth part has Lipschitz constant L = 1/mu.  Each step takes
+    The smooth part has Lipschitz constant L = 1/mu, and the mask leaves
+    its local curvature well below that bound.  Each step takes
     Z = Y - s P^*(P(Y) - q) and Xn = SVT_{s mu}(Z), a step of s / L: s = 1 on
     a stage's first step, then ``_clipped_step`` of the previous step's
     ||Y - Xn||^2 / ||P(Y - Xn)||^2, in [1, _BALL_STEP_MAX], with no
@@ -377,7 +338,8 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
       tiny radius, whose small-mu stages converge slowly) gets the stage's
       iterate as it is;
     * "gap": ||r|| lies outside [lo, hi] and e proves the exact residual
-      lies on the same side, within _GAP_MARGIN of its distance to target;
+      lies on the same side, within _GAP_MARGIN of its distance to target
+      (as SPGL1 solves its root-finding subproblems inexactly);
     * None: the cap.
 
     Each step reads and writes the mask through one C-order flat index,
@@ -477,7 +439,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     weight mu is moved stage by stage until a converged inner solve lands
     its residual in the acceptance window [0.95 * radius, radius *
     (1 + tol_feas)].  The residual rises with mu, and the search runs on the
-    curve (log mu, log residual):
+    curve (log mu, log residual), as SPGL1 does on its Pareto curve:
 
     * for mu >= ||Q||_op the zero matrix is optimal with residual ||q||, so
       that point is the bracket's upper end and costs no solve; the first
@@ -631,9 +593,10 @@ def solve_one_bit_mc(
     ``_svd_soft`` per step, and its proximal step is a clip onto the shrunk
     box.  With x = P_mask(X), the step v = w + s x, y = v - s clip(v / s)
     (the prox of s times the box's support function) takes s from
-    ``_clipped_step``: _STEP_SAFETY times the quotient <dw, -dx> / ||dx||^2
-    of the changes of w and x since the previous step, clipped to
-    [1, _STEP_MAX], and s = 1 on the first step.  The loop stops once X
+    ``_clipped_step``: _STEP_SAFETY times the short Barzilai-Borwein quotient
+    <dw, -dx> / ||dx||^2 of the changes of w and x since the previous step,
+    clipped to [1, _STEP_MAX], and s = 1 on the first step (the mask leaves
+    the dual's local curvature well below its global bound 1).  The loop stops once X
     satisfies every sign constraint (lo <= x < hi, the strict side matching
     the +1 tie rule of ``consistency_report``) and the duality gap at w
     against the shrunk box, ``_box_gap`` = sigma_B(w) - <w, x>, is at most

@@ -299,6 +299,7 @@ class TestBoundInputsValidation:
             dict(zeta=-1),
             dict(K=0),
             dict(C=0.0),
+            dict(D1=0.0),
         ],
     )
     def test_rejects(self, kw):

@@ -1,4 +1,4 @@
-"""Command-line interface: run, rate, and bounds subcommands."""
+"""Command-line interface: run and bounds subcommands."""
 
 import dataclasses
 
@@ -66,14 +66,18 @@ class TestRunCommand:
 
 
 class TestRateCommand:
+    """A sample-count sweep runs through ``run``; there is no ``rate`` command."""
+
     def test_prints_slope(self, tmp_path, capsys):
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(RATE_CFG)
         out = tmp_path / "rate.csv"
-        assert main(["rate", str(cfg), "--out", str(out)]) == 0
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert "slope = " in stdout
-        assert out.exists()
+        assert "rate_slope = " in stdout and "rate_half_width = " in stdout
+        assert "# rate_slope = " in out.read_text()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["rate", str(cfg)])
 
 
 class TestBoundsCommand:
@@ -103,6 +107,21 @@ class TestBoundsCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("formula_id,")
         assert len(lines) == 3 and lines[1] == lines[2]
+
+    def test_csv_export_refuses_another_header(self, tmp_path, capsys):
+        # a file written while BoundInputs still had the c and C1 constants
+        names = [f.name for f in dataclasses.fields(BoundInputs)]
+        old = names[: names.index("C") + 1] + ["c", "D1", "C1"]
+        out = tmp_path / "bounds.csv"
+        text = "formula_id," + ",".join(old) + ",value,exponent,flags\n" + "uniform," + "1," * 18 + "4.0,0.0,\n"
+        out.write_text(text)
+        args = [
+            "bounds", "--formula", "uniform", "--n1", "10", "--n2", "10",
+            "--r", "1", "--alpha", "1.0", "--epsilon", "0.01", "--out", str(out),
+        ]
+        assert main(args) != 0
+        assert "header" in capsys.readouterr().err
+        assert out.read_text() == text
 
     def test_flagged_output(self, capsys):
         main(

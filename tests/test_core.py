@@ -62,12 +62,13 @@ class TestSampleMask:
     def test_exhaustive_mask(self):
         mask = sample_mask_uniform((3, 3), 9, seed=1)
         assert mask.m_prime == 9
-        assert mask.pairs() == [(i, j) for j in range(3) for i in range(3)]
+        assert mask.rows.tolist() == [0, 1, 2] * 3
+        assert mask.cols.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_single_entry(self):
         mask = sample_mask_uniform((3, 3), 1, seed=5)
-        (i, j) = mask.pairs()[0]
-        assert 0 <= i < 3 and 0 <= j < 3
+        assert mask.m_prime == 1
+        assert 0 <= mask.rows[0] < 3 and 0 <= mask.cols[0] < 3
 
     @pytest.mark.parametrize("m_prime", [0, 10, -1])
     def test_out_of_range(self, m_prime):
@@ -80,8 +81,8 @@ class TestSampleMask:
 
     def test_canonical_column_major_order(self):
         mask = SampleMask((3, 3), [2, 0, 1], [1, 0, 2])
-        assert mask.pairs() == [(0, 0), (2, 1), (1, 2)]
-        assert np.all(np.diff(mask.flat) > 0)
+        assert mask.rows.tolist() == [0, 2, 1]
+        assert mask.cols.tolist() == [0, 1, 2]
 
     def test_deterministic(self):
         a = sample_mask_uniform((20, 20), 100, seed=3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -111,21 +112,20 @@ class TestConfigParsing:
             "scenario": "onebit_noisy", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
             "delta": "2.0", "K": "3", "dither_kind": "gaussian", "dither_param": "0.5",
             "m": "1", "m_prime": "20", "sample_fraction": "0.25", "noise_sigma": "0.1",
-            "sigma1": "0.2", "sigma2": "0.3", "trials": "4", "base_seed": "9",
-            "epsilon": "0.01", "reg_weight": "0.5", "delta_policy": "oracle", "beta": "1.25",
-            "m_prime_grid": "8, 16,32", "perturb_scales": "0, 0.5,2", "max_iters": "300",
-            "tol_rel_change": "1e-7", "tol_feas": "1e-5", "C": "1.1", "c": "0.9",
-            "D1": "2.5", "C1": "3.5", "out": "noisy_report.csv",
+            "trials": "4", "base_seed": "9", "epsilon": "0.01", "reg_weight": "0.5",
+            "delta_policy": "oracle", "beta": "1.25", "m_prime_grid": "8, 16,32",
+            "perturb_scales": "0, 0.5,2", "max_iters": "300", "tol_rel_change": "1e-7",
+            "tol_feas": "1e-5", "out": "noisy_report.csv",
         }
         assert set(mapping) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         cfg = config_from_mapping(mapping)
         expected = ExperimentConfig(
             scenario="onebit_noisy", n1=6, n2=7, r=2, alpha=1.5, delta=2.0, K=3,
             dither_kind="gaussian", dither_param=0.5, m=1, m_prime=20, sample_fraction=0.25,
-            noise_sigma=0.1, sigma1=0.2, sigma2=0.3, trials=4, base_seed=9, epsilon=0.01,
-            reg_weight=0.5, delta_policy="oracle", beta=1.25, m_prime_grid=(8, 16, 32),
+            noise_sigma=0.1, trials=4, base_seed=9, epsilon=0.01, reg_weight=0.5,
+            delta_policy="oracle", beta=1.25, m_prime_grid=(8, 16, 32),
             perturb_scales=(0.0, 0.5, 2.0), max_iters=300, tol_rel_change=1e-7, tol_feas=1e-5,
-            C=1.1, c=0.9, D1=2.5, C1=3.5, out="noisy_report.csv",
+            out="noisy_report.csv",
         )
         assert cfg == expected
         for f in dataclasses.fields(ExperimentConfig):
@@ -133,6 +133,23 @@ class TestConfigParsing:
             assert type(value) is type(getattr(expected, f.name)), f.name
             if isinstance(value, tuple):
                 assert {type(v) for v in value} == {int if f.name == "m_prime_grid" else float}
+        # the failure-exponent constants and noise tail proxies are not settings:
+        # no bound value reads them
+        for key in ("C", "c", "D1", "C1", "sigma1", "sigma2"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                config_from_mapping({**mapping, key: "1.0"})
+
+    def test_readme_config_table_lists_every_field(self):
+        # the first column of README's "Config files" table names the keys in
+        # backticks, several to a cell; they must be the ExperimentConfig fields
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        keys = []
+        for line in table.splitlines():
+            if line.startswith("|"):
+                for span in re.findall(r"`([^`]*)`", line.split("|")[1]):
+                    keys.extend(key.strip() for key in span.split(","))
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
     def test_grid_parsing(self):
         cfg = config_from_mapping(

@@ -22,6 +22,7 @@ from quantmc.onebit import (
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
     _BALL_STEP_MAX,
+    _BRACKET_MARGIN,
     _FEAS_MARGIN,
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
@@ -858,6 +859,67 @@ class TestBallRootFinding:
             assert all(isinstance(stage, float) for stage in rep.stage_objectives)
             assert (1 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1 + params.tol_feas)
         assert solves[0][3].iterations <= 1200
+
+    @staticmethod
+    def _recorded_stages(monkeypatch):
+        """Record (mu, stop, residual) of each stage of the next ball solves."""
+        stages = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(q, mask, mu, x0, params, cap, band=None):
+            out = fista_ball(q, mask, mu, x0, params, cap, band)
+            stages.append((mu, out[2], out[3]))
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        return stages
+
+    def test_floor_stage_ends_the_search(self, monkeypatch):
+        # The inputs of test_budget_exhaustion_reports_not_converged at a radius
+        # no stage reaches: the search steps mu down to _MU_FLOOR and stops
+        # there once a stage at the floor has converged, with budget and stages
+        # to spare, and returns the stage with the smallest residual.
+        stages = self._recorded_stages(monkeypatch)
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        rep = solve_quantized_mc(project(gt.matrix, mask), mask, 1e-11, ProxParams())
+        assert not rep.converged
+        assert len(stages) == len(rep.stage_objectives) < quantmc.solvers._MAX_STAGES
+        assert rep.iterations < ProxParams().max_iters
+        mu, stop, _ = stages[-1]
+        assert mu == pytest.approx(quantmc.solvers._MU_FLOOR, rel=1e-12) and stop == "change"
+        assert all(m > mu for m, *_ in stages[:-1])
+        assert rep.data_residual == min(resid for *_, resid in stages) > 1e-11
+
+    @pytest.mark.parametrize("radius", [1e-1, 1e-2, 1e-4])
+    def test_regula_falsi_when_the_secant_does_not_rise(self, monkeypatch, radius):
+        # With no secant guess the search steps mu down until a stage
+        # undershoots the target; from then on each stage sits where the chord
+        # through the bracket ends, in (log mu, log residual), meets the target
+        # (kept _BRACKET_MARGIN clear of the ends), and the search still lands
+        # a certified stage in the band.
+        stages = self._recorded_stages(monkeypatch)
+        monkeypatch.setattr(quantmc.solvers, "_secant", lambda a, b, y_target: None)
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        Q = project(gt.matrix, mask)
+        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        assert rep.converged
+        assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
+        target = (1.0 - 0.5 * _RESIDUAL_BAND) * radius
+        hi, lo = (math.log(np.linalg.norm(Q, 2)), math.log(np.linalg.norm(Q))), None
+        chord_stages = 0
+        for (mu, _, resid), (mu_next, *_) in zip(stages, stages[1:]):
+            if resid < target:
+                lo = (math.log(mu), math.log(resid))
+            else:
+                hi = (math.log(mu), math.log(resid))
+            if lo is not None:
+                x = lo[0] + (math.log(target) - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
+                margin = _BRACKET_MARGIN * (hi[0] - lo[0])
+                assert math.log(mu_next) == pytest.approx(min(max(x, lo[0] + margin), hi[0] - margin), abs=1e-12)
+                chord_stages += 1
+        assert chord_stages > 0
 
 
 def _point(mu, X):
