@@ -58,6 +58,33 @@ SCENARIOS = (
     "rate_sweep",
 )
 
+_BALL_SCENARIOS = ("quantized", "rate_sweep", "onebit_stats_only", "onebit_noisy")
+_THRESHOLD_SCENARIOS = ("onebit_dithers_known", "inconsistency_sweep")
+_ONE_MASK_SCENARIOS = tuple(s for s in SCENARIOS if s != "rate_sweep")
+_SOLVER_SCENARIOS = tuple(s for s in SCENARIOS if s != "inconsistency_sweep")
+
+# The fields that only some scenarios read, with those scenarios; validate()
+# rejects a value other than the field's default in any other scenario.
+_FIELD_READERS = {
+    "delta": _BALL_SCENARIOS,
+    "K": ("quantized", "rate_sweep"),
+    "dither_kind": ("quantized", "rate_sweep", *_THRESHOLD_SCENARIOS),
+    "dither_param": _THRESHOLD_SCENARIOS,
+    "m": _THRESHOLD_SCENARIOS,
+    "m_prime": _ONE_MASK_SCENARIOS,
+    "sample_fraction": _ONE_MASK_SCENARIOS,
+    "noise_sigma": ("onebit_dithers_known", "onebit_noisy"),
+    "reg_weight": ("onebit_dithers_known",),
+    "delta_policy": _BALL_SCENARIOS,
+    "beta": ("onebit_noisy",),
+    "m_prime_grid": ("rate_sweep",),
+    "perturb_scales": ("inconsistency_sweep",),
+    "max_iters": _SOLVER_SCENARIOS,
+    "tol_rel_change": _SOLVER_SCENARIOS,
+    "tol_feas": _SOLVER_SCENARIOS,
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a scenario needs; unknown combinations fail fast in validate().
@@ -114,25 +141,27 @@ class ExperimentConfig:
             raise ValueError(f"unknown delta_policy {self.delta_policy!r}")
         if self.dither_kind not in ("none", "uniform", "gaussian"):
             raise ValueError(f"unknown dither_kind {self.dither_kind!r}")
-        needs_mask = self.scenario != "rate_sweep"
-        if needs_mask and self.m_prime is None and self.sample_fraction is None:
+        if self.scenario in _ONE_MASK_SCENARIOS and self.m_prime is None and self.sample_fraction is None:
             raise ValueError(f"scenario {self.scenario!r} needs m_prime or sample_fraction")
-        quantizer_scenarios = ("quantized", "onebit_stats_only", "onebit_noisy", "rate_sweep")
-        if self.scenario in quantizer_scenarios and self.delta <= 0:
+        if self.scenario in _BALL_SCENARIOS and self.delta <= 0:
             raise ValueError(f"scenario {self.scenario!r} needs delta > 0")
         if self.scenario in ("quantized", "rate_sweep") and self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.scenario in ("onebit_dithers_known", "inconsistency_sweep"):
+        if self.scenario in _THRESHOLD_SCENARIOS:
             if self.dither_kind == "none" or self.dither_param <= 0:
                 raise ValueError(f"scenario {self.scenario!r} needs a uniform or gaussian dither")
             if self.m < 1:
                 raise ValueError("m must be at least 1")
-        if self.scenario in ("onebit_stats_only", "onebit_noisy") and self.m != 1:
-            raise ValueError("statistics-only scenarios use a single dither sequence (m = 1)")
+        if self.m_prime is not None and self.sample_fraction is not None:
+            raise ValueError("set m_prime or sample_fraction, not both")
+        for field in dataclasses.fields(self):
+            readers = _FIELD_READERS.get(field.name, SCENARIOS)
+            if self.scenario not in readers and getattr(self, field.name) != field.default:
+                raise ValueError(
+                    f"scenario {self.scenario!r} does not read {field.name}; {field.name} must be {field.default!r}"
+                )
         if self.scenario == "onebit_noisy" and self.noise_sigma <= 0:
             raise ValueError("onebit_noisy needs noise_sigma > 0")
-        if self.scenario not in ("onebit_dithers_known", "onebit_noisy") and self.noise_sigma != 0:
-            raise ValueError(f"scenario {self.scenario!r} draws no noise; noise_sigma must be 0")
         if self.scenario == "rate_sweep" and len(set(self.m_prime_grid)) < 4:
             raise ValueError("rate_sweep needs at least 4 distinct m_prime_grid values")
 

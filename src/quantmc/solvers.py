@@ -5,9 +5,11 @@ with the gradient restart), around one singular-value soft-threshold per
 step, ``_svd_soft``.  Each rule is stated once, in the docstring named here:
 
 * ``solve_quantized_mc``: minimum nuclear norm inside the ball
-  ||P_mask(X) - Q||_F <= radius, by a secant search on the weight mu of the
-  penalized form.  The search, its bracket and its acceptance window:
-  ``solve_quantized_mc``; a stage's warm start: ``_warm_start``; a stage's
+  ||P_mask(X) - Q||_F <= radius, by a search on the weight mu of the
+  penalized form that models each stage's residual as Q's own full-mask
+  Pareto curve plus an offset, secant in log mu.  The search, its bracket and
+  its acceptance window: ``solve_quantized_mc``; the model's next mu:
+  ``_model_guess``; a stage's warm start: ``_warm_start``; a stage's
   spectral step and its stops: ``_fista_ball``, with the duality gap of
   ``_ball_gap``.
 * ``solve_one_bit_mc``: minimum reg_weight * ||X||_* + 1/2 ||X||_F^2 over
@@ -40,15 +42,20 @@ __all__ = [
 
 # Acceptable undershoot of the target radius before the ball constraint
 # stops counting as active (the overshoot side is capped by tol_feas, which
-# keeps the feasibility contract hard; the root-finder aims at the middle of
-# the band), and the limits of the root-finding on mu: the smallest weight
-# tried, the most stages per solve, the smallest and largest step down in
-# log mu before the root is bracketed, and the share of the bracket's log
-# width kept clear at each end once it is.  The largest step keeps the warm
-# starts a continuation: a stage cold-started far below the last solved mu
-# moves by about mu per iteration, so its relative-change stop fires at a
-# point whose nuclear norm is far from minimal.
+# keeps the feasibility contract hard), the share of that band below the
+# radius that the root-finder aims at, and the limits of the root-finding on
+# mu: the smallest weight tried, the most stages per solve, the smallest and
+# largest step down in log mu before the root is bracketed, and the share of
+# the bracket's log width kept clear at each end once it is.  The largest
+# step keeps the warm starts a continuation: a stage cold-started far below
+# the last solved mu moves by about mu per iteration, so its relative-change
+# stop fires at a point whose nuclear norm is far from minimal.  The aim is
+# 0.99 * radius, not the middle of the band: the search's stages land where
+# it aims, and on a steep Pareto curve a residual of 0.975 * radius costs
+# accuracy (the 384x384 sign-only checks c15 and c16 went from 0.74 and 0.78
+# to 0.81 and 0.87 median rel_err).
 _RESIDUAL_BAND = 0.05
+_TARGET_DEPTH = 0.2
 _MU_FLOOR = 1e-10
 _MAX_STAGES = 40
 _MIN_LOG_STEP = 0.05
@@ -58,7 +65,7 @@ _TINY_RESIDUAL = 1e-300
 
 # A search stage stops on its duality gap only once the bound e it gives on
 # the stage's exact residual is at most this share of the residual's distance
-# to the target, so the secant steps from accurate points.  On the 128x128
+# to the target, so the search steps from accurate points.  On the 128x128
 # bench workload (first trial of 20 seeds) this share cut the iterations by
 # 36%, a quarter by 27%, and no such condition at all by 24%.
 _GAP_MARGIN = 0.5
@@ -396,18 +403,77 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
     return X, iters, stop, math.sqrt(r @ r), nuc
 
 
-def _secant(a, b, y_target):
-    """log mu where the line through points a and b reaches y_target.
+def _pareto_residual(sigma, mu):
+    """g(mu) = sqrt(sum_i min(sigma_i, mu)^2): the residual ||Q - SVT_mu(Q)||_F
+    of a stage on a full mask, sigma the singular values of Q."""
+    clipped = np.minimum(sigma, mu)
+    return math.sqrt(clipped @ clipped)
 
-    Points are (log mu, log residual, ...); None unless the line rises with
-    mu, as the residual does.
+
+def _model_guess(sigma, y_target, offsets):
+    """log mu where the model log g(mu) + c(log mu) reaches y_target.
+
+    sigma holds the singular values of Q in descending order, g is
+    ``_pareto_residual`` and ``offsets`` the (log mu, c) of the last one or
+    two solved stages, c = log ||r|| - log g(mu) (exactly 0 on a full mask):
+    c(x) is the constant of one, or the line through two.  Where j singular
+    values lie at or above mu, g^2 = T_j + j mu^2 with T_j the sum of the
+    rest's squares, so h(x) = log g(e^x) + c(x) - y_target is convex between
+    the breakpoints log sigma_j, and it is least at a segment's lower end or,
+    where c falls with slope k in (-1, 0), at e^{2x} = -k T_j / (j (1 + k)).
+    A segment holds a root where h rises through 0 when h is at least 0 at
+    its upper end and below 0 at its least point.  The root is in closed
+    form, in log mu, below the smallest positive sigma (T_j = 0) and for a
+    constant c; otherwise it is the limit of Newton steps from the upper
+    end, which fall monotonically onto it.  Of several such roots the
+    one nearest the last stage is taken.  None when there is none below
+    log sigma_1, where g stops rising (always, where k <= -1).
     """
-    if b[0] == a[0]:
+    x_last, c_last = offsets[-1]
+    k = 0.0  # slope of c
+    if len(offsets) == 2 and offsets[0][0] != x_last:
+        k = (c_last - offsets[0][1]) / (x_last - offsets[0][0])
+    if k <= -1.0:
         return None
-    slope = (b[1] - a[1]) / (b[0] - a[0])
-    if not (math.isfinite(slope) and slope > 0):
+    s = sigma[sigma > 0.0]
+    sq = s * s
+    tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)  # T_j, j = 1..len(s)
+    counts = np.arange(1, len(s) + 1)
+    xb = np.log(s)  # breakpoints, descending
+
+    def h(x, j, tail):
+        return 0.5 * np.log(tail + j * np.exp(2.0 * x)) + c_last + k * (x - x_last) - y_target
+
+    # Segment i holds mu in (s[i + 1], s[i]], with counts[i] values at or
+    # above mu; the last one is unbounded below, where h has slope 1 + k > 0.
+    # Values of h within rounding of 0 count as 0, so a target at the top of
+    # the curve, g(sigma_1) = ||sigma||, has its root at log sigma_1.
+    upper = h(xb, counts, tails)
+    upper[np.abs(upper) <= 4.0 * np.finfo(float).eps * (1.0 + abs(y_target))] = 0.0
+    least = np.append(upper[1:], -math.inf)
+    if k < 0.0:
+        with np.errstate(divide="ignore"):
+            x_min = 0.5 * np.log(-k * tails / (counts * (1.0 + k)))
+        inside = (x_min > np.append(xb[1:], -math.inf)) & (x_min < xb)
+        least[inside] = h(x_min[inside], counts[inside], tails[inside])
+    rising = np.flatnonzero((upper >= 0.0) & (least < 0.0))
+    if len(rising) == 0:
         return None
-    return b[0] + (y_target - b[1]) / slope
+    i = rising[np.argmin(np.abs(xb[rising] - x_last))]
+    j, tail, x = counts[i], tails[i], float(xb[i])
+    if tail == 0.0:  # below the smallest positive sigma, g = sqrt(j) mu
+        return (y_target - c_last + k * x_last - 0.5 * math.log(j)) / (1.0 + k)
+    if k == 0.0:
+        t2 = math.exp(2.0 * (y_target - c_last))
+        if t2 > tail:
+            return 0.5 * math.log((t2 - tail) / j)
+    for _ in range(60):
+        e2 = j * math.exp(2.0 * x)
+        step = float(h(x, j, tail)) / (e2 / (tail + e2) + k)
+        if not step > 1e-15 * max(1.0, abs(x)):
+            break
+        x -= step
+    return x
 
 
 def _warm_start(x, hi, lo, last, prev):
@@ -439,17 +505,24 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     weight mu is moved stage by stage until a converged inner solve lands
     its residual in the acceptance window [0.95 * radius, radius *
     (1 + tol_feas)].  The residual rises with mu, and the search runs on the
-    curve (log mu, log residual), as SPGL1 does on its Pareto curve:
+    curve (log mu, log residual), as SPGL1 does on its Pareto curve, in
+    coordinates that Q's own curve straightens.  On a full mask a stage's
+    solution is SVT_mu(Q), so its residual is g(mu) = sqrt(sum_i
+    min(sigma_i, mu)^2), sigma the singular values of Q, taken from the one
+    SVD of Q that also gives ||Q||_op.  Each solved stage gets the offset
+    c = log ||r|| - log g(mu), exactly 0 on a full mask:
 
     * for mu >= ||Q||_op the zero matrix is optimal with residual ||q||, so
       that point is the bracket's upper end and costs no solve; the first
       guess is ||Q||_op * radius / ||q||;
-    * each next guess is the secant through the last two points, aimed at
-      0.975 * radius, the middle of the window;
+    * each next guess is ``_model_guess``: the mu where log g(mu) + c(log mu)
+      meets 0.99 * radius, 0.2 of the window below the radius, with c the
+      offset of the first stage, and then the line through the offsets of
+      the last two;
     * until a stage undershoots that target, mu steps down by a factor
       between e^0.05 and 10 (never below 1e-10); after that each guess is
       clamped into the inner 90% of the bracket, with regula falsi on the
-      bracket ends when the secant does not rise.
+      bracket ends when the model has no root.
 
     Each stage is warm-started by ``_warm_start``: on the line through the
     last two solved stages (the zero matrix at ||Q||_op counts as one),
@@ -499,7 +572,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     feas_limit = radius * (1.0 + params.tol_feas)
     band_lo = (1.0 - _RESIDUAL_BAND) * radius
     band_hi = feas_limit
-    target = (1.0 - 0.5 * _RESIDUAL_BAND) * radius
+    target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
     band = (band_lo, band_hi, target)
     y_target = math.log(target)
     x_floor = math.log(_MU_FLOOR)
@@ -532,18 +605,21 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     # operator-norm ball, the subdifferential of ||.||_* at zero, once
     # mu >= ||Q||_op, so the zero matrix is optimal there and the residual
     # is ||q|| > radius: the bracket's upper end costs no solve.
-    op_norm = float(np.linalg.svd(Qm, compute_uv=False)[0])
-    hi = (math.log(op_norm), math.log(qnorm), np.zeros(Qm.shape))  # residual above target
+    sigma = np.linalg.svd(Qm, compute_uv=False)
+    hi = (math.log(sigma[0]), math.log(qnorm), np.zeros(Qm.shape))  # residual above target
     lo = None  # residual below target, once a stage undershoots
     last, prev = hi, None
+    offsets = []  # (log mu, c) of the last two solved stages
     x = hi[0] + math.log(radius / qnorm)
     while accepted is None and len(stages) < _MAX_STAGES and total < params.max_iters:
         if lo is None:
             x = max(min(x, last[0] - _MIN_LOG_STEP), last[0] - _MAX_LOG_STEP, x_floor)
-        X, stop, resid, nuc = evaluate(math.exp(x), _warm_start(x, hi, lo, last, prev))
+        mu = math.exp(x)
+        X, stop, resid, nuc = evaluate(mu, _warm_start(x, hi, lo, last, prev))
         consider(X, stop in ("change", "settled"), resid, nuc)
         point = (x, math.log(max(resid, _TINY_RESIDUAL)), X)
-        guess = _secant(last, point, y_target)
+        offsets = [*offsets[-1:], (x, point[1] - math.log(_pareto_residual(sigma, mu)))]
+        guess = _model_guess(sigma, y_target, offsets)
         if resid < target:
             lo = point
         else:
@@ -551,7 +627,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         last, prev = point, last
         if lo is None:
             # no undershoot yet: keep stepping down, by the most allowed when
-            # the secant does not rise; a stage at the floor that converged
+            # the model has no root; a stage at the floor that converged
             # or proved its residual above the window ends it
             if x <= x_floor and stop is not None:
                 break

@@ -107,37 +107,99 @@ class TestConfigParsing:
 
     def test_every_field_settable_from_strings(self):
         # one representative value per ExperimentConfig field, each parsed by
-        # the field's annotation
-        mapping = {
-            "scenario": "onebit_noisy", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
-            "delta": "2.0", "K": "3", "dither_kind": "gaussian", "dither_param": "0.5",
-            "m": "1", "m_prime": "20", "sample_fraction": "0.25", "noise_sigma": "0.1",
-            "trials": "4", "base_seed": "9", "epsilon": "0.01", "reg_weight": "0.5",
-            "delta_policy": "oracle", "beta": "1.25", "m_prime_grid": "8, 16,32",
-            "perturb_scales": "0, 0.5,2", "max_iters": "300", "tol_rel_change": "1e-7",
-            "tol_feas": "1e-5", "out": "noisy_report.csv",
-        }
-        assert set(mapping) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-        cfg = config_from_mapping(mapping)
-        expected = ExperimentConfig(
-            scenario="onebit_noisy", n1=6, n2=7, r=2, alpha=1.5, delta=2.0, K=3,
-            dither_kind="gaussian", dither_param=0.5, m=1, m_prime=20, sample_fraction=0.25,
-            noise_sigma=0.1, trials=4, base_seed=9, epsilon=0.01, reg_weight=0.5,
-            delta_policy="oracle", beta=1.25, m_prime_grid=(8, 16, 32),
-            perturb_scales=(0.0, 0.5, 2.0), max_iters=300, tol_rel_change=1e-7, tol_feas=1e-5,
-            out="noisy_report.csv",
-        )
-        assert cfg == expected
-        for f in dataclasses.fields(ExperimentConfig):
-            value = getattr(cfg, f.name)
-            assert type(value) is type(getattr(expected, f.name)), f.name
-            if isinstance(value, tuple):
-                assert {type(v) for v in value} == {int if f.name == "m_prime_grid" else float}
+        # the field's annotation, in configs of scenarios that read them
+        mappings = [
+            {
+                "scenario": "onebit_noisy", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
+                "delta": "2.0", "m": "1", "sample_fraction": "0.25", "noise_sigma": "0.1",
+                "trials": "4", "base_seed": "9", "epsilon": "0.01", "delta_policy": "oracle",
+                "beta": "1.25", "max_iters": "300", "tol_rel_change": "1e-7", "tol_feas": "1e-5",
+                "out": "noisy_report.csv",
+            },
+            {
+                "scenario": "rate_sweep", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
+                "delta": "0.5", "K": "3", "m_prime_grid": "8, 16,32, 40",
+            },
+            {
+                "scenario": "onebit_dithers_known", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
+                "dither_kind": "gaussian", "dither_param": "0.5", "m": "3", "m_prime": "20",
+                "reg_weight": "0.5",
+            },
+            {
+                "scenario": "inconsistency_sweep", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
+                "dither_kind": "uniform", "dither_param": "1.0", "m_prime": "20",
+                "perturb_scales": "0, 0.5,2",
+            },
+        ]
+        expected = [
+            ExperimentConfig(
+                scenario="onebit_noisy", n1=6, n2=7, r=2, alpha=1.5, delta=2.0, m=1,
+                sample_fraction=0.25, noise_sigma=0.1, trials=4, base_seed=9, epsilon=0.01,
+                delta_policy="oracle", beta=1.25, max_iters=300, tol_rel_change=1e-7, tol_feas=1e-5,
+                out="noisy_report.csv",
+            ),
+            ExperimentConfig(
+                scenario="rate_sweep", n1=6, n2=7, r=2, alpha=1.5, delta=0.5, K=3, m_prime_grid=(8, 16, 32, 40)
+            ),
+            ExperimentConfig(
+                scenario="onebit_dithers_known", n1=6, n2=7, r=2, alpha=1.5, dither_kind="gaussian",
+                dither_param=0.5, m=3, m_prime=20, reg_weight=0.5,
+            ),
+            ExperimentConfig(
+                scenario="inconsistency_sweep", n1=6, n2=7, r=2, alpha=1.5, dither_kind="uniform",
+                dither_param=1.0, m_prime=20, perturb_scales=(0.0, 0.5, 2.0),
+            ),
+        ]
+        assert set().union(*mappings) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for mapping, want in zip(mappings, expected):
+            cfg = config_from_mapping(mapping)
+            assert cfg == want
+            for name in mapping:
+                value = getattr(cfg, name)
+                assert type(value) is type(getattr(want, name)), name
+                if isinstance(value, tuple):
+                    assert {type(v) for v in value} == {int if name == "m_prime_grid" else float}
         # the failure-exponent constants and noise tail proxies are not settings:
         # no bound value reads them
         for key in ("C", "c", "D1", "C1", "sigma1", "sigma2"):
             with pytest.raises(ValueError, match="unknown config key"):
-                config_from_mapping({**mapping, key: "1.0"})
+                config_from_mapping({**mappings[0], key: "1.0"})
+
+    # A config of each scenario with the keys it needs, and a value other than
+    # the default for each field that only some scenarios read.
+    SCENARIO_BASES = {
+        **NOISELESS,
+        "onebit_noisy": dict(delta=2.0, m_prime=8, noise_sigma=0.1),
+        "onebit_dithers_known": dict(dither_kind="uniform", dither_param=1.0, m=2, m_prime=8),
+    }
+    UNREAD_VALUES = {
+        "delta": 0.5, "K": 4, "dither_kind": "gaussian", "dither_param": 0.5, "m": 3,
+        "m_prime": 6, "sample_fraction": 0.5, "noise_sigma": 0.2, "reg_weight": 2.0,
+        "delta_policy": "oracle", "beta": 1.0, "m_prime_grid": (4, 6, 8, 10),
+        "perturb_scales": (0.0, 1.0), "max_iters": 100, "tol_rel_change": 1e-6, "tol_feas": 1e-5,
+    }
+
+    @pytest.mark.parametrize("field", sorted(UNREAD_VALUES))
+    def test_field_rejected_where_the_scenario_does_not_read_it(self, field):
+        readers = quantmc.harness._FIELD_READERS[field]
+        assert 0 < len(readers) < len(self.SCENARIO_BASES)
+        for scenario, base in self.SCENARIO_BASES.items():
+            kwargs = dict(scenario=scenario, n1=4, n2=4, r=1, alpha=1.0, **base)
+            if field == "sample_fraction":
+                kwargs.pop("m_prime", None)
+            kwargs[field] = self.UNREAD_VALUES[field]
+            if scenario in readers:
+                assert getattr(ExperimentConfig(**kwargs), field) == self.UNREAD_VALUES[field]
+            else:
+                with pytest.raises(ValueError, match=f"does not read {field}"):
+                    ExperimentConfig(**kwargs)
+
+    def test_every_rule_has_a_case(self):
+        assert set(quantmc.harness._FIELD_READERS) == set(self.UNREAD_VALUES)
+
+    def test_m_prime_and_sample_fraction_are_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentConfig(scenario="quantized", n1=4, n2=4, r=1, alpha=1.0, delta=0.25, m_prime=8, sample_fraction=0.5)
 
     def test_readme_config_table_lists_every_field(self):
         # the first column of README's "Config files" table names the keys in
@@ -150,6 +212,21 @@ class TestConfigParsing:
                 for span in re.findall(r"`([^`]*)`", line.split("|")[1]):
                     keys.extend(key.strip() for key in span.split(","))
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    def test_readme_config_table_names_the_readers(self):
+        # the last column of the same table names the scenarios that read the
+        # row's keys: "all", "all but `x`", or a list of scenarios
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        scenarios = quantmc.harness.SCENARIOS
+        rows = [line.split("|")[1:-1] for line in table.splitlines() if line.startswith("| `")]
+        assert len(rows) > 0
+        for cells in rows:
+            named = set(re.findall(r"`([^`]*)`", cells[-1]))
+            readers = set(scenarios) - named if cells[-1].strip().startswith("all") else named
+            for span in re.findall(r"`([^`]*)`", cells[0]):
+                for key in span.split(","):
+                    assert readers == set(quantmc.harness._FIELD_READERS.get(key.strip(), scenarios)), key
 
     def test_grid_parsing(self):
         cfg = config_from_mapping(

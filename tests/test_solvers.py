@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantmc.harness
 import quantmc.solvers
@@ -29,12 +31,15 @@ from quantmc.solvers import (
     _STALL_GAP,
     _STEP_MAX,
     _STEP_SAFETY,
+    _TARGET_DEPTH,
     ProxParams,
     _ball_gap,
     _box_gap,
     _clipped_step,
     _fista,
     _fista_ball,
+    _model_guess,
+    _pareto_residual,
     _svd_soft,
     _warm_start,
     prox_nuclear,
@@ -396,8 +401,10 @@ def test_bench_workload_predictor_iterations(solves, workload):
 # stages and the certified acceptance (checked with the certificate in
 # TestBallGapCertificate); the unit step took 381 and 3243, the spectral
 # step at 0.9 of the quotient 324 and 2713, and at 0.7 of it, with the
-# in-band stop on the step's fixed-point residual, 287 and 2463.
-SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 300, "rate_sweep": 2550}
+# in-band stop on the step's fixed-point residual, 287 and 2463, and with the
+# mu search on the offset from Q's own Pareto curve, aimed at 0.99 of the
+# radius, 231 and 2096.
+SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 240, "rate_sweep": 2170}
 
 
 class TestBallGapCertificate:
@@ -787,7 +794,7 @@ class TestSolveQuantizedMC:
         assert inside or not rep.converged
 
     def test_feasible_fallback_below_the_band_is_not_converged(self, monkeypatch):
-        # Two stages at radius 0.1, each solved to relative change without a
+        # Two stages at radius 0.5, each solved to relative change without a
         # band: the second lands feasible below the band and is returned as
         # the best feasible stage, but no stage was accepted.
         stops = []
@@ -803,9 +810,9 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt.matrix, mask)
-        rep = solve_quantized_mc(Q, mask, 0.1, ProxParams())
+        rep = solve_quantized_mc(Q, mask, 0.5, ProxParams())
         assert stops == ["change", "change"]
-        assert rep.data_residual < (1.0 - _RESIDUAL_BAND) * 0.1
+        assert rep.data_residual < (1.0 - _RESIDUAL_BAND) * 0.5
         assert not rep.converged
 
     def test_unreachable_radius_reports_infeasible(self):
@@ -893,20 +900,20 @@ class TestBallRootFinding:
 
     @pytest.mark.parametrize("radius", [1e-1, 1e-2, 1e-4])
     def test_regula_falsi_when_the_secant_does_not_rise(self, monkeypatch, radius):
-        # With no secant guess the search steps mu down until a stage
-        # undershoots the target; from then on each stage sits where the chord
-        # through the bracket ends, in (log mu, log residual), meets the target
-        # (kept _BRACKET_MARGIN clear of the ends), and the search still lands
-        # a certified stage in the band.
+        # With a model that has no root the search steps mu down until a
+        # stage undershoots the target; from then on each stage sits where
+        # the chord through the bracket ends, in (log mu, log residual), meets
+        # the target (kept _BRACKET_MARGIN clear of the ends), and the search
+        # still lands a certified stage in the band.
         stages = self._recorded_stages(monkeypatch)
-        monkeypatch.setattr(quantmc.solvers, "_secant", lambda a, b, y_target: None)
+        monkeypatch.setattr(quantmc.solvers, "_model_guess", lambda sigma, y_target, offsets: None)
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt.matrix, mask)
         rep = solve_quantized_mc(Q, mask, radius, ProxParams())
         assert rep.converged
         assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
-        target = (1.0 - 0.5 * _RESIDUAL_BAND) * radius
+        target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
         hi, lo = (math.log(np.linalg.norm(Q, 2)), math.log(np.linalg.norm(Q))), None
         chord_stages = 0
         for (mu, _, resid), (mu_next, *_) in zip(stages, stages[1:]):
@@ -920,6 +927,86 @@ class TestBallRootFinding:
                 assert math.log(mu_next) == pytest.approx(min(max(x, lo[0] + margin), hi[0] - margin), abs=1e-12)
                 chord_stages += 1
         assert chord_stages > 0
+
+
+# Spectra of up to a dozen values, some of them zero, none all zero.
+SPECTRA = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=12).filter(
+    lambda v: max(v) > 0.0
+).map(lambda v: np.sort(np.array(v))[::-1])
+
+
+class TestParetoModel:
+    """``_model_guess``: where Q's own Pareto curve g, shifted by the stages'
+    offsets, meets the target; on a full mask the offsets are 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPECTRA, st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
+    def test_inverts_the_curve(self, sigma, a, b):
+        # with a zero offset the guess is g's inverse, for 0 < t <= ||sigma||,
+        # and it does not fall as t rises
+        norm = math.sqrt(sigma @ sigma)
+        xa, xb = (_model_guess(sigma, math.log(t * norm), [(0.0, 0.0)]) for t in (a, b))
+        assert _pareto_residual(sigma, math.exp(xa)) == pytest.approx(a * norm, rel=1e-12)
+        assert xa <= xb if a <= b else xb <= xa
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPECTRA, st.floats(1e-3, 1.0), st.floats(-3.0, 3.0), st.floats(-0.9, 2.0), st.floats(-0.5, 0.5))
+    def test_root_of_the_offset_line(self, sigma, t, x0, k, c0):
+        # with the offset line c(x) = c0 + k (x - x0) through two stages, a
+        # guess solves log g(e^x) + c(x) = log t below log sigma_1; there is
+        # one wherever the model reaches log t at log sigma_1, since it falls
+        # without bound below sigma_n (slope 1 + k > 0)
+        norm = math.sqrt(sigma @ sigma)
+        y = math.log(t * norm)
+        x = _model_guess(sigma, y, [(x0 - 1.0, c0 - k), (x0, c0)])
+        top = math.log(sigma[0])
+        if math.log(norm) + c0 + k * (top - x0) > y + 1e-9:
+            assert x is not None
+        if x is not None:
+            assert x <= top + 1e-12
+            assert math.log(_pareto_residual(sigma, math.exp(x))) + c0 + k * (x - x0) == pytest.approx(y, abs=1e-10)
+
+    @pytest.mark.parametrize("nearer", ["upper", "lower"])
+    def test_the_rising_root_nearest_the_last_stage(self, nearer):
+        # sigma = (10, 1) and the offset line c(x) = -0.9 (x - log 8): the
+        # model rises below mu = 1, falls to its least at mu = 3 and rises
+        # again, so it meets the target twice on the way up, once inside a
+        # segment whose two ends both lie above the target
+        sigma = np.array([10.0, 1.0])
+        x_last = math.log(8.0) if nearer == "upper" else -1.0
+
+        def c(x):
+            return -0.9 * (x - math.log(8.0))
+
+        x = _model_guess(sigma, 2.07, [(x_last - 1.0, c(x_last - 1.0)), (x_last, c(x_last))])
+        assert math.log(_pareto_residual(sigma, math.exp(x))) + c(x) == pytest.approx(2.07, abs=1e-12)
+        assert math.log(3.0) < x < math.log(10.0) if nearer == "upper" else x < 0.0
+
+    @pytest.mark.parametrize("y", [-460.0, -800.0])
+    def test_far_below_sigma_n_the_root_is_taken_in_log_mu(self, y):
+        # g = sqrt(3) mu below sigma_3 = 1, so the root is linear in log mu,
+        # also where mu^2 underflows: with c = 0, and with c(x) = -x / 2
+        sigma = np.array([3.0, 2.0, 1.0])
+        with np.errstate(all="raise"):
+            flat = _model_guess(sigma, y, [(0.0, 0.0)])
+            sloped = _model_guess(sigma, y, [(-1.0, 0.5), (0.0, 0.0)])
+        assert flat == pytest.approx(y - 0.5 * math.log(3.0), rel=1e-15)
+        assert sloped == pytest.approx(2.0 * (y - 0.5 * math.log(3.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
+    def test_full_mask_is_accepted_on_the_second_stage(self, share):
+        # On a full mask a stage's solution is SVT_mu(Q), so its offset is 0
+        # and the model's second guess lands its stage on the target 0.99R.
+        # A secant on (log mu, log residual) alone took 4, 2 and 3 stages on
+        # these inputs, and returned 0.979-0.980 R.
+        gt = generate_low_rank((30, 30), 3, 1.0, seed=2)
+        mask = sample_mask_uniform((30, 30), 900, seed=102)
+        noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
+        Q = project(gt.matrix + noise, mask)
+        radius = share * float(np.linalg.norm(Q))
+        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        assert rep.converged and len(rep.stage_objectives) == 2
+        assert 0.985 * radius <= rep.data_residual <= radius
 
 
 def _point(mu, X):
