@@ -1,10 +1,12 @@
 """Quantized and one-bit low-rank matrix completion toolkit.
 
-Layers, bottom-up: ``core`` (matrices, masks, ground truth), ``quantize``
-(scalar/dithered/stochastic quantizers), ``onebit`` (sign observations and
-the constraint polyhedron), ``solvers`` (nuclear-norm programs), ``bounds``
-(closed-form recovery guarantees), ``harness`` (seeded Monte Carlo
-experiments and CSV reports).
+Layers, bottom-up: ``core`` (masks and the seeded low-rank matrix),
+``quantize`` (scalar/dithered/stochastic quantizers and dither arrays),
+``onebit`` (sign observations, each its own constraint polyhedron),
+``solvers`` (nuclear-norm programs), ``bounds`` (closed-form recovery
+guarantees), ``harness`` (seeded Monte Carlo experiments and CSV reports).
+Between layers pass the arrays themselves: a matrix, a dither array, an
+observation's signs and thresholds.
 """
 
 from .bounds import (
@@ -22,7 +24,6 @@ from .bounds import (
 )
 from .core import (
     Dims,
-    GroundTruth,
     SampleMask,
     generate_low_rank,
     project,
@@ -32,10 +33,7 @@ from .core import (
 )
 from .harness import ExperimentConfig, TrialRecord, emit_report, fit_rate, load_config, run_experiment
 from .onebit import (
-    ConsistencyReport,
-    NoiseSpec,
     OneBitObservation,
-    PolyhedronSystem,
     UnsupportedModeError,
     build_polyhedron,
     consistency_report,
@@ -48,7 +46,6 @@ from .onebit import (
 )
 from .quantize import (
     DitherSpec,
-    DitherTensor,
     QuantizerSpec,
     dithered_quantize,
     generate_dither_tensor,

@@ -1,4 +1,4 @@
-"""Matrix, mask, and ground-truth primitives shared by the other modules.
+"""Matrix and mask primitives shared by the other modules.
 
 Conventions frozen here and relied on everywhere else:
 
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Dims",
-    "GroundTruth",
     "SampleMask",
     "as_matrix",
     "generate_low_rank",
@@ -60,21 +59,6 @@ def _as_dims(dims) -> Dims:
         return dims
     n1, n2 = dims
     return Dims(n1, n2)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """A generated low-rank test matrix and the parameters that produced it.
-
-    Invariants guaranteed by :func:`generate_low_rank`: numerical rank is at
-    most ``rank_budget`` and ``max(abs(matrix))`` equals ``max_norm`` up to
-    one rounding step.
-    """
-
-    matrix: np.ndarray
-    rank_budget: int
-    max_norm: float
-    seed: int
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -120,8 +104,8 @@ class SampleMask:
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce a GroundTruth or array-like into a finite 2-D float array."""
-    m = np.asarray(getattr(x, "matrix", x), dtype=float)
+    """Coerce an array-like into a finite 2-D float array."""
+    m = np.asarray(x, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -129,8 +113,9 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def generate_low_rank(dims, rank: int, max_norm: float, seed: int) -> GroundTruth:
-    """Random matrix of rank <= ``rank`` whose largest |entry| equals ``max_norm``.
+def generate_low_rank(dims, rank: int, max_norm: float, seed: int) -> np.ndarray:
+    """Read-only random matrix of rank <= ``rank`` whose largest |entry|
+    equals ``max_norm`` up to one rounding step.
 
     Drawn as ``A @ B.T`` with independent standard-normal factors
     A (n1 x rank) and B (n2 x rank), then rescaled by
@@ -154,7 +139,7 @@ def generate_low_rank(dims, rank: int, max_norm: float, seed: int) -> GroundTrut
         attempt += 1  # all-zero product has probability zero; guarded anyway
     matrix = raw * (max_norm / peak)
     matrix.flags.writeable = False
-    return GroundTruth(matrix=matrix, rank_budget=int(rank), max_norm=float(max_norm), seed=int(seed))
+    return matrix
 
 
 def sample_mask_uniform(dims, m_prime: int, seed: int) -> SampleMask:
@@ -164,7 +149,6 @@ def sample_mask_uniform(dims, m_prime: int, seed: int) -> SampleMask:
         raise ValueError(f"m_prime must be in [1, {dims.size}], got {m_prime}")
     rng = np.random.default_rng(int(seed))
     flat = rng.choice(dims.size, size=int(m_prime), replace=False)
-    flat.sort()
     cols, rows = np.divmod(flat, dims.n1)
     return SampleMask(dims, rows, cols)
 

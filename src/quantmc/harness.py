@@ -26,14 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import Dims, generate_low_rank, sample_mask_uniform, select_vector
-from .onebit import (
-    NoiseSpec,
-    build_polyhedron,
-    consistency_report,
-    observe_one_bit,
-    strip_thresholds,
-    surrogate_data,
-)
+from .onebit import build_polyhedron, consistency_report, observe_one_bit, strip_thresholds, surrogate_data
 from .quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from .solvers import ProxParams, solve_one_bit_mc, solve_quantized_mc
 
@@ -130,11 +123,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose one of {SCENARIOS}")
-        Dims(self.n1, self.n2)
+        dims = Dims(self.n1, self.n2)
         if not 1 <= self.r <= min(self.n1, self.n2):
             raise ValueError(f"r must be in [1, {min(self.n1, self.n2)}]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # alpha > 0, epsilon >= 0 and beta >= 0 are the bounds' own checks,
+        # and the tolerances the solvers'.
+        bnd.BoundInputs(self.n1, self.n2, self.r, self.alpha, epsilon=self.epsilon, beta=self.beta or 0.0)
+        self.prox_params()
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.delta_policy not in ("auto", "theorem", "oracle"):
@@ -145,8 +140,8 @@ class ExperimentConfig:
             raise ValueError(f"scenario {self.scenario!r} needs m_prime or sample_fraction")
         if self.scenario in _BALL_SCENARIOS and self.delta <= 0:
             raise ValueError(f"scenario {self.scenario!r} needs delta > 0")
-        if self.scenario in ("quantized", "rate_sweep") and self.K < 1:
-            raise ValueError("K must be at least 1")
+        if self.scenario in ("quantized", "rate_sweep"):
+            QuantizerSpec(self.delta, self.K)
         if self.scenario in _THRESHOLD_SCENARIOS:
             if self.dither_kind == "none" or self.dither_param <= 0:
                 raise ValueError(f"scenario {self.scenario!r} needs a uniform or gaussian dither")
@@ -154,9 +149,23 @@ class ExperimentConfig:
                 raise ValueError("m must be at least 1")
         if self.m_prime is not None and self.sample_fraction is not None:
             raise ValueError("set m_prime or sample_fraction, not both")
+        if self.sample_fraction is not None and not 0 < self.sample_fraction <= 1:
+            raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
+        # every m' a trial draws must lie in the range sample_mask_uniform accepts
+        for m_prime in self.m_prime_grid if self.scenario == "rate_sweep" else (self.resolved_m_prime(),):
+            if not 1 <= m_prime <= dims.size:
+                raise ValueError(f"m_prime must be in [1, {dims.size}], got {m_prime}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.reg_weight < 0:
+            raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
         for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
             readers = _FIELD_READERS.get(field.name, SCENARIOS)
-            if self.scenario not in readers and getattr(self, field.name) != field.default:
+            if self.scenario not in readers and value != field.default:
                 raise ValueError(
                     f"scenario {self.scenario!r} does not read {field.name}; {field.name} must be {field.default!r}"
                 )
@@ -172,7 +181,7 @@ class ExperimentConfig:
     def resolved_m_prime(self) -> int:
         if self.m_prime is not None:
             return int(self.m_prime)
-        return max(1, round(self.sample_fraction * self.n1 * self.n2))
+        return round(self.sample_fraction * self.n1 * self.n2)
 
     def prox_params(self) -> ProxParams:
         return ProxParams(
@@ -310,7 +319,7 @@ def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
     if cfg.effective_delta_policy() == "theorem":
         radius = float(np.sqrt(mask.m_prime * (cfg.epsilon + q_max_sq)))
     else:
-        residual = select_vector(gt.matrix, mask) - Q[mask.rows, mask.cols]
+        residual = select_vector(gt, mask) - Q[mask.rows, mask.cols]
         radius = max(float(np.linalg.norm(residual)), 1e-12)
     return solve_quantized_mc(Q, mask, radius, cfg.prox_params())
 
@@ -344,24 +353,23 @@ def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
     gt = generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt)
     mask = sample_mask_uniform(cfg.dims, m_prime, s_mask)
     dither = _dither_spec(cfg)
-    ref = float(np.linalg.norm(gt.matrix))
+    ref = float(np.linalg.norm(gt))
     if cfg.scenario in ("quantized", "rate_sweep"):
         spec = QuantizerSpec(cfg.delta, cfg.K)
         t0 = time.perf_counter()
-        Q = quantize_matrix(gt.matrix, mask, spec, dither, s_dither)
+        Q = quantize_matrix(gt, mask, spec, dither, s_dither)
         report = _solve_ball(cfg, gt, mask, Q, (cfg.K * cfg.delta / 2.0) ** 2)
     else:
         thresholds = generate_dither_tensor(dither, cfg.m, m_prime, s_dither)
-        noise = NoiseSpec.gaussian(cfg.noise_sigma) if cfg.noise_sigma > 0 else NoiseSpec.none()
         t0 = time.perf_counter()
-        obs = observe_one_bit(gt.matrix, mask, thresholds, noise, s_noise)
+        obs = observe_one_bit(gt, mask, thresholds, cfg.noise_sigma, s_noise)
         if cfg.scenario == "inconsistency_sweep":
             direction = np.random.default_rng(s_noise).standard_normal((cfg.n1, cfg.n2))
             records = []
             for idx, scale in enumerate(cfg.perturb_scales):
-                x_bar = gt.matrix + scale * cfg.alpha * direction
-                zeta = consistency_report(x_bar, obs, gt.matrix).zeta
-                err = float(np.linalg.norm(gt.matrix - x_bar))
+                x_bar = gt + scale * cfg.alpha * direction
+                zeta = consistency_report(x_bar, obs, gt)
+                err = float(np.linalg.norm(gt - x_bar))
                 bound = bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=dither.variance, zeta=zeta))
                 group = f"scale:{idx:03d}"
                 records.append(_record(cfg, trial, m_prime, err, ref, bound, None, zeta=zeta, group=group))
@@ -372,11 +380,11 @@ def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
             obs = strip_thresholds(obs)
             report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)
     wall_ms = 1e3 * (time.perf_counter() - t0)
-    err = float(np.linalg.norm(gt.matrix - report.matrix))
+    err = float(np.linalg.norm(gt - report.matrix))
     bounds = [_regime_bound(cfg, m_prime)]
     zeta = None
     if cfg.scenario == "onebit_dithers_known":
-        zeta = consistency_report(report.matrix, obs, gt.matrix).zeta
+        zeta = consistency_report(report.matrix, obs, gt)
         bounds.append(bnd.bound_inconsistent(_bound_inputs(cfg, m_prime, T=dither.variance, zeta=zeta)))
         if dither.kind == "uniform" and abs(dither.param - cfg.alpha) <= 1e-12 * cfg.alpha:
             bounds.append(bnd.bound_uniform(_bound_inputs(cfg, m_prime, T=dither.variance)))
@@ -555,7 +563,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` config file ('#' starts a comment; a key
+    set twice is an error)."""
     mapping = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -564,5 +573,8 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in mapping:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
     return config_from_mapping(mapping)

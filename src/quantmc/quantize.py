@@ -20,7 +20,6 @@ from .core import SampleMask, scatter_vector, select_vector
 
 __all__ = [
     "DitherSpec",
-    "DitherTensor",
     "QuantizerSpec",
     "dithered_quantize",
     "generate_dither_tensor",
@@ -99,15 +98,6 @@ class DitherSpec:
         return 0.0
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DitherTensor:
-    """m independent dither sequences of length m_prime, one row per sequence."""
-
-    values: np.ndarray
-    spec: DitherSpec
-    seed: int
-
-
 def sign_pm1(z):
     """Sign with the tie broken upward: +1 for z >= 0, -1 for z < 0."""
     arr = np.asarray(z)
@@ -177,8 +167,9 @@ def one_bit(x, tau):
     return sign_pm1(arr - tarr)
 
 
-def generate_dither_tensor(spec: DitherSpec, m: int, m_prime: int, seed: int) -> DitherTensor:
-    """Draw an (m x m_prime) array of i.i.d. dithers.
+def generate_dither_tensor(spec: DitherSpec, m: int, m_prime: int, seed: int) -> np.ndarray:
+    """Draw a read-only (m x m_prime) array of i.i.d. dithers, one row per
+    sequence.
 
     Uses the counter-based Philox generator so the full tensor is a pure
     function of (spec, m, m_prime, seed), independent of draw order.
@@ -193,7 +184,7 @@ def generate_dither_tensor(spec: DitherSpec, m: int, m_prime: int, seed: int) ->
     else:
         values = np.zeros((m, m_prime))
     values.flags.writeable = False
-    return DitherTensor(values=values, spec=spec, seed=int(seed))
+    return values
 
 
 def quantize_matrix(
@@ -212,7 +203,5 @@ def quantize_matrix(
         raise ValueError(
             f"uniform dither half-width must equal delta/2 = {spec.delta / 2.0}, got {dither.param}"
         )
-    x = select_vector(X, mask)
-    tau = generate_dither_tensor(dither, 1, mask.m_prime, seed).values[0]
-    q = scalar_quantize(x + tau, spec)
-    return scatter_vector(q, mask)
+    tau = generate_dither_tensor(dither, 1, mask.m_prime, seed)[0]
+    return scatter_vector(dithered_quantize(select_vector(X, mask), tau, spec), mask)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .core import SampleMask, as_matrix
-from .onebit import PolyhedronSystem, feasible_intervals, violation_measure
+from .onebit import OneBitObservation, feasible_intervals, violation_measure
 
 __all__ = [
     "ProxParams",
@@ -654,14 +654,16 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
 
 
 def solve_one_bit_mc(
-    system: PolyhedronSystem,
+    system: OneBitObservation,
     reg_weight: float,
     params: ProxParams | None = None,
 ) -> SolverReport:
     """Minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over the sign polyhedron.
 
-    The polyhedron is the per-entry box lo <= X_mask <= hi of
-    ``feasible_intervals``; the solver targets the box shrunk by
+    ``system`` is a one-bit observation with thresholds (``build_polyhedron``
+    checks the mode); its signs and thresholds are the polyhedron, the
+    per-entry box lo <= X_mask <= hi of ``feasible_intervals``.  The
+    solver targets the box shrunk by
     gamma_k = min(_FEAS_MARGIN, width_k / 4) on each side.  The objective is
     1-strongly convex, so the dual over the box multipliers y is 1-smooth:
     accelerated proximal gradient on the dual (dual accelerated SVT) maps

@@ -100,7 +100,7 @@ def test_c04_threshold_distance_expectations():
     alpha = 1.0
     gt = generate_low_rank((20, 20), 2, alpha, seed=SEED)
     mask = sample_mask_uniform((20, 20), 200, seed=SEED + 1)
-    energy = float(np.sum(select_vector(gt.matrix, mask) ** 2))
+    energy = float(np.sum(select_vector(gt, mask) ** 2))
     n_seeds, m = 1000, 50
     cases = [
         ("power2-uniform", DitherSpec.uniform(alpha), 2, DitherSpec.uniform(alpha).variance + energy / 200),
@@ -113,8 +113,8 @@ def test_c04_threshold_distance_expectations():
         samples = np.empty(n_seeds)
         for seed in range(n_seeds):
             thr = generate_dither_tensor(spec, m, 200, seed=SEED + 100 + seed)
-            obs = observe_one_bit(gt.matrix, mask, thr)
-            samples[seed] = t_ave(gt.matrix, obs, power)
+            obs = observe_one_bit(gt, mask, thr)
+            samples[seed] = t_ave(gt, obs, power)
         se = samples.std(ddof=1) / np.sqrt(n_seeds)
         dev = abs(samples.mean() - target)
         ok = ok and dev <= 3 * se

@@ -69,6 +69,50 @@ class TestConfigParsing:
         assert cfg.delta == 0.25 and cfg.K == 8
         assert cfg.m_prime == 40 and cfg.trials == 3 and cfg.base_seed == 5
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(QUANTIZED_CFG + "m_prime = 20\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:15: duplicate key 'm_prime'")):
+            load_config(path)
+
+    BASES = {
+        "quantized": dict(scenario="quantized", n1=4, n2=4, r=1, alpha=1.0, delta=0.25, K=8, m_prime=8),
+        "rate_sweep": dict(scenario="rate_sweep", n1=4, n2=4, r=1, alpha=1.0, delta=0.25, K=8, m_prime_grid=(4, 6, 8, 10)),
+        "onebit_dithers_known": dict(
+            scenario="onebit_dithers_known", n1=4, n2=4, r=1, alpha=1.0, dither_kind="gaussian", dither_param=0.5, m_prime=8,
+        ),
+        "onebit_noisy": dict(scenario="onebit_noisy", n1=4, n2=4, r=1, alpha=1.0, delta=2.0, noise_sigma=0.1, m_prime=8),
+    }
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("quantized", dict(m_prime=None, sample_fraction=-0.2)),
+            ("quantized", dict(m_prime=None, sample_fraction=1.5)),
+            ("quantized", dict(m_prime=None, sample_fraction=0.01)),
+            ("quantized", dict(m_prime=17)),
+            ("rate_sweep", dict(m_prime_grid=(4, 6, 8, 17))),
+            ("onebit_dithers_known", dict(noise_sigma=-0.3)),
+            ("onebit_dithers_known", dict(reg_weight=-1.0)),
+            ("quantized", dict(epsilon=-0.05)),
+            ("onebit_noisy", dict(beta=-1.0)),
+            ("quantized", dict(max_iters=0)),
+            ("quantized", dict(tol_rel_change=0.0)),
+            ("quantized", dict(delta=float("inf"))),
+            ("quantized", dict(alpha=float("nan"))),
+            ("quantized", dict(epsilon=float("nan"))),
+        ],
+        ids=[
+            "sample_fraction_negative", "sample_fraction_above_one", "sample_fraction_rounds_to_zero",
+            "m_prime_above_size", "m_prime_grid_above_size", "noise_sigma_negative", "reg_weight_negative", "epsilon_negative", "beta_negative", "max_iters_zero",
+            "tol_rel_change_zero", "delta_infinite", "alpha_nan", "epsilon_nan",
+        ],
+    )
+    def test_validate_rejects_what_a_trial_would_reject_or_bend(self, scenario, override):
+        ExperimentConfig(**self.BASES[scenario])
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{**self.BASES[scenario], **override})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"scenario": "quantized", "n1": "4", "n2": "4", "r": "1", "alpha": "1", "delta": "0.1", "m_prime": "4", "bogus": "1"})
@@ -380,7 +424,7 @@ class TestRunOneBit:
         assert len(records) == len(calls) == len(observations) == 3
         for trial, ((Q, mask, radius), obs) in enumerate(zip(calls, observations)):
             s_gt = hz._trial_seeds(cfg.base_seed, trial, 4)[0]
-            x = select_vector(hz.generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt).matrix, mask)
+            x = select_vector(hz.generate_low_rank(cfg.dims, cfg.r, cfg.alpha, s_gt), mask)
             q = Q[mask.rows, mask.cols]
             assert np.array_equal(q, cfg.delta / 2.0 * obs.signs[0])
             off = Q.copy()

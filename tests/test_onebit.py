@@ -1,13 +1,11 @@
-"""One-bit observation model, polyhedron, consistency, and distance metrics."""
+"""One-bit observation model, its sign polyhedron, consistency, and distance metrics."""
 
 import numpy as np
 import pytest
 
 from quantmc.core import SampleMask, generate_low_rank, sample_mask_uniform, select_vector
 from quantmc.onebit import (
-    NoiseSpec,
     OneBitObservation,
-    PolyhedronSystem,
     UnsupportedModeError,
     build_polyhedron,
     consistency_report,
@@ -19,12 +17,11 @@ from quantmc.onebit import (
     t_ave,
     violation_measure,
 )
-from quantmc.quantize import DitherSpec, DitherTensor, generate_dither_tensor, sign_pm1
+from quantmc.quantize import DitherSpec, generate_dither_tensor, sign_pm1
 
 
-def _tensor(values, spec=None):
-    values = np.asarray(values, dtype=float)
-    return DitherTensor(values=values, spec=spec or DitherSpec.none(), seed=0)
+def _tensor(values):
+    return np.asarray(values, dtype=float)
 
 
 def _one_entry_mask():
@@ -40,7 +37,7 @@ class TestObserveOneBit:
         gt = generate_low_rank((5, 5), 2, 1.0, seed=0)
         mask = sample_mask_uniform((5, 5), 10, seed=1)
         thr = _tensor(np.full((3, 10), -1e10))
-        obs = observe_one_bit(gt.matrix, mask, thr)
+        obs = observe_one_bit(gt, mask, thr)
         assert np.all(obs.signs == 1)
 
     def test_two_sequences_straddle_entry(self):
@@ -53,8 +50,8 @@ class TestObserveOneBit:
         gt = generate_low_rank((6, 6), 2, 1.0, seed=3)
         mask = sample_mask_uniform((6, 6), 18, seed=4)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 1, 18, seed=5)
-        stacked = _tensor(np.vstack([thr.values] * 4), DitherSpec.uniform(1.0))
-        obs = observe_one_bit(gt.matrix, mask, stacked, NoiseSpec.gaussian(0.5), seed=6)
+        stacked = np.vstack([thr] * 4)
+        obs = observe_one_bit(gt, mask, stacked, 0.5, seed=6)
         assert all(np.array_equal(obs.signs[0], obs.signs[k]) for k in range(1, 4))
 
     def test_shape_mismatch(self):
@@ -68,7 +65,7 @@ class TestPolyhedron:
         gt = generate_low_rank((7, 13), 2, 1.0, seed=0)
         mask = sample_mask_uniform((7, 13), 13, seed=1)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 7, 13, seed=2)
-        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        system = build_polyhedron(observe_one_bit(gt, mask, thr))
         assert system.signs.size == 91
 
     def test_ground_truth_always_feasible(self):
@@ -76,8 +73,8 @@ class TestPolyhedron:
             gt = generate_low_rank((8, 8), 2, 1.0, seed=seed)
             mask = sample_mask_uniform((8, 8), 20, seed=seed + 50)
             thr = generate_dither_tensor(DitherSpec.uniform(1.0), 5, 20, seed=seed + 100)
-            system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
-            assert violation_measure(system, gt.matrix) == 0.0
+            system = build_polyhedron(observe_one_bit(gt, mask, thr))
+            assert violation_measure(system, gt) == 0.0
 
     def test_single_constraint_encoding(self):
         obs = observe_one_bit(np.array([[2.0]]), _one_entry_mask(), _tensor([[0.5]]))
@@ -93,24 +90,24 @@ class TestPolyhedron:
         signs = np.array([[1, -1], [1, 1]])
         thr = np.array([[0.2, 0.9], [-0.4, 0.1]])
         mask = SampleMask((1, 2), [0, 0], [0, 1])
-        lo, hi = feasible_intervals(PolyhedronSystem(signs, thr, mask))
+        lo, hi = feasible_intervals(OneBitObservation(signs, thr, mask))
         assert np.array_equal(lo, [0.2, 0.1])
         assert lo[1] == 0.1 and hi[0] == np.inf and hi[1] == 0.9
 
 
 class TestViolationMeasure:
     def test_single_violated_constraint(self):
-        system = PolyhedronSystem(np.array([[1]]), np.array([[0.5]]), _one_entry_mask())
+        system = OneBitObservation(np.array([[1]]), np.array([[0.5]]), _one_entry_mask())
         assert violation_measure(system, np.array([[0.3]])) == pytest.approx(0.2)
 
     def test_two_violations_combine_in_quadrature(self):
         mask = SampleMask((1, 2), [0, 0], [0, 1])
-        system = PolyhedronSystem(np.array([[1, 1]]), np.array([[0.5, 0.5]]), mask)
+        system = OneBitObservation(np.array([[1, 1]]), np.array([[0.5, 0.5]]), mask)
         v = violation_measure(system, np.array([[0.2, 0.1]]))
         assert v == pytest.approx(np.sqrt(0.09 + 0.16))
 
     def test_feasible_is_exact_zero(self):
-        system = PolyhedronSystem(np.array([[1]]), np.array([[0.5]]), _one_entry_mask())
+        system = OneBitObservation(np.array([[1]]), np.array([[0.5]]), _one_entry_mask())
         assert violation_measure(system, np.array([[0.5]])) == 0.0
         assert violation_measure(system, np.array([[0.7]])) == 0.0
 
@@ -136,42 +133,41 @@ class TestConsistencyReport:
         gt = generate_low_rank((6, 6), 2, 1.0, seed=1)
         mask = sample_mask_uniform((6, 6), 15, seed=2)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 4, 15, seed=3)
-        obs = observe_one_bit(gt.matrix, mask, thr)
-        rep = consistency_report(gt.matrix, obs, gt.matrix)
-        assert rep.zeta == 0 and rep.consistent and rep.per_sequence == (0, 0, 0, 0)
+        obs = observe_one_bit(gt, mask, thr)
+        assert consistency_report(gt, obs, gt) == 0
 
     def test_matches_brute_force_count(self):
         gt = generate_low_rank((6, 6), 2, 1.0, seed=4)
         mask = sample_mask_uniform((6, 6), 15, seed=5)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 3, 15, seed=6)
-        obs = observe_one_bit(gt.matrix, mask, thr)
-        x_bar = -gt.matrix
-        rep = consistency_report(x_bar, obs, gt.matrix)
+        obs = observe_one_bit(gt, mask, thr)
+        x_bar = -gt
+        zeta = consistency_report(x_bar, obs, gt)
         expected = 0
-        xt = select_vector(gt.matrix, mask)
+        xt = select_vector(gt, mask)
         xb = select_vector(x_bar, mask)
         for ell in range(3):
             for k in range(15):
-                t = thr.values[ell, k]
+                t = thr[ell, k]
                 if sign_pm1(xt[k] - t) != sign_pm1(xb[k] - t):
                     expected += 1
-        assert rep.zeta == expected == sum(rep.per_sequence)
+        per_sequence = [hamming(sign_pm1(xt - t), sign_pm1(xb - t)) for t in thr]
+        assert zeta == expected == sum(per_sequence)
 
     def test_zeta_bounded_by_constraint_count(self):
         gt = generate_low_rank((5, 5), 1, 1.0, seed=7)
         mask = sample_mask_uniform((5, 5), 10, seed=8)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 6, 10, seed=9)
-        obs = observe_one_bit(gt.matrix, mask, thr)
-        rep = consistency_report(np.full((5, 5), 1e6), obs, gt.matrix)
-        assert 0 <= rep.zeta <= 6 * 10
+        obs = observe_one_bit(gt, mask, thr)
+        assert 0 <= consistency_report(np.full((5, 5), 1e6), obs, gt) <= 6 * 10
 
     def test_statistics_only_unsupported(self):
         gt = generate_low_rank((4, 4), 1, 1.0, seed=0)
         mask = sample_mask_uniform((4, 4), 8, seed=1)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 1, 8, seed=2)
-        obs = strip_thresholds(observe_one_bit(gt.matrix, mask, thr))
+        obs = strip_thresholds(observe_one_bit(gt, mask, thr))
         with pytest.raises(UnsupportedModeError):
-            consistency_report(gt.matrix, obs, gt.matrix)
+            consistency_report(gt, obs, gt)
 
 
 class TestThresholdDistances:
@@ -204,13 +200,13 @@ class TestThresholdDistances:
         # mean of t_ave(.,2) over dither seeds ~ T + ||P(X)||_F^2 / m_prime
         gt = generate_low_rank((6, 6), 2, 1.0, seed=10)
         mask = sample_mask_uniform((6, 6), 12, seed=11)
-        x_energy = float(np.sum(select_vector(gt.matrix, mask) ** 2))
+        x_energy = float(np.sum(select_vector(gt, mask) ** 2))
         for spec in (DitherSpec.uniform(1.0), DitherSpec.gaussian(0.6)):
             samples = np.empty(10_000)
             for seed in range(samples.size):
                 thr = generate_dither_tensor(spec, 3, 12, seed=seed)
-                obs = observe_one_bit(gt.matrix, mask, thr)
-                samples[seed] = t_ave(gt.matrix, obs, 2)
+                obs = observe_one_bit(gt, mask, thr)
+                samples[seed] = t_ave(gt, obs, 2)
             target = spec.variance + x_energy / 12
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - target) <= 3 * se
@@ -221,12 +217,12 @@ class TestThresholdDistances:
         alpha = 1.0
         gt = generate_low_rank((6, 6), 2, alpha, seed=12)
         mask = sample_mask_uniform((6, 6), 12, seed=13)
-        x_energy = float(np.sum(select_vector(gt.matrix, mask) ** 2))
+        x_energy = float(np.sum(select_vector(gt, mask) ** 2))
         samples = np.empty(10_000)
         for seed in range(samples.size):
             thr = generate_dither_tensor(DitherSpec.uniform(alpha), 3, 12, seed=seed)
-            obs = observe_one_bit(gt.matrix, mask, thr)
-            samples[seed] = t_ave(gt.matrix, obs, 1)
+            obs = observe_one_bit(gt, mask, thr)
+            samples[seed] = t_ave(gt, obs, 1)
         target = alpha / 2 + x_energy / (2 * alpha * 12)
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - target) <= 3 * se
@@ -245,7 +241,7 @@ class TestSurrogateData:
         gt = generate_low_rank((4, 4), 1, 1.0, seed=0)
         mask = sample_mask_uniform((4, 4), 5, seed=1)
         thr = generate_dither_tensor(DitherSpec.uniform(2.0), 1, 5, seed=2)
-        obs = observe_one_bit(gt.matrix, mask, thr)
+        obs = observe_one_bit(gt, mask, thr)
         S = surrogate_data(obs, 4.0)
         off = S.copy()
         off[mask.rows, mask.cols] = 0.0
@@ -276,11 +272,13 @@ class TestValidation:
                 signs=np.array([[0, 1]]),
                 thresholds=None,
                 mask=SampleMask((1, 2), [0, 0], [0, 1]),
-                dither_spec=None,
             )
 
-    def test_noise_spec_validation(self):
+    def test_thresholds_must_match_signs(self):
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
         with pytest.raises(ValueError):
-            NoiseSpec.gaussian(0.0)
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="poisson")
+            OneBitObservation(np.ones((2, 2), dtype=int), np.zeros((1, 2)), mask)
+
+    def test_negative_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            observe_one_bit(np.array([[2.0]]), _one_entry_mask(), _tensor([[0.5]]), noise_sigma=-0.3)

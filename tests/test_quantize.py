@@ -133,11 +133,11 @@ class TestOneBit:
 class TestDitherTensor:
     def test_uniform_variance_monte_carlo(self):
         t = generate_dither_tensor(DitherSpec.uniform(1.0), 1000, 1000, seed=0)
-        assert 0.330 <= t.values.var() <= 0.337
+        assert 0.330 <= t.var() <= 0.337
 
     def test_gaussian_variance_within_one_percent(self):
         t = generate_dither_tensor(DitherSpec.gaussian(0.7), 1000, 1000, seed=1)
-        assert abs(t.values.var() - 0.49) <= 0.01 * 0.49
+        assert abs(t.var() - 0.49) <= 0.01 * 0.49
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -150,11 +150,16 @@ class TestDitherTensor:
     def test_same_seed_identical(self):
         a = generate_dither_tensor(DitherSpec.uniform(0.5), 3, 10, seed=7)
         b = generate_dither_tensor(DitherSpec.uniform(0.5), 3, 10, seed=7)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
+
+    def test_read_only(self):
+        t = generate_dither_tensor(DitherSpec.uniform(0.5), 2, 3, seed=0)
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
 
     def test_none_kind_gives_zeros(self):
         t = generate_dither_tensor(DitherSpec.none(), 2, 4, seed=0)
-        assert np.all(t.values == 0.0)
+        assert np.all(t == 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

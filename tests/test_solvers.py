@@ -11,8 +11,7 @@ import quantmc.harness
 import quantmc.solvers
 from quantmc.core import SampleMask, generate_low_rank, project, sample_mask_uniform, scatter_vector
 from quantmc.onebit import (
-    NoiseSpec,
-    PolyhedronSystem,
+    OneBitObservation,
     UnsupportedModeError,
     build_polyhedron,
     consistency_report,
@@ -321,7 +320,7 @@ class TestFistaRestart:
     def test_never_fires_on_the_first_step_of_a_warm_started_ball_stage(self, inner_products):
         gt = generate_low_rank((12, 10), 2, 1.0, seed=44)
         mask = sample_mask_uniform((12, 10), 70, seed=45)
-        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        q = project(gt, mask)[mask.rows, mask.cols]
         warm = _fista_ball(q, mask, 0.5, np.zeros((12, 10)), ProxParams(), 200)[0]
         assert np.linalg.norm(warm) > 0
         inner_products.clear()
@@ -432,7 +431,7 @@ class TestBallGapCertificate:
         size = shape[0] * shape[1]
         mask = sample_mask_uniform(shape, int(rng.integers(size // 3, size + 1)), seed=seed)
         gt = generate_low_rank(shape, int(rng.integers(1, 4)), 1.0, seed=seed)
-        Q = project(gt.matrix + 0.3 * rng.standard_normal(shape), mask)
+        Q = project(gt + 0.3 * rng.standard_normal(shape), mask)
         q = Q[mask.rows, mask.cols]
         mu = np.linalg.norm(Q, 2) * 10.0 ** rng.uniform(-3.0, 0.0)
         x0 = np.zeros(shape)
@@ -569,7 +568,7 @@ class TestBallGapCertificate:
         # change and the search cannot accept it.
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        q = project(gt, mask)[mask.rows, mask.cols]
         mu, x0 = 8.3e-9, np.zeros((10, 10))
         _, iters, stop, resid, nuc = _fista_ball(q, mask, mu, x0, ProxParams(), 400)
         assert (iters, stop) == (2, "change") and nuc == pytest.approx(3.727, abs=1e-3)
@@ -657,7 +656,7 @@ class TestBallStep:
         monkeypatch.setattr(quantmc.solvers, "_clipped_step", step)
         gt = generate_low_rank((20, 16), 2, 1.0, seed=seed)
         mask = sample_mask_uniform((20, 16), 160, seed=seed + 10)
-        q = project(gt.matrix, mask)[mask.rows, mask.cols]
+        q = project(gt, mask)[mask.rows, mask.cols]
         x0 = np.zeros((20, 16))
         for mu in (0.3, 0.1):
             thetas.clear()
@@ -674,15 +673,15 @@ class TestSolveQuantizedMC:
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
         mask = sample_mask_uniform((8, 8), 64, seed=4)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, 9e-7, ProxParams(tol_rel_change=1e-10))
-        assert np.linalg.norm(rep.matrix - gt.matrix) <= 1e-6
+        assert np.linalg.norm(rep.matrix - gt) <= 1e-6
         assert rep.converged
 
     def test_large_radius_returns_zero(self):
         gt = generate_low_rank((6, 6), 2, 1.0, seed=5)
         mask = sample_mask_uniform((6, 6), 20, seed=6)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, np.linalg.norm(Q) + 1.0, ProxParams())
         assert rep.nuclear_norm <= 1e-8
         assert rep.converged and rep.iterations == 0
@@ -700,7 +699,7 @@ class TestSolveQuantizedMC:
     def test_feasibility_contract(self):
         gt = generate_low_rank((12, 12), 2, 1.0, seed=7)
         mask = sample_mask_uniform((12, 12), 90, seed=8)
-        Q = quantize_matrix(gt.matrix, mask, QuantizerSpec(0.25, 8), DitherSpec.uniform(0.125), seed=9)
+        Q = quantize_matrix(gt, mask, QuantizerSpec(0.25, 8), DitherSpec.uniform(0.125), seed=9)
         params = ProxParams(tol_rel_change=1e-9)
         radius = 0.8 * float(np.linalg.norm(Q[mask.rows, mask.cols]))
         rep = solve_quantized_mc(Q, mask, radius, params)
@@ -710,26 +709,26 @@ class TestSolveQuantizedMC:
     def test_recovery_close_to_truth_with_oracle_radius(self):
         gt = generate_low_rank((16, 16), 2, 1.0, seed=10)
         mask = sample_mask_uniform((16, 16), 180, seed=11)
-        Q = quantize_matrix(gt.matrix, mask, QuantizerSpec(0.1, 40), DitherSpec.uniform(0.05), seed=12)
-        radius = float(np.linalg.norm((gt.matrix - Q)[mask.rows, mask.cols]))
+        Q = quantize_matrix(gt, mask, QuantizerSpec(0.1, 40), DitherSpec.uniform(0.05), seed=12)
+        radius = float(np.linalg.norm((gt - Q)[mask.rows, mask.cols]))
         rep = solve_quantized_mc(Q, mask, radius, ProxParams(tol_rel_change=1e-8))
         assert rep.converged
-        assert np.linalg.norm(rep.matrix - gt.matrix) <= 0.25 * np.linalg.norm(gt.matrix)
+        assert np.linalg.norm(rep.matrix - gt) <= 0.25 * np.linalg.norm(gt)
 
     def test_minimality_when_truth_is_feasible(self):
         # convexity: the returned nuclear norm cannot beat the truth's by
         # more than solver slack when the truth is strictly inside the ball
         gt = generate_low_rank((10, 10), 2, 1.0, seed=13)
         mask = sample_mask_uniform((10, 10), 70, seed=14)
-        Q = quantize_matrix(gt.matrix, mask, QuantizerSpec(0.2, 12), DitherSpec.uniform(0.1), seed=15)
-        true_resid = float(np.linalg.norm((gt.matrix - Q)[mask.rows, mask.cols]))
+        Q = quantize_matrix(gt, mask, QuantizerSpec(0.2, 12), DitherSpec.uniform(0.1), seed=15)
+        true_resid = float(np.linalg.norm((gt - Q)[mask.rows, mask.cols]))
         rep = solve_quantized_mc(Q, mask, 1.3 * true_resid, ProxParams(tol_rel_change=1e-9))
-        assert rep.nuclear_norm <= np.linalg.norm(gt.matrix, "nuc") + 1e-6
+        assert rep.nuclear_norm <= np.linalg.norm(gt, "nuc") + 1e-6
 
     def test_nuclear_norm_shrinks_as_radius_grows(self):
         gt = generate_low_rank((10, 10), 2, 1.0, seed=16)
         mask = sample_mask_uniform((10, 10), 60, seed=17)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         qnorm = float(np.linalg.norm(Q))
         norms = []
         for radius in (0.05 * qnorm, 0.2 * qnorm, 0.8 * qnorm, 1.2 * qnorm):
@@ -740,7 +739,7 @@ class TestSolveQuantizedMC:
     def test_budget_exhaustion_reports_not_converged(self):
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, 1e-8, ProxParams(max_iters=3))
         assert not rep.converged
         assert rep.iterations <= 3
@@ -773,7 +772,7 @@ class TestSolveQuantizedMC:
         monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, radius, ProxParams())
         iterations, nuclear = self.UNIT_STEP_SOLVES[radius]
         assert rep.converged and rep.iterations <= iterations
@@ -787,7 +786,7 @@ class TestSolveQuantizedMC:
         # converged means a stage was accepted, whatever the budget cut short
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         params = ProxParams(max_iters=max_iters)
         rep = solve_quantized_mc(Q, mask, radius, params)
         inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
@@ -809,7 +808,7 @@ class TestSolveQuantizedMC:
         monkeypatch.setattr(quantmc.solvers, "_MAX_STAGES", 2)
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, 0.5, ProxParams())
         assert stops == ["change", "change"]
         assert rep.data_residual < (1.0 - _RESIDUAL_BAND) * 0.5
@@ -820,7 +819,7 @@ class TestSolveQuantizedMC:
         # partial mask yields a best-effort iterate flagged not converged
         gt = generate_low_rank((10, 10), 3, 1.0, seed=40)
         mask = sample_mask_uniform((10, 10), 55, seed=41)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, 1e-12, ProxParams(tol_rel_change=1e-10))
         assert not rep.converged
         assert rep.data_residual > 1e-12
@@ -833,7 +832,7 @@ class TestBallRootFinding:
         # is solved by X = 0, so its residual is ||q|| without a solve
         gt = generate_low_rank((12, 10), 2, 1.0, seed=42)
         mask = sample_mask_uniform((12, 10), 70, seed=43)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         q = Q[mask.rows, mask.cols]
         mu = scale * np.linalg.norm(Q, 2)
         X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, np.zeros(Q.shape), ProxParams(), 50)
@@ -889,7 +888,7 @@ class TestBallRootFinding:
         stages = self._recorded_stages(monkeypatch)
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        rep = solve_quantized_mc(project(gt.matrix, mask), mask, 1e-11, ProxParams())
+        rep = solve_quantized_mc(project(gt, mask), mask, 1e-11, ProxParams())
         assert not rep.converged
         assert len(stages) == len(rep.stage_objectives) < quantmc.solvers._MAX_STAGES
         assert rep.iterations < ProxParams().max_iters
@@ -909,7 +908,7 @@ class TestBallRootFinding:
         monkeypatch.setattr(quantmc.solvers, "_model_guess", lambda sigma, y_target, offsets: None)
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt.matrix, mask)
+        Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, radius, ProxParams())
         assert rep.converged
         assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
@@ -1002,7 +1001,7 @@ class TestParetoModel:
         gt = generate_low_rank((30, 30), 3, 1.0, seed=2)
         mask = sample_mask_uniform((30, 30), 900, seed=102)
         noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
-        Q = project(gt.matrix + noise, mask)
+        Q = project(gt + noise, mask)
         radius = share * float(np.linalg.norm(Q))
         rep = solve_quantized_mc(Q, mask, radius, ProxParams())
         assert rep.converged and len(rep.stage_objectives) == 2
@@ -1049,20 +1048,20 @@ class TestPathPredictor:
 class TestSolveOneBitMC:
     def test_single_constraint_scalar(self):
         mask = SampleMask((1, 1), [0], [0])
-        system = PolyhedronSystem(np.array([[1]]), np.array([[0.5]]), mask)
+        system = OneBitObservation(np.array([[1]]), np.array([[0.5]]), mask)
         rep = solve_one_bit_mc(system, 0.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-12))
         assert abs(rep.matrix[0, 0] - 0.5) <= 1e-6
         assert rep.converged and rep.data_residual == 0.0
 
     def test_vacuous_constraints_give_zero(self):
         mask = sample_mask_uniform((4, 4), 8, seed=0)
-        system = PolyhedronSystem(np.ones((3, 8), dtype=int), np.full((3, 8), -1e10), mask)
+        system = OneBitObservation(np.ones((3, 8), dtype=int), np.full((3, 8), -1e10), mask)
         rep = solve_one_bit_mc(system, 10.0, ProxParams())
         assert np.all(rep.matrix == 0.0) and rep.converged
 
     def test_negative_reg_weight_rejected(self):
         mask = SampleMask((1, 1), [0], [0])
-        system = PolyhedronSystem(np.array([[1]]), np.array([[0.0]]), mask)
+        system = OneBitObservation(np.array([[1]]), np.array([[0.0]]), mask)
         with pytest.raises(ValueError):
             solve_one_bit_mc(system, -1.0)
 
@@ -1070,11 +1069,11 @@ class TestSolveOneBitMC:
         gt = generate_low_rank((12, 12), 2, 1.0, seed=20)
         mask = sample_mask_uniform((12, 12), 80, seed=21)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=22)
-        obs = observe_one_bit(gt.matrix, mask, thr)
+        obs = observe_one_bit(gt, mask, thr)
         system = build_polyhedron(obs)
         rep = solve_one_bit_mc(system, 1.0, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
         assert rep.converged and rep.data_residual == 0.0
-        assert consistency_report(rep.matrix, obs, gt.matrix).zeta == 0
+        assert consistency_report(rep.matrix, obs, gt) == 0
 
     def test_zero_reg_weight_matches_closed_form(self, eigh_calls):
         # without the nuclear term the program separates per entry: the
@@ -1082,7 +1081,7 @@ class TestSolveOneBitMC:
         gt = generate_low_rank((12, 12), 2, 1.0, seed=23)
         mask = sample_mask_uniform((12, 12), 80, seed=24)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=25)
-        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        system = build_polyhedron(observe_one_bit(gt, mask, thr))
         lo, hi = feasible_intervals(system)
         gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
         expected = np.zeros((12, 12))
@@ -1098,7 +1097,7 @@ class TestSolveOneBitMC:
         gt = generate_low_rank((8, 8), 2, 1.0, seed=23)
         mask = sample_mask_uniform((8, 8), 30, seed=24)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 6, 30, seed=25)
-        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        system = build_polyhedron(observe_one_bit(gt, mask, thr))
         reg = 1.0
         rep = solve_one_bit_mc(system, reg, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
         assert rep.converged
@@ -1120,10 +1119,10 @@ class TestSolveOneBitMC:
         gt = generate_low_rank((10, 10), 2, 1.0, seed=26)
         mask = sample_mask_uniform((10, 10), 50, seed=27)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 8, 50, seed=28)
-        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        system = build_polyhedron(observe_one_bit(gt, mask, thr))
         reg = 1.0
         rep = solve_one_bit_mc(system, reg, ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
-        truth_objective = reg * np.linalg.norm(gt.matrix, "nuc") + 0.5 * np.linalg.norm(gt.matrix) ** 2
+        truth_objective = reg * np.linalg.norm(gt, "nuc") + 0.5 * np.linalg.norm(gt) ** 2
         assert rep.objective <= truth_objective + 1e-6
 
     @pytest.mark.parametrize("problem", ["onebit_known", "unbounded_side"])
@@ -1152,7 +1151,7 @@ class TestSolveOneBitMC:
             gt = generate_low_rank((10, 10), 2, 1.0, seed=30)
             mask = sample_mask_uniform((10, 10), 50, seed=31)
             thr = generate_dither_tensor(DitherSpec.uniform(1.0), 1, 50, seed=32)
-            recording_solve(build_polyhedron(observe_one_bit(gt.matrix, mask, thr)), 1.0,
+            recording_solve(build_polyhedron(observe_one_bit(gt, mask, thr)), 1.0,
                             ProxParams(tol_feas=1e-9, tol_rel_change=1e-9))
         [(system, reg, params, rep)] = solves
         assert rep.converged and rep.iterations > 1
@@ -1221,7 +1220,7 @@ class TestSolveOneBitMC:
     def test_infeasible_system_reports_violation(self):
         # contradictory signs around one entry: x >= 1 and x <= -1
         mask = SampleMask((1, 1), [0], [0])
-        system = PolyhedronSystem(np.array([[1], [-1]]), np.array([[1.0], [-1.0]]), mask)
+        system = OneBitObservation(np.array([[1], [-1]]), np.array([[1.0], [-1.0]]), mask)
         rep = solve_one_bit_mc(system, 0.0, ProxParams(max_iters=2000))
         assert not rep.converged
         assert rep.iterations == 0
@@ -1229,8 +1228,9 @@ class TestSolveOneBitMC:
 
     def test_empty_system_rejected(self):
         mask = SampleMask((1, 1), [0], [0])
-        with pytest.raises(ValueError):
-            PolyhedronSystem(np.zeros((0, 1), dtype=int), np.zeros((0, 1)), mask)
+        for thresholds in (np.zeros((0, 1)), None):
+            with pytest.raises(ValueError, match="empty"):
+                OneBitObservation(np.zeros((0, 1), dtype=int), thresholds, mask)
 
 
 # Most iterations the one-bit solver may take over the first trial of seeds
@@ -1257,12 +1257,12 @@ def _random_one_bit_problem(k):
     m = int(rng.integers(1, 12))
     m_prime = int(rng.integers(1, n1 * n2 + 1))
     reg_weight = float(10.0 ** rng.uniform(-2.0, math.log10(20.0)))
-    noise = NoiseSpec.gaussian(0.1) if rng.random() < 0.5 else NoiseSpec.none()
+    noise_sigma = 0.1 if rng.random() < 0.5 else 0.0
     seeds = [int(v) for v in rng.integers(2**31, size=4)]
     gt = generate_low_rank((n1, n2), r, 1.0, seed=seeds[0])
     mask = sample_mask_uniform((n1, n2), m_prime, seed=seeds[1])
     thr = generate_dither_tensor(DitherSpec.uniform(1.0), m, m_prime, seed=seeds[2])
-    return build_polyhedron(observe_one_bit(gt.matrix, mask, thr, noise, seeds[3])), reg_weight
+    return build_polyhedron(observe_one_bit(gt, mask, thr, noise_sigma, seeds[3])), reg_weight
 
 
 class TestSpectralStep:
@@ -1274,7 +1274,7 @@ class TestSpectralStep:
         gt = generate_low_rank((12, 12), 2, 1.0, seed=20)
         mask = sample_mask_uniform((12, 12), 80, seed=21)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=22)
-        system = build_polyhedron(observe_one_bit(gt.matrix, mask, thr))
+        system = build_polyhedron(observe_one_bit(gt, mask, thr))
         lo, hi = feasible_intervals(system)
         gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
         W = np.zeros((12, 12))
@@ -1330,7 +1330,7 @@ class TestSpectralStep:
             lo, hi = feasible_intervals(system)
             gamma = float(np.linalg.norm(np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))))
             top = max(unit.objective, spectral.objective)
-            dims = system.dims
+            dims = system.mask.dims
             margin = (reg * math.sqrt(min(dims.n1, dims.n2)) + math.sqrt(2.0 * top) + gamma) * gamma
             tol = params.tol_rel_change * max(1.0, top) + margin
             assert abs(unit.objective - spectral.objective) <= tol, k
@@ -1352,7 +1352,7 @@ class TestSolveStatisticsOnly:
     def test_all_positive_signs_large_radius_gives_zero(self):
         gt = generate_low_rank((5, 5), 1, 1.0, seed=29)
         mask = sample_mask_uniform((5, 5), 10, seed=30)
-        obs = self._obs(np.abs(gt.matrix) + 2.0, mask, 2.0, 31)
+        obs = self._obs(np.abs(gt) + 2.0, mask, 2.0, 31)
         rep = self._solve(obs, 2.0, 100.0, ProxParams())
         assert np.all(rep.matrix == 0.0)
 
@@ -1369,7 +1369,7 @@ class TestSolveStatisticsOnly:
         gt = generate_low_rank((4, 4), 1, 1.0, seed=33)
         mask = sample_mask_uniform((4, 4), 8, seed=34)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 2, 8, seed=35)
-        obs = observe_one_bit(gt.matrix, mask, thr)
+        obs = observe_one_bit(gt, mask, thr)
         with pytest.raises(UnsupportedModeError):
             self._solve(obs, 2.0, 1.0)
 
@@ -1377,9 +1377,9 @@ class TestSolveStatisticsOnly:
         gt = generate_low_rank((12, 12), 1, 1.0, seed=36)
         mask = sample_mask_uniform((12, 12), 100, seed=37)
         delta = 2.0
-        obs = self._obs(gt.matrix, mask, delta, 38)
+        obs = self._obs(gt, mask, delta, 38)
         surrogate = 0.5 * delta * obs.signs[0]
-        radius = float(np.linalg.norm(gt.matrix[mask.rows, mask.cols] - surrogate))
+        radius = float(np.linalg.norm(gt[mask.rows, mask.cols] - surrogate))
         rep = self._solve(obs, delta, radius, ProxParams(tol_rel_change=1e-8))
         assert rep.converged
-        assert np.linalg.norm(rep.matrix - gt.matrix) <= np.linalg.norm(gt.matrix)
+        assert np.linalg.norm(rep.matrix - gt) <= np.linalg.norm(gt)
