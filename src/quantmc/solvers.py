@@ -28,6 +28,7 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import SampleMask, as_matrix
 from .onebit import OneBitObservation, feasible_intervals, violation_measure
@@ -177,28 +178,49 @@ def _gesdd(Z: np.ndarray):
         ) from exc
 
 
+def _eigh_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(gram: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric float64 gram.
+
+    LAPACK syevd through numpy's ``eigh_lo`` gufunc, the routine
+    ``np.linalg.eigh`` runs, with the same floating-point error state, so
+    the result is bitwise that of ``np.linalg.eigh`` and a failure to
+    converge raises ``np.linalg.LinAlgError``; it skips only the wrapper's
+    input checks and type conversions, which a float64 Gram matrix does not
+    need.
+    """
+    with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(gram, signature="d->dd")
+
+
 def _svd_soft(Z: np.ndarray, theta: float):
     """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
 
     It is the one matrix decomposition either solver takes per step.  With
-    A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the
-    smaller Gram matrix A^T A with lam > theta^2 give sigma = sqrt(lam) and
-    X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds only
-    those kept.  Squaring puts an error of about eps * sigma_1^2 into every
-    lam, so a singular value near theta is off by at most
-    eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1 (where
-    that reaches about 1e-12 * sigma_1), and when the trace of A^T A
-    overflows or comes too near the subnormal range, a full SVD (LAPACK
-    gesdd) is taken instead; its sv has one entry per singular value.
+    A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the smaller
+    Gram matrix A^T A (LAPACK syevd, by ``_eigh``) with lam > theta^2 give
+    sigma = sqrt(lam) and X = A V diag(1 - theta / sigma) V^T, and
+    sv = sigma - theta holds only those kept.  Squaring puts an error of
+    about eps * sigma_1^2 into every lam, so a singular value near theta is
+    off by at most eps * sigma_1^2 / (2 theta).  Below
+    theta = _GRAM_FLOOR * sigma_1 (where that reaches about
+    1e-12 * sigma_1), and when the trace of A^T A overflows or comes too
+    near the subnormal range, a full SVD (LAPACK gesdd) is taken instead;
+    its sv has one entry per singular value.
     sigma_1^2 is at least the trace over the k = A.shape[1] eigenvalues, so
     a theta that the trace alone puts below the floor goes to gesdd without
-    an ``eigh``.
+    a syevd.  Either routine raises ``np.linalg.LinAlgError`` when LAPACK
+    does not converge (a NaN in Z, for one), which ``run_experiment``
+    records as a failed trial.
     """
     A = Z.T if Z.shape[0] < Z.shape[1] else Z
     gram = A.T @ A
     trace = gram.trace()
     if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
-        lam, V = np.linalg.eigh(gram)
+        lam, V = _eigh(gram)
         if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
             k = lam.searchsorted(theta * theta, side="right")
             sigma = np.sqrt(lam[k:])
@@ -214,8 +236,10 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     """Proximal operator of theta * ||.||_*: shrink each singular value by theta.
 
     Minimizes theta * ||X||_* + 1/2 ||X - Z||_F^2; theta = 0 returns Z.
-    Computed by ``_svd_soft``: from the Gram eigendecomposition, or a full
-    SVD when theta < 1e-4 * sigma_1(Z).
+    Computed by ``_svd_soft``: from the Gram eigendecomposition (LAPACK
+    syevd, numpy's ``eigh_lo``), or a full SVD (gesdd) when
+    theta < 1e-4 * sigma_1(Z).  Raises ``np.linalg.LinAlgError`` when LAPACK
+    does not converge.
     """
     Zm = as_matrix(Z)
     if theta < 0:
@@ -310,7 +334,7 @@ def _clipped_step(num, den, s_max):
     return min(s_max, max(1.0, _STEP_SAFETY * rho)) if math.isfinite(rho) else 1.0
 
 
-def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=None):
+def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=None, budget=None):
     """Accelerated proximal gradient for ||X||_* + (1/2 mu)||P(X) - Q||_F^2.
 
     The smooth part has Lipschitz constant L = 1/mu, and the mask leaves
@@ -324,8 +348,12 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
     residual to within e of the iterate's ||r||, and a relative-change stop
     counts only while gap <= _STALL_GAP * F, F the stage objective at Xn (a
     stage at small mu that stalls far from its minimum iterates on).  Runs
-    ``cap >= 1`` steps at most from x0 and returns (X, iterations, stop,
-    residual, nuclear), where stop is
+    from x0 and returns (X, iterations, stop, residual, nuclear).  It stops
+    after ``cap >= 1`` steps, except that a stage whose ||r|| lies inside
+    [lo, hi] at the cap runs on, momentum and settled count intact, until it
+    stops or its ||r|| leaves [lo, hi], for ``budget`` steps at most in all
+    (default ``cap``): a slow stage in the band converges where a restart at
+    nearly the same mu would begin again.  The stop is
 
     * "change": relative change at most tol_rel_change, and, with a band,
       the gap below the stall share.  With ||r|| inside [lo, hi] the change
@@ -347,7 +375,7 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
     * "gap": ||r|| lies outside [lo, hi] and e proves the exact residual
       lies on the same side, within _GAP_MARGIN of its distance to target
       (as SPGL1 solves its root-finding subproblems inexactly);
-    * None: the cap.
+    * None: the cap outside [lo, hi], or the budget.
 
     Each step reads and writes the mask through one C-order flat index,
     takes its norms with ``_fro`` and writes Y - Xn and Xn - X into one
@@ -365,12 +393,14 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
         nonlocal s_next, steps, settled
         steps += 1
         s = s_next
-        d = Y.take(idx) - q
+        y = Y.take(idx)
+        d = y - q
         Z = Y.copy()
-        Z.reshape(-1)[idx] -= s * d
+        Z.put(idx, y - s * d)
         Xn, sv = _svd_soft(Z, s * mu)
-        nuc = float(sv.sum())
-        r = Xn.take(idx) - q
+        nuc = float(np.add.reduce(sv))
+        r = Xn.take(idx)
+        r -= q
         rnorm = math.sqrt(r @ r)
         y_dist = _fro(np.subtract(Y, Xn, out=diff))
         p = d - r  # P(Y - Xn)
@@ -382,7 +412,7 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
             rel = _fro(np.subtract(Xn, X, out=diff)) / max(1.0, _fro(X))
         small = rel <= params.tol_rel_change
         if band is None:
-            return Xn, small, (nuc, "change" if small else None)
+            return Xn, small or steps >= cap, (nuc, "change" if small else None)
         if in_band and not small:
             return Xn, False, (nuc, None)
         gap, e = _ball_gap(mu, nuc, r, d, q, y_dist, s)
@@ -396,9 +426,9 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
                 return Xn, True, (nuc, "settled")
         elif not in_band and (rnorm - e > hi or rnorm + e < lo) and e <= _GAP_MARGIN * abs(rnorm - target):
             return Xn, True, (nuc, "gap")
-        return Xn, False, (nuc, None)
+        return Xn, not in_band and steps >= cap, (nuc, None)
 
-    X, iters, _, (nuc, stop) = _fista(step, x0, cap)
+    X, iters, _, (nuc, stop) = _fista(step, x0, cap if budget is None else budget)
     r = X.take(idx) - q
     return X, iters, stop, math.sqrt(r @ r), nuc
 
@@ -543,10 +573,13 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     the window.  Where the window is too narrow for the gap to certify (a
     tiny radius on a partial mask, whose small-mu stages converge slowly),
     the stage is accepted without the certificate once it has run as many
-    steps again as it took to pass that test.  Without an accepted
-    stage the solve reports converged=False and returns the feasible stage
-    with the largest residual or else, for a radius no inner solve
-    reaches, the stage with the smallest residual.
+    steps again as it took to pass that test.  A stage stops after
+    max(100, max_iters // 10) steps unless its residual then lies in the
+    window; such a stage runs on at its mu, within the budget, while it
+    stays there.  Without an accepted stage the solve reports
+    converged=False and returns the feasible stage with the largest
+    residual or else, for a radius no inner solve reaches, the stage with
+    the smallest residual.
     """
     params = params or ProxParams()
     Qm = as_matrix(Q)
@@ -586,8 +619,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
 
     def evaluate(mu, warm):
         nonlocal total
-        cap = min(inner_cap, params.max_iters - total)
-        X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, warm, params, cap, band)
+        X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, warm, params, inner_cap, band, params.max_iters - total)
         total += iters
         stages.append(nuc + resid * resid / (2.0 * mu))
         return X, stop, resid, nuc
@@ -723,7 +755,7 @@ def solve_one_bit_mc(
         W_flat[idx] = -w
         X, sv = _svd_soft(W, reg_weight)
         x = X.take(idx)
-        nuc = float(sv.sum())
+        nuc = float(np.add.reduce(sv))
         objective = reg_weight * nuc + 0.5 * float(sv @ sv)
         if last is None:
             s = 1.0
@@ -732,8 +764,8 @@ def solve_one_bit_mc(
             s = _clipped_step(-float((w - last[0]) @ dx), float(dx @ dx), _STEP_MAX)
         last = (w, x)
         v = w + s * x
-        y_next = v - s * (v / s).clip(box_lo, box_hi)
-        stop = bool(np.all((lo <= x) & (x < hi))) and (
+        y_next = v - s * np.minimum(np.maximum(v / s, box_lo), box_hi)
+        stop = bool(((lo <= x) & (x < hi)).all()) and (
             _box_gap(w, x, box_lo, box_hi) <= params.tol_rel_change * max(1.0, abs(objective))
         )
         return y_next, stop, (X, nuc, objective)

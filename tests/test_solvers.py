@@ -1,6 +1,7 @@
 """Nuclear-norm proximal operator and the two recovery solvers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,29 +94,29 @@ def _gesdd_soft(Z, theta):
     return (u * s) @ vt, s
 
 
-def _record_shapes(monkeypatch, name):
-    """Patch np.linalg.<name> to record the shape of each matrix it is given."""
+def _record_shapes(monkeypatch, module, name):
+    """Patch module.<name> to record the shape of each matrix it is given."""
     calls = []
-    fn = getattr(np.linalg, name)
+    fn = getattr(module, name)
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Shapes passed to np.linalg.svd while the test runs."""
-    return _record_shapes(monkeypatch, "svd")
+    return _record_shapes(monkeypatch, np.linalg, "svd")
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Shapes passed to np.linalg.eigh while the test runs."""
-    return _record_shapes(monkeypatch, "eigh")
+    """Shapes of the Gram matrices ``_svd_soft`` decomposes while the test runs."""
+    return _record_shapes(monkeypatch, quantmc.solvers, "_eigh")
 
 
 @pytest.fixture
@@ -252,6 +253,16 @@ class TestSvdSoft:
         assert np.max(np.abs(X - Z)) <= 1e-12 * np.linalg.norm(Z)
         assert sv.sum() == pytest.approx(np.linalg.norm(Z, "nuc"), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (3, 7)])
+    def test_gram_path_decomposes_once(self, eigh_calls, svd_calls, shape):
+        # the positive control of the test above: at a threshold above the
+        # floor the one decomposition is the k x k Gram matrix's, k the
+        # smaller side, and no gesdd runs
+        Z = np.random.default_rng(8).standard_normal(shape)
+        k = min(shape)
+        self._assert_matches_oracle(Z, 0.1 * np.linalg.norm(Z, 2))
+        assert eigh_calls == [(k, k)] and len(svd_calls) == 1  # the oracle's own SVD
+
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
     def test_bench_workload_matches_the_oracle(self, monkeypatch, svd_calls, solves, workload):
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
@@ -269,6 +280,52 @@ class TestSvdSoft:
             assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
             assert rec.iterations > 0
             assert rec.err_fro == pytest.approx(ref.err_fro, rel=1e-9)
+
+
+def _grams():
+    """Gram matrices A^T A of the sizes and structures the kernel meets."""
+    rng = np.random.default_rng(9)
+    grams = {}
+    for k in (1, 2, 32, 128):
+        A = rng.standard_normal((k + 5, k))
+        grams[f"{k}x{k}"] = A.T @ A
+    wide = rng.standard_normal((3, 7))
+    grams["3x3 of a wide 3x7"] = wide @ wide.T
+    low = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 30))
+    grams["rank-deficient 30x30"] = low.T @ low
+    repeated = _with_spectrum((40, 30), [5.0, 3.0, 3.0, 3.0, 1.0], seed=4)
+    grams["repeated eigenvalue 30x30"] = repeated.T @ repeated
+    return grams
+
+
+GRAMS = _grams()
+
+
+class TestEigh:
+    """``_eigh`` is numpy's own syevd call, without the wrapper."""
+
+    @pytest.mark.parametrize("name", list(GRAMS))
+    def test_bitwise_equal_to_numpy(self, name):
+        gram = GRAMS[name]
+        lam, V = quantmc.solvers._eigh(gram)
+        lam_ref, V_ref = np.linalg.eigh(gram)
+        assert lam.dtype == V.dtype == np.float64
+        assert np.array_equal(lam, lam_ref) and np.array_equal(V, V_ref)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_nan_raises_linalg_error_without_a_warning(self, full):
+        # the Gram of a Z with one NaN entry, or a Gram of NaNs: LAPACK does
+        # not converge, np.linalg.eigh raises, and so must _eigh, with the
+        # error state that turns the flag into the error instead of a warning
+        Z = np.random.default_rng(10).standard_normal((9, 4))
+        Z[2, 1] = np.nan
+        gram = np.full((3, 3), np.nan) if full else Z.T @ Z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigh(gram)
+            with pytest.raises(np.linalg.LinAlgError):
+                quantmc.solvers._eigh(gram)
 
 
 class TestFistaRestart:
@@ -669,6 +726,20 @@ class TestBallStep:
             assert max(thetas) > mu
 
 
+def _stress_problem(k):
+    """Problem k of a random ball stress set: a 3-13 per side matrix of rank
+    1-3 plus 0.2 Gaussian noise, 25-100% observed, radius ||q|| * 10^U(-6, 0).
+    Returns (Q, mask, radius)."""
+    rng = np.random.default_rng(5000 + k)
+    n1, n2 = (int(n) for n in rng.integers(3, 14, 2))
+    r = min(int(rng.integers(1, 4)), n1, n2)
+    m_prime = round(rng.uniform(0.25, 1.0) * n1 * n2)
+    X = rng.standard_normal((n1, r)) @ rng.standard_normal((r, n2))
+    mask = sample_mask_uniform((n1, n2), m_prime, rng.integers(2**31))
+    Q = project(X + 0.2 * rng.standard_normal((n1, n2)), mask)
+    return Q, mask, float(np.linalg.norm(Q[mask.rows, mask.cols]) * 10.0 ** rng.uniform(-6.0, 0.0))
+
+
 class TestSolveQuantizedMC:
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
@@ -792,6 +863,41 @@ class TestSolveQuantizedMC:
         inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
         assert inside or not rep.converged
 
+    def test_capped_in_band_stage_runs_on(self, monkeypatch):
+        # Stress problem 44 (4x6, rank 3, 11 of 24 observed, radius
+        # 0.0051 ||q||): its third stage lands in the band but needs about
+        # 9500 steps at its mu.  Restarted at the 2000-step stage cap, at mu
+        # within 1e-5 of it, such stages spent the whole budget unaccepted;
+        # run on at the same mu, the stage is accepted with its certificate.
+        stages = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(*args):
+            out = fista_ball(*args)
+            stages.append(out[1:3])
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        Q, mask, radius = _stress_problem(44)
+        assert Q.shape == (4, 6) and mask.m_prime == 11
+        params = ProxParams()
+        rep = solve_quantized_mc(Q, mask, radius, params)
+        assert rep.converged and rep.iterations < params.max_iters
+        cap = params.max_iters // 10
+        assert stages[-1][1] == "change" and stages[-1][0] > cap
+        assert all(iters <= cap for iters, _ in stages[:-1])
+
+    def test_stage_outside_the_band_stops_at_the_cap(self):
+        # the same stage without a band, or with its iterate just above the
+        # band at the cap (too near it for the gap to prove), stops at its
+        # cap whatever the budget
+        Q, mask, radius = _stress_problem(44)
+        q = Q[mask.rows, mask.cols]
+        below = (0.9 * radius, 0.985 * radius, 0.95 * radius)
+        for band, budget in ((None, 20000), (below, 20000)):
+            _, iters, stop, *_ = _fista_ball(q, mask, 1.171861e-2, np.zeros(Q.shape), ProxParams(), 2000, band, budget)
+            assert (iters, stop) == (2000, None)
+
     def test_feasible_fallback_below_the_band_is_not_converged(self, monkeypatch):
         # Two stages at radius 0.5, each solved to relative change without a
         # band: the second lands feasible below the band and is returned as
@@ -799,7 +905,7 @@ class TestSolveQuantizedMC:
         stops = []
         fista_ball = quantmc.solvers._fista_ball
 
-        def unbanded(q, mask, mu, x0, params, cap, band=None):
+        def unbanded(q, mask, mu, x0, params, cap, band=None, budget=None):
             out = fista_ball(q, mask, mu, x0, params, cap)
             stops.append(out[2])
             return out
@@ -872,8 +978,8 @@ class TestBallRootFinding:
         stages = []
         fista_ball = quantmc.solvers._fista_ball
 
-        def recording(q, mask, mu, x0, params, cap, band=None):
-            out = fista_ball(q, mask, mu, x0, params, cap, band)
+        def recording(q, mask, mu, x0, params, cap, band=None, budget=None):
+            out = fista_ball(q, mask, mu, x0, params, cap, band, budget)
             stages.append((mu, out[2], out[3]))
             return out
 
