@@ -397,7 +397,6 @@ def run_experiment(cfg: ExperimentConfig):
     Trial failures from numerical errors are recorded (err_fro = nan,
     converged = false) and never abort the batch.
     """
-    cfg.validate()
     grid = sorted(set(cfg.m_prime_grid)) if cfg.scenario == "rate_sweep" else [cfg.resolved_m_prime()]
     records = []
     for m_prime in grid:

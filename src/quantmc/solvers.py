@@ -64,11 +64,15 @@ _MAX_LOG_STEP = math.log(10.0)
 _BRACKET_MARGIN = 0.05
 _TINY_RESIDUAL = 1e-300
 
-# A search stage stops on its duality gap only once the bound e it gives on
-# the stage's exact residual is at most this share of the residual's distance
-# to the target, so the search steps from accurate points.  On the 128x128
-# bench workload (first trial of 20 seeds) this share cut the iterations by
-# 36%, a quarter by 27%, and no such condition at all by 24%.
+# Above the band, a search stage stops on its duality gap only once the bound
+# e it gives on the exact residual is at most this share of the residual's
+# distance to the target (of the residual itself for the first stage, started
+# from the zero matrix), so later stages warm-start from accurate points.
+# Iterations on the 150-problem stress set of the tests and the first trial
+# of seeds 2-11 of the two ball bench workloads: 86891, 203 and 1888; the
+# distance to the target for the first stage too, 87124, 224 and 1950; no
+# share for it, 88574 (one problem 51 -> 211); the residual for every stage,
+# 86227 (one 1521 -> 3308); no share at all, 93687 (one 1521 -> 5010).
 _GAP_MARGIN = 0.5
 
 # A search stage's relative-change stop counts only while the stage's duality
@@ -127,8 +131,9 @@ class ProxParams:
     max(1, ||X||_F).  A stage is accepted on it together with a
     duality-gap certificate that the stage's exact residual lies in the
     band, or, where the band is too narrow for the gap to certify, after as
-    many steps again; a search stage may stop earlier, on the certificate
-    alone.  For the one-bit solver it bounds the relative duality gap
+    many steps again; a stage outside the band may stop earlier, once the
+    certificate proves on which side of the target its exact residual lies.
+    For the one-bit solver it bounds the relative duality gap
     against the shrunk box.  ``tol_feas`` is the relative slack on
     the ball radius (the one-bit solver stops only on exact sign
     feasibility).
@@ -372,9 +377,11 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
       first reach that stop.  A band too narrow for the gap to resolve (a
       tiny radius, whose small-mu stages converge slowly) gets the stage's
       iterate as it is;
-    * "gap": ||r|| lies outside [lo, hi] and e proves the exact residual
-      lies on the same side, within _GAP_MARGIN of its distance to target
-      (as SPGL1 solves its root-finding subproblems inexactly);
+    * "gap": ||r|| lies outside [lo, hi] and e proves on which side of the
+      target the exact residual lies, as SPGL1 solves its root-finding
+      subproblems only that far: below it, ||r|| + e < target; above it,
+      ||r|| - e > hi with e at most _GAP_MARGIN of ||r|| - target, or of
+      ||r|| for a stage started from the zero matrix (the search's first);
     * None: the cap outside [lo, hi], or the budget.
 
     Each step reads and writes the mask through one C-order flat index,
@@ -385,6 +392,7 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
     diff = np.empty(np.shape(x0))  # scratch for Y - Xn, then Xn - X
     if band is not None:
         lo, hi, target = band
+        anchor = target if x0.any() else 0.0  # what the margin above [lo, hi] measures from
     s_next = 1.0
     steps = 0
     settled = None  # step of the stage's first uncertified in-band stop
@@ -424,7 +432,7 @@ def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=
                 settled = steps
             if steps >= 2 * settled:
                 return Xn, True, (nuc, "settled")
-        elif not in_band and (rnorm - e > hi or rnorm + e < lo) and e <= _GAP_MARGIN * abs(rnorm - target):
+        elif not in_band and (rnorm + e < target or rnorm - e > hi and e <= _GAP_MARGIN * (rnorm - anchor)):
             return Xn, True, (nuc, "gap")
         return Xn, not in_band and steps >= cap, (nuc, None)
 
@@ -557,26 +565,17 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     Each stage is warm-started by ``_warm_start``: on the line through the
     last two solved stages (the zero matrix at ||Q||_op counts as one),
     X_b + f (X_b - X_a) with f = (mu - mu_b) / (mu_b - mu_a), when
-    |f| <= 1; otherwise from the bracket end nearest in log mu.  Each
-    proximal step takes the spectral step of ``_fista_ball``, between 1/L
-    and 2/L.  A stage's duality gap bounds its exact residual to within e
-    of the iterate's residual ||r||, and its small-change stop counts
-    only while the gap is at most _STALL_GAP of the stage objective.  A
-    stage whose ||r|| lies outside the window stops on its iterate's
-    relative change ||Xn - X|| / max(1, ||X||) <= tol_rel_change or
-    once that bound proves its exact residual lies outside on the same
-    side, within half the distance to the target.  A stage inside the
-    window is accepted on its step's fixed-point residual
-    ||Y - Xn|| / (s max(1, ||Y||)) <= tol_rel_change together with
-    [||r|| - e, ||r|| + e] inside the window (or at an exact fixed point of
-    its step), so that it and the exact minimizer of its stage both lie in
-    the window.  Where the window is too narrow for the gap to certify (a
-    tiny radius on a partial mask, whose small-mu stages converge slowly),
-    the stage is accepted without the certificate once it has run as many
-    steps again as it took to pass that test.  A stage stops after
-    max(100, max_iters // 10) steps unless its residual then lies in the
-    window; such a stage runs on at its mu, within the budget, while it
-    stays there.  Without an accepted stage the solve reports
+    |f| <= 1; otherwise from the bracket end nearest in log mu.  Each stage
+    runs ``_fista_ball`` with the window as its band, and its stops are
+    stated there.  A stage is accepted on relative change inside the window
+    with the duality-gap certificate that it and the exact minimizer of its
+    stage both lie in the window, or "settled" where the window is too
+    narrow for the gap to certify (a tiny radius on a partial mask, whose
+    small-mu stages converge slowly).  A stage outside the window stops on
+    relative change, once its gap proves on which side of the target its
+    exact residual lies, or after max(100, max_iters // 10) steps; a stage
+    in the window at that cap runs on at its mu, within the budget, while
+    it stays there.  Without an accepted stage the solve reports
     converged=False and returns the feasible stage with the largest
     residual or else, for a radius no inner solve reaches, the stage with
     the smallest residual.

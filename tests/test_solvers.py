@@ -26,6 +26,7 @@ from quantmc.solvers import (
     _BALL_STEP_MAX,
     _BRACKET_MARGIN,
     _FEAS_MARGIN,
+    _GAP_MARGIN,
     _GRAM_FLOOR,
     _RESIDUAL_BAND,
     _STALL_GAP,
@@ -459,8 +460,9 @@ def test_bench_workload_predictor_iterations(solves, workload):
 # step at 0.9 of the quotient 324 and 2713, and at 0.7 of it, with the
 # in-band stop on the step's fixed-point residual, 287 and 2463, and with the
 # mu search on the offset from Q's own Pareto curve, aimed at 0.99 of the
-# radius, 231 and 2096.
-SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 240, "rate_sweep": 2170}
+# radius, 231 and 2096, and with search stages that stop once their gap
+# proves the side of the target, 203 and 1888.
+SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 210, "rate_sweep": 1950}
 
 
 class TestBallGapCertificate:
@@ -481,8 +483,11 @@ class TestBallGapCertificate:
         monkeypatch.setattr(quantmc.solvers, "_ball_gap", recording)
         return calls
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_gap_bounds_the_exact_residual(self, gaps, seed):
+    @staticmethod
+    def _stage(seed, warm):
+        """(q, mask, mu, x0, exact) of a random mu stage started from the zero
+        matrix or, when warm, from a looser solve at a nearby mu, as the
+        search does; exact is its residual solved to relative change 1e-12."""
         rng = np.random.default_rng(700 + seed)
         shape = tuple(int(n) for n in rng.integers(6, 17, size=2))
         size = shape[0] * shape[1]
@@ -492,11 +497,22 @@ class TestBallGapCertificate:
         q = Q[mask.rows, mask.cols]
         mu = np.linalg.norm(Q, 2) * 10.0 ** rng.uniform(-3.0, 0.0)
         x0 = np.zeros(shape)
-        if seed % 2:
-            # warm start from a looser solve at a nearby mu, as the search does
+        if warm:
             x0 = _fista_ball(q, mask, mu * 10.0 ** rng.uniform(-1.0, 1.0), x0, ProxParams(tol_rel_change=1e-4), 500)[0]
         _, _, ref_stop, exact, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-12), 100_000)
         assert ref_stop == "change"
+        return q, mask, mu, x0, exact
+
+    @staticmethod
+    def _band(radius):
+        """The search's (lo, hi, target) for a radius at the default tol_feas."""
+        target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
+        return (1.0 - _RESIDUAL_BAND) * radius, radius * (1.0 + ProxParams().tol_feas), target
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gap_bounds_the_exact_residual(self, gaps, seed):
+        q, mask, mu, x0, exact = self._stage(seed, warm=seed % 2)
+        size = mask.dims.n1 * mask.dims.n2
         gaps.clear()
         # the exact residual lies inside this band, so a sound certificate
         # can never stop the stage, and every iterate outside it is checked
@@ -514,6 +530,67 @@ class TestBallGapCertificate:
         if mask.m_prime < size:
             # a partial mask leaves the curvature below 1/mu: longer steps
             assert any(s > 1.0 for *_, s in gaps)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_below_the_band_the_side_of_the_target_suffices(self, gaps, seed):
+        # Exact residual 0.945 R, just below the band [0.95 R, R]: the stage
+        # stops "gap" at an iterate below the band whose bound puts the exact
+        # residual below the target 0.99 R while it still overlaps the band,
+        # where a stop on ||r|| + e < 0.95 R would have to wait.
+        q, mask, mu, x0, exact = self._stage(seed, warm=seed % 2)
+        lo, hi, target = band = self._band(exact / 0.945)
+        gaps.clear()
+        stop = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)[2]
+        _, rnorm, _, e, _, _ = gaps[-1]
+        assert stop == "gap"
+        assert rnorm < lo <= rnorm + e < target
+        # the certified side is the exact residual's
+        assert abs(rnorm - exact) <= e + 1e-9 * exact
+
+    def test_search_gap_stops_certify_the_exact_side(self, monkeypatch):
+        # every "gap" stop of the search, on the first rate_sweep trial and
+        # every tenth stress problem, lies on the side of its exact residual,
+        # solved from the same start to relative change 1e-12: below the
+        # target when the stage ended below the band, above it otherwise
+        stages = []
+        fista_ball = quantmc.solvers._fista_ball
+
+        def recording(*args):
+            out = fista_ball(*args)
+            stages.append((args, out))
+            return out
+
+        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS["rate_sweep"])
+        quantmc.harness.run_experiment(cfg)
+        for k in range(0, 150, 10):
+            solve_quantized_mc(*_stress_problem(k))
+        sides = []
+        for (q, mask, mu, x0, _, _, (lo, hi, target), _), (_, _, stop, resid, _) in stages:
+            if stop == "gap":
+                exact = fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-12), 100_000)[3]
+                sides.append(resid < lo)
+                assert exact < target if resid < lo else exact > hi
+        assert sides.count(True) >= 2 and sides.count(False) >= 20
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_above_the_band_only_a_cold_stage_drops_the_target_margin(self, gaps, seed):
+        # Exact residual 1.3 R, where the search's first stage lands on the
+        # bench workloads.  Every stage stops "gap" once ||r|| - e > hi; from
+        # the zero matrix (the search's first stage) it also needs
+        # e <= _GAP_MARGIN ||r||, and it stops where e is above _GAP_MARGIN of
+        # the distance to the target, which a warm-started stage still needs.
+        # (A warm start from a mu above ||Q||_op is the zero matrix.)
+        for from_nearby_mu in (False, True):
+            q, mask, mu, x0, exact = self._stage(seed, from_nearby_mu)
+            warm = bool(x0.any())
+            lo, hi, target = band = self._band(exact / 1.3)
+            gaps.clear()
+            stop = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)[2]
+            _, rnorm, _, e, _, _ = gaps[-1]
+            assert stop == "gap" and rnorm - e > hi and e <= _GAP_MARGIN * rnorm
+            assert (e <= _GAP_MARGIN * (rnorm - target)) == warm
+            assert abs(rnorm - exact) <= e + 1e-9 * exact
 
     @pytest.mark.parametrize("mu, delta", [(0.5, 0.1), (0.5, -0.2), (0.01, 0.005), (2.0, 1.5)])
     def test_bound_is_attained_on_a_scalar_stage(self, mu, delta):
@@ -741,6 +818,25 @@ def _stress_problem(k):
 
 
 class TestSolveQuantizedMC:
+    # Most iterations over the 150 problems of _stress_problem at the default
+    # ProxParams: the mu search on the Pareto offset took 98760, with capped
+    # in-band stages run on at their mu 87173, and with search stages that
+    # stop once their gap proves the side of the target 86891.
+    STRESS_ITERATION_LIMIT = 87500
+
+    def test_stress_set_converges_inside_the_band(self):
+        params = ProxParams()
+        total, missed = 0, []
+        for k in range(150):
+            Q, mask, radius = _stress_problem(k)
+            rep = solve_quantized_mc(Q, mask, radius, params)
+            total += rep.iterations
+            inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
+            if not (rep.converged and inside):
+                missed.append(k)
+        assert missed == []
+        assert total <= self.STRESS_ITERATION_LIMIT
+
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
         mask = sample_mask_uniform((8, 8), 64, seed=4)
