@@ -1,25 +1,23 @@
 """Nuclear-norm recovery solvers.
 
-Two convex programs share one accelerated proximal loop, ``_fista`` (FISTA
-with the gradient restart), around one singular-value soft-threshold per
-step, ``_svd_soft``.  Each rule is stated once, in the docstring named here:
+Two convex programs, each solved by a loop around one singular-value
+soft-threshold per step, ``_svd_soft``.  Each rule is stated once, in the
+docstring named here:
 
 * ``solve_quantized_mc``: minimum nuclear norm inside the ball
-  ||P_mask(X) - Q||_F <= radius, by a search on the weight mu of the
-  penalized form that models each stage's residual as Q's own full-mask
-  Pareto curve plus an offset, secant in log mu.  The search, its bracket and
-  its acceptance window: ``solve_quantized_mc``; the model's next mu:
-  ``_model_guess``; a stage's warm start: ``_warm_start``; a stage's
-  spectral step and its stops: ``_fista_ball``, with the duality gap of
-  ``_ball_gap``.
+  ||P_mask(X) - Q||_F <= radius, by one primal-dual (Chambolle-Pock) loop
+  started at Q's own Pareto point, which stops on a duality gap of
+  _BALL_GAP of the nuclear norm.  Its step, its start, its certificate and
+  its feasible point: ``solve_quantized_mc``.
 * ``solve_one_bit_mc``: minimum reg_weight * ||X||_* + 1/2 ||X||_F^2 over
   the sign polyhedron, a per-entry box, by dual accelerated singular value
-  thresholding.  Its step, its stop and what the stop certifies:
-  ``solve_one_bit_mc``, with the duality gap of ``_box_gap``.
+  thresholding: ``_fista`` (FISTA with the gradient restart) on the dual,
+  with the spectral step of ``_clipped_step``.  Its step, its stop and what
+  the stop certifies: ``solve_one_bit_mc``, with the duality gap of
+  ``_box_gap``.
 
-Both solvers start from the zero matrix, clip their spectral step with
-``_clipped_step``, take their tolerances from ``ProxParams``, and are fully
-deterministic.
+Both solvers take their budget and tolerances from ``ProxParams`` and are
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -41,48 +39,6 @@ __all__ = [
     "solve_quantized_mc",
 ]
 
-# Acceptable undershoot of the target radius before the ball constraint
-# stops counting as active (the overshoot side is capped by tol_feas, which
-# keeps the feasibility contract hard), the share of that band below the
-# radius that the root-finder aims at, and the limits of the root-finding on
-# mu: the smallest weight tried, the most stages per solve, the smallest and
-# largest step down in log mu before the root is bracketed, and the share of
-# the bracket's log width kept clear at each end once it is.  The largest
-# step keeps the warm starts a continuation: a stage cold-started far below
-# the last solved mu moves by about mu per iteration, so its relative-change
-# stop fires at a point whose nuclear norm is far from minimal.  The aim is
-# 0.99 * radius, not the middle of the band: the search's stages land where
-# it aims, and on a steep Pareto curve a residual of 0.975 * radius costs
-# accuracy (the 384x384 sign-only checks c15 and c16 went from 0.74 and 0.78
-# to 0.81 and 0.87 median rel_err).
-_RESIDUAL_BAND = 0.05
-_TARGET_DEPTH = 0.2
-_MU_FLOOR = 1e-10
-_MAX_STAGES = 40
-_MIN_LOG_STEP = 0.05
-_MAX_LOG_STEP = math.log(10.0)
-_BRACKET_MARGIN = 0.05
-_TINY_RESIDUAL = 1e-300
-
-# Above the band, a search stage stops on its duality gap only once the bound
-# e it gives on the exact residual is at most this share of the residual's
-# distance to the target (of the residual itself for the first stage, started
-# from the zero matrix), so later stages warm-start from accurate points.
-# Iterations on the 150-problem stress set of the tests and the first trial
-# of seeds 2-11 of the two ball bench workloads: 86891, 203 and 1888; the
-# distance to the target for the first stage too, 87124, 224 and 1950; no
-# share for it, 88574 (one problem 51 -> 211); the residual for every stage,
-# 86227 (one 1521 -> 3308); no share at all, 93687 (one 1521 -> 5010).
-_GAP_MARGIN = 0.5
-
-# A search stage's relative-change stop counts only while the stage's duality
-# gap is at most this share of its objective F = ||X||_* + ||r||^2 / (2 mu);
-# above it the stop is a stall (a small-mu stage moves X by about mu per
-# step), and the stage iterates on.  On the ball bench workloads (first trial
-# of seeds 2-21) gap / F stays below 2.1e-5 at every relative-change pass; a
-# stage at mu = 8.3e-9 started from zero stalls at about 0.2.
-_STALL_GAP = 1e-3
-
 # Where _svd_soft's Gram path holds its precision: the smallest
 # theta / sigma_1, and the smallest ||Z||_F^2 (below it, an eps-relative
 # rounding of sigma_1^2 may be subnormal).
@@ -93,12 +49,10 @@ _GRAM_MIN = np.finfo(float).tiny / np.finfo(float).eps
 # entry's feasible interval so the shrunk box stays nonempty.
 _FEAS_MARGIN = 5e-7
 
-# Share of the curvature quotient that both spectral steps take: the
+# Share of the curvature quotient that the one-bit spectral step takes: the
 # quotient measures the last move, and the next, momentum-driven move may
-# meet more curvature.  On the bench workloads (first trial of seeds 2-21)
-# 0.7 in place of 0.9 (ball) and 1.0 (one-bit) cut the iterations from 606
-# to 570 (128x128), from 5552 to 5392 (32x32 sweep) and from 1280 to 1164
-# (one-bit).
+# meet more curvature.  On the onebit_known bench workload (first trial of
+# seeds 2-21) 0.7 in place of 1.0 cut the iterations from 1280 to 1164.
 _STEP_SAFETY = 0.7
 
 # Largest spectral step of the one-bit dual; the smallest is 1 = 1/L.  On the
@@ -107,36 +61,24 @@ _STEP_SAFETY = 0.7
 # times it to 1164; the long quotient doubled them.
 _STEP_MAX = 3.0
 
-# Largest spectral step of a ball stage, in units of 1/L = mu; the smallest
-# is 1.  On the two ball bench workloads (first trial of seeds 2-21) 0.9
-# times the previous step's quotient, clipped to [1, 2], cut the iterations
-# from 790 to 606 (128x128) and from 6546 to 5552 (32x32 sweep); 0.7 times
-# it, with the in-band stop on the step's fixed-point residual, to 540 and
-# 4860.
-_BALL_STEP_MAX = 2.0
+# Relative duality gap at which the ball solver stops: its answer's nuclear
+# norm is then at most 1 / (1 - _BALL_GAP) times the program's minimum.  On
+# the ball bench workloads (first trial of seeds 2-11) the loop took 162 and
+# 592 steps at 1e-2, 225 and 1410 at 1e-3, and 377 and 3828 at 3e-6.
+_BALL_GAP = 1e-2
 
 
 @dataclasses.dataclass(frozen=True)
 class ProxParams:
     """Iteration budget and tolerances for the proximal solvers.
 
-    ``max_iters`` is the total budget across all inner solves.  Both
-    solvers take spectral steps between 1/L and a few times 1/L.
-    ``tol_rel_change`` bounds, for the quantized solver, the relative
-    change at which a mu stage stops.  While the stage's residual lies in
-    the acceptance band, that change is the step's fixed-point residual
-    ||Y - Xn||_F / (s max(1, ||Y||_F)), Y the extrapolated point, Xn its
-    proximal step and s the step in units of 1/L; outside the band, and
-    without a band, it is the iterate's change ||Xn - X||_F /
-    max(1, ||X||_F).  A stage is accepted on it together with a
-    duality-gap certificate that the stage's exact residual lies in the
-    band, or, where the band is too narrow for the gap to certify, after as
-    many steps again; a stage outside the band may stop earlier, once the
-    certificate proves on which side of the target its exact residual lies.
-    For the one-bit solver it bounds the relative duality gap
-    against the shrunk box.  ``tol_feas`` is the relative slack on
-    the ball radius (the one-bit solver stops only on exact sign
-    feasibility).
+    ``max_iters`` caps the steps of either solver.  ``tol_feas`` is the
+    relative slack on the ball radius: a converged ball answer has
+    ||P(X) - q|| <= radius (1 + tol_feas).  ``tol_rel_change`` bounds the
+    one-bit solver's relative duality gap against the shrunk box; the ball
+    solver stops on a fixed relative gap, _BALL_GAP, and does not read it.
+    The one-bit solver stops only on exact sign feasibility and does not
+    read ``tol_feas``.
     """
 
     max_iters: int = 20000
@@ -157,10 +99,9 @@ class SolverReport:
     ``data_residual`` is the ball residual ||P_mask(X) - Q||_F for the
     quantized problem and the constraint violation for the one-bit problem.
     ``stage_objectives`` holds one float per stage, so its length is the
-    stage count: for the ball solver, each mu stage's final penalized
-    objective ||X||_* + ||P(X) - Q||_F^2 / (2 mu); for the one-bit solver,
-    its one stage's final objective.  It is empty when the zero matrix is
-    returned without a solve.
+    stage count; each solver runs one stage, and the entry is its final
+    objective (the nuclear norm, for the ball solver).  It is empty when
+    the zero matrix is returned without a solve.
     """
 
     matrix: np.ndarray
@@ -240,14 +181,15 @@ def _svd_soft(Z: np.ndarray, theta: float):
 def prox_nuclear(Z, theta: float) -> np.ndarray:
     """Proximal operator of theta * ||.||_*: shrink each singular value by theta.
 
-    Minimizes theta * ||X||_* + 1/2 ||X - Z||_F^2; theta = 0 returns Z.
+    Minimizes theta * ||X||_* + 1/2 ||X - Z||_F^2; theta = 0 returns Z, and
+    a negative or NaN theta raises ``ValueError``.
     Computed by ``_svd_soft``: from the Gram eigendecomposition (LAPACK
     syevd, numpy's ``eigh_lo``), or a full SVD (gesdd) when
     theta < 1e-4 * sigma_1(Z).  Raises ``np.linalg.LinAlgError`` when LAPACK
     does not converge.
     """
     Zm = as_matrix(Z)
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
     if theta == 0:
         return Zm.copy()
@@ -262,7 +204,7 @@ def _fro(a: np.ndarray) -> float:
 
 
 def _fista(step, z0, cap: int):
-    """Accelerated proximal loop (FISTA with adaptive restart) shared by both solvers.
+    """Accelerated proximal loop (FISTA with adaptive restart) of the one-bit solver.
 
     ``step(w, z)`` maps the extrapolated point w and the current iterate z
     to ``(z_next, stop, info)``: one proximal-gradient step and its stopping
@@ -296,24 +238,6 @@ def _fista(step, z0, cap: int):
     return z, iters, False, info
 
 
-def _ball_gap(mu, nuc, r, d, q, y_dist, s):
-    """Duality gap of a ball-solver stage at Xn, and the residual bound it gives.
-
-    The stage minimizes F(X) = ||X||_* + ||P(X) - q||^2 / (2 mu); its dual is
-    max -<lam, q> - (mu/2) ||lam||^2 over ||P^* lam||_op <= 1.  Xn is
-    SVT_{s mu}(Z) with Z = Y - s P^* d and d = P(Y) - q, so (Z - Xn) / (s mu)
-    is a subgradient of ||.||_* at Xn and ||P^* d||_op <= mu + y_dist / s,
-    with y_dist = ||Y - Xn||_F: lam = d / (mu + y_dist / s) is dual feasible
-    for any step s > 0.  With r = P(Xn) - q and nuc = ||Xn||_*, the gap is
-    F(Xn) + <lam, q> + (mu/2) ||lam||^2.  F is (1/mu)-strongly convex in
-    P(X), so the stage's exact residual lies within e = sqrt(2 mu gap) of
-    ||r||.  Returns (gap, e).
-    """
-    lam = d / (mu + y_dist / s)
-    gap = nuc + (r @ r) / (2.0 * mu) + lam @ q + 0.5 * mu * (lam @ lam)
-    return gap, math.sqrt(2.0 * mu * max(gap, 0.0))
-
-
 def _box_gap(w, x, box_lo, box_hi):
     """Duality gap of the one-bit solver at its dual point w, from the step's
     own primal x = P(X(w)): the Fenchel-Young gap sigma_B(w) - <w, x>.
@@ -329,7 +253,7 @@ def _box_gap(w, x, box_lo, box_hi):
 
 
 def _clipped_step(num, den, s_max):
-    """Spectral step of both solvers, in units of 1/L: the quotient num / den,
+    """Spectral step of the one-bit dual, in units of 1/L: the quotient num / den,
     an inverse local curvature along the last move, times _STEP_SAFETY and
     clipped to [1, s_max]; 1 where the quotient is not positive and finite.
     """
@@ -339,251 +263,49 @@ def _clipped_step(num, den, s_max):
     return min(s_max, max(1.0, _STEP_SAFETY * rho)) if math.isfinite(rho) else 1.0
 
 
-def _fista_ball(q, mask: SampleMask, mu, x0, params: ProxParams, cap: int, band=None, budget=None):
-    """Accelerated proximal gradient for ||X||_* + (1/2 mu)||P(X) - Q||_F^2.
-
-    The smooth part has Lipschitz constant L = 1/mu, and the mask leaves
-    its local curvature well below that bound.  Each step takes
-    Z = Y - s P^*(P(Y) - q) and Xn = SVT_{s mu}(Z), a step of s / L: s = 1 on
-    a stage's first step, then ``_clipped_step`` of the previous step's
-    ||Y - Xn||^2 / ||P(Y - Xn)||^2, in [1, _BALL_STEP_MAX], with no
-    backtracking.  FISTA has no convergence proof for steps above 1/L, so
-    the stop that lets the search accept a stage is a certificate: given
-    ``band = (lo, hi, target)``, ``_ball_gap`` bounds the stage's exact
-    residual to within e of the iterate's ||r||, and a relative-change stop
-    counts only while gap <= _STALL_GAP * F, F the stage objective at Xn (a
-    stage at small mu that stalls far from its minimum iterates on).  Runs
-    from x0 and returns (X, iterations, stop, residual, nuclear).  It stops
-    after ``cap >= 1`` steps, except that a stage whose ||r|| lies inside
-    [lo, hi] at the cap runs on, momentum and settled count intact, until it
-    stops or its ||r|| leaves [lo, hi], for ``budget`` steps at most in all
-    (default ``cap``): a slow stage in the band converges where a restart at
-    nearly the same mu would begin again.  The stop is
-
-    * "change": relative change at most tol_rel_change, and, with a band,
-      the gap below the stall share.  With ||r|| inside [lo, hi] the change
-      is the step's fixed-point residual ||Y - Xn|| / (s max(1, ||Y||)),
-      the gradient mapping of Beck-Teboulle, which reaches tol while the
-      momentum still moves the iterate, and the stop needs
-      [||r|| - e, ||r|| + e] inside [lo, hi] as well, or the step returned
-      its own input (Y = Xn exactly, so no further step can move it).
-      Outside [lo, hi] it is the iterate's change
-      ||Xn - X|| / max(1, ||X||): such a stop hands its point to the secant
-      and the next warm start uncertified, and at small mu the fixed-point
-      residual shrinks with mu, so it would stop a stalled stage.  Without
-      a band, the iterate's change alone;
-    * "settled": with ||r|| inside [lo, hi], the stop "change" less the
-      certificate, once the stage has run as many steps again as it took to
-      first reach that stop.  A band too narrow for the gap to resolve (a
-      tiny radius, whose small-mu stages converge slowly) gets the stage's
-      iterate as it is;
-    * "gap": ||r|| lies outside [lo, hi] and e proves on which side of the
-      target the exact residual lies, as SPGL1 solves its root-finding
-      subproblems only that far: below it, ||r|| + e < target; above it,
-      ||r|| - e > hi with e at most _GAP_MARGIN of ||r|| - target, or of
-      ||r|| for a stage started from the zero matrix (the search's first);
-    * None: the cap outside [lo, hi], or the budget.
-
-    Each step reads and writes the mask through one C-order flat index,
-    takes its norms with ``_fro`` and writes Y - Xn and Xn - X into one
-    scratch array; x0 is not written.
-    """
-    idx = mask.rows * mask.dims.n2 + mask.cols  # C-order flat index of the mask
-    diff = np.empty(np.shape(x0))  # scratch for Y - Xn, then Xn - X
-    if band is not None:
-        lo, hi, target = band
-        anchor = target if x0.any() else 0.0  # what the margin above [lo, hi] measures from
-    s_next = 1.0
-    steps = 0
-    settled = None  # step of the stage's first uncertified in-band stop
-
-    def step(Y, X):
-        nonlocal s_next, steps, settled
-        steps += 1
-        s = s_next
-        y = Y.take(idx)
-        d = y - q
-        Z = Y.copy()
-        Z.put(idx, y - s * d)
-        Xn, sv = _svd_soft(Z, s * mu)
-        nuc = float(np.add.reduce(sv))
-        r = Xn.take(idx)
-        r -= q
-        rnorm = math.sqrt(r @ r)
-        y_dist = _fro(np.subtract(Y, Xn, out=diff))
-        p = d - r  # P(Y - Xn)
-        s_next = _clipped_step(y_dist * y_dist, p @ p, _BALL_STEP_MAX)
-        in_band = band is not None and lo <= rnorm <= hi
-        if in_band:
-            rel = y_dist / (s * max(1.0, _fro(Y)))
-        else:
-            rel = _fro(np.subtract(Xn, X, out=diff)) / max(1.0, _fro(X))
-        small = rel <= params.tol_rel_change
-        if band is None:
-            return Xn, small or steps >= cap, (nuc, "change" if small else None)
-        if in_band and not small:
-            return Xn, False, (nuc, None)
-        gap, e = _ball_gap(mu, nuc, r, d, q, y_dist, s)
-        fixed = y_dist == 0.0  # the step returned its own input
-        if small and (fixed or gap <= _STALL_GAP * (nuc + (r @ r) / (2.0 * mu))):
-            if fixed or not in_band or lo <= rnorm - e and rnorm + e <= hi:
-                return Xn, True, (nuc, "change")
-            if settled is None:
-                settled = steps
-            if steps >= 2 * settled:
-                return Xn, True, (nuc, "settled")
-        elif not in_band and (rnorm + e < target or rnorm - e > hi and e <= _GAP_MARGIN * (rnorm - anchor)):
-            return Xn, True, (nuc, "gap")
-        return Xn, not in_band and steps >= cap, (nuc, None)
-
-    X, iters, _, (nuc, stop) = _fista(step, x0, cap if budget is None else budget)
-    r = X.take(idx) - q
-    return X, iters, stop, math.sqrt(r @ r), nuc
-
-
-def _pareto_residual(sigma, mu):
-    """g(mu) = sqrt(sum_i min(sigma_i, mu)^2): the residual ||Q - SVT_mu(Q)||_F
-    of a stage on a full mask, sigma the singular values of Q."""
-    clipped = np.minimum(sigma, mu)
-    return math.sqrt(clipped @ clipped)
-
-
-def _model_guess(sigma, y_target, offsets):
-    """log mu where the model log g(mu) + c(log mu) reaches y_target.
-
-    sigma holds the singular values of Q in descending order, g is
-    ``_pareto_residual`` and ``offsets`` the (log mu, c) of the last one or
-    two solved stages, c = log ||r|| - log g(mu) (exactly 0 on a full mask):
-    c(x) is the constant of one, or the line through two.  Where j singular
-    values lie at or above mu, g^2 = T_j + j mu^2 with T_j the sum of the
-    rest's squares, so h(x) = log g(e^x) + c(x) - y_target is convex between
-    the breakpoints log sigma_j, and it is least at a segment's lower end or,
-    where c falls with slope k in (-1, 0), at e^{2x} = -k T_j / (j (1 + k)).
-    A segment holds a root where h rises through 0 when h is at least 0 at
-    its upper end and below 0 at its least point.  The root is in closed
-    form, in log mu, below the smallest positive sigma (T_j = 0) and for a
-    constant c; otherwise it is the limit of Newton steps from the upper
-    end, which fall monotonically onto it.  Of several such roots the
-    one nearest the last stage is taken.  None when there is none below
-    log sigma_1, where g stops rising (always, where k <= -1).
-    """
-    x_last, c_last = offsets[-1]
-    k = 0.0  # slope of c
-    if len(offsets) == 2 and offsets[0][0] != x_last:
-        k = (c_last - offsets[0][1]) / (x_last - offsets[0][0])
-    if k <= -1.0:
-        return None
-    s = sigma[sigma > 0.0]
-    sq = s * s
-    tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)  # T_j, j = 1..len(s)
-    counts = np.arange(1, len(s) + 1)
-    xb = np.log(s)  # breakpoints, descending
-
-    def h(x, j, tail):
-        return 0.5 * np.log(tail + j * np.exp(2.0 * x)) + c_last + k * (x - x_last) - y_target
-
-    # Segment i holds mu in (s[i + 1], s[i]], with counts[i] values at or
-    # above mu; the last one is unbounded below, where h has slope 1 + k > 0.
-    # Values of h within rounding of 0 count as 0, so a target at the top of
-    # the curve, g(sigma_1) = ||sigma||, has its root at log sigma_1.
-    upper = h(xb, counts, tails)
-    upper[np.abs(upper) <= 4.0 * np.finfo(float).eps * (1.0 + abs(y_target))] = 0.0
-    least = np.append(upper[1:], -math.inf)
-    if k < 0.0:
-        with np.errstate(divide="ignore"):
-            x_min = 0.5 * np.log(-k * tails / (counts * (1.0 + k)))
-        inside = (x_min > np.append(xb[1:], -math.inf)) & (x_min < xb)
-        least[inside] = h(x_min[inside], counts[inside], tails[inside])
-    rising = np.flatnonzero((upper >= 0.0) & (least < 0.0))
-    if len(rising) == 0:
-        return None
-    i = rising[np.argmin(np.abs(xb[rising] - x_last))]
-    j, tail, x = counts[i], tails[i], float(xb[i])
-    if tail == 0.0:  # below the smallest positive sigma, g = sqrt(j) mu
-        return (y_target - c_last + k * x_last - 0.5 * math.log(j)) / (1.0 + k)
-    if k == 0.0:
-        t2 = math.exp(2.0 * (y_target - c_last))
-        if t2 > tail:
-            return 0.5 * math.log((t2 - tail) / j)
-    for _ in range(60):
-        e2 = j * math.exp(2.0 * x)
-        step = float(h(x, j, tail)) / (e2 / (tail + e2) + k)
-        if not step > 1e-15 * max(1.0, abs(x)):
-            break
-        x -= step
-    return x
-
-
-def _warm_start(x, hi, lo, last, prev):
-    """Start for a mu stage at log mu = x.
-
-    Points are (log mu, log residual, X); ``last`` and ``prev`` are the two
-    most recently solved (``prev`` None before there are two), ``hi`` and
-    ``lo`` the bracket ends (``lo`` None until a stage undershoots).  While
-    the kept rank is fixed the stage solution is affine in mu (on a full
-    mask X(mu) = SVT_mu(Q) = sum_i (sigma_i - mu) u_i v_i^T exactly), so the
-    line through the last two points predicts X_b + f (X_b - X_a), with
-    f = (mu - mu_b) / (mu_b - mu_a).  The prediction is taken when
-    |f| <= 1, no farther from b than a is; otherwise the start is the
-    bracket end nearest in log mu.
-    """
-    if prev is not None and prev[0] != last[0]:
-        mu_a, mu_b = math.exp(prev[0]), math.exp(last[0])
-        f = (math.exp(x) - mu_b) / (mu_b - mu_a)
-        if abs(f) <= 1.0:
-            return last[2] + f * (last[2] - prev[2])
-    return hi[2] if lo is None or hi[0] - x <= x - lo[0] else lo[2]
-
-
 def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | None = None) -> SolverReport:
     """Minimum nuclear norm subject to ||P_mask(X) - Q||_F <= radius.
 
-    Q must vanish off the mask.  If the zero matrix is feasible it is
-    returned directly (it has minimal nuclear norm).  Otherwise the data-fit
-    weight mu is moved stage by stage until a converged inner solve lands
-    its residual in the acceptance window [0.95 * radius, radius *
-    (1 + tol_feas)].  The residual rises with mu, and the search runs on the
-    curve (log mu, log residual), as SPGL1 does on its Pareto curve, in
-    coordinates that Q's own curve straightens.  On a full mask a stage's
-    solution is SVT_mu(Q), so its residual is g(mu) = sqrt(sum_i
-    min(sigma_i, mu)^2), sigma the singular values of Q, taken from the one
-    SVD of Q that also gives ||Q||_op.  Each solved stage gets the offset
-    c = log ||r|| - log g(mu), exactly 0 on a full mask:
+    Q must vanish off the mask and be finite, and the radius positive (an
+    infinite one admits the zero matrix); otherwise ``ValueError``.  If the
+    zero matrix is feasible it is returned directly (it has minimal nuclear
+    norm).  Otherwise the saddle problem
+    min_X max_y ||X||_* + <P(X), y> - <y, q> - radius ||y||, q the masked
+    entries of Q, is solved by the primal-dual loop of Chambolle and Pock
+    (J. Math. Imaging Vis. 2011).  Each step is
 
-    * for mu >= ||Q||_op the zero matrix is optimal with residual ||q||, so
-      that point is the bracket's upper end and costs no solve; the first
-      guess is ||Q||_op * radius / ||q||;
-    * each next guess is ``_model_guess``: the mu where log g(mu) + c(log mu)
-      meets 0.99 * radius, 0.2 of the window below the radius, with c the
-      offset of the first stage, and then the line through the offsets of
-      the last two;
-    * until a stage undershoots that target, mu steps down by a factor
-      between e^0.05 and 10 (never below 1e-10); after that each guess is
-      clamped into the inner 90% of the bracket, with regula falsi on the
-      bracket ends when the model has no root.
+        v = y + sigma P(Xbar),  y = v - sigma Pi(v / sigma),
+        Xn = SVT_tau(X - tau P^* y),  Xbar = 2 Xn - X,
 
-    Each stage is warm-started by ``_warm_start``: on the line through the
-    last two solved stages (the zero matrix at ||Q||_op counts as one),
-    X_b + f (X_b - X_a) with f = (mu - mu_b) / (mu_b - mu_a), when
-    |f| <= 1; otherwise from the bracket end nearest in log mu.  Each stage
-    runs ``_fista_ball`` with the window as its band, and its stops are
-    stated there.  A stage is accepted on relative change inside the window
-    with the duality-gap certificate that it and the exact minimizer of its
-    stage both lie in the window, or "settled" where the window is too
-    narrow for the gap to certify (a tiny radius on a partial mask, whose
-    small-mu stages converge slowly).  A stage outside the window stops on
-    relative change, once its gap proves on which side of the target its
-    exact residual lies, or after max(100, max_iters // 10) steps; a stage
-    in the window at that cap runs on at its mu, within the budget, while
-    it stays there.  Without an accepted stage the solve reports
-    converged=False and returns the feasible stage with the largest
-    residual or else, for a radius no inner solve reaches, the stage with
-    the smallest residual.
+    with Pi the projection onto the ball, one ``_svd_soft`` per step, and
+    tau = 2 max_k |q_k|, sigma = 0.99 / tau (sigma tau ||P||^2 < 1; X and
+    tau scale with Q, y and sigma tau do not).  The loop starts at Q's own
+    Pareto point, the solution on a full mask: X = SVT_mu(Q) and
+    y = (P(X) - q) / mu, with mu the root of
+    sqrt(sum_i min(sigma_i(Q), mu)^2) = radius (one values-only SVD of Q).
+
+    Each step certifies itself.  (X - tau P^* y - Xn) / tau is a
+    subgradient of ||.||_* at Xn, so ||P^* y||_op <= 1 + ||X - Xn||_F / tau,
+    and y' = y / (1 + ||X - Xn||_F / tau) is dual feasible: no feasible
+    point has a nuclear norm below -<y', q> - radius ||y'||.  The loop
+    stops, converged, at the first feasible point F whose gap
+    ||F||_* + <y', q> + radius ||y'|| is at most _BALL_GAP ||F||_*.  F is
+    Xn while its residual r = P(Xn) - q has ||r|| <= radius (1 + tol_feas);
+    otherwise F is Xn with P(F) = q + r radius / ||r||.  That moves Xn by
+    ||r|| - radius in Frobenius norm, so ||F||_* is at most
+    ||Xn||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own nuclear norm
+    takes one values-only SVD, once that bound certifies the gap (F counts
+    only if the rounding of q + r radius / ||r|| leaves it inside the
+    ball, which a tiny radius may not).  After max_iters steps the last F
+    is returned with converged=False.
+    ``tol_rel_change`` is not read.
     """
     params = params or ProxParams()
     Qm = as_matrix(Q)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if not np.isfinite(Qm).all():
+        raise ValueError("Q must be finite")
     off = Qm.copy()
     off[mask.rows, mask.cols] = 0.0
     if np.any(off != 0.0):
@@ -601,86 +323,62 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
             nuclear_norm=0.0,
         )
 
-    feas_limit = radius * (1.0 + params.tol_feas)
-    band_lo = (1.0 - _RESIDUAL_BAND) * radius
-    band_hi = feas_limit
-    target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
-    band = (band_lo, band_hi, target)
-    y_target = math.log(target)
-    x_floor = math.log(_MU_FLOOR)
-    inner_cap = max(100, params.max_iters // 10)
+    # The start's mu, in units of ||q||: with the k largest singular values
+    # at or above mu, the Pareto residual squared is tail_k + k mu^2, tail_k
+    # the sum of the other squares, and it rises from 0 to 1 on [0, sigma_1].
+    sq = (np.linalg.svd(Qm, compute_uv=False) / qnorm) ** 2
+    tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)
+    rho2 = (radius / qnorm) ** 2
+    k = max(1, int(np.count_nonzero(tails + np.arange(1, len(sq) + 1) * sq > rho2)))
+    mu = qnorm * math.sqrt(max(rho2 - tails[k - 1], 0.0) / k)
 
-    total = 0
-    accepted = None  # (X, residual, nuclear) with residual inside the band
-    best_feasible = None  # feasible iterate with the largest residual (smallest nuclear norm)
-    closest = None  # smallest residual seen, fallback when nothing is feasible
-    stages = []  # final penalized objective of each mu stage
-
-    def evaluate(mu, warm):
-        nonlocal total
-        X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, warm, params, inner_cap, band, params.max_iters - total)
-        total += iters
-        stages.append(nuc + resid * resid / (2.0 * mu))
-        return X, stop, resid, nuc
-
-    def consider(X, ok, resid, nuc):
-        nonlocal accepted, best_feasible, closest
-        if closest is None or resid < closest[1]:
-            closest = (X, resid, nuc)
-        if resid <= feas_limit and (best_feasible is None or resid > best_feasible[1]):
-            best_feasible = (X, resid, nuc)
-        if band_lo <= resid <= band_hi and ok and accepted is None:
-            accepted = (X, resid, nuc)
-
-    # Points are (log mu, log residual, iterate).  Q / mu lies in the unit
-    # operator-norm ball, the subdifferential of ||.||_* at zero, once
-    # mu >= ||Q||_op, so the zero matrix is optimal there and the residual
-    # is ||q|| > radius: the bracket's upper end costs no solve.
-    sigma = np.linalg.svd(Qm, compute_uv=False)
-    hi = (math.log(sigma[0]), math.log(qnorm), np.zeros(Qm.shape))  # residual above target
-    lo = None  # residual below target, once a stage undershoots
-    last, prev = hi, None
-    offsets = []  # (log mu, c) of the last two solved stages
-    x = hi[0] + math.log(radius / qnorm)
-    while accepted is None and len(stages) < _MAX_STAGES and total < params.max_iters:
-        if lo is None:
-            x = max(min(x, last[0] - _MIN_LOG_STEP), last[0] - _MAX_LOG_STEP, x_floor)
-        mu = math.exp(x)
-        X, stop, resid, nuc = evaluate(mu, _warm_start(x, hi, lo, last, prev))
-        consider(X, stop in ("change", "settled"), resid, nuc)
-        point = (x, math.log(max(resid, _TINY_RESIDUAL)), X)
-        offsets = [*offsets[-1:], (x, point[1] - math.log(_pareto_residual(sigma, mu)))]
-        guess = _model_guess(sigma, y_target, offsets)
-        if resid < target:
-            lo = point
+    idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
+    tau = 2.0 * float(np.abs(q).max())
+    sigma = 0.99 / tau
+    limit = radius * (1.0 + params.tol_feas)
+    spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
+    X = _svd_soft(Qm, mu)[0]
+    x = X.take(idx)
+    y = (x - q) / mu
+    x_bar = x
+    for iters in range(1, params.max_iters + 1):
+        w = y / sigma + x_bar - q  # v / sigma - q
+        w_norm = math.sqrt(w @ w)
+        y = (sigma * (1.0 - radius / w_norm)) * w if w_norm > radius else np.zeros_like(w)
+        Z = X.copy()
+        Z.put(idx, x - tau * y)
+        Xn, sv = _svd_soft(Z, tau)
+        nuc = float(np.add.reduce(sv))
+        xn = Xn.take(idx)
+        r = xn - q
+        r_norm = math.sqrt(r @ r)
+        y_dual = y / (1.0 + _fro(X - Xn) / tau)
+        dual = -float(y_dual @ q) - radius * math.sqrt(y_dual @ y_dual)
+        X, x, x_bar = Xn, xn, 2.0 * xn - x
+        if r_norm <= limit:
+            F, f_norm, f_nuc = X, r_norm, nuc
+            converged = nuc - dual <= _BALL_GAP * nuc
         else:
-            hi = point
-        last, prev = point, last
-        if lo is None:
-            # no undershoot yet: keep stepping down, by the most allowed when
-            # the model has no root; a stage at the floor that converged
-            # or proved its residual above the window ends it
-            if x <= x_floor and stop is not None:
-                break
-            x = guess if guess is not None else -math.inf
-        else:
-            if guess is None:
-                # regula falsi on the bracket ends, which straddle the target
-                guess = lo[0] + (y_target - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
-            margin = _BRACKET_MARGIN * (hi[0] - lo[0])
-            x = min(max(guess, lo[0] + margin), hi[0] - margin)
-
-    converged = accepted is not None
-    X, resid, nuc = accepted or best_feasible or closest
+            bound = nuc + (r_norm - radius) * spread
+            if bound - dual > _BALL_GAP * bound and iters < params.max_iters:
+                continue
+            F = X.copy()
+            F.put(idx, q + (radius / r_norm) * r)
+            f = F.take(idx) - q
+            f_norm = math.sqrt(f @ f)
+            f_nuc = float(np.linalg.svd(F, compute_uv=False).sum())
+            converged = bound - dual <= _BALL_GAP * bound and f_norm <= limit
+        if converged:
+            break
 
     return SolverReport(
-        matrix=X,
-        iterations=total,
-        objective=nuc,
-        data_residual=resid,
+        matrix=F,
+        iterations=iters,
+        objective=f_nuc,
+        data_residual=f_norm,
         converged=converged,
-        nuclear_norm=nuc,
-        stage_objectives=tuple(stages),
+        nuclear_norm=f_nuc,
+        stage_objectives=(f_nuc,),
     )
 
 
@@ -725,11 +423,12 @@ def solve_one_bit_mc(
     (-4.5e-7 to -1.4e-9 of P(X); X is not yet inside the shrunk box), so
     the stop is the first strictly sign-feasible iterate, and the sign-box
     gap is 2.3e-6 to 3.7e-6 of P(X), against tol_rel_change = 1e-9.
-    An empty box (some lo > hi) returns the zero matrix after 0 iterations.
+    An empty box (some lo > hi) returns the zero matrix after 0 iterations;
+    a negative or non-finite reg_weight raises ``ValueError``.
     """
     params = params or ProxParams()
-    if reg_weight < 0:
-        raise ValueError(f"reg_weight must be nonnegative, got {reg_weight}")
+    if not 0 <= reg_weight < math.inf:
+        raise ValueError(f"reg_weight must be finite and nonnegative, got {reg_weight}")
     mask = system.mask
     rows, cols = mask.rows, mask.cols
     shape = (mask.dims.n1, mask.dims.n2)

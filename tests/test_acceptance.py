@@ -297,6 +297,29 @@ def test_c16_noisy_one_bit_beats_zero():
     _sign_only_beats_zero("noisy-one-bit-beats-zero", "onebit_noisy", 0.1, SEED + 16)
 
 
+def test_c17_error_rises_with_quantizer_resolution():
+    # At a fixed range K delta = 2, bound_quantized is the same for every
+    # delta, so no bound check sees the resolution; the oracle-radius error
+    # must fall as the quantizer gets finer.  X = 0 has rel_err 1 at every
+    # delta, a slope of 0.
+    deltas = (0.0625, 0.125, 0.25, 0.5, 1.0)
+    medians, bounds = [], set()
+    for delta in deltas:
+        cfg = _criterion7_config(delta=delta, K=round(2 / delta), trials=20, base_seed=777, delta_policy="oracle")
+        records, _ = run_experiment(cfg)
+        medians.append(float(np.median([r.rel_err for r in records])))
+        bounds.add(records[0].bound_value)
+    fine = [i for i, delta in enumerate(deltas) if delta <= 0.25]
+    slope = float(np.polyfit(np.log(np.take(deltas, fine)), np.log(np.take(medians, fine)), 1)[0])
+    _check(
+        "error-rises-with-resolution",
+        slope > 0.5,
+        f"log-log slope of median rel_err against delta <= 0.25: {slope:.3f} (need > 0.5; X = 0 gives 0), "
+        f"medians {[round(m, 3) for m in medians]} at delta {list(deltas)}, "
+        f"bound_quantized {', '.join(f'{b:.2f}' for b in sorted(bounds))}",
+    )
+
+
 def test_c11_bound_reduction_identities():
     rng = np.random.default_rng(SEED + 11)
     exact = True
@@ -380,7 +403,7 @@ def test_c14_end_to_end_determinism(tmp_path):
             max_iters=40000, tol_feas=1e-9, tol_rel_change=1e-9,
         ),
         # the theorem radius above makes the ball solver return zero without
-        # a stage; the oracle radius runs its mu root-finding
+        # a step; the oracle radius runs its primal-dual loop
         _criterion7_config(
             scenario="rate_sweep", m_prime=None, m_prime_grid=(128, 256, 512, 1024),
             trials=1, delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,

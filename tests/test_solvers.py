@@ -23,26 +23,16 @@ from quantmc.onebit import (
 )
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
 from quantmc.solvers import (
-    _BALL_STEP_MAX,
-    _BRACKET_MARGIN,
+    _BALL_GAP,
     _FEAS_MARGIN,
-    _GAP_MARGIN,
     _GRAM_FLOOR,
-    _RESIDUAL_BAND,
-    _STALL_GAP,
     _STEP_MAX,
     _STEP_SAFETY,
-    _TARGET_DEPTH,
     ProxParams,
-    _ball_gap,
     _box_gap,
     _clipped_step,
     _fista,
-    _fista_ball,
-    _model_guess,
-    _pareto_residual,
     _svd_soft,
-    _warm_start,
     prox_nuclear,
     solve_one_bit_mc,
     solve_quantized_mc,
@@ -61,6 +51,12 @@ class TestProxNuclear:
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             prox_nuclear(np.eye(2), -0.1)
+
+    def test_nan_theta_rejected(self):
+        # an infinite theta shrinks every singular value to zero
+        with pytest.raises(ValueError, match="theta"):
+            prox_nuclear(np.eye(2), math.nan)
+        assert np.all(prox_nuclear(np.eye(2), math.inf) == 0.0)
 
     def test_local_optimality_against_random_perturbations(self):
         # output minimizes theta ||X||_* + 1/2 ||X - Z||_F^2; no random
@@ -265,17 +261,50 @@ class TestSvdSoft:
         assert eigh_calls == [(k, k)] and len(svd_calls) == 1  # the oracle's own SVD
 
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
-    def test_bench_workload_matches_the_oracle(self, monkeypatch, svd_calls, solves, workload):
+    def test_bench_workload_matches_the_oracle(self, monkeypatch, solves, workload):
+        # Each ball solve decomposes one values-only SVD of Q, the start's
+        # soft-threshold, one soft-threshold per step and, when its answer
+        # is the rescaled iterate, one values-only SVD of that; the one-bit
+        # solve one soft-threshold per step, the first (of zero) by gesdd.
+        # Every other soft-threshold takes the Gram path.
+        events = []
+        svd, svd_soft = np.linalg.svd, quantmc.solvers._svd_soft
+
+        def recording_svd(a, *args, **kwargs):
+            events.append("values" if kwargs.get("compute_uv") is False else "gesdd")
+            return svd(a, *args, **kwargs)
+
+        def recording_soft(Z, theta):
+            events.append("soft")
+            return svd_soft(Z, theta)
+
+        def marking(solve):
+            def marked(*args, **kwargs):
+                events.append("solve")
+                return solve(*args, **kwargs)
+
+            return marked
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording_soft)
+        for name in ("solve_quantized_mc", "solve_one_bit_mc"):
+            monkeypatch.setattr(quantmc.harness, name, marking(getattr(quantmc.harness, name)))
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
         records, _ = quantmc.harness.run_experiment(cfg)
-        # every soft-threshold takes the Gram path; the one SVD per solve is
-        # the ball solver's ||Q||_op, or the one-bit solver's zero first step
-        assert len(svd_calls) == len(solves)
-        kernel_stages = [len(rep.stage_objectives) for rep in solves]
-        solves.clear()
+        runs = " ".join(events).split("solve")[1:]
+        assert len(runs) == len(solves) > 0
+        for rep, run in zip(solves, runs):
+            run = run.split()
+            if workload == "onebit_known":
+                assert run == ["soft", "gesdd"] + ["soft"] * (rep.iterations - 1)
+            else:
+                head = 2 + rep.iterations
+                assert run[:head] == ["values"] + ["soft"] * (1 + rep.iterations)
+                assert run[head:] in ([], ["values"])
         monkeypatch.setattr(quantmc.solvers, "_svd_soft", _gesdd_soft)
+        solves.clear()
         oracle_records, _ = quantmc.harness.run_experiment(cfg)
-        assert [len(rep.stage_objectives) for rep in solves] == kernel_stages and len(solves) > 0
+        assert len(solves) == len(runs)
         assert len(records) == len(oracle_records) > 0
         for rec, ref in zip(records, oracle_records):
             assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
@@ -375,16 +404,6 @@ class TestFistaRestart:
         assert inner_products[0] == pytest.approx(-np.linalg.norm(points[0] - z0) ** 2, rel=1e-12)
         assert inner_products[0] < 0
 
-    def test_never_fires_on_the_first_step_of_a_warm_started_ball_stage(self, inner_products):
-        gt = generate_low_rank((12, 10), 2, 1.0, seed=44)
-        mask = sample_mask_uniform((12, 10), 70, seed=45)
-        q = project(gt, mask)[mask.rows, mask.cols]
-        warm = _fista_ball(q, mask, 0.5, np.zeros((12, 10)), ProxParams(), 200)[0]
-        assert np.linalg.norm(warm) > 0
-        inner_products.clear()
-        _, iters, *_ = _fista_ball(q, mask, 0.1, warm, ProxParams(), 200)
-        assert iters > 2 and inner_products[0] < 0
-
     # Two steps along d, then a third that is short enough for the momentum
     # to overshoot it (restart), a step back to z1 or a stall (no restart:
     # the inner product is negative or zero), then a fourth along d.
@@ -413,8 +432,10 @@ class TestFistaRestart:
 
 
 # Most iterations the first solve of each bench workload may take at trial
-# base_seed 100000; FISTA without the restart took 139, 1019 and 223.
-ITERATION_LIMITS = {"large_n": 100, "rate_sweep": 600, "onebit_known": 150}
+# base_seed 100000.  FISTA without the restart took 223 on onebit_known; the
+# mu search it once ran for the ball took 139 and 1019, where the
+# primal-dual loop takes 16 and 20.
+ITERATION_LIMITS = {"large_n": 20, "rate_sweep": 25, "onebit_known": 150}
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
@@ -425,320 +446,43 @@ def test_bench_workload_iterations(solves, workload):
     assert solves[0].iterations <= ITERATION_LIMITS[workload]
 
 
-# Most iterations the mu search may take at trial base_seed 100000: the
-# large_n solve, and the whole first rate_sweep sweep of four solves.  Solving
-# every search stage to relative change took 58 and 599.
-SEARCH_ITERATION_LIMITS = {"large_n": 48, "rate_sweep": 450}
+# Most steps of the ball solver over the first trial of seeds 2-11
+# (base_seed s * 100000): the last mu search took 203 and 1888, and the
+# primal-dual loop takes 162 and 592.
+BALL_ITERATION_LIMITS = {"large_n": 170, "rate_sweep": 620}
 
 
-@pytest.mark.parametrize("workload", sorted(SEARCH_ITERATION_LIMITS))
-def test_bench_workload_search_iterations(solves, workload):
-    cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
-    quantmc.harness.run_experiment(cfg)
-    assert len(solves) > 0 and all(rep.converged for rep in solves)
-    assert sum(rep.iterations for rep in solves) <= SEARCH_ITERATION_LIMITS[workload]
-
-
-# Most iterations over the first trial of seeds 2-11 (base_seed s * 100000);
-# warm starts from the nearest solved mu alone took 406 and 3416, the path
-# predictor 381 and 3243.
-PREDICTOR_ITERATION_LIMITS = {"large_n": 395, "rate_sweep": 3330}
-
-
-@pytest.mark.parametrize("workload", sorted(PREDICTOR_ITERATION_LIMITS))
-def test_bench_workload_predictor_iterations(solves, workload):
+@pytest.mark.parametrize("workload", sorted(BALL_ITERATION_LIMITS))
+def test_bench_workload_ball_iterations(solves, workload):
     for seed in range(2, 12):
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
         quantmc.harness.run_experiment(cfg)
     assert len(solves) >= 10 and all(rep.converged for rep in solves)
-    assert sum(rep.iterations for rep in solves) <= PREDICTOR_ITERATION_LIMITS[workload]
-
-
-# Most iterations over the same trials with the spectral step of the ball
-# stages and the certified acceptance (checked with the certificate in
-# TestBallGapCertificate); the unit step took 381 and 3243, the spectral
-# step at 0.9 of the quotient 324 and 2713, and at 0.7 of it, with the
-# in-band stop on the step's fixed-point residual, 287 and 2463, and with the
-# mu search on the offset from Q's own Pareto curve, aimed at 0.99 of the
-# radius, 231 and 2096, and with search stages that stop once their gap
-# proves the side of the target, 203 and 1888.
-SPECTRAL_BALL_ITERATION_LIMITS = {"large_n": 210, "rate_sweep": 1950}
-
-
-class TestBallGapCertificate:
-    """The bound ``_ball_gap`` puts on a mu stage's exact residual, and its use."""
-
-    @pytest.fixture
-    def gaps(self, monkeypatch):
-        """(nuc, ||r||, gap, e, lam, s) of each _ball_gap call while the test
-        runs, with lam = d / (mu + y_dist / s) its dual point."""
-        calls = []
-        ball_gap = quantmc.solvers._ball_gap
-
-        def recording(mu, nuc, r, d, q, y_dist, s):
-            gap, e = ball_gap(mu, nuc, r, d, q, y_dist, s)
-            calls.append((nuc, float(np.linalg.norm(r)), gap, e, d / (mu + y_dist / s), s))
-            return gap, e
-
-        monkeypatch.setattr(quantmc.solvers, "_ball_gap", recording)
-        return calls
-
-    @staticmethod
-    def _stage(seed, warm):
-        """(q, mask, mu, x0, exact) of a random mu stage started from the zero
-        matrix or, when warm, from a looser solve at a nearby mu, as the
-        search does; exact is its residual solved to relative change 1e-12."""
-        rng = np.random.default_rng(700 + seed)
-        shape = tuple(int(n) for n in rng.integers(6, 17, size=2))
-        size = shape[0] * shape[1]
-        mask = sample_mask_uniform(shape, int(rng.integers(size // 3, size + 1)), seed=seed)
-        gt = generate_low_rank(shape, int(rng.integers(1, 4)), 1.0, seed=seed)
-        Q = project(gt + 0.3 * rng.standard_normal(shape), mask)
-        q = Q[mask.rows, mask.cols]
-        mu = np.linalg.norm(Q, 2) * 10.0 ** rng.uniform(-3.0, 0.0)
-        x0 = np.zeros(shape)
-        if warm:
-            x0 = _fista_ball(q, mask, mu * 10.0 ** rng.uniform(-1.0, 1.0), x0, ProxParams(tol_rel_change=1e-4), 500)[0]
-        _, _, ref_stop, exact, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-12), 100_000)
-        assert ref_stop == "change"
-        return q, mask, mu, x0, exact
-
-    @staticmethod
-    def _band(radius):
-        """The search's (lo, hi, target) for a radius at the default tol_feas."""
-        target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
-        return (1.0 - _RESIDUAL_BAND) * radius, radius * (1.0 + ProxParams().tol_feas), target
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_gap_bounds_the_exact_residual(self, gaps, seed):
-        q, mask, mu, x0, exact = self._stage(seed, warm=seed % 2)
-        size = mask.dims.n1 * mask.dims.n2
-        gaps.clear()
-        # the exact residual lies inside this band, so a sound certificate
-        # can never stop the stage, and every iterate outside it is checked
-        band = (exact * (1.0 - 1e-9), exact * (1.0 + 1e-9), exact)
-        _, _, stop, _, _ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)
-        assert stop != "gap" and len(gaps) > 0
-        for nuc, rnorm, gap, e, _, s in gaps:
-            assert 1.0 <= s <= _BALL_STEP_MAX
-            assert gap >= -1e-12 * max(1.0, nuc + rnorm * rnorm / (2.0 * mu))
-            assert abs(rnorm - exact) <= e + 1e-9 * exact
-        # the dual point is feasible whatever the step, ||P^* lam||_op <= 1
-        # (checked on every tenth call and the last, one SVD each)
-        for *_, lam, _ in gaps[::10] + gaps[-1:]:
-            assert np.linalg.norm(scatter_vector(lam, mask), 2) <= 1.0 + 1e-9
-        if mask.m_prime < size:
-            # a partial mask leaves the curvature below 1/mu: longer steps
-            assert any(s > 1.0 for *_, s in gaps)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_below_the_band_the_side_of_the_target_suffices(self, gaps, seed):
-        # Exact residual 0.945 R, just below the band [0.95 R, R]: the stage
-        # stops "gap" at an iterate below the band whose bound puts the exact
-        # residual below the target 0.99 R while it still overlaps the band,
-        # where a stop on ||r|| + e < 0.95 R would have to wait.
-        q, mask, mu, x0, exact = self._stage(seed, warm=seed % 2)
-        lo, hi, target = band = self._band(exact / 0.945)
-        gaps.clear()
-        stop = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)[2]
-        _, rnorm, _, e, _, _ = gaps[-1]
-        assert stop == "gap"
-        assert rnorm < lo <= rnorm + e < target
-        # the certified side is the exact residual's
-        assert abs(rnorm - exact) <= e + 1e-9 * exact
-
-    def test_search_gap_stops_certify_the_exact_side(self, monkeypatch):
-        # every "gap" stop of the search, on the first rate_sweep trial and
-        # every tenth stress problem, lies on the side of its exact residual,
-        # solved from the same start to relative change 1e-12: below the
-        # target when the stage ended below the band, above it otherwise
-        stages = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def recording(*args):
-            out = fista_ball(*args)
-            stages.append((args, out))
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
-        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS["rate_sweep"])
-        quantmc.harness.run_experiment(cfg)
-        for k in range(0, 150, 10):
-            solve_quantized_mc(*_stress_problem(k))
-        sides = []
-        for (q, mask, mu, x0, _, _, (lo, hi, target), _), (_, _, stop, resid, _) in stages:
-            if stop == "gap":
-                exact = fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-12), 100_000)[3]
-                sides.append(resid < lo)
-                assert exact < target if resid < lo else exact > hi
-        assert sides.count(True) >= 2 and sides.count(False) >= 20
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_above_the_band_only_a_cold_stage_drops_the_target_margin(self, gaps, seed):
-        # Exact residual 1.3 R, where the search's first stage lands on the
-        # bench workloads.  Every stage stops "gap" once ||r|| - e > hi; from
-        # the zero matrix (the search's first stage) it also needs
-        # e <= _GAP_MARGIN ||r||, and it stops where e is above _GAP_MARGIN of
-        # the distance to the target, which a warm-started stage still needs.
-        # (A warm start from a mu above ||Q||_op is the zero matrix.)
-        for from_nearby_mu in (False, True):
-            q, mask, mu, x0, exact = self._stage(seed, from_nearby_mu)
-            warm = bool(x0.any())
-            lo, hi, target = band = self._band(exact / 1.3)
-            gaps.clear()
-            stop = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 3000, band)[2]
-            _, rnorm, _, e, _, _ = gaps[-1]
-            assert stop == "gap" and rnorm - e > hi and e <= _GAP_MARGIN * rnorm
-            assert (e <= _GAP_MARGIN * (rnorm - target)) == warm
-            assert abs(rnorm - exact) <= e + 1e-9 * exact
-
-    @pytest.mark.parametrize("mu, delta", [(0.5, 0.1), (0.5, -0.2), (0.01, 0.005), (2.0, 1.5)])
-    def test_bound_is_attained_on_a_scalar_stage(self, mu, delta):
-        # F(x) = |x| + (x - q)^2 / (2 mu) with q > mu has x* = q - mu and the
-        # multiplier lam* = -1, which d = -mu with y_dist = 0 reproduces (and
-        # ||P^* d|| = mu keeps it feasible).  At x = x* + delta, |delta| < mu,
-        # the gap is delta^2 / (2 mu) and ||r|| misses ||r*|| = mu by exactly
-        # e = |delta|, so a smaller e or a larger gap is wrong.
-        q = 3.0
-        x = q - mu + delta
-        gap, e = _ball_gap(mu, x, np.array([x - q]), np.array([-mu]), np.array([q]), 0.0, 1.0)
-        assert gap == pytest.approx(delta * delta / (2.0 * mu), rel=1e-9)
-        assert e == pytest.approx(abs(delta), rel=1e-9)
-        assert abs(abs(x - q) - mu) == pytest.approx(e, rel=1e-9)
-
-    @pytest.mark.parametrize("workload", ["large_n", "rate_sweep"])
-    def test_only_relative_change_stops_are_accepted(self, monkeypatch, solves, workload):
-        stages = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def recording(*args):
-            out = fista_ball(*args)
-            stages.append((out[0], out[2]))
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
-        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
-        quantmc.harness.run_experiment(cfg)
-        assert len(solves) > 0
-        for rep in solves:
-            assert rep.converged
-            assert [stop for X, stop in stages if X is rep.matrix] == ["change"]
-        # the certificate path is exercised
-        assert any(stop == "gap" for _, stop in stages)
-
-    @pytest.mark.parametrize("workload", sorted(SPECTRAL_BALL_ITERATION_LIMITS))
-    def test_accepted_stages_carry_the_certificate(self, monkeypatch, gaps, solves, workload):
-        # every accepted stage's last gap is taken at the returned iterate and
-        # puts the stage's exact residual inside the acceptance band, and the
-        # spectral step keeps the iterations of these trials within the limit
-        stages = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def recording(*args):
-            first = len(gaps)
-            out = fista_ball(*args)
-            stages.append((out, args[6], gaps[first:]))
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
-        for seed in range(2, 12):
-            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
-            quantmc.harness.run_experiment(cfg)
-        assert len(solves) >= 10
-        for rep in solves:
-            assert rep.converged
-            [(out, (lo, hi, _), calls)] = [st for st in stages if st[0][0] is rep.matrix]
-            assert out[2] == "change" and len(calls) > 0
-            _, rnorm, _, e, _, _ = calls[-1]
-            assert rnorm == pytest.approx(out[3], rel=1e-12)
-            assert lo <= rnorm - e and rnorm + e <= hi
-        assert sum(rep.iterations for rep in solves) <= SPECTRAL_BALL_ITERATION_LIMITS[workload]
-
-    @pytest.mark.parametrize("workload", ["large_n", "rate_sweep"])
-    def test_in_band_stops_are_fixed_points_of_the_step(self, monkeypatch, gaps, solves, workload):
-        # inside the band a stage stops on its step's fixed-point residual
-        # ||Y - Xn|| / (s max(1, ||Y||)), which falls below tol while the
-        # momentum still moves the iterate by more
-        steps, stages = [], []  # (Y, X, Xn) of every step; (out, band, last step, last gap) per stage
-        fista, fista_ball = quantmc.solvers._fista, quantmc.solvers._fista_ball
-
-        def recording_fista(step, z0, cap):
-            def recorded(w, z):
-                out = step(w, z)
-                steps.append((w, z, out[0]))
-                return out
-
-            return fista(recorded, z0, cap)
-
-        def recording_ball(*args):
-            out = fista_ball(*args)
-            stages.append((out, args[6], steps[-1], gaps[-1] if gaps else None))
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista", recording_fista)
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording_ball)
-        tol = BENCH_CONFIGS[workload]["tol_rel_change"]
-        for seed in range(1, 4):
-            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS[workload])
-            quantmc.harness.run_experiment(cfg)
-        assert len(solves) >= 3 and all(rep.converged for rep in solves)
-        accepted = [st for st in stages if any(st[0][0] is rep.matrix for rep in solves)]
-        assert len(accepted) == len(solves)
-        moving = 0
-        for (X, _, stop, resid, _), (lo, hi, _), (Y, X_prev, Xn), (_, rnorm, *_, s) in accepted:
-            assert stop == "change" and lo <= resid <= hi and Xn is X and rnorm == resid
-            assert np.linalg.norm(Y - Xn) <= tol * s * max(1.0, np.linalg.norm(Y))
-            moving += np.linalg.norm(Xn - X_prev) > tol * max(1.0, np.linalg.norm(X_prev))
-        # the iterate's change alone would have kept some of these stages going
-        assert moving > 0
-
-    def test_a_stalled_small_mu_stage_is_not_accepted(self, gaps):
-        # The inputs of test_budget_exhaustion_reports_not_converged.  From
-        # zero, a stage at mu = 8.3e-9 moves X by about mu per step, so its
-        # relative change passes after 2 steps at nuclear norm 3.727, against
-        # 3.403 by continuation.  With a band around that residual, its gap
-        # stays far above _STALL_GAP of its objective and no iterate within
-        # the cap earns the certificate, so the stage never stops on relative
-        # change and the search cannot accept it.
-        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
-        mask = sample_mask_uniform((10, 10), 55, seed=19)
-        q = project(gt, mask)[mask.rows, mask.cols]
-        mu, x0 = 8.3e-9, np.zeros((10, 10))
-        _, iters, stop, resid, nuc = _fista_ball(q, mask, mu, x0, ProxParams(), 400)
-        assert (iters, stop) == (2, "change") and nuc == pytest.approx(3.727, abs=1e-3)
-        radius = resid / (1.0 - 0.5 * _RESIDUAL_BAND)
-        band = ((1.0 - _RESIDUAL_BAND) * radius, radius * (1.0 + ProxParams().tol_feas), resid)
-        assert band[0] <= resid <= band[1]
-        _, iters, stop, _, nuc = _fista_ball(q, mask, mu, x0, ProxParams(), 400, band)
-        assert (iters, stop) == (400, None) and nuc > 3.7
-        assert len(gaps) > 0
-        assert not any(band[0] <= rnorm - e and rnorm + e <= band[1] for _, rnorm, _, e, _, _ in gaps)
-        assert all(gap > _STALL_GAP * (nuc + rnorm * rnorm / (2.0 * mu)) for nuc, rnorm, gap, *_ in gaps)
+    assert sum(rep.iterations for rep in solves) <= BALL_ITERATION_LIMITS[workload]
 
 
 class TestClippedStep:
-    """``_clipped_step``, the spectral step of both solvers: _STEP_SAFETY times
-    the quotient, clipped to [1, s_max]."""
+    """``_clipped_step``, the spectral step of the one-bit dual: _STEP_SAFETY
+    times the quotient, clipped to [1, s_max]."""
 
-    # (num, den, s_max, safety, step): a ball stage passes rho = ||Y - Xn||^2 /
-    # ||P(Y - Xn)||^2 >= 1 with s_max 2; the one-bit dual passes the short
-    # Barzilai-Borwein quotient <dw, -dx> / ||dx||^2 with s_max 3.  The
-    # factor is the module's _STEP_SAFETY, set here to each value listed:
-    # the factors the two steps once took (0.9 and 1.0) and the one they
-    # share now.
+    # (num, den, s_max, safety, step): the one-bit dual passes the short
+    # Barzilai-Borwein quotient <dw, -dx> / ||dx||^2 with s_max 3; the clip
+    # is checked at s_max 2 as well.  The factor is the module's
+    # _STEP_SAFETY, set here to each value listed: the factors the spectral
+    # steps once took (0.9 and 1.0) and the one it takes now.
     CLIPPED = [
-        (1.0, 1.0, _BALL_STEP_MAX, 0.9, 1.0),
-        (1.5, 1.0, _BALL_STEP_MAX, 0.9, 1.35),
-        (4.0, 2.0, _BALL_STEP_MAX, 0.9, 1.8),
-        (50.0, 1.0, _BALL_STEP_MAX, 0.9, _BALL_STEP_MAX),
+        (1.0, 1.0, 2.0, 0.9, 1.0),
+        (1.5, 1.0, 2.0, 0.9, 1.35),
+        (4.0, 2.0, 2.0, 0.9, 1.8),
+        (50.0, 1.0, 2.0, 0.9, 2.0),
         (2.0, 1.0, _STEP_MAX, 1.0, 2.0),
         (1.25, 1.0, _STEP_MAX, 1.0, 1.25),
         (10.0, 1.0, _STEP_MAX, 1.0, _STEP_MAX),
         (0.5, 1.0, _STEP_MAX, 1.0, 1.0),
-        (1.25, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, 1.0),
-        (2.0, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, 1.4),
+        (1.25, 1.0, 2.0, _STEP_SAFETY, 1.0),
+        (2.0, 1.0, 2.0, _STEP_SAFETY, 1.4),
         (4.0, 2.0, _STEP_MAX, _STEP_SAFETY, 1.4),
-        (4.0, 1.0, _BALL_STEP_MAX, _STEP_SAFETY, _BALL_STEP_MAX),
+        (4.0, 1.0, 2.0, _STEP_SAFETY, 2.0),
         (4.0, 1.0, _STEP_MAX, _STEP_SAFETY, 2.8),
         (5.0, 1.0, _STEP_MAX, _STEP_SAFETY, _STEP_MAX),
     ]
@@ -758,49 +502,9 @@ class TestClippedStep:
         ],
     )
     def test_clipped_quotient(self, monkeypatch, num, den, s_max, safety, expected):
-        assert _STEP_MAX == 3.0 and _BALL_STEP_MAX == 2.0 and _STEP_SAFETY == 0.7
+        assert _STEP_MAX == 3.0 and _STEP_SAFETY == 0.7
         monkeypatch.setattr(quantmc.solvers, "_STEP_SAFETY", safety)
         assert _clipped_step(num, den, s_max) == pytest.approx(expected, rel=1e-15)
-
-
-class TestBallStep:
-    """The spectral step of a ball stage in ``_fista_ball``."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_steps_of_a_stage(self, monkeypatch, seed):
-        # each stage, cold or warm, starts at s = 1, every step lies in
-        # [1, 2] / L, each s is _clipped_step of the previous step's
-        # ||Y - Xn||^2 >= ||P(Y - Xn)||^2, and a partial mask gives longer
-        # steps than 1/L
-        thetas, quotients = [], []
-        svd_soft = quantmc.solvers._svd_soft
-
-        def soft(Z, theta):
-            thetas.append(theta)
-            return svd_soft(Z, theta)
-
-        def step(y_sq, p_sq, s_max):
-            assert s_max == _BALL_STEP_MAX
-            assert y_sq >= p_sq * (1.0 - 1e-12)
-            quotients.append(_clipped_step(y_sq, p_sq, s_max))
-            assert quotients[-1] == min(s_max, max(1.0, _STEP_SAFETY * (y_sq / p_sq)))
-            return quotients[-1]
-
-        monkeypatch.setattr(quantmc.solvers, "_svd_soft", soft)
-        monkeypatch.setattr(quantmc.solvers, "_clipped_step", step)
-        gt = generate_low_rank((20, 16), 2, 1.0, seed=seed)
-        mask = sample_mask_uniform((20, 16), 160, seed=seed + 10)
-        q = project(gt, mask)[mask.rows, mask.cols]
-        x0 = np.zeros((20, 16))
-        for mu in (0.3, 0.1):
-            thetas.clear()
-            quotients.clear()
-            x0, iters, *_ = _fista_ball(q, mask, mu, x0, ProxParams(tol_rel_change=1e-10), 300)
-            assert iters > 3 and len(thetas) == iters == len(quotients)
-            assert thetas[0] == mu
-            assert thetas[1:] == [s * mu for s in quotients[:-1]]
-            assert all(mu <= theta <= _BALL_STEP_MAX * mu for theta in thetas)
-            assert max(thetas) > mu
 
 
 def _stress_problem(k):
@@ -817,25 +521,97 @@ def _stress_problem(k):
     return Q, mask, float(np.linalg.norm(Q[mask.rows, mask.cols]) * 10.0 ** rng.uniform(-6.0, 0.0))
 
 
+def _certified(Q, mask, radius, params=None):
+    """Solve the ball program and recompute the answer's certificate from
+    the inputs and outputs of the loop's soft-thresholds alone.
+
+    The last step took Xn = SVT_tau(Z) with Z = X - tau P^* y, X the
+    previous soft-threshold's output, so y = P(X - Z) / tau and the dual
+    point is y' = y / (1 + ||X - Xn||_F / tau).  Returns (report, nuclear
+    norm and residual of the answer, ||P^* y'||_op, gap ||X||_* + <y', q> +
+    radius ||y'||), with every norm taken by gesdd or np.linalg.norm.
+    """
+    calls = []  # (Z, theta, output) of each soft-threshold
+    svd_soft = quantmc.solvers._svd_soft
+
+    def recording(Z, theta):
+        out = svd_soft(Z, theta)
+        calls.append((Z.copy(), theta, out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantmc.solvers, "_svd_soft", recording)
+        rep = solve_quantized_mc(Q, mask, radius, params)
+    (_, _, X), (Z, tau, Xn) = calls[-2:]
+    q = Q[mask.rows, mask.cols]
+    y = (X - Z)[mask.rows, mask.cols] / tau
+    y_dual = y / (1.0 + np.linalg.norm(X - Xn) / tau)
+    nuclear = np.linalg.norm(rep.matrix, "nuc")
+    residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - q)
+    op = np.linalg.norm(scatter_vector(y_dual, mask), 2)
+    return rep, nuclear, residual, op, nuclear + y_dual @ q + radius * np.linalg.norm(y_dual)
+
+
 class TestSolveQuantizedMC:
     # Most iterations over the 150 problems of _stress_problem at the default
-    # ProxParams: the mu search on the Pareto offset took 98760, with capped
-    # in-band stages run on at their mu 87173, and with search stages that
-    # stop once their gap proves the side of the target 86891.
-    STRESS_ITERATION_LIMIT = 87500
+    # ProxParams: the last mu search took 86891, and the primal-dual loop
+    # takes 4024.
+    STRESS_ITERATION_LIMIT = 4200
 
-    def test_stress_set_converges_inside_the_band(self):
+    def test_stress_set_converges(self):
         params = ProxParams()
         total, missed = 0, []
         for k in range(150):
             Q, mask, radius = _stress_problem(k)
             rep = solve_quantized_mc(Q, mask, radius, params)
             total += rep.iterations
-            inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
-            if not (rep.converged and inside):
+            if not (rep.converged and rep.data_residual <= radius * (1.0 + params.tol_feas)):
                 missed.append(k)
         assert missed == []
         assert total <= self.STRESS_ITERATION_LIMIT
+
+    @pytest.mark.parametrize("k", range(150))
+    def test_stress_answer_carries_its_certificate(self, k):
+        Q, mask, radius = _stress_problem(k)
+        params = ProxParams()
+        rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
+        assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
+        assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
+
+    def test_steps_are_scale_free(self):
+        # tau = 2 max |q| and sigma = 0.99 / tau scale with Q, so a scale by
+        # a power of two scales every iterate exactly
+        for k in range(0, 150, 10):
+            Q, mask, radius = _stress_problem(k)
+            rep = solve_quantized_mc(Q, mask, radius)
+            for scale in (128.0, 1.0 / 128.0):
+                scaled = solve_quantized_mc(scale * Q, mask, scale * radius)
+                assert scaled.iterations == rep.iterations and scaled.converged
+                np.testing.assert_array_equal(scaled.matrix, scale * rep.matrix)
+
+    @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
+    def test_full_mask_start_is_the_solution(self, share):
+        # On a full mask the start, SVT_mu(Q) with Q's Pareto residual at mu
+        # equal to the radius, solves the program, and y = (P(X) - q) / mu is
+        # its multiplier: the first step returns the same pair and certifies
+        # it.
+        gt = generate_low_rank((30, 30), 3, 1.0, seed=2)
+        mask = sample_mask_uniform((30, 30), 900, seed=102)
+        noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
+        Q = project(gt + noise, mask)
+        radius = share * float(np.linalg.norm(Q))
+        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        assert rep.converged and rep.iterations == 1
+        assert rep.data_residual == pytest.approx(radius, rel=1e-9)
+        # the Pareto residual's root, by bisection
+        sigma = np.linalg.svd(Q, compute_uv=False)
+        lo, hi = 0.0, sigma[0]
+        for _ in range(100):
+            mu = 0.5 * (lo + hi)
+            lo, hi = (mu, hi) if np.linalg.norm(np.minimum(sigma, mu)) < radius else (lo, mu)
+        expected = _gesdd_soft(Q, mu)[0]
+        assert np.max(np.abs(rep.matrix - expected)) <= 1e-10 * np.linalg.norm(Q)
+        assert rep.nuclear_norm == pytest.approx(np.linalg.norm(expected, "nuc"), rel=1e-10)
 
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
@@ -911,340 +687,103 @@ class TestSolveQuantizedMC:
         assert not rep.converged
         assert rep.iterations <= 3
 
-    # Iterations and nuclear norms of the unit-step solver, which accepted any
-    # in-band stage on relative change, at these radii.
-    UNIT_STEP_SOLVES = {
-        1e-4: (3363, 3.4026671850),
-        1e-5: (3495, 3.4029059763),
-        1e-6: (3495, 3.4029304313),
-        1e-7: (3496, 3.4029328731),
-        1e-8: (3499, 3.4029331172),
-    }
-
-    @pytest.mark.parametrize("radius", sorted(UNIT_STEP_SOLVES))
-    def test_tiny_radius_converges(self, monkeypatch, radius):
-        # On the inputs of test_budget_exhaustion_reports_not_converged, the
-        # band is too narrow for the gap to certify: the search accepts a
-        # settled stage instead of spending its budget.  The nuclear norm
-        # falls with the residual at about the dual norm 2.7, so two points
-        # of the band differ by at most about 0.14 * radius.
-        stops = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def recording(*args):
-            out = fista_ball(*args)
-            stops.append(out[2])
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
+    @pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_tiny_radius_converges(self, radius):
+        # On the inputs of test_budget_exhaustion_reports_not_converged, each
+        # radius is certified in 58 steps, 60 at 1e-12: there the rescaled
+        # iterate rounds to a point outside the ball, and the loop goes on
+        # until an iterate of its own lies inside.
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
-        iterations, nuclear = self.UNIT_STEP_SOLVES[radius]
-        assert rep.converged and rep.iterations <= iterations
-        assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
-        assert stops[-1] == "settled"
-        assert rep.nuclear_norm == pytest.approx(nuclear, abs=3.0 * _RESIDUAL_BAND * radius + 1e-8)
+        params = ProxParams()
+        rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius, params)
+        assert rep.converged and rep.iterations <= 70
+        assert residual <= radius * (1.0 + params.tol_feas)
+        assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
 
     @pytest.mark.parametrize("radius", [1e-2, 1e-4, 1e-8])
-    @pytest.mark.parametrize("max_iters", [400, 1000, 2500, 20000])
-    def test_converged_only_inside_the_band(self, radius, max_iters):
-        # converged means a stage was accepted, whatever the budget cut short
+    @pytest.mark.parametrize("max_iters", [1, 3, 10, 20000])
+    def test_every_answer_is_feasible(self, radius, max_iters):
+        # converged or cut short by the budget, the answer lies in the ball,
+        # and its reported residual and nuclear norm are its own
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt, mask)
         params = ProxParams(max_iters=max_iters)
         rep = solve_quantized_mc(Q, mask, radius, params)
-        inside = (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + params.tol_feas)
-        assert inside or not rep.converged
+        assert rep.converged or rep.iterations == max_iters
+        residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - Q[mask.rows, mask.cols])
+        assert rep.data_residual == pytest.approx(residual, rel=1e-12)
+        assert residual <= radius * (1.0 + params.tol_feas)
+        assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
 
-    def test_capped_in_band_stage_runs_on(self, monkeypatch):
-        # Stress problem 44 (4x6, rank 3, 11 of 24 observed, radius
-        # 0.0051 ||q||): its third stage lands in the band but needs about
-        # 9500 steps at its mu.  Restarted at the 2000-step stage cap, at mu
-        # within 1e-5 of it, such stages spent the whole budget unaccepted;
-        # run on at the same mu, the stage is accepted with its certificate.
-        stages = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def recording(*args):
-            out = fista_ball(*args)
-            stages.append(out[1:3])
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
-        Q, mask, radius = _stress_problem(44)
-        assert Q.shape == (4, 6) and mask.m_prime == 11
-        params = ProxParams()
-        rep = solve_quantized_mc(Q, mask, radius, params)
-        assert rep.converged and rep.iterations < params.max_iters
-        cap = params.max_iters // 10
-        assert stages[-1][1] == "change" and stages[-1][0] > cap
-        assert all(iters <= cap for iters, _ in stages[:-1])
-
-    def test_stage_outside_the_band_stops_at_the_cap(self):
-        # the same stage without a band, or with its iterate just above the
-        # band at the cap (too near it for the gap to prove), stops at its
-        # cap whatever the budget
-        Q, mask, radius = _stress_problem(44)
-        q = Q[mask.rows, mask.cols]
-        below = (0.9 * radius, 0.985 * radius, 0.95 * radius)
-        for band, budget in ((None, 20000), (below, 20000)):
-            _, iters, stop, *_ = _fista_ball(q, mask, 1.171861e-2, np.zeros(Q.shape), ProxParams(), 2000, band, budget)
-            assert (iters, stop) == (2000, None)
-
-    def test_feasible_fallback_below_the_band_is_not_converged(self, monkeypatch):
-        # Two stages at radius 0.5, each solved to relative change without a
-        # band: the second lands feasible below the band and is returned as
-        # the best feasible stage, but no stage was accepted.
-        stops = []
-        fista_ball = quantmc.solvers._fista_ball
-
-        def unbanded(q, mask, mu, x0, params, cap, band=None, budget=None):
-            out = fista_ball(q, mask, mu, x0, params, cap)
-            stops.append(out[2])
-            return out
-
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", unbanded)
-        monkeypatch.setattr(quantmc.solvers, "_MAX_STAGES", 2)
-        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
-        mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, 0.5, ProxParams())
-        assert stops == ["change", "change"]
-        assert rep.data_residual < (1.0 - _RESIDUAL_BAND) * 0.5
-        assert not rep.converged
-
-    def test_unreachable_radius_reports_infeasible(self):
-        # a radius below what the smallest data-fit weight can reach on a
-        # partial mask yields a best-effort iterate flagged not converged
+    def test_radius_near_exact_completion_is_certified(self):
+        # A partial mask admits exact completion, so every radius is
+        # feasible, 1e-12 included.
         gt = generate_low_rank((10, 10), 3, 1.0, seed=40)
         mask = sample_mask_uniform((10, 10), 55, seed=41)
+        rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, 1e-12)
+        assert rep.converged
+        assert residual <= 1e-12 * (1.0 + ProxParams().tol_feas)
+        assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
+
+    def test_nan_radius_and_non_finite_q_rejected(self):
+        # a NaN radius failed inside LAPACK; an infinite one admits X = 0
+        gt = generate_low_rank((6, 6), 2, 1.0, seed=5)
+        mask = sample_mask_uniform((6, 6), 20, seed=6)
         Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, 1e-12, ProxParams(tol_rel_change=1e-10))
-        assert not rep.converged
-        assert rep.data_residual > 1e-12
+        with pytest.raises(ValueError, match="radius"):
+            solve_quantized_mc(Q, mask, math.nan)
+        rep = solve_quantized_mc(Q, mask, math.inf)
+        assert rep.converged and rep.iterations == 0 and np.all(rep.matrix == 0.0)
+        Q[mask.rows[0], mask.cols[0]] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            solve_quantized_mc(Q, mask, 1.0)
 
 
-class TestBallRootFinding:
-    @pytest.mark.parametrize("scale", [1.000001, 3.0])
-    def test_zero_is_optimal_above_operator_norm(self, scale):
-        # the bracket's upper end: for mu >= ||Q||_op the penalized problem
-        # is solved by X = 0, so its residual is ||q|| without a solve
-        gt = generate_low_rank((12, 10), 2, 1.0, seed=42)
-        mask = sample_mask_uniform((12, 10), 70, seed=43)
-        Q = project(gt, mask)
-        q = Q[mask.rows, mask.cols]
-        mu = scale * np.linalg.norm(Q, 2)
-        X, iters, stop, resid, nuc = _fista_ball(q, mask, mu, np.zeros(Q.shape), ProxParams(), 50)
-        assert stop == "change" and iters == 1
-        assert np.all(X == 0.0) and nuc == 0.0
-        assert resid == pytest.approx(np.linalg.norm(q), rel=1e-15)
-
-    def test_rate_sweep_stages_and_iterations(self, monkeypatch):
-        # the c13 sweep configuration; each ball solve takes few mu stages
-        # and ends inside the acceptance band
-        solves = []
-
-        def recording(Q, mask, radius, params=None):
-            report = solve_quantized_mc(Q, mask, radius, params)
-            solves.append((mask.m_prime, radius, params, report))
-            return report
-
-        monkeypatch.setattr(quantmc.harness, "solve_quantized_mc", recording)
-        cfg = quantmc.harness.ExperimentConfig(
-            scenario="rate_sweep", n1=32, n2=32, r=2, alpha=1.0, delta=0.25, K=8,
-            dither_kind="uniform", epsilon=0.05, m_prime_grid=(128, 256, 512, 1024),
-            delta_policy="oracle", max_iters=4000, tol_rel_change=3e-6,
-            trials=1, base_seed=100000,
-        )
-        quantmc.harness.run_experiment(cfg)
-        assert [m for m, *_ in solves] == [128, 256, 512, 1024]
-        for _, radius, params, rep in solves:
-            assert rep.converged
-            assert 1 <= len(rep.stage_objectives) <= 6
-            assert all(isinstance(stage, float) for stage in rep.stage_objectives)
-            assert (1 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1 + params.tol_feas)
-        assert solves[0][3].iterations <= 1200
+class TestBallOracle:
+    """Each default ball answer against the program's minimum, from a solve
+    to a gap of 1e-9, with both certificates recomputed by ``_certified``."""
 
     @staticmethod
-    def _recorded_stages(monkeypatch):
-        """Record (mu, stop, residual) of each stage of the next ball solves."""
-        stages = []
-        fista_ball = quantmc.solvers._fista_ball
+    def _problems(name):
+        """(Q, mask, radius) of the ball solves of the first trial of a bench
+        workload at base_seed s * 100000, or of a stress problem."""
+        kind, k = name.rsplit("-", 1)
+        if kind == "stress":
+            return [_stress_problem(int(k))]
+        problems = []
+        with pytest.MonkeyPatch.context() as mp:
+            solve = quantmc.harness.solve_quantized_mc
 
-        def recording(q, mask, mu, x0, params, cap, band=None, budget=None):
-            out = fista_ball(q, mask, mu, x0, params, cap, band, budget)
-            stages.append((mu, out[2], out[3]))
-            return out
+            def recording(Q, mask, radius, params=None):
+                problems.append((Q, mask, radius))
+                return solve(Q, mask, radius, params)
 
-        monkeypatch.setattr(quantmc.solvers, "_fista_ball", recording)
-        return stages
+            mp.setattr(quantmc.harness, "solve_quantized_mc", recording)
+            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=int(k) * 100000, **BENCH_CONFIGS[kind])
+            quantmc.harness.run_experiment(cfg)
+        return problems
 
-    def test_floor_stage_ends_the_search(self, monkeypatch):
-        # The inputs of test_budget_exhaustion_reports_not_converged at a radius
-        # no stage reaches: the search steps mu down to _MU_FLOOR and stops
-        # there once a stage at the floor has converged, with budget and stages
-        # to spare, and returns the stage with the smallest residual.
-        stages = self._recorded_stages(monkeypatch)
-        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
-        mask = sample_mask_uniform((10, 10), 55, seed=19)
-        rep = solve_quantized_mc(project(gt, mask), mask, 1e-11, ProxParams())
-        assert not rep.converged
-        assert len(stages) == len(rep.stage_objectives) < quantmc.solvers._MAX_STAGES
-        assert rep.iterations < ProxParams().max_iters
-        mu, stop, _ = stages[-1]
-        assert mu == pytest.approx(quantmc.solvers._MU_FLOOR, rel=1e-12) and stop == "change"
-        assert all(m > mu for m, *_ in stages[:-1])
-        assert rep.data_residual == min(resid for *_, resid in stages) > 1e-11
-
-    @pytest.mark.parametrize("radius", [1e-1, 1e-2, 1e-4])
-    def test_regula_falsi_when_the_secant_does_not_rise(self, monkeypatch, radius):
-        # With a model that has no root the search steps mu down until a
-        # stage undershoots the target; from then on each stage sits where
-        # the chord through the bracket ends, in (log mu, log residual), meets
-        # the target (kept _BRACKET_MARGIN clear of the ends), and the search
-        # still lands a certified stage in the band.
-        stages = self._recorded_stages(monkeypatch)
-        monkeypatch.setattr(quantmc.solvers, "_model_guess", lambda sigma, y_target, offsets: None)
-        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
-        mask = sample_mask_uniform((10, 10), 55, seed=19)
-        Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
-        assert rep.converged
-        assert (1.0 - _RESIDUAL_BAND) * radius <= rep.data_residual <= radius * (1.0 + ProxParams().tol_feas)
-        target = (1.0 - _TARGET_DEPTH * _RESIDUAL_BAND) * radius
-        hi, lo = (math.log(np.linalg.norm(Q, 2)), math.log(np.linalg.norm(Q))), None
-        chord_stages = 0
-        for (mu, _, resid), (mu_next, *_) in zip(stages, stages[1:]):
-            if resid < target:
-                lo = (math.log(mu), math.log(resid))
-            else:
-                hi = (math.log(mu), math.log(resid))
-            if lo is not None:
-                x = lo[0] + (math.log(target) - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
-                margin = _BRACKET_MARGIN * (hi[0] - lo[0])
-                assert math.log(mu_next) == pytest.approx(min(max(x, lo[0] + margin), hi[0] - margin), abs=1e-12)
-                chord_stages += 1
-        assert chord_stages > 0
-
-
-# Spectra of up to a dozen values, some of them zero, none all zero.
-SPECTRA = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=12).filter(
-    lambda v: max(v) > 0.0
-).map(lambda v: np.sort(np.array(v))[::-1])
-
-
-class TestParetoModel:
-    """``_model_guess``: where Q's own Pareto curve g, shifted by the stages'
-    offsets, meets the target; on a full mask the offsets are 0."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(SPECTRA, st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
-    def test_inverts_the_curve(self, sigma, a, b):
-        # with a zero offset the guess is g's inverse, for 0 < t <= ||sigma||,
-        # and it does not fall as t rises
-        norm = math.sqrt(sigma @ sigma)
-        xa, xb = (_model_guess(sigma, math.log(t * norm), [(0.0, 0.0)]) for t in (a, b))
-        assert _pareto_residual(sigma, math.exp(xa)) == pytest.approx(a * norm, rel=1e-12)
-        assert xa <= xb if a <= b else xb <= xa
-
-    @settings(max_examples=300, deadline=None)
-    @given(SPECTRA, st.floats(1e-3, 1.0), st.floats(-3.0, 3.0), st.floats(-0.9, 2.0), st.floats(-0.5, 0.5))
-    def test_root_of_the_offset_line(self, sigma, t, x0, k, c0):
-        # with the offset line c(x) = c0 + k (x - x0) through two stages, a
-        # guess solves log g(e^x) + c(x) = log t below log sigma_1; there is
-        # one wherever the model reaches log t at log sigma_1, since it falls
-        # without bound below sigma_n (slope 1 + k > 0)
-        norm = math.sqrt(sigma @ sigma)
-        y = math.log(t * norm)
-        x = _model_guess(sigma, y, [(x0 - 1.0, c0 - k), (x0, c0)])
-        top = math.log(sigma[0])
-        if math.log(norm) + c0 + k * (top - x0) > y + 1e-9:
-            assert x is not None
-        if x is not None:
-            assert x <= top + 1e-12
-            assert math.log(_pareto_residual(sigma, math.exp(x))) + c0 + k * (x - x0) == pytest.approx(y, abs=1e-10)
-
-    @pytest.mark.parametrize("nearer", ["upper", "lower"])
-    def test_the_rising_root_nearest_the_last_stage(self, nearer):
-        # sigma = (10, 1) and the offset line c(x) = -0.9 (x - log 8): the
-        # model rises below mu = 1, falls to its least at mu = 3 and rises
-        # again, so it meets the target twice on the way up, once inside a
-        # segment whose two ends both lie above the target
-        sigma = np.array([10.0, 1.0])
-        x_last = math.log(8.0) if nearer == "upper" else -1.0
-
-        def c(x):
-            return -0.9 * (x - math.log(8.0))
-
-        x = _model_guess(sigma, 2.07, [(x_last - 1.0, c(x_last - 1.0)), (x_last, c(x_last))])
-        assert math.log(_pareto_residual(sigma, math.exp(x))) + c(x) == pytest.approx(2.07, abs=1e-12)
-        assert math.log(3.0) < x < math.log(10.0) if nearer == "upper" else x < 0.0
-
-    @pytest.mark.parametrize("y", [-460.0, -800.0])
-    def test_far_below_sigma_n_the_root_is_taken_in_log_mu(self, y):
-        # g = sqrt(3) mu below sigma_3 = 1, so the root is linear in log mu,
-        # also where mu^2 underflows: with c = 0, and with c(x) = -x / 2
-        sigma = np.array([3.0, 2.0, 1.0])
-        with np.errstate(all="raise"):
-            flat = _model_guess(sigma, y, [(0.0, 0.0)])
-            sloped = _model_guess(sigma, y, [(-1.0, 0.5), (0.0, 0.0)])
-        assert flat == pytest.approx(y - 0.5 * math.log(3.0), rel=1e-15)
-        assert sloped == pytest.approx(2.0 * (y - 0.5 * math.log(3.0)), rel=1e-15)
-
-    @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
-    def test_full_mask_is_accepted_on_the_second_stage(self, share):
-        # On a full mask a stage's solution is SVT_mu(Q), so its offset is 0
-        # and the model's second guess lands its stage on the target 0.99R.
-        # A secant on (log mu, log residual) alone took 4, 2 and 3 stages on
-        # these inputs, and returned 0.979-0.980 R.
-        gt = generate_low_rank((30, 30), 3, 1.0, seed=2)
-        mask = sample_mask_uniform((30, 30), 900, seed=102)
-        noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
-        Q = project(gt + noise, mask)
-        radius = share * float(np.linalg.norm(Q))
-        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
-        assert rep.converged and len(rep.stage_objectives) == 2
-        assert 0.985 * radius <= rep.data_residual <= radius
-
-
-def _point(mu, X):
-    """A solved point of the mu search: (log mu, log residual, iterate)."""
-    return (math.log(mu), 0.0, X)
-
-
-class TestPathPredictor:
-    """``_warm_start``: the line through the last two solved points, or the nearest end."""
-
-    # On a full mask a stage's solution is SVT_mu(Q); the spectrum keeps
-    # rank 1 for mu in [3, 5) and rank 2 for mu in [1, 3).  At
-    # mu = ||Q||_op = 5 it is the zero matrix, the search's free upper
-    # point, which lies on the rank-1 line as well.
-    @pytest.mark.parametrize("shape", [(9, 7), (7, 9)])
+    # The mu search that the loop replaced returned 4.3 times the minimum
+    # on stress problem 104 and 1.8 times on problem 53.
     @pytest.mark.parametrize(
-        "mu_a, mu_b, mu",
-        [(2.5, 2.0, 1.6), (2.5, 2.0, 1.55), (2.0, 2.5, 2.2), (2.9, 1.1, 2.0), (5.0, 4.0, 3.5), (5.0, 4.0, 3.1)],
+        "name", ["large_n-2", "large_n-3", "rate_sweep-2", "rate_sweep-3", "stress-53", "stress-104"]
     )
-    def test_exact_where_the_kept_rank_is_fixed(self, shape, mu_a, mu_b, mu):
-        Q = _with_spectrum(shape, [5.0, 3.0, 1.0, 0.5], seed=10)
-        a, b = (_point(m, prox_nuclear(Q, m)) for m in (mu_a, mu_b))
-        assert abs((mu - mu_b) / (mu_b - mu_a)) <= 1.0
-        start = _warm_start(math.log(mu), max(a, b), None, b, a)
-        ref = prox_nuclear(Q, mu)
-        assert np.linalg.norm(start - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_far_guess_takes_the_nearest_end(self):
-        # f = (mu - mu_b) / (mu_b - mu_a) beyond +-1 falls back to the end
-        # of the bracket nearest in log mu, as does a first stage
-        ends = {mu: _point(mu, np.full((3, 2), mu)) for mu in (0.5, 2.9, 3.0)}
-        hi, lo = ends[2.9], ends[0.5]
-        for mu, nearest in [(0.8, lo), (2.0, hi)]:
-            assert abs((mu - 2.9) / (2.9 - 3.0)) > 1.0
-            assert _warm_start(math.log(mu), hi, lo, hi, ends[3.0]) is nearest[2]
-        assert _warm_start(math.log(0.2), hi, None, hi, ends[3.0]) is hi[2]
-        assert _warm_start(math.log(2.0), hi, None, hi, None) is hi[2]
+    def test_within_the_gap_of_the_minimum(self, name):
+        params = ProxParams()
+        problems = self._problems(name)
+        assert len(problems) in (1, 4)
+        for Q, mask, radius in problems:
+            rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
+            assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
+            assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quantmc.solvers, "_BALL_GAP", 1e-9)
+                ref, ref_nuclear, ref_residual, ref_op, ref_gap = _certified(Q, mask, radius, params)
+            assert ref.converged and ref_residual <= radius * (1.0 + params.tol_feas)
+            assert ref_op <= 1.0 + 1e-9 and ref_gap <= 1e-9 * ref_nuclear + 1e-12 * ref_nuclear
+            assert nuclear <= 1.01 * ref_nuclear
 
 
 class TestSolveOneBitMC:
@@ -1266,6 +805,15 @@ class TestSolveOneBitMC:
         system = OneBitObservation(np.array([[1]]), np.array([[0.0]]), mask)
         with pytest.raises(ValueError):
             solve_one_bit_mc(system, -1.0)
+
+    @pytest.mark.parametrize("reg_weight", [math.nan, math.inf])
+    def test_non_finite_reg_weight_rejected(self, reg_weight):
+        # a NaN weight failed inside LAPACK; an infinite one ran the whole
+        # budget on a NaN objective
+        mask = SampleMask((1, 1), [0], [0])
+        system = OneBitObservation(np.array([[1]]), np.array([[0.0]]), mask)
+        with pytest.raises(ValueError, match="reg_weight"):
+            solve_one_bit_mc(system, reg_weight)
 
     def test_consistent_recovery_mid_size(self):
         gt = generate_low_rank((12, 12), 2, 1.0, seed=20)
