@@ -6,9 +6,13 @@ docstring named here:
 
 * ``solve_quantized_mc``: minimum nuclear norm inside the ball
   ||P_mask(X) - Q||_F <= radius, by one primal-dual (Chambolle-Pock) loop
-  started at Q's own Pareto point, which stops on a duality gap of
-  _BALL_GAP of the nuclear norm.  Its step, its start, its certificate and
-  its feasible point: ``solve_quantized_mc``.
+  started at Q's own Pareto point (one ``_eigh`` of Q's Gram matrix), which
+  stops on a duality gap of _BALL_GAP of the nuclear norm.  Its feasible
+  point is the iterate, scaled along its ray onto the ball when it lies
+  outside (``_ray``); the gap takes the better of the step's own dual point
+  and the answer's residual, scaled by its exact operator norm
+  (``_op_norm``).  Its step, its start, its certificate and its feasible
+  point: ``solve_quantized_mc``.
 * ``solve_one_bit_mc``: minimum reg_weight * ||X||_* + 1/2 ||X||_F^2 over
   the sign polyhedron, a per-entry box, by dual accelerated singular value
   thresholding: ``_fista`` (FISTA with the gradient restart) on the dual,
@@ -63,8 +67,8 @@ _STEP_MAX = 3.0
 
 # Relative duality gap at which the ball solver stops: its answer's nuclear
 # norm is then at most 1 / (1 - _BALL_GAP) times the program's minimum.  On
-# the ball bench workloads (first trial of seeds 2-11) the loop took 162 and
-# 592 steps at 1e-2, 225 and 1410 at 1e-3, and 377 and 3828 at 3e-6.
+# the ball bench workloads (first trial of seeds 2-11) the loop takes 120 and
+# 413 steps at 1e-2, 182 and 1121 at 1e-3, and 334 and 3419 at 3e-6.
 _BALL_GAP = 1e-2
 
 
@@ -166,16 +170,73 @@ def _svd_soft(Z: np.ndarray, theta: float):
     gram = A.T @ A
     trace = gram.trace()
     if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
-        lam, V = _eigh(gram)
-        if theta >= _GRAM_FLOOR * math.sqrt(lam[-1]):
-            k = lam.searchsorted(theta * theta, side="right")
-            sigma = np.sqrt(lam[k:])
-            Vk = V[:, k:]
-            X = (A @ (Vk * (1.0 - theta / sigma))) @ Vk.T
-            return (X if A is Z else X.T), sigma - theta
+        soft = _gram_soft(Z, _eigh(gram), theta)
+        if soft is not None:
+            return soft
     u, s, vt = _gesdd(Z)
     s_shrunk = np.maximum(s - theta, 0.0)
     return (u * s_shrunk) @ vt, s_shrunk
+
+
+def _gram_soft(Z: np.ndarray, eig, theta: float):
+    """``_svd_soft``'s Gram path: (SVT_theta(Z), sv) from the eigenpairs
+    eig = (lam, V) of A^T A, A = Z or Z^T when Z is wide, or None where
+    theta < _GRAM_FLOOR * sigma_1 and the squares are too coarse."""
+    lam, V = eig
+    if theta < _GRAM_FLOOR * math.sqrt(lam[-1]):
+        return None
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    k = lam.searchsorted(theta * theta, side="right")
+    sigma = np.sqrt(lam[k:])
+    Vk = V[:, k:]
+    X = (A @ (Vk * (1.0 - theta / sigma))) @ Vk.T
+    return (X if A is Z else X.T), sigma - theta
+
+
+def _op_norm(M: np.ndarray) -> float:
+    """||M||_op, the root of the largest eigenvalue of the smaller Gram matrix
+    (LAPACK syevd, values only, numpy's ``eigvalsh_lo``: about half the work
+    of ``_eigh``).  The largest eigenvalue is off by a small multiple of eps
+    times itself, so the root is good to about eps relative.  Where the
+    Gram matrix's trace is not in [_GRAM_MIN, inf), gesdd's largest singular
+    value is taken instead."""
+    A = M.T if M.shape[0] < M.shape[1] else M
+    gram = A.T @ A
+    if not _GRAM_MIN <= gram.trace() < math.inf:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        lam = _umath_linalg.eigvalsh_lo(gram, signature="d->d")
+    return math.sqrt(max(float(lam[-1]), 0.0))
+
+
+def _op_lower(M: np.ndarray, v: np.ndarray):
+    """A lower bound on ||M||_op from 4 power steps on M^T M from the unit
+    vector v; returns (bound, the last unit vector), or (0, v) when M v = 0."""
+    bound = 0.0
+    for _ in range(4):
+        w = M.T @ (M @ v)
+        norm = math.sqrt(w @ w)
+        if norm == 0.0:
+            break
+        bound, v = math.sqrt(norm), w / norm
+    return bound, v
+
+
+def _ray(x: np.ndarray, r: np.ndarray, r_norm: float, radius: float) -> float:
+    """The scale t nearest 1 with ||t x - q|| = radius, where r = x - q lies
+    outside the ball, or 0 when no positive t reaches the ball.
+
+    With t = 1 + s the condition is a s^2 + 2 b s + c = 0, a = ||x||^2,
+    b = <x, r>, c = ||r||^2 - radius^2 > 0; both roots in s have the sign
+    of -b, and the one nearest 0 is -c / (b + sign(b) sqrt(b^2 - a c)),
+    without cancellation.
+    """
+    a, b = float(x @ x), float(x @ r)
+    c = (r_norm - radius) * (r_norm + radius)
+    disc = b * b - a * c
+    if not (disc >= 0.0 and b != 0.0):
+        return 0.0
+    return max(1.0 - c / (b + math.copysign(math.sqrt(disc), b)), 0.0)
 
 
 def prox_nuclear(Z, theta: float) -> np.ndarray:
@@ -282,30 +343,44 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     tau scale with Q, y and sigma tau do not).  The loop starts at Q's own
     Pareto point, the solution on a full mask: X = SVT_mu(Q) and
     y = (P(X) - q) / mu, with mu the root of
-    sqrt(sum_i min(sigma_i(Q), mu)^2) = radius (one values-only SVD of Q).
+    sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
+    smaller Gram matrix gives both: its eigenvalues are the sigma_i^2, and
+    its eigenpairs give SVT_mu(Q) as in ``_svd_soft``, which takes the start
+    instead where its precision rule calls for gesdd.
 
-    Each step certifies itself.  (X - tau P^* y - Xn) / tau is a
-    subgradient of ||.||_* at Xn, so ||P^* y||_op <= 1 + ||X - Xn||_F / tau,
-    and y' = y / (1 + ||X - Xn||_F / tau) is dual feasible: no feasible
-    point has a nuclear norm below -<y', q> - radius ||y'||.  The loop
-    stops, converged, at the first feasible point F whose gap
-    ||F||_* + <y', q> + radius ||y'|| is at most _BALL_GAP ||F||_*.  F is
-    Xn while its residual r = P(Xn) - q has ||r|| <= radius (1 + tol_feas);
-    otherwise F is Xn with P(F) = q + r radius / ||r||.  That moves Xn by
-    ||r|| - radius in Frobenius norm, so ||F||_* is at most
-    ||Xn||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own nuclear norm
-    takes one values-only SVD, once that bound certifies the gap (F counts
-    only if the rounding of q + r radius / ||r|| leaves it inside the
-    ball, which a tiny radius may not).  After max_iters steps the last F
-    is returned with converged=False.
+    Each step's feasible point F is Xn while its residual r = P(Xn) - q has
+    ||r|| <= radius (1 + tol_feas).  Otherwise it is t Xn, with t the end
+    nearest 1 of the interval of scales that ``_ray`` finds inside the
+    ball; ||t Xn||_* = t ||Xn||_* needs no decomposition, and t Xn keeps
+    Xn's rank.  Where that line misses the ball (or rounding puts t Xn
+    outside it), F is Xn with P(F) = q + r radius / ||r||, the masked
+    repair.  That moves Xn by ||r|| - radius in Frobenius norm, so ||F||_*
+    is at most ||Xn||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own
+    nuclear norm takes one values-only SVD, once that bound certifies the
+    gap (F counts only if the rounding of q + r radius / ||r|| leaves it
+    inside the ball, which a tiny radius may not).
+
+    Each step certifies F with the better of two dual points; any y with
+    ||P^* y||_op <= 1 proves that no feasible point has a nuclear norm
+    below -<y, q> - radius ||y||.  The first is the step's own.
+    (X - tau P^* y - Xn) / tau is a subgradient of ||.||_* at Xn, so
+    ||P^* y||_op <= 1 + ||X - Xn||_F / tau, and y' = y / (1 + ||X - Xn||_F
+    / tau) is dual feasible.  The second is F's own residual,
+    f / ||P^* f||_op with f = P(F) - q (r for the masked repair, which is
+    parallel to it), the multiplier's direction at the solution.  Its
+    exact norm costs one ``_op_norm``, taken only when the first point does
+    not certify and neither of two free lower bounds on ||P^* f||_op rules
+    it out: |<f, P(Xn)>| / ||Xn||_*, as ||.||_op is dual to ||.||_*, and
+    ``_op_lower``'s power steps, each warm-started from the last.  The loop
+    stops, converged, at the first F whose gap ||F||_* - dual is at most
+    _BALL_GAP ||F||_*.  After max_iters steps the last F is returned with
+    converged=False.
     ``tol_rel_change`` is not read.
     """
     params = params or ProxParams()
     Qm = as_matrix(Q)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if not np.isfinite(Qm).all():
-        raise ValueError("Q must be finite")
     off = Qm.copy()
     off[mask.rows, mask.cols] = 0.0
     if np.any(off != 0.0):
@@ -323,24 +398,34 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
             nuclear_norm=0.0,
         )
 
-    # The start's mu, in units of ||q||: with the k largest singular values
-    # at or above mu, the Pareto residual squared is tail_k + k mu^2, tail_k
-    # the sum of the other squares, and it rises from 0 to 1 on [0, sigma_1].
-    sq = (np.linalg.svd(Qm, compute_uv=False) / qnorm) ** 2
+    # The start: one syevd of Q's Gram matrix gives Q's squared singular
+    # values and, from the same eigenpairs, SVT_mu(Q).  The start's mu, in
+    # units of ||q||: with the k largest singular values at or above mu, the
+    # Pareto residual squared is tail_k + k mu^2, tail_k the sum of the other
+    # squares, and it rises from 0 to 1 on [0, sigma_1].
+    A = Qm.T if Qm.shape[0] < Qm.shape[1] else Qm
+    gram = A.T @ A
+    eig = _eigh(gram) if _GRAM_MIN <= gram.trace() < math.inf else None
+    if eig is None:
+        sq = (np.linalg.svd(Qm, compute_uv=False) / qnorm) ** 2
+    else:
+        sq = np.maximum(eig[0][::-1], 0.0) / (qnorm * qnorm)
     tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)
     rho2 = (radius / qnorm) ** 2
     k = max(1, int(np.count_nonzero(tails + np.arange(1, len(sq) + 1) * sq > rho2)))
     mu = qnorm * math.sqrt(max(rho2 - tails[k - 1], 0.0) / k)
+    soft = None if eig is None else _gram_soft(Qm, eig, mu)
+    X = soft[0] if soft else _svd_soft(Qm, mu)[0]
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
     tau = 2.0 * float(np.abs(q).max())
     sigma = 0.99 / tau
     limit = radius * (1.0 + params.tol_feas)
     spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
-    X = _svd_soft(Qm, mu)[0]
     x = X.take(idx)
     y = (x - q) / mu
     x_bar = x
+    u = np.full(Qm.shape[1], 1.0 / math.sqrt(Qm.shape[1]))  # _op_lower's vector, kept across steps
     for iters in range(1, params.max_iters + 1):
         w = y / sigma + x_bar - q  # v / sigma - q
         w_norm = math.sqrt(w @ w)
@@ -355,19 +440,40 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         y_dual = y / (1.0 + _fro(X - Xn) / tau)
         dual = -float(y_dual @ q) - radius * math.sqrt(y_dual @ y_dual)
         X, x, x_bar = Xn, xn, 2.0 * xn - x
-        if r_norm <= limit:
-            F, f_norm, f_nuc = X, r_norm, nuc
-            converged = nuc - dual <= _BALL_GAP * nuc
-        else:
-            bound = nuc + (r_norm - radius) * spread
-            if bound - dual > _BALL_GAP * bound and iters < params.max_iters:
-                continue
+
+        # The feasible point F: t X on the ray, or the masked repair, whose
+        # nuclear norm is bounded here and taken by SVD once it certifies.
+        t = 1.0 if r_norm <= limit else _ray(xn, r, r_norm, radius)
+        if t > 0.0:
+            f = r if t == 1.0 else t * xn - q
+            f_norm = math.sqrt(f @ f)
+        masked = not (t > 0.0 and f_norm <= limit)
+        g, f_nuc = (r, nuc + (r_norm - radius) * spread) if masked else (f, t * nuc)
+
+        # The second dual point, g / ||P^* g||_op; its exact norm is taken
+        # only when neither free lower bound rules out a certificate.
+        if f_nuc - dual > _BALL_GAP * f_nuc:
+            num = -float(g @ q) - radius * math.sqrt(g @ g)
+            need = num / ((1.0 - _BALL_GAP) * f_nuc)  # the largest norm that certifies
+            if num > 0.0 and abs(float(g @ xn)) <= need * nuc:
+                M = np.zeros(Qm.shape)
+                M.put(idx, g)
+                lower, u = _op_lower(M, u)
+                if lower <= need:
+                    dual = max(dual, num / _op_norm(M))
+        certified = f_nuc - dual <= _BALL_GAP * f_nuc
+        if not masked:
+            F = X if t == 1.0 else t * X
+            converged = certified
+        elif certified or iters == params.max_iters:
             F = X.copy()
             F.put(idx, q + (radius / r_norm) * r)
             f = F.take(idx) - q
             f_norm = math.sqrt(f @ f)
             f_nuc = float(np.linalg.svd(F, compute_uv=False).sum())
-            converged = bound - dual <= _BALL_GAP * bound and f_norm <= limit
+            converged = certified and f_norm <= limit
+        else:
+            continue
         if converged:
             break
 

@@ -131,6 +131,20 @@ def solves(monkeypatch):
 
 
 @pytest.fixture
+def last_soft(monkeypatch):
+    """The (matrix, sv) of the last ``_svd_soft`` call while the test runs."""
+    last = []
+    svd_soft = quantmc.solvers._svd_soft
+
+    def recording(Z, theta):
+        last[:] = svd_soft(Z, theta)
+        return tuple(last)
+
+    monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording)
+    return last
+
+
+@pytest.fixture
 def inner_products(monkeypatch):
     """Values np.vdot returns while the test runs."""
     values = []
@@ -262,46 +276,47 @@ class TestSvdSoft:
 
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
     def test_bench_workload_matches_the_oracle(self, monkeypatch, solves, workload):
-        # Each ball solve decomposes one values-only SVD of Q, the start's
-        # soft-threshold, one soft-threshold per step and, when its answer
-        # is the rescaled iterate, one values-only SVD of that; the one-bit
-        # solve one soft-threshold per step, the first (of zero) by gesdd.
+        # Each ball solve decomposes Q's Gram matrix once for its start, then
+        # takes one soft-threshold per step, each by its own Gram matrix, and
+        # at most one exact operator norm per step; none of these solves
+        # needs the masked repair and its values-only SVD.  The one-bit solve
+        # takes one soft-threshold per step, the first (of zero) by gesdd.
         # Every other soft-threshold takes the Gram path.
         events = []
         svd, svd_soft = np.linalg.svd, quantmc.solvers._svd_soft
+        eigh, op_norm = quantmc.solvers._eigh, quantmc.solvers._op_norm
+
+        def recording(name, fn):
+            def recorded(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return recorded
 
         def recording_svd(a, *args, **kwargs):
             events.append("values" if kwargs.get("compute_uv") is False else "gesdd")
             return svd(a, *args, **kwargs)
 
-        def recording_soft(Z, theta):
-            events.append("soft")
-            return svd_soft(Z, theta)
-
-        def marking(solve):
-            def marked(*args, **kwargs):
-                events.append("solve")
-                return solve(*args, **kwargs)
-
-            return marked
-
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording_soft)
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording("soft", svd_soft))
+        monkeypatch.setattr(quantmc.solvers, "_eigh", recording("eigh", eigh))
+        monkeypatch.setattr(quantmc.solvers, "_op_norm", recording("op", op_norm))
         for name in ("solve_quantized_mc", "solve_one_bit_mc"):
-            monkeypatch.setattr(quantmc.harness, name, marking(getattr(quantmc.harness, name)))
+            monkeypatch.setattr(quantmc.harness, name, recording("solve", getattr(quantmc.harness, name)))
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=100000, **BENCH_CONFIGS[workload])
         records, _ = quantmc.harness.run_experiment(cfg)
         runs = " ".join(events).split("solve")[1:]
         assert len(runs) == len(solves) > 0
         for rep, run in zip(solves, runs):
-            run = run.split()
             if workload == "onebit_known":
-                assert run == ["soft", "gesdd"] + ["soft"] * (rep.iterations - 1)
+                assert run.split() == ["soft", "gesdd"] + ["soft", "eigh"] * (rep.iterations - 1)
             else:
-                head = 2 + rep.iterations
-                assert run[:head] == ["values"] + ["soft"] * (1 + rep.iterations)
-                assert run[head:] in ([], ["values"])
+                start, *steps = run.split("soft")
+                assert start.split() == ["eigh"] and len(steps) == rep.iterations
+                assert all(step.split() in (["eigh"], ["eigh", "op"]) for step in steps)
         monkeypatch.setattr(quantmc.solvers, "_svd_soft", _gesdd_soft)
+        monkeypatch.setattr(quantmc.solvers, "_gram_soft", lambda Z, eig, theta: None)
+        monkeypatch.setattr(quantmc.solvers, "_op_norm", lambda M: np.linalg.norm(M, 2))
         solves.clear()
         oracle_records, _ = quantmc.harness.run_experiment(cfg)
         assert len(solves) == len(runs)
@@ -356,6 +371,32 @@ class TestEigh:
                 np.linalg.eigh(gram)
             with pytest.raises(np.linalg.LinAlgError):
                 quantmc.solvers._eigh(gram)
+
+
+def _op_norm_cases():
+    rng = np.random.default_rng(11)
+    Q, mask, radius = _stress_problem(0)
+    answer = solve_quantized_mc(Q, mask, radius).matrix
+    return {
+        "tall": rng.standard_normal((40, 7)),
+        "wide": rng.standard_normal((7, 40)),
+        "rank-1": np.outer(rng.standard_normal(30), rng.standard_normal(20)),
+        "masked residual": project(answer - Q, mask),
+        "gram below its floor": 1e-160 * rng.standard_normal((9, 5)),
+    }
+
+
+class TestOpNorm:
+    """``_op_norm`` against gesdd's largest singular value."""
+
+    @pytest.mark.parametrize("name", ["tall", "wide", "rank-1", "masked residual", "gram below its floor"])
+    def test_matches_gesdd(self, name):
+        M = _op_norm_cases()[name]
+        assert quantmc.solvers._op_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_zero_matrix(self, shape):
+        assert quantmc.solvers._op_norm(np.zeros(shape)) == 0.0
 
 
 class TestFistaRestart:
@@ -433,9 +474,10 @@ class TestFistaRestart:
 
 # Most iterations the first solve of each bench workload may take at trial
 # base_seed 100000.  FISTA without the restart took 223 on onebit_known; the
-# mu search it once ran for the ball took 139 and 1019, where the
-# primal-dual loop takes 16 and 20.
-ITERATION_LIMITS = {"large_n": 20, "rate_sweep": 25, "onebit_known": 150}
+# mu search it once ran for the ball took 139 and 1019, the primal-dual loop
+# 16 and 20 with its step's dual point alone, and it takes 11 and 15 with
+# the answer's residual point as well.
+ITERATION_LIMITS = {"large_n": 15, "rate_sweep": 20, "onebit_known": 150}
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
@@ -447,9 +489,10 @@ def test_bench_workload_iterations(solves, workload):
 
 
 # Most steps of the ball solver over the first trial of seeds 2-11
-# (base_seed s * 100000): the last mu search took 203 and 1888, and the
-# primal-dual loop takes 162 and 592.
-BALL_ITERATION_LIMITS = {"large_n": 170, "rate_sweep": 620}
+# (base_seed s * 100000): the last mu search took 203 and 1888, the
+# primal-dual loop 162 and 592 with its step's dual point alone, and it
+# takes 120 and 413 with the answer's residual point and the ray repair.
+BALL_ITERATION_LIMITS = {"large_n": 130, "rate_sweep": 440}
 
 
 @pytest.mark.parametrize("workload", sorted(BALL_ITERATION_LIMITS))
@@ -523,13 +566,18 @@ def _stress_problem(k):
 
 def _certified(Q, mask, radius, params=None):
     """Solve the ball program and recompute the answer's certificate from
-    the inputs and outputs of the loop's soft-thresholds alone.
+    the inputs and outputs of the loop alone, with every norm taken by
+    gesdd or np.linalg.norm.
 
-    The last step took Xn = SVT_tau(Z) with Z = X - tau P^* y, X the
-    previous soft-threshold's output, so y = P(X - Z) / tau and the dual
-    point is y' = y / (1 + ||X - Xn||_F / tau).  Returns (report, nuclear
-    norm and residual of the answer, ||P^* y'||_op, gap ||X||_* + <y', q> +
-    radius ||y'||), with every norm taken by gesdd or np.linalg.norm.
+    Two dual points are tried, and the one with the smaller gap is kept.
+    The first is the step's own: the last step took Xn = SVT_tau(Z) with
+    Z = X - tau P^* y, X the previous soft-threshold's output, so
+    y = P(X - Z) / tau and the point is y / (1 + ||X - Xn||_F / tau).  It
+    needs two soft-thresholds; a solve of one step has only its step's.
+    The second is the answer's own residual f = P(answer) - q, as
+    f / ||P^* f||_op.  Returns (report, nuclear norm and residual of the
+    answer, ||P^* y||_op of the kept point y, gap ||answer||_* + <y, q> +
+    radius ||y||).
     """
     calls = []  # (Z, theta, output) of each soft-threshold
     svd_soft = quantmc.solvers._svd_soft
@@ -542,20 +590,24 @@ def _certified(Q, mask, radius, params=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_svd_soft", recording)
         rep = solve_quantized_mc(Q, mask, radius, params)
-    (_, _, X), (Z, tau, Xn) = calls[-2:]
     q = Q[mask.rows, mask.cols]
-    y = (X - Z)[mask.rows, mask.cols] / tau
-    y_dual = y / (1.0 + np.linalg.norm(X - Xn) / tau)
     nuclear = np.linalg.norm(rep.matrix, "nuc")
-    residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - q)
-    op = np.linalg.norm(scatter_vector(y_dual, mask), 2)
-    return rep, nuclear, residual, op, nuclear + y_dual @ q + radius * np.linalg.norm(y_dual)
+    f = rep.matrix[mask.rows, mask.cols] - q
+    residual = np.linalg.norm(f)
+    points = [f / np.linalg.norm(scatter_vector(f, mask), 2)]
+    if len(calls) >= 2:
+        (_, _, X), (Z, tau, Xn) = calls[-2:]
+        y = (X - Z)[mask.rows, mask.cols] / tau
+        points.append(y / (1.0 + np.linalg.norm(X - Xn) / tau))
+    gaps = [nuclear + y @ q + radius * np.linalg.norm(y) for y in points]
+    k = int(np.argmin(gaps))
+    return rep, nuclear, residual, np.linalg.norm(scatter_vector(points[k], mask), 2), gaps[k]
 
 
 class TestSolveQuantizedMC:
     # Most iterations over the 150 problems of _stress_problem at the default
-    # ProxParams: the last mu search took 86891, and the primal-dual loop
-    # takes 4024.
+    # ProxParams: the last mu search took 86891, the primal-dual loop 4024
+    # with its step's dual point alone, and it takes 4011 with both.
     STRESS_ITERATION_LIMIT = 4200
 
     def test_stress_set_converges(self):
@@ -690,15 +742,52 @@ class TestSolveQuantizedMC:
     @pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
     def test_tiny_radius_converges(self, radius):
         # On the inputs of test_budget_exhaustion_reports_not_converged, each
-        # radius is certified in 58 steps, 60 at 1e-12: there the rescaled
-        # iterate rounds to a point outside the ball, and the loop goes on
-        # until an iterate of its own lies inside.
+        # radius is certified in 58 steps, 60 at 1e-12, by the masked repair
+        # (the ray misses the ball); at 1e-12 the rescaled iterate first
+        # rounds to a point outside the ball, and the loop goes on until a
+        # rescaled iterate lies inside.
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         params = ProxParams()
         rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius, params)
         assert rep.converged and rep.iterations <= 70
         assert residual <= radius * (1.0 + params.tol_feas)
+        assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
+
+    def test_ray_repair_keeps_the_iterate(self, last_soft):
+        # The last iterate of the large_n solve at base_seed 200000 lies
+        # outside the ball, and the line through it meets the ball: the
+        # answer is that iterate scaled onto the sphere.
+        ((Q, mask, radius),) = TestBallOracle._problems("large_n-2")
+        params = ProxParams()
+        rep = solve_quantized_mc(Q, mask, radius, params)
+        X, sv = last_soft
+        t = np.vdot(rep.matrix, X) / np.vdot(X, X)
+        assert rep.converged and t != pytest.approx(1.0, abs=1e-6)
+        assert np.max(np.abs(rep.matrix - t * X)) <= 1e-14 * np.abs(X).max()
+        assert np.linalg.matrix_rank(rep.matrix) <= len(sv)
+        residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - Q[mask.rows, mask.cols])
+        assert radius * (1.0 - 1e-12) <= residual <= radius * (1.0 + params.tol_feas)
+        assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e-4, 1e-8])
+    def test_masked_repair_where_the_ray_misses(self, last_soft, radius):
+        # On the inputs of test_tiny_radius_converges the line through the
+        # last iterate misses the ball, so the answer is that iterate with
+        # its masked residual scaled onto the sphere, and still certified.
+        gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
+        mask = sample_mask_uniform((10, 10), 55, seed=19)
+        Q = project(gt, mask)
+        q = Q[mask.rows, mask.cols]
+        params = ProxParams()
+        rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
+        X = last_soft[0]
+        r = X[mask.rows, mask.cols] - q
+        assert quantmc.solvers._ray(X[mask.rows, mask.cols], r, np.linalg.norm(r), radius) == 0.0
+        assert np.array_equal(rep.matrix - project(rep.matrix, mask), X - project(X, mask))
+        f = rep.matrix[mask.rows, mask.cols] - q
+        assert np.max(np.abs(f - (radius / np.linalg.norm(r)) * r)) <= 1e-6 * radius
+        assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
         assert op <= 1.0 + 1e-9 and gap <= _BALL_GAP * nuclear
 
     @pytest.mark.parametrize("radius", [1e-2, 1e-4, 1e-8])
