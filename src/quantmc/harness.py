@@ -67,14 +67,13 @@ _FIELD_READERS = {
     "m_prime": _ONE_MASK_SCENARIOS,
     "sample_fraction": _ONE_MASK_SCENARIOS,
     "noise_sigma": ("onebit_dithers_known", "onebit_noisy"),
-    "reg_weight": ("onebit_dithers_known",),
     "delta_policy": _BALL_SCENARIOS,
     "beta": ("onebit_noisy",),
     "m_prime_grid": ("rate_sweep",),
     "perturb_scales": ("inconsistency_sweep",),
     "max_iters": _SOLVER_SCENARIOS,
-    # tol_rel_change changes no output on the ball scenarios, nor tol_feas
-    # on onebit_dithers_known; the benchmark's workloads set them there
+    # tol_rel_change changes no output in any scenario (no solver reads it),
+    # nor tol_feas on onebit_dithers_known; the benchmark's workloads set them
     "tol_rel_change": _SOLVER_SCENARIOS,
     "tol_feas": _SOLVER_SCENARIOS,
 }
@@ -107,7 +106,6 @@ class ExperimentConfig:
     trials: int = 1
     base_seed: int = 0
     epsilon: float = 0.05
-    reg_weight: float = 1.0
     delta_policy: str = "auto"
     beta: float | None = None
     m_prime_grid: tuple = ()
@@ -129,9 +127,11 @@ class ExperimentConfig:
         if not 1 <= self.r <= min(self.n1, self.n2):
             raise ValueError(f"r must be in [1, {min(self.n1, self.n2)}]")
         # alpha > 0, epsilon >= 0 and beta >= 0 are the bounds' own checks,
-        # and the tolerances the solvers'.
+        # and max_iters and tol_feas the solvers'.
         bnd.BoundInputs(self.n1, self.n2, self.r, self.alpha, epsilon=self.epsilon, beta=self.beta or 0.0)
         self.prox_params()
+        if not self.tol_rel_change > 0:
+            raise ValueError(f"tol_rel_change must be positive, got {self.tol_rel_change}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.delta_policy not in ("auto", "theorem", "oracle"):
@@ -159,8 +159,6 @@ class ExperimentConfig:
                 raise ValueError(f"m_prime must be in [1, {dims.size}], got {m_prime}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-        if self.reg_weight < 0:
-            raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             items = value if isinstance(value, tuple) else (value,)
@@ -186,11 +184,7 @@ class ExperimentConfig:
         return round(self.sample_fraction * self.n1 * self.n2)
 
     def prox_params(self) -> ProxParams:
-        return ProxParams(
-            max_iters=self.max_iters,
-            tol_rel_change=self.tol_rel_change,
-            tol_feas=self.tol_feas,
-        )
+        return ProxParams(max_iters=self.max_iters, tol_feas=self.tol_feas)
 
     def effective_delta_policy(self) -> str:
         if self.delta_policy != "auto":
@@ -377,7 +371,7 @@ def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
                 records.append(_record(cfg, trial, m_prime, err, ref, bound, None, zeta=zeta, group=group))
             return records
         if cfg.scenario == "onebit_dithers_known":
-            report = solve_one_bit_mc(build_polyhedron(obs), cfg.reg_weight, cfg.prox_params())
+            report = solve_one_bit_mc(build_polyhedron(obs), cfg.prox_params())
         else:
             obs = strip_thresholds(obs)
             report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)

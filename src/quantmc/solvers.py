@@ -1,27 +1,27 @@
 """Nuclear-norm recovery solvers.
 
-Two convex programs, each solved by a loop around one singular-value
-soft-threshold per step, ``_svd_soft``.  Each rule is stated once, in the
-docstring named here:
+Both of the paper's programs are min ||X||_* subject to P_mask(X) in C, with
+no regularization term, and both are solved by one certified primal-dual
+(Chambolle-Pock) loop, ``_pdhg``: one singular-value soft-threshold per
+step, ``_svd_soft``, and a stop at the first answer whose duality gap is at
+most _GAP of its nuclear norm.  Each program passes the loop its dual prox,
+the support function of C, and its candidate answer; where the iterate
+misses C, both repair it on the mask alone, ``_masked_repair``.  Each rule
+is stated once, in the docstring named here:
 
-* ``solve_quantized_mc``: minimum nuclear norm inside the ball
-  ||P_mask(X) - Q||_F <= radius, by one primal-dual (Chambolle-Pock) loop
-  started at Q's own Pareto point (one ``_eigh`` of Q's Gram matrix), which
-  stops on a duality gap of _BALL_GAP of the nuclear norm.  Its feasible
-  point is the iterate, scaled along its ray onto the ball when it lies
-  outside (``_ray``); the gap takes the better of the step's own dual point
-  and the answer's residual, scaled by its exact operator norm
-  (``_op_norm``).  Its step, its start, its certificate and its feasible
-  point: ``solve_quantized_mc``.
-* ``solve_one_bit_mc``: minimum reg_weight * ||X||_* + 1/2 ||X||_F^2 over
-  the sign polyhedron, a per-entry box, by dual accelerated singular value
-  thresholding: ``_fista`` (FISTA with the gradient restart) on the dual,
-  with the spectral step of ``_clipped_step``.  Its step, its stop and what
-  the stop certifies: ``solve_one_bit_mc``, with the duality gap of
-  ``_box_gap``.
+* ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
+  loop starts at Q's own Pareto point (one ``_eigh`` of Q's Gram matrix).
+  Its candidate is the iterate, scaled along its ray onto the ball when it
+  lies outside (``_ray``), and the gap takes the better of the step's own
+  dual point and the answer's residual, scaled by its exact operator norm
+  (``_op_norm``).
+* ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
+  ``feasible_intervals``.  The loop starts at zero and draws its iterates
+  into the box shrunk by a margin; its candidate is the iterate when it
+  satisfies every sign, or else the iterate clipped into the shrunk box.
 
-Both solvers take their budget and tolerances from ``ProxParams`` and are
-fully deterministic.
+Both solvers take their budget and feasibility slack from ``ProxParams``
+and are fully deterministic.
 """
 
 from __future__ import annotations
@@ -49,51 +49,46 @@ __all__ = [
 _GRAM_FLOOR = 1e-4
 _GRAM_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
-# Interior margin of the one-bit box, shrunk per entry to a quarter of the
-# entry's feasible interval so the shrunk box stays nonempty.
+# Interior margin of the one-bit box, in units of the box's largest finite
+# |bound| and shrunk per entry to a quarter of the entry's feasible interval
+# so the shrunk box stays nonempty: the one-bit loop's multiplier pushes its
+# iterates into the shrunk box, and its repair clips into it, so that they
+# land strictly inside the sign box.  The shrunk box's minimum lies above
+# the sign box's, which the stop certifies against, so the margin scales
+# with the bounds: a fixed 5e-7 kept every solve of onebit_known at
+# alpha = dither_param = 1e-4 from certifying.
 _FEAS_MARGIN = 5e-7
 
-# Share of the curvature quotient that the one-bit spectral step takes: the
-# quotient measures the last move, and the next, momentum-driven move may
-# meet more curvature.  On the onebit_known bench workload (first trial of
-# seeds 2-21) 0.7 in place of 1.0 cut the iterations from 1280 to 1164.
+# Relative duality gap at which both solvers stop: the answer's nuclear norm
+# is then at most 1 / (1 - _GAP) times the program's minimum.  On the ball
+# bench workloads (first trial of seeds 2-11) the loop takes 120 and 413
+# steps at 1e-2, 182 and 1121 at 1e-3, and 334 and 3419 at 3e-6.
+_GAP = 1e-2
+
+# Share of the curvature quotient, and the largest step, of ``_clipped_step``.
 _STEP_SAFETY = 0.7
-
-# Largest spectral step of the one-bit dual; the smallest is 1 = 1/L.  On the
-# 32x32 bench workload (first trial of 20 seeds) the short Barzilai-Borwein
-# quotient clipped to [1, 3] cut the iterations from 1710 to 1280, and 0.7
-# times it to 1164; the long quotient doubled them.
 _STEP_MAX = 3.0
-
-# Relative duality gap at which the ball solver stops: its answer's nuclear
-# norm is then at most 1 / (1 - _BALL_GAP) times the program's minimum.  On
-# the ball bench workloads (first trial of seeds 2-11) the loop takes 120 and
-# 413 steps at 1e-2, 182 and 1121 at 1e-3, and 334 and 3419 at 3e-6.
-_BALL_GAP = 1e-2
 
 
 @dataclasses.dataclass(frozen=True)
 class ProxParams:
-    """Iteration budget and tolerances for the proximal solvers.
+    """Iteration budget and feasibility slack for the nuclear-norm solvers.
 
-    ``max_iters`` caps the steps of either solver.  ``tol_feas`` is the
-    relative slack on the ball radius: a converged ball answer has
-    ||P(X) - q|| <= radius (1 + tol_feas).  ``tol_rel_change`` bounds the
-    one-bit solver's relative duality gap against the shrunk box; the ball
-    solver stops on a fixed relative gap, _BALL_GAP, and does not read it.
-    The one-bit solver stops only on exact sign feasibility and does not
-    read ``tol_feas``.
+    ``max_iters`` caps the steps of either solver; both stop on a fixed
+    relative duality gap, _GAP.  ``tol_feas`` is the relative slack on the
+    ball radius: a converged ball answer has ||P(X) - q|| <= radius
+    (1 + tol_feas).  The one-bit solver's answers satisfy every sign
+    constraint exactly, and it does not read ``tol_feas``.
     """
 
     max_iters: int = 20000
-    tol_rel_change: float = 1e-8
     tol_feas: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_rel_change <= 0 or self.tol_feas <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_feas <= 0:
+            raise ValueError("tol_feas must be positive")
 
 
 @dataclasses.dataclass(eq=False)
@@ -104,8 +99,8 @@ class SolverReport:
     quantized problem and the constraint violation for the one-bit problem.
     ``stage_objectives`` holds one float per stage, so its length is the
     stage count; each solver runs one stage, and the entry is its final
-    objective (the nuclear norm, for the ball solver).  It is empty when
-    the zero matrix is returned without a solve.
+    objective, the answer's nuclear norm.  It is empty when the zero matrix
+    is returned without a solve.
     """
 
     matrix: np.ndarray
@@ -239,6 +234,20 @@ def _ray(x: np.ndarray, r: np.ndarray, r_norm: float, radius: float) -> float:
     return max(1.0 - c / (b + math.copysign(math.sqrt(disc), b)), 0.0)
 
 
+def _clipped_step(num, den, s_max):
+    """Spectral step of the former one-bit dual loop, in units of 1/L: the
+    quotient num / den times _STEP_SAFETY, clipped to [1, s_max]; 1 where
+    the quotient is not positive and finite.
+
+    No solver calls it since both run ``_pdhg`` with fixed steps; it and
+    its constants are removed in a change of their own (ROADMAP item 2).
+    """
+    if not (num > 0.0 and den > 0.0):
+        return 1.0
+    rho = num / den
+    return min(s_max, max(1.0, _STEP_SAFETY * rho)) if math.isfinite(rho) else 1.0
+
+
 def prox_nuclear(Z, theta: float) -> np.ndarray:
     """Proximal operator of theta * ||.||_*: shrink each singular value by theta.
 
@@ -264,64 +273,61 @@ def _fro(a: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _fista(step, z0, cap: int):
-    """Accelerated proximal loop (FISTA with adaptive restart) of the one-bit solver.
+def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
+    """X with its masked entries (C-order flat indices idx) set to values,
+    and that matrix's nuclear norm, by one values-only SVD."""
+    F = X.copy()
+    F.put(idx, values)
+    return F, float(np.linalg.svd(F, compute_uv=False).sum())
 
-    ``step(w, z)`` maps the extrapolated point w and the current iterate z
-    to ``(z_next, stop, info)``: one proximal-gradient step and its stopping
-    test.  Runs at most ``cap >= 1`` steps from z0; returns (z, iterations,
-    stopped, info of the last step).  The loop never writes into z0 or into
-    an array a step was given or returned: each w is built in the fresh
-    array that held the move z_next - z, and w - z_next goes to one scratch
-    array.
 
-    Gradient restart (O'Donoghue-Candes): when the step's gradient mapping
-    w - z_next has a positive inner product with the move z_next - z, the
-    momentum points uphill, so t is reset to 1 and the next point is z_next
-    itself.  On the first step w = z, so it never fires there.
+def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
+    """The primal-dual loop of Chambolle and Pock (J. Math. Imaging Vis.
+    2011) on min ||X||_* subject to P(X) in C, from the pair (X, y), with P
+    the masked entries at the C-order flat indices idx.
+
+    The saddle problem is min_X max_y ||X||_* + <P(X), y> - sigma_C(y), with
+    sigma_C the support function of C, and each step is
+
+        y = prox(y / sigma + P(Xbar), sigma),
+        Xn = SVT_tau(X - tau P^* y),  Xbar = 2 Xn - X,
+
+    one ``_svd_soft`` per step, with sigma = 0.99 / tau (sigma tau ||P||^2
+    < 1).  ``prox(v / sigma, sigma)`` is the prox of sigma * sigma_C at v,
+    v - sigma Pi_C(v / sigma).  Any y with ||P^* y||_op <= 1 proves that no
+    point of the program has a nuclear norm below -sigma_C(y), and each
+    step has one for free: (X - tau P^* y - Xn) / tau is a subgradient of
+    ||.||_* at Xn, so ||P^* y||_op <= 1 + ||X - Xn||_F / tau, and
+    y' = y / (1 + ||X - Xn||_F / tau) is dual feasible; ``support(y')`` is
+    sigma_C(y').
+
+    ``candidate(Xn, P(Xn), ||Xn||_*, -sigma_C(y'), last)`` gives the step's
+    answer: None, or (F, ||F||_*, dual, feasible), with F a point of the
+    program when ``feasible`` is true and dual a lower bound at least
+    -sigma_C(y'); ``last`` is true on the last step of the budget, which
+    must give an answer.  The loop stops at the first feasible F whose gap
+    ||F||_* - dual is at most _GAP ||F||_*, and returns (F, ||F||_*,
+    iterations, True); after max_iters steps it returns the last step's
+    answer with False.
     """
-    z = w = z0
-    t = 1.0
-    grad = np.empty(np.shape(z0))
-    for iters in range(1, cap + 1):
-        z_next, stop, info = step(w, z)
-        if stop:
-            return z_next, iters, True, info
-        move = z_next - z
-        np.subtract(w, z_next, out=grad)
-        if np.vdot(grad, move) > 0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        move *= (t - 1.0) / t_next
-        move += z_next
-        w = move
-        z, t = z_next, t_next
-    return z, iters, False, info
-
-
-def _box_gap(w, x, box_lo, box_hi):
-    """Duality gap of the one-bit solver at its dual point w, from the step's
-    own primal x = P(X(w)): the Fenchel-Young gap sigma_B(w) - <w, x>.
-
-    sigma_B(w) = sum over w > 0 of w box_hi, plus over w < 0 of w box_lo, is
-    the support function of the box B = [box_lo, box_hi]; it is +inf where w
-    meets an unbounded side, and so is the gap.  X = SVT(-P^* w) gives
-    <X, -P^* w> = reg ||X||_* + ||X||_F^2 (Fenchel-Young with equality), so
-    the gap equals the objective at X less the dual value at w.
-    """
-    up, down = w > 0.0, w < 0.0
-    return float(w[up] @ (box_hi[up] - x[up]) + w[down] @ (box_lo[down] - x[down]))
-
-
-def _clipped_step(num, den, s_max):
-    """Spectral step of the one-bit dual, in units of 1/L: the quotient num / den,
-    an inverse local curvature along the last move, times _STEP_SAFETY and
-    clipped to [1, s_max]; 1 where the quotient is not positive and finite.
-    """
-    if not (num > 0.0 and den > 0.0):
-        return 1.0
-    rho = num / den
-    return min(s_max, max(1.0, _STEP_SAFETY * rho)) if math.isfinite(rho) else 1.0
+    sigma = 0.99 / tau
+    x = X.take(idx)
+    x_bar = x
+    for iters in range(1, max_iters + 1):
+        y = prox(y / sigma + x_bar, sigma)
+        Z = X.copy()
+        Z.put(idx, x - tau * y)
+        Xn, sv = _svd_soft(Z, tau)
+        nuc = float(np.add.reduce(sv))
+        xn = Xn.take(idx)
+        y_dual = y / (1.0 + _fro(X - Xn) / tau)
+        X, x, x_bar = Xn, xn, 2.0 * xn - x
+        answer = candidate(X, x, nuc, -support(y_dual), iters == max_iters)
+        if answer is not None:
+            F, f_nuc, dual, feasible = answer
+            if feasible and f_nuc - dual <= _GAP * f_nuc:
+                return F, f_nuc, iters, True
+    return F, f_nuc, iters, False
 
 
 def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | None = None) -> SolverReport:
@@ -332,15 +338,11 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     zero matrix is feasible it is returned directly (it has minimal nuclear
     norm).  Otherwise the saddle problem
     min_X max_y ||X||_* + <P(X), y> - <y, q> - radius ||y||, q the masked
-    entries of Q, is solved by the primal-dual loop of Chambolle and Pock
-    (J. Math. Imaging Vis. 2011).  Each step is
-
-        v = y + sigma P(Xbar),  y = v - sigma Pi(v / sigma),
-        Xn = SVT_tau(X - tau P^* y),  Xbar = 2 Xn - X,
-
-    with Pi the projection onto the ball, one ``_svd_soft`` per step, and
-    tau = 2 max_k |q_k|, sigma = 0.99 / tau (sigma tau ||P||^2 < 1; X and
-    tau scale with Q, y and sigma tau do not).  The loop starts at Q's own
+    entries of Q, is solved by ``_pdhg``, whose dual prox here is
+    v - sigma Pi(v / sigma), Pi the projection onto the ball, and whose
+    support function is sigma(y) = <y, q> + radius ||y||.  Its steps are
+    tau = 2 max_k |q_k| and sigma = 0.99 / tau (X and tau scale with Q,
+    y and sigma tau do not).  The loop starts at Q's own
     Pareto point, the solution on a full mask: X = SVT_mu(Q) and
     y = (P(X) - q) / mu, with mu the root of
     sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
@@ -356,26 +358,22 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     outside it), F is Xn with P(F) = q + r radius / ||r||, the masked
     repair.  That moves Xn by ||r|| - radius in Frobenius norm, so ||F||_*
     is at most ||Xn||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own
-    nuclear norm takes one values-only SVD, once that bound certifies the
-    gap (F counts only if the rounding of q + r radius / ||r|| leaves it
-    inside the ball, which a tiny radius may not).
+    nuclear norm takes one values-only SVD (``_masked_repair``), once that
+    bound certifies the gap (F counts only if the rounding of
+    q + r radius / ||r|| leaves it inside the ball, which a tiny radius may
+    not).
 
-    Each step certifies F with the better of two dual points; any y with
-    ||P^* y||_op <= 1 proves that no feasible point has a nuclear norm
-    below -<y, q> - radius ||y||.  The first is the step's own.
-    (X - tau P^* y - Xn) / tau is a subgradient of ||.||_* at Xn, so
-    ||P^* y||_op <= 1 + ||X - Xn||_F / tau, and y' = y / (1 + ||X - Xn||_F
-    / tau) is dual feasible.  The second is F's own residual,
-    f / ||P^* f||_op with f = P(F) - q (r for the masked repair, which is
-    parallel to it), the multiplier's direction at the solution.  Its
-    exact norm costs one ``_op_norm``, taken only when the first point does
-    not certify and neither of two free lower bounds on ||P^* f||_op rules
-    it out: |<f, P(Xn)>| / ||Xn||_*, as ||.||_op is dual to ||.||_*, and
+    Each step certifies F with the better of two dual points.  The first is
+    the loop's own y'.  The second is F's own residual, f / ||P^* f||_op with
+    f = P(F) - q (r for the masked repair, which is parallel to it), the
+    multiplier's direction at the solution.  Its exact norm costs one
+    ``_op_norm``, taken only when the first point does not certify and
+    neither of two free lower bounds on ||P^* f||_op rules it out:
+    |<f, P(Xn)>| / ||Xn||_*, as ||.||_op is dual to ||.||_*, and
     ``_op_lower``'s power steps, each warm-started from the last.  The loop
     stops, converged, at the first F whose gap ||F||_* - dual is at most
-    _BALL_GAP ||F||_*.  After max_iters steps the last F is returned with
+    _GAP ||F||_*.  After max_iters steps the last F is returned with
     converged=False.
-    ``tol_rel_change`` is not read.
     """
     params = params or ProxParams()
     Qm = as_matrix(Q)
@@ -418,170 +416,135 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     X = soft[0] if soft else _svd_soft(Qm, mu)[0]
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
-    tau = 2.0 * float(np.abs(q).max())
-    sigma = 0.99 / tau
     limit = radius * (1.0 + params.tol_feas)
     spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
-    x = X.take(idx)
-    y = (x - q) / mu
-    x_bar = x
     u = np.full(Qm.shape[1], 1.0 / math.sqrt(Qm.shape[1]))  # _op_lower's vector, kept across steps
-    for iters in range(1, params.max_iters + 1):
-        w = y / sigma + x_bar - q  # v / sigma - q
-        w_norm = math.sqrt(w @ w)
-        y = (sigma * (1.0 - radius / w_norm)) * w if w_norm > radius else np.zeros_like(w)
-        Z = X.copy()
-        Z.put(idx, x - tau * y)
-        Xn, sv = _svd_soft(Z, tau)
-        nuc = float(np.add.reduce(sv))
-        xn = Xn.take(idx)
-        r = xn - q
-        r_norm = math.sqrt(r @ r)
-        y_dual = y / (1.0 + _fro(X - Xn) / tau)
-        dual = -float(y_dual @ q) - radius * math.sqrt(y_dual @ y_dual)
-        X, x, x_bar = Xn, xn, 2.0 * xn - x
 
+    def prox(v, sigma):
+        w = v - q
+        w_norm = math.sqrt(w @ w)
+        return (sigma * (1.0 - radius / w_norm)) * w if w_norm > radius else np.zeros_like(w)
+
+    def support(y):
+        return float(y @ q) + radius * math.sqrt(y @ y)
+
+    def candidate(X, x, nuc, dual, last):
         # The feasible point F: t X on the ray, or the masked repair, whose
         # nuclear norm is bounded here and taken by SVD once it certifies.
-        t = 1.0 if r_norm <= limit else _ray(xn, r, r_norm, radius)
+        nonlocal u
+        r = x - q
+        r_norm = math.sqrt(r @ r)
+        t = 1.0 if r_norm <= limit else _ray(x, r, r_norm, radius)
         if t > 0.0:
-            f = r if t == 1.0 else t * xn - q
+            f = r if t == 1.0 else t * x - q
             f_norm = math.sqrt(f @ f)
         masked = not (t > 0.0 and f_norm <= limit)
         g, f_nuc = (r, nuc + (r_norm - radius) * spread) if masked else (f, t * nuc)
 
         # The second dual point, g / ||P^* g||_op; its exact norm is taken
         # only when neither free lower bound rules out a certificate.
-        if f_nuc - dual > _BALL_GAP * f_nuc:
+        if f_nuc - dual > _GAP * f_nuc:
             num = -float(g @ q) - radius * math.sqrt(g @ g)
-            need = num / ((1.0 - _BALL_GAP) * f_nuc)  # the largest norm that certifies
-            if num > 0.0 and abs(float(g @ xn)) <= need * nuc:
+            need = num / ((1.0 - _GAP) * f_nuc)  # the largest norm that certifies
+            if num > 0.0 and abs(float(g @ x)) <= need * nuc:
                 M = np.zeros(Qm.shape)
                 M.put(idx, g)
                 lower, u = _op_lower(M, u)
                 if lower <= need:
                     dual = max(dual, num / _op_norm(M))
-        certified = f_nuc - dual <= _BALL_GAP * f_nuc
         if not masked:
-            F = X if t == 1.0 else t * X
-            converged = certified
-        elif certified or iters == params.max_iters:
-            F = X.copy()
-            F.put(idx, q + (radius / r_norm) * r)
-            f = F.take(idx) - q
-            f_norm = math.sqrt(f @ f)
-            f_nuc = float(np.linalg.svd(F, compute_uv=False).sum())
-            converged = certified and f_norm <= limit
-        else:
-            continue
-        if converged:
-            break
+            return (X if t == 1.0 else t * X), f_nuc, dual, True
+        if f_nuc - dual > _GAP * f_nuc and not last:
+            return None
+        F, f_nuc = _masked_repair(X, idx, q + (radius / r_norm) * r)
+        f = F.take(idx) - q
+        return F, f_nuc, dual, math.sqrt(f @ f) <= limit
 
+    F, f_nuc, iters, converged = _pdhg(
+        X, (X.take(idx) - q) / mu, idx, 2.0 * float(np.abs(q).max()), prox, support, candidate, params.max_iters
+    )
+    f = F.take(idx) - q
     return SolverReport(
         matrix=F,
         iterations=iters,
         objective=f_nuc,
-        data_residual=f_norm,
+        data_residual=math.sqrt(f @ f),
         converged=converged,
         nuclear_norm=f_nuc,
         stage_objectives=(f_nuc,),
     )
 
 
-def solve_one_bit_mc(
-    system: OneBitObservation,
-    reg_weight: float,
-    params: ProxParams | None = None,
-) -> SolverReport:
-    """Minimize reg_weight * ||X||_* + 1/2 ||X||_F^2 over the sign polyhedron.
+def solve_one_bit_mc(system: OneBitObservation, params: ProxParams | None = None) -> SolverReport:
+    """Minimum nuclear norm over the sign polyhedron.
 
     ``system`` is a one-bit observation with thresholds (``build_polyhedron``
     checks the mode); its signs and thresholds are the polyhedron, the
-    per-entry box lo <= X_mask <= hi of ``feasible_intervals``.  The
-    solver targets the box shrunk by
-    gamma_k = min(_FEAS_MARGIN, width_k / 4) on each side.  The objective is
-    1-strongly convex, so the dual over the box multipliers y is 1-smooth:
-    accelerated proximal gradient on the dual (dual accelerated SVT) maps
-    each extrapolated multiplier w to X = SVT(-P_mask^*(w)), one
-    ``_svd_soft`` per step, and its proximal step is a clip onto the shrunk
-    box.  With x = P_mask(X), the step v = w + s x, y = v - s clip(v / s)
-    (the prox of s times the box's support function) takes s from
-    ``_clipped_step``: _STEP_SAFETY times the short Barzilai-Borwein quotient
-    <dw, -dx> / ||dx||^2 of the changes of w and x since the previous step,
-    clipped to [1, _STEP_MAX], and s = 1 on the first step (the mask leaves
-    the dual's local curvature well below its global bound 1).  The loop stops once X
-    satisfies every sign constraint (lo <= x < hi, the strict side matching
-    the +1 tie rule of ``consistency_report``) and the duality gap at w
-    against the shrunk box, ``_box_gap`` = sigma_B(w) - <w, x>, is at most
-    tol_rel_change * max(1, |P(X)|), whatever the steps were.  That gap is
-    exactly P(X) - D(w), D the dual objective, so P(X) is at most the
-    shrunk-box optimum plus the gap; it is +inf, and the loop goes on, while
-    w puts weight on an unbounded side of the box.
+    per-entry box lo <= X_mask < hi of ``feasible_intervals`` (the strict
+    side matches the +1 tie rule of ``consistency_report``).  If the zero
+    matrix lies in the box it is returned directly, converged after 0
+    iterations (it has minimal nuclear norm).  It is returned after 0
+    iterations with converged=False where the box is empty (some
+    lo >= hi), and where every finite bound is 0 (some entry must then be
+    negative, and no point has the least nuclear norm).
 
-    Against the sign box [lo, hi] itself, which X satisfies at the stop,
-    the same gap sigma_[lo, hi](w) - <w, x> is the shrunk-box gap plus
-    sum_k gamma_k |w_k|, so
-
-        P(X) - OPT_box <= tol_rel_change * max(1, |P(X)|) + sum_k gamma_k |w_k|.
-
-    The margin term dominates: at the stops of the onebit_known bench
-    workload (first trial of seeds 1-9) the shrunk-box gap is negative
-    (-4.5e-7 to -1.4e-9 of P(X); X is not yet inside the shrunk box), so
-    the stop is the first strictly sign-feasible iterate, and the sign-box
-    gap is 2.3e-6 to 3.7e-6 of P(X), against tol_rel_change = 1e-9.
-    An empty box (some lo > hi) returns the zero matrix after 0 iterations;
-    a negative or non-finite reg_weight raises ``ValueError``.
+    Otherwise, with s the largest finite |bound|, the program is solved by
+    ``_pdhg`` on the box shrunk by gamma_k = min(_FEAS_MARGIN s, width_k / 4)
+    on each side: its dual prox is v - sigma clip(v / sigma), the clip onto
+    the shrunk box, which keeps the multiplier off every unbounded side.
+    The steps are tau = s / 2 and sigma = 0.99 / tau, so the loop is
+    scale-free like the ball's, and it starts at X = 0, y = 0.  Each step's
+    dual point is certified against the sign box [lo, hi] itself, whose
+    support function is sum over y > 0 of y hi plus sum over y < 0 of
+    y lo.  Once the step's own gap ||Xn||_* - dual is at
+    most _GAP ||Xn||_*, the answer is Xn if it is strictly sign-feasible,
+    and otherwise Xn with its masked entries clipped into the shrunk box
+    (strictly sign-feasible by construction), accepted if the gap at its
+    own nuclear norm, by one values-only SVD, still certifies.  So every
+    converged answer satisfies every sign constraint, and its nuclear norm
+    is at most 1 / (1 - _GAP) times the program's minimum.  After max_iters
+    steps the last step's clipped (or strictly feasible) point is returned
+    with converged=False.
     """
     params = params or ProxParams()
-    if not 0 <= reg_weight < math.inf:
-        raise ValueError(f"reg_weight must be finite and nonnegative, got {reg_weight}")
     mask = system.mask
-    rows, cols = mask.rows, mask.cols
-    shape = (mask.dims.n1, mask.dims.n2)
-
+    X = np.zeros((mask.dims.n1, mask.dims.n2))
     lo, hi = feasible_intervals(system)
-    if np.any(lo > hi):
-        X = np.zeros(shape)
+    bounds = np.abs(np.concatenate((lo, hi)))
+    scale = float(bounds[np.isfinite(bounds)].max(initial=0.0))
+    zero_feasible = bool(((lo <= 0.0) & (0.0 < hi)).all())
+    if zero_feasible or scale == 0.0 or not (lo < hi).all():
         return SolverReport(
             matrix=X, iterations=0, objective=0.0, data_residual=violation_measure(system, X),
-            converged=False, nuclear_norm=0.0,
+            converged=zero_feasible, nuclear_norm=0.0,
         )
-    gamma = np.minimum(_FEAS_MARGIN, 0.25 * (hi - lo))
+    gamma = np.minimum(_FEAS_MARGIN * scale, 0.25 * (hi - lo))
     box_lo, box_hi = lo + gamma, hi - gamma
+    idx = mask.rows * X.shape[1] + mask.cols  # C-order flat index of the mask
 
-    idx = rows * shape[1] + cols  # C-order flat index of the mask
-    W = np.zeros(shape)  # -P^*(w), rewritten on the mask for each w
-    W_flat = W.reshape(-1)
-    last = None  # (w, x) of the previous step
+    def prox(v, sigma):
+        return sigma * (v - np.minimum(np.maximum(v, box_lo), box_hi))
 
-    def step(w, _):
-        nonlocal last
-        W_flat[idx] = -w
-        X, sv = _svd_soft(W, reg_weight)
-        x = X.take(idx)
-        nuc = float(np.add.reduce(sv))
-        objective = reg_weight * nuc + 0.5 * float(sv @ sv)
-        if last is None:
-            s = 1.0
-        else:
-            dx = x - last[1]
-            s = _clipped_step(-float((w - last[0]) @ dx), float(dx @ dx), _STEP_MAX)
-        last = (w, x)
-        v = w + s * x
-        y_next = v - s * np.minimum(np.maximum(v / s, box_lo), box_hi)
-        stop = bool(((lo <= x) & (x < hi)).all()) and (
-            _box_gap(w, x, box_lo, box_hi) <= params.tol_rel_change * max(1.0, abs(objective))
-        )
-        return y_next, stop, (X, nuc, objective)
+    def support(y):
+        up, down = y > 0.0, y < 0.0
+        return float(y[up] @ hi[up] + y[down] @ lo[down])
 
-    _, iters, converged, (X, nuc, objective) = _fista(step, np.zeros(mask.m_prime), params.max_iters)
+    def candidate(X, x, nuc, dual, last):
+        if nuc - dual > _GAP * nuc and not last:
+            return None
+        if ((lo <= x) & (x < hi)).all():
+            return X, nuc, dual, True
+        return *_masked_repair(X, idx, np.minimum(np.maximum(x, box_lo), box_hi)), dual, True
 
+    F, nuc, iters, converged = _pdhg(
+        X, np.zeros(mask.m_prime), idx, 0.5 * scale, prox, support, candidate, params.max_iters
+    )
     return SolverReport(
-        matrix=X,
+        matrix=F,
         iterations=iters,
-        objective=objective,
-        data_residual=violation_measure(system, X),
+        objective=nuc,
+        data_residual=violation_measure(system, F),
         converged=converged,
         nuclear_norm=nuc,
-        stage_objectives=(objective,),
+        stage_objectives=(nuc,),
     )

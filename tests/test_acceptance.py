@@ -227,8 +227,9 @@ def test_c08_one_bit_beats_zero(c08_run):
     median_rel = float(np.median(uniform_rel))
     _check(
         "one-bit-known-dither-beats-zero",
-        median_rel <= 0.8,
-        f"median rel_err {median_rel:.3f} over {len(uniform_rel)} uniform rows (limit 0.8; X = 0 gives 1.0)",
+        median_rel <= 0.35,
+        f"median rel_err {median_rel:.3f} over {len(uniform_rel)} uniform rows "
+        "(limit 0.35; X = 0 gives 1.0, the Frobenius-regularized proxy 0.632)",
     )
 
 

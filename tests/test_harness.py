@@ -69,6 +69,21 @@ class TestConfigParsing:
         assert cfg.delta == 0.25 and cfg.K == 8
         assert cfg.m_prime == 40 and cfg.trials == 3 and cfg.base_seed == 5
 
+    SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        # a key the harness no longer knows, or a value its scenario does
+        # not read, would fail here before any trial runs
+        cfg = load_config(path)
+        assert cfg.out == f"{path.stem}_report.csv"
+
+    def test_shipped_configs_are_found(self):
+        # the test above runs once per file the glob finds
+        assert [p.name for p in self.SHIPPED_CONFIGS] == [
+            "onebit_demo.cfg", "quantized_demo.cfg", "rate_demo.cfg", "stats_only_demo.cfg",
+        ]
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(QUANTIZED_CFG + "m_prime = 20\n")
@@ -93,7 +108,6 @@ class TestConfigParsing:
             ("quantized", dict(m_prime=17)),
             ("rate_sweep", dict(m_prime_grid=(4, 6, 8, 17))),
             ("onebit_dithers_known", dict(noise_sigma=-0.3)),
-            ("onebit_dithers_known", dict(reg_weight=-1.0)),
             ("quantized", dict(epsilon=-0.05)),
             ("onebit_noisy", dict(beta=-1.0)),
             ("quantized", dict(max_iters=0)),
@@ -104,7 +118,7 @@ class TestConfigParsing:
         ],
         ids=[
             "sample_fraction_negative", "sample_fraction_above_one", "sample_fraction_rounds_to_zero",
-            "m_prime_above_size", "m_prime_grid_above_size", "noise_sigma_negative", "reg_weight_negative", "epsilon_negative", "beta_negative", "max_iters_zero",
+            "m_prime_above_size", "m_prime_grid_above_size", "noise_sigma_negative", "epsilon_negative", "beta_negative", "max_iters_zero",
             "tol_rel_change_zero", "delta_infinite", "alpha_nan", "epsilon_nan",
         ],
     )
@@ -167,7 +181,6 @@ class TestConfigParsing:
             {
                 "scenario": "onebit_dithers_known", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
                 "dither_kind": "gaussian", "dither_param": "0.5", "m": "3", "m_prime": "20",
-                "reg_weight": "0.5",
             },
             {
                 "scenario": "inconsistency_sweep", "n1": "6", "n2": "7", "r": "2", "alpha": "1.5",
@@ -187,7 +200,7 @@ class TestConfigParsing:
             ),
             ExperimentConfig(
                 scenario="onebit_dithers_known", n1=6, n2=7, r=2, alpha=1.5, dither_kind="gaussian",
-                dither_param=0.5, m=3, m_prime=20, reg_weight=0.5,
+                dither_param=0.5, m=3, m_prime=20,
             ),
             ExperimentConfig(
                 scenario="inconsistency_sweep", n1=6, n2=7, r=2, alpha=1.5, dither_kind="uniform",
@@ -218,7 +231,7 @@ class TestConfigParsing:
     }
     UNREAD_VALUES = {
         "delta": 0.5, "K": 4, "dither_kind": "gaussian", "dither_param": 0.5, "m": 3,
-        "m_prime": 6, "sample_fraction": 0.5, "noise_sigma": 0.2, "reg_weight": 2.0,
+        "m_prime": 6, "sample_fraction": 0.5, "noise_sigma": 0.2,
         "delta_policy": "oracle", "beta": 1.0, "m_prime_grid": (4, 6, 8, 10),
         "perturb_scales": (0.0, 1.0), "max_iters": 100, "tol_rel_change": 1e-6, "tol_feas": 1e-5,
     }
