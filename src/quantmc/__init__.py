@@ -55,7 +55,6 @@ from .quantize import (
     stochastic_quantize,
 )
 from .solvers import (
-    ProxParams,
     SolverReport,
     prox_nuclear,
     solve_one_bit_mc,

@@ -28,7 +28,7 @@ from . import bounds as bnd
 from .core import Dims, generate_low_rank, sample_mask_uniform, select_vector
 from .onebit import build_polyhedron, consistency_report, observe_one_bit, strip_thresholds, surrogate_data
 from .quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
-from .solvers import ProxParams, solve_one_bit_mc, solve_quantized_mc
+from .solvers import solve_one_bit_mc, solve_quantized_mc
 
 __all__ = [
     "CSV_COLUMNS",
@@ -72,8 +72,8 @@ _FIELD_READERS = {
     "m_prime_grid": ("rate_sweep",),
     "perturb_scales": ("inconsistency_sweep",),
     "max_iters": _SOLVER_SCENARIOS,
-    # tol_rel_change changes no output in any scenario (no solver reads it),
-    # nor tol_feas on onebit_dithers_known; the benchmark's workloads set them
+    # tol_rel_change and tol_feas change no output in any scenario (no
+    # solver reads them); the benchmark's workloads set them
     "tol_rel_change": _SOLVER_SCENARIOS,
     "tol_feas": _SOLVER_SCENARIOS,
 }
@@ -126,12 +126,13 @@ class ExperimentConfig:
         dims = Dims(self.n1, self.n2)
         if not 1 <= self.r <= min(self.n1, self.n2):
             raise ValueError(f"r must be in [1, {min(self.n1, self.n2)}]")
-        # alpha > 0, epsilon >= 0 and beta >= 0 are the bounds' own checks,
-        # and max_iters and tol_feas the solvers'.
+        # alpha > 0, epsilon >= 0 and beta >= 0 are the bounds' own checks.
         bnd.BoundInputs(self.n1, self.n2, self.r, self.alpha, epsilon=self.epsilon, beta=self.beta or 0.0)
-        self.prox_params()
-        if not self.tol_rel_change > 0:
-            raise ValueError(f"tol_rel_change must be positive, got {self.tol_rel_change}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        for name in ("tol_rel_change", "tol_feas"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.delta_policy not in ("auto", "theorem", "oracle"):
@@ -182,9 +183,6 @@ class ExperimentConfig:
         if self.m_prime is not None:
             return int(self.m_prime)
         return round(self.sample_fraction * self.n1 * self.n2)
-
-    def prox_params(self) -> ProxParams:
-        return ProxParams(max_iters=self.max_iters, tol_feas=self.tol_feas)
 
     def effective_delta_policy(self) -> str:
         if self.delta_policy != "auto":
@@ -317,7 +315,7 @@ def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
     else:
         residual = select_vector(gt, mask) - Q[mask.rows, mask.cols]
         radius = max(float(np.linalg.norm(residual)), 1e-12)
-    return solve_quantized_mc(Q, mask, radius, cfg.prox_params())
+    return solve_quantized_mc(Q, mask, radius, cfg.max_iters)
 
 
 # The standard normal's 99th percentile.
@@ -371,7 +369,7 @@ def _trial(cfg: ExperimentConfig, trial: int, m_prime: int):
                 records.append(_record(cfg, trial, m_prime, err, ref, bound, None, zeta=zeta, group=group))
             return records
         if cfg.scenario == "onebit_dithers_known":
-            report = solve_one_bit_mc(build_polyhedron(obs), cfg.prox_params())
+            report = solve_one_bit_mc(build_polyhedron(obs), cfg.max_iters)
         else:
             obs = strip_thresholds(obs)
             report = _solve_ball(cfg, gt, mask, surrogate_data(obs, cfg.delta), cfg.delta**2 / 4.0)

@@ -109,7 +109,10 @@ def build_polyhedron(obs: OneBitObservation) -> OneBitObservation:
 def violation_measure(system: OneBitObservation, X) -> float:
     """Root-sum-square of constraint violations max(0, -s*(x_k - t)).
 
-    Zero exactly when X satisfies every sign constraint.
+    Zero exactly when X's masked entries lie in the closed box [lo, hi] of
+    ``feasible_intervals``.  An entry on the threshold of a -1 sign reads
+    zero here, yet the +1 tie rule gives it the opposite sign, and
+    ``consistency_report`` counts that tie as a disagreement.
     """
     x = select_vector(as_matrix(X), system.mask)
     slack = system.signs * (x[None, :] - _thresholds(system, "violation"))

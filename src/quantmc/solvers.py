@@ -20,8 +20,8 @@ is stated once, in the docstring named here:
   into the box shrunk by a margin; its candidate is the iterate when it
   satisfies every sign, or else the iterate clipped into the shrunk box.
 
-Both solvers take their budget and feasibility slack from ``ProxParams``
-and are fully deterministic.
+Each solver takes one input beyond its program, the step budget
+``max_iters``, and both are fully deterministic.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import SampleMask, as_matrix
 from .onebit import OneBitObservation, feasible_intervals, violation_measure
 
 __all__ = [
-    "ProxParams",
     "SolverReport",
     "prox_nuclear",
     "solve_one_bit_mc",
@@ -65,30 +64,10 @@ _FEAS_MARGIN = 5e-7
 # steps at 1e-2, 182 and 1121 at 1e-3, and 334 and 3419 at 3e-6.
 _GAP = 1e-2
 
-# Share of the curvature quotient, and the largest step, of ``_clipped_step``.
-_STEP_SAFETY = 0.7
-_STEP_MAX = 3.0
-
-
-@dataclasses.dataclass(frozen=True)
-class ProxParams:
-    """Iteration budget and feasibility slack for the nuclear-norm solvers.
-
-    ``max_iters`` caps the steps of either solver; both stop on a fixed
-    relative duality gap, _GAP.  ``tol_feas`` is the relative slack on the
-    ball radius: a converged ball answer has ||P(X) - q|| <= radius
-    (1 + tol_feas).  The one-bit solver's answers satisfy every sign
-    constraint exactly, and it does not read ``tol_feas``.
-    """
-
-    max_iters: int = 20000
-    tol_feas: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol_feas <= 0:
-            raise ValueError("tol_feas must be positive")
+# Relative slack on the ball radius: a ball answer counts as feasible when
+# ||P(X) - q|| <= radius (1 + _TOL_FEAS).  The one-bit solver's answers
+# satisfy every sign constraint exactly.
+_TOL_FEAS = 1e-6
 
 
 @dataclasses.dataclass(eq=False)
@@ -234,20 +213,6 @@ def _ray(x: np.ndarray, r: np.ndarray, r_norm: float, radius: float) -> float:
     return max(1.0 - c / (b + math.copysign(math.sqrt(disc), b)), 0.0)
 
 
-def _clipped_step(num, den, s_max):
-    """Spectral step of the former one-bit dual loop, in units of 1/L: the
-    quotient num / den times _STEP_SAFETY, clipped to [1, s_max]; 1 where
-    the quotient is not positive and finite.
-
-    No solver calls it since both run ``_pdhg`` with fixed steps; it and
-    its constants are removed in a change of their own (ROADMAP item 2).
-    """
-    if not (num > 0.0 and den > 0.0):
-        return 1.0
-    rho = num / den
-    return min(s_max, max(1.0, _STEP_SAFETY * rho)) if math.isfinite(rho) else 1.0
-
-
 def prox_nuclear(Z, theta: float) -> np.ndarray:
     """Proximal operator of theta * ||.||_*: shrink each singular value by theta.
 
@@ -330,13 +295,13 @@ def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
     return F, f_nuc, iters, False
 
 
-def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | None = None) -> SolverReport:
+def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 20000) -> SolverReport:
     """Minimum nuclear norm subject to ||P_mask(X) - Q||_F <= radius.
 
-    Q must vanish off the mask and be finite, and the radius positive (an
-    infinite one admits the zero matrix); otherwise ``ValueError``.  If the
-    zero matrix is feasible it is returned directly (it has minimal nuclear
-    norm).  Otherwise the saddle problem
+    Q must vanish off the mask and be finite, the radius positive (an
+    infinite one admits the zero matrix) and max_iters at least 1;
+    otherwise ``ValueError``.  If the zero matrix is feasible it is returned
+    directly (it has minimal nuclear norm).  Otherwise the saddle problem
     min_X max_y ||X||_* + <P(X), y> - <y, q> - radius ||y||, q the masked
     entries of Q, is solved by ``_pdhg``, whose dual prox here is
     v - sigma Pi(v / sigma), Pi the projection onto the ball, and whose
@@ -351,7 +316,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     instead where its precision rule calls for gesdd.
 
     Each step's feasible point F is Xn while its residual r = P(Xn) - q has
-    ||r|| <= radius (1 + tol_feas).  Otherwise it is t Xn, with t the end
+    ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xn, with t the end
     nearest 1 of the interval of scales that ``_ray`` finds inside the
     ball; ||t Xn||_* = t ||Xn||_* needs no decomposition, and t Xn keeps
     Xn's rank.  Where that line misses the ball (or rounding puts t Xn
@@ -375,7 +340,8 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     _GAP ||F||_*.  After max_iters steps the last F is returned with
     converged=False.
     """
-    params = params or ProxParams()
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     Qm = as_matrix(Q)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -416,7 +382,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     X = soft[0] if soft else _svd_soft(Qm, mu)[0]
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
-    limit = radius * (1.0 + params.tol_feas)
+    limit = radius * (1.0 + _TOL_FEAS)
     spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
     u = np.full(Qm.shape[1], 1.0 / math.sqrt(Qm.shape[1]))  # _op_lower's vector, kept across steps
 
@@ -461,7 +427,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
         return F, f_nuc, dual, math.sqrt(f @ f) <= limit
 
     F, f_nuc, iters, converged = _pdhg(
-        X, (X.take(idx) - q) / mu, idx, 2.0 * float(np.abs(q).max()), prox, support, candidate, params.max_iters
+        X, (X.take(idx) - q) / mu, idx, 2.0 * float(np.abs(q).max()), prox, support, candidate, max_iters
     )
     f = F.take(idx) - q
     return SolverReport(
@@ -475,18 +441,19 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, params: ProxParams | 
     )
 
 
-def solve_one_bit_mc(system: OneBitObservation, params: ProxParams | None = None) -> SolverReport:
+def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> SolverReport:
     """Minimum nuclear norm over the sign polyhedron.
 
     ``system`` is a one-bit observation with thresholds (``build_polyhedron``
     checks the mode); its signs and thresholds are the polyhedron, the
     per-entry box lo <= X_mask < hi of ``feasible_intervals`` (the strict
-    side matches the +1 tie rule of ``consistency_report``).  If the zero
-    matrix lies in the box it is returned directly, converged after 0
-    iterations (it has minimal nuclear norm).  It is returned after 0
-    iterations with converged=False where the box is empty (some
-    lo >= hi), and where every finite bound is 0 (some entry must then be
-    negative, and no point has the least nuclear norm).
+    side matches the +1 tie rule of ``consistency_report``).  A max_iters
+    below 1 raises ``ValueError``.  If the zero matrix lies in the box it
+    is returned directly, converged after 0 iterations (it has minimal
+    nuclear norm).  It is returned after 0 iterations with converged=False
+    where the box is empty (some lo >= hi), and where every finite bound is
+    0 (some entry must then be negative, and no point has the least nuclear
+    norm).
 
     Otherwise, with s the largest finite |bound|, the program is solved by
     ``_pdhg`` on the box shrunk by gamma_k = min(_FEAS_MARGIN s, width_k / 4)
@@ -506,7 +473,8 @@ def solve_one_bit_mc(system: OneBitObservation, params: ProxParams | None = None
     steps the last step's clipped (or strictly feasible) point is returned
     with converged=False.
     """
-    params = params or ProxParams()
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     mask = system.mask
     X = np.zeros((mask.dims.n1, mask.dims.n2))
     lo, hi = feasible_intervals(system)
@@ -537,7 +505,7 @@ def solve_one_bit_mc(system: OneBitObservation, params: ProxParams | None = None
         return *_masked_repair(X, idx, np.minimum(np.maximum(x, box_lo), box_hi)), dual, True
 
     F, nuc, iters, converged = _pdhg(
-        X, np.zeros(mask.m_prime), idx, 0.5 * scale, prox, support, candidate, params.max_iters
+        X, np.zeros(mask.m_prime), idx, 0.5 * scale, prox, support, candidate, max_iters
     )
     return SolverReport(
         matrix=F,

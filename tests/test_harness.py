@@ -112,6 +112,7 @@ class TestConfigParsing:
             ("onebit_noisy", dict(beta=-1.0)),
             ("quantized", dict(max_iters=0)),
             ("quantized", dict(tol_rel_change=0.0)),
+            ("quantized", dict(tol_feas=0.0)),
             ("quantized", dict(delta=float("inf"))),
             ("quantized", dict(alpha=float("nan"))),
             ("quantized", dict(epsilon=float("nan"))),
@@ -119,7 +120,7 @@ class TestConfigParsing:
         ids=[
             "sample_fraction_negative", "sample_fraction_above_one", "sample_fraction_rounds_to_zero",
             "m_prime_above_size", "m_prime_grid_above_size", "noise_sigma_negative", "epsilon_negative", "beta_negative", "max_iters_zero",
-            "tol_rel_change_zero", "delta_infinite", "alpha_nan", "epsilon_nan",
+            "tol_rel_change_zero", "tol_feas_zero", "delta_infinite", "alpha_nan", "epsilon_nan",
         ],
     )
     def test_validate_rejects_what_a_trial_would_reject_or_bend(self, scenario, override):
@@ -417,9 +418,9 @@ class TestRunOneBit:
 
         calls, observations = [], []
 
-        def recording(Q, mask, radius, params=None):
+        def recording(Q, mask, radius, max_iters):
             calls.append((Q.copy(), mask, radius))
-            return solve_quantized_mc(Q, mask, radius, params)
+            return solve_quantized_mc(Q, mask, radius, max_iters)
 
         strip = hz.strip_thresholds
 
@@ -444,6 +445,28 @@ class TestRunOneBit:
             off[mask.rows, mask.cols] = 0.0
             assert np.all(off == 0.0)
             assert radius == float(np.linalg.norm(x - q))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(
+            scenario="quantized", n1=10, n2=10, r=2, alpha=1.0, delta=0.25, K=8,
+            dither_kind="uniform", m_prime=50, delta_policy="oracle",
+        ),
+        dict(
+            scenario="onebit_dithers_known", n1=10, n2=10, r=2, alpha=1.0,
+            dither_kind="uniform", dither_param=1.0, m=8, m_prime=50,
+        ),
+    ],
+    ids=["quantized", "onebit_known"],
+)
+def test_budget_reaches_the_solver(config):
+    # the harness hands max_iters to the solver as a bare int, so no type
+    # checks it on the way: a budget of 2 must cut every solve short
+    records, _ = run_experiment(ExperimentConfig(trials=3, base_seed=3, max_iters=2, **config))
+    assert {r.trial for r in records} == {0, 1, 2}
+    assert all(r.iterations == 2 and not r.converged for r in records)
 
 
 class TestBatchResilience:

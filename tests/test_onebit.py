@@ -111,6 +111,14 @@ class TestViolationMeasure:
         assert violation_measure(system, np.array([[0.5]])) == 0.0
         assert violation_measure(system, np.array([[0.7]])) == 0.0
 
+    def test_tie_on_a_minus_sign_reads_zero_but_flips(self):
+        # x = t on a -1 sign lies in the closed box, so the measure is zero,
+        # but the +1 tie rule reads it as +1: one disagreement
+        system = OneBitObservation(np.array([[-1]]), np.array([[0.5]]), _one_entry_mask())
+        x = np.array([[0.5]])
+        assert violation_measure(system, x) == 0.0
+        assert consistency_report(x, system, np.array([[0.0]])) == 1
+
 
 class TestHamming:
     def test_examples(self):

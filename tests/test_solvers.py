@@ -26,10 +26,7 @@ from quantmc.solvers import (
     _FEAS_MARGIN,
     _GAP,
     _GRAM_FLOOR,
-    _STEP_MAX,
-    _STEP_SAFETY,
-    ProxParams,
-    _clipped_step,
+    _TOL_FEAS,
     _svd_soft,
     prox_nuclear,
     solve_one_bit_mc,
@@ -387,11 +384,8 @@ class TestOpNorm:
 
 
 # Most iterations the first solve of each bench workload may take at trial
-# base_seed 100000.  The mu search once run for the ball took 139 and 1019,
-# the primal-dual loop 16 and 20 with its step's dual point alone, and it
-# takes 11 and 15 with the answer's residual point as well.  On
-# onebit_known the regularized proxy's FISTA loop took 63 steps (223
-# without the restart); the primal-dual loop on the sign box takes 72.
+# base_seed 100000: it takes 11 on large_n, 15 on rate_sweep and 72 on
+# onebit_known.
 ITERATION_LIMITS = {"large_n": 15, "rate_sweep": 20, "onebit_known": 80}
 
 
@@ -404,9 +398,7 @@ def test_bench_workload_iterations(solves, workload):
 
 
 # Most steps of the ball solver over the first trial of seeds 2-11
-# (base_seed s * 100000): the last mu search took 203 and 1888, the
-# primal-dual loop 162 and 592 with its step's dual point alone, and it
-# takes 120 and 413 with the answer's residual point and the ray repair.
+# (base_seed s * 100000): it takes 120 on large_n and 413 on rate_sweep.
 BALL_ITERATION_LIMITS = {"large_n": 130, "rate_sweep": 440}
 
 
@@ -417,52 +409,6 @@ def test_bench_workload_ball_iterations(solves, workload):
         quantmc.harness.run_experiment(cfg)
     assert len(solves) >= 10 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= BALL_ITERATION_LIMITS[workload]
-
-
-class TestClippedStep:
-    """``_clipped_step``, the spectral step of the former one-bit dual loop:
-    _STEP_SAFETY times the quotient, clipped to [1, s_max]."""
-
-    # (num, den, s_max, safety, step): that loop passed the short
-    # Barzilai-Borwein quotient <dw, -dx> / ||dx||^2 with s_max 3; the clip
-    # is checked at s_max 2 as well.  The factor is the module's
-    # _STEP_SAFETY, set here to each value listed: the factors the spectral
-    # steps once took (0.9 and 1.0) and the last one (0.7).
-    CLIPPED = [
-        (1.0, 1.0, 2.0, 0.9, 1.0),
-        (1.5, 1.0, 2.0, 0.9, 1.35),
-        (4.0, 2.0, 2.0, 0.9, 1.8),
-        (50.0, 1.0, 2.0, 0.9, 2.0),
-        (2.0, 1.0, _STEP_MAX, 1.0, 2.0),
-        (1.25, 1.0, _STEP_MAX, 1.0, 1.25),
-        (10.0, 1.0, _STEP_MAX, 1.0, _STEP_MAX),
-        (0.5, 1.0, _STEP_MAX, 1.0, 1.0),
-        (1.25, 1.0, 2.0, _STEP_SAFETY, 1.0),
-        (2.0, 1.0, 2.0, _STEP_SAFETY, 1.4),
-        (4.0, 2.0, _STEP_MAX, _STEP_SAFETY, 1.4),
-        (4.0, 1.0, 2.0, _STEP_SAFETY, 2.0),
-        (4.0, 1.0, _STEP_MAX, _STEP_SAFETY, 2.8),
-        (5.0, 1.0, _STEP_MAX, _STEP_SAFETY, _STEP_MAX),
-    ]
-    # quotients that are not positive and finite give the 1/L step
-    UNIT = [
-        (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
-        (math.inf, 1.0), (math.inf, math.inf), (1e300, 1e-300),
-    ]
-
-    @pytest.mark.parametrize(
-        "num, den, s_max, safety, expected",
-        CLIPPED
-        + [
-            (num, den, s_max, safety, 1.0)
-            for num, den in UNIT
-            for s_max, safety in ((2.0, 0.9), (3.0, 1.0), (2.0, _STEP_SAFETY), (3.0, _STEP_SAFETY))
-        ],
-    )
-    def test_clipped_quotient(self, monkeypatch, num, den, s_max, safety, expected):
-        assert _STEP_MAX == 3.0 and _STEP_SAFETY == 0.7
-        monkeypatch.setattr(quantmc.solvers, "_STEP_SAFETY", safety)
-        assert _clipped_step(num, den, s_max) == pytest.approx(expected, rel=1e-15)
 
 
 def _stress_problem(k):
@@ -479,7 +425,7 @@ def _stress_problem(k):
     return Q, mask, float(np.linalg.norm(Q[mask.rows, mask.cols]) * 10.0 ** rng.uniform(-6.0, 0.0))
 
 
-def _certified(Q, mask, radius, params=None):
+def _certified(Q, mask, radius):
     """Solve the ball program and recompute the answer's certificate from
     the inputs and outputs of the loop alone, with every norm taken by
     gesdd or np.linalg.norm.
@@ -504,7 +450,7 @@ def _certified(Q, mask, radius, params=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_svd_soft", recording)
-        rep = solve_quantized_mc(Q, mask, radius, params)
+        rep = solve_quantized_mc(Q, mask, radius)
     q = Q[mask.rows, mask.cols]
     nuclear = np.linalg.norm(rep.matrix, "nuc")
     f = rep.matrix[mask.rows, mask.cols] - q
@@ -521,18 +467,16 @@ def _certified(Q, mask, radius, params=None):
 
 class TestSolveQuantizedMC:
     # Most iterations over the 150 problems of _stress_problem at the default
-    # ProxParams: the last mu search took 86891, the primal-dual loop 4024
-    # with its step's dual point alone, and it takes 4011 with both.
+    # budget: the loop takes 4011.
     STRESS_ITERATION_LIMIT = 4200
 
     def test_stress_set_converges(self):
-        params = ProxParams()
         total, missed = 0, []
         for k in range(150):
             Q, mask, radius = _stress_problem(k)
-            rep = solve_quantized_mc(Q, mask, radius, params)
+            rep = solve_quantized_mc(Q, mask, radius)
             total += rep.iterations
-            if not (rep.converged and rep.data_residual <= radius * (1.0 + params.tol_feas)):
+            if not (rep.converged and rep.data_residual <= radius * (1.0 + _TOL_FEAS)):
                 missed.append(k)
         assert missed == []
         assert total <= self.STRESS_ITERATION_LIMIT
@@ -540,9 +484,8 @@ class TestSolveQuantizedMC:
     @pytest.mark.parametrize("k", range(150))
     def test_stress_answer_carries_its_certificate(self, k):
         Q, mask, radius = _stress_problem(k)
-        params = ProxParams()
-        rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
-        assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
+        rep, nuclear, residual, op, gap = _certified(Q, mask, radius)
+        assert rep.converged and residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
     def test_steps_are_scale_free(self):
@@ -567,7 +510,7 @@ class TestSolveQuantizedMC:
         noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
         Q = project(gt + noise, mask)
         radius = share * float(np.linalg.norm(Q))
-        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        rep = solve_quantized_mc(Q, mask, radius)
         assert rep.converged and rep.iterations == 1
         assert rep.data_residual == pytest.approx(radius, rel=1e-9)
         # the Pareto residual's root, by bisection
@@ -584,7 +527,7 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
         mask = sample_mask_uniform((8, 8), 64, seed=4)
         Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, 9e-7, ProxParams())
+        rep = solve_quantized_mc(Q, mask, 9e-7)
         assert np.linalg.norm(rep.matrix - gt) <= 1e-6
         assert rep.converged
 
@@ -592,7 +535,7 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((6, 6), 2, 1.0, seed=5)
         mask = sample_mask_uniform((6, 6), 20, seed=6)
         Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, np.linalg.norm(Q) + 1.0, ProxParams())
+        rep = solve_quantized_mc(Q, mask, np.linalg.norm(Q) + 1.0)
         assert rep.nuclear_norm <= 1e-8
         assert rep.converged and rep.iterations == 0
 
@@ -610,18 +553,17 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((12, 12), 2, 1.0, seed=7)
         mask = sample_mask_uniform((12, 12), 90, seed=8)
         Q = quantize_matrix(gt, mask, QuantizerSpec(0.25, 8), DitherSpec.uniform(0.125), seed=9)
-        params = ProxParams()
         radius = 0.8 * float(np.linalg.norm(Q[mask.rows, mask.cols]))
-        rep = solve_quantized_mc(Q, mask, radius, params)
+        rep = solve_quantized_mc(Q, mask, radius)
         if rep.converged:
-            assert rep.data_residual <= radius * (1 + params.tol_feas)
+            assert rep.data_residual <= radius * (1 + _TOL_FEAS)
 
     def test_recovery_close_to_truth_with_oracle_radius(self):
         gt = generate_low_rank((16, 16), 2, 1.0, seed=10)
         mask = sample_mask_uniform((16, 16), 180, seed=11)
         Q = quantize_matrix(gt, mask, QuantizerSpec(0.1, 40), DitherSpec.uniform(0.05), seed=12)
         radius = float(np.linalg.norm((gt - Q)[mask.rows, mask.cols]))
-        rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+        rep = solve_quantized_mc(Q, mask, radius)
         assert rep.converged
         assert np.linalg.norm(rep.matrix - gt) <= 0.25 * np.linalg.norm(gt)
 
@@ -632,7 +574,7 @@ class TestSolveQuantizedMC:
         mask = sample_mask_uniform((10, 10), 70, seed=14)
         Q = quantize_matrix(gt, mask, QuantizerSpec(0.2, 12), DitherSpec.uniform(0.1), seed=15)
         true_resid = float(np.linalg.norm((gt - Q)[mask.rows, mask.cols]))
-        rep = solve_quantized_mc(Q, mask, 1.3 * true_resid, ProxParams())
+        rep = solve_quantized_mc(Q, mask, 1.3 * true_resid)
         assert rep.nuclear_norm <= np.linalg.norm(gt, "nuc") + 1e-6
 
     def test_nuclear_norm_shrinks_as_radius_grows(self):
@@ -642,7 +584,7 @@ class TestSolveQuantizedMC:
         qnorm = float(np.linalg.norm(Q))
         norms = []
         for radius in (0.05 * qnorm, 0.2 * qnorm, 0.8 * qnorm, 1.2 * qnorm):
-            rep = solve_quantized_mc(Q, mask, radius, ProxParams())
+            rep = solve_quantized_mc(Q, mask, radius)
             norms.append(rep.nuclear_norm)
         assert all(a >= b - 1e-9 for a, b in zip(norms, norms[1:]))
 
@@ -650,7 +592,7 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt, mask)
-        rep = solve_quantized_mc(Q, mask, 1e-8, ProxParams(max_iters=3))
+        rep = solve_quantized_mc(Q, mask, 1e-8, 3)
         assert not rep.converged
         assert rep.iterations <= 3
 
@@ -663,10 +605,9 @@ class TestSolveQuantizedMC:
         # rescaled iterate lies inside.
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
-        params = ProxParams()
-        rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius, params)
+        rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius)
         assert rep.converged and rep.iterations <= 70
-        assert residual <= radius * (1.0 + params.tol_feas)
+        assert residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
     def test_ray_repair_keeps_the_iterate(self, last_soft):
@@ -674,15 +615,14 @@ class TestSolveQuantizedMC:
         # outside the ball, and the line through it meets the ball: the
         # answer is that iterate scaled onto the sphere.
         ((Q, mask, radius),) = TestBallOracle._problems("large_n-2")
-        params = ProxParams()
-        rep = solve_quantized_mc(Q, mask, radius, params)
+        rep = solve_quantized_mc(Q, mask, radius)
         X, sv = last_soft
         t = np.vdot(rep.matrix, X) / np.vdot(X, X)
         assert rep.converged and t != pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(rep.matrix - t * X)) <= 1e-14 * np.abs(X).max()
         assert np.linalg.matrix_rank(rep.matrix) <= len(sv)
         residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - Q[mask.rows, mask.cols])
-        assert radius * (1.0 - 1e-12) <= residual <= radius * (1.0 + params.tol_feas)
+        assert radius * (1.0 - 1e-12) <= residual <= radius * (1.0 + _TOL_FEAS)
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
 
     @pytest.mark.parametrize("radius", [1e-4, 1e-8])
@@ -694,15 +634,14 @@ class TestSolveQuantizedMC:
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt, mask)
         q = Q[mask.rows, mask.cols]
-        params = ProxParams()
-        rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
+        rep, nuclear, residual, op, gap = _certified(Q, mask, radius)
         X = last_soft[0]
         r = X[mask.rows, mask.cols] - q
         assert quantmc.solvers._ray(X[mask.rows, mask.cols], r, np.linalg.norm(r), radius) == 0.0
         assert np.array_equal(rep.matrix - project(rep.matrix, mask), X - project(X, mask))
         f = rep.matrix[mask.rows, mask.cols] - q
         assert np.max(np.abs(f - (radius / np.linalg.norm(r)) * r)) <= 1e-6 * radius
-        assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
+        assert rep.converged and residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
     @pytest.mark.parametrize("radius", [1e-2, 1e-4, 1e-8])
@@ -713,12 +652,11 @@ class TestSolveQuantizedMC:
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         Q = project(gt, mask)
-        params = ProxParams(max_iters=max_iters)
-        rep = solve_quantized_mc(Q, mask, radius, params)
+        rep = solve_quantized_mc(Q, mask, radius, max_iters)
         assert rep.converged or rep.iterations == max_iters
         residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - Q[mask.rows, mask.cols])
         assert rep.data_residual == pytest.approx(residual, rel=1e-12)
-        assert residual <= radius * (1.0 + params.tol_feas)
+        assert residual <= radius * (1.0 + _TOL_FEAS)
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
 
     def test_radius_near_exact_completion_is_certified(self):
@@ -728,7 +666,7 @@ class TestSolveQuantizedMC:
         mask = sample_mask_uniform((10, 10), 55, seed=41)
         rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, 1e-12)
         assert rep.converged
-        assert residual <= 1e-12 * (1.0 + ProxParams().tol_feas)
+        assert residual <= 1e-12 * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
     def test_nan_radius_and_non_finite_q_rejected(self):
@@ -760,32 +698,32 @@ class TestBallOracle:
         with pytest.MonkeyPatch.context() as mp:
             solve = quantmc.harness.solve_quantized_mc
 
-            def recording(Q, mask, radius, params=None):
+            def recording(Q, mask, radius, max_iters):
                 problems.append((Q, mask, radius))
-                return solve(Q, mask, radius, params)
+                return solve(Q, mask, radius, max_iters)
 
             mp.setattr(quantmc.harness, "solve_quantized_mc", recording)
             cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=int(k) * 100000, **BENCH_CONFIGS[kind])
             quantmc.harness.run_experiment(cfg)
         return problems
 
-    # The mu search that the loop replaced returned 4.3 times the minimum
-    # on stress problem 104 and 1.8 times on problem 53.
+    # Stress problems 53 and 104 have steep Pareto curves; their answers are
+    # 0% and 0.81% above the minimum, and those of the bench workloads at
+    # most 0.54%.
     @pytest.mark.parametrize(
         "name", ["large_n-2", "large_n-3", "rate_sweep-2", "rate_sweep-3", "stress-53", "stress-104"]
     )
     def test_within_the_gap_of_the_minimum(self, name):
-        params = ProxParams()
         problems = self._problems(name)
         assert len(problems) in (1, 4)
         for Q, mask, radius in problems:
-            rep, nuclear, residual, op, gap = _certified(Q, mask, radius, params)
-            assert rep.converged and residual <= radius * (1.0 + params.tol_feas)
+            rep, nuclear, residual, op, gap = _certified(Q, mask, radius)
+            assert rep.converged and residual <= radius * (1.0 + _TOL_FEAS)
             assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(quantmc.solvers, "_GAP", 1e-9)
-                ref, ref_nuclear, ref_residual, ref_op, ref_gap = _certified(Q, mask, radius, params)
-            assert ref.converged and ref_residual <= radius * (1.0 + params.tol_feas)
+                ref, ref_nuclear, ref_residual, ref_op, ref_gap = _certified(Q, mask, radius)
+            assert ref.converged and ref_residual <= radius * (1.0 + _TOL_FEAS)
             assert ref_op <= 1.0 + 1e-9 and ref_gap <= 1e-9 * ref_nuclear + 1e-12 * ref_nuclear
             assert nuclear <= 1.01 * ref_nuclear
 
@@ -807,9 +745,9 @@ def _bench_one_bit_system(seed):
     with pytest.MonkeyPatch.context() as mp:
         solve = quantmc.harness.solve_one_bit_mc
 
-        def recording(system, params=None):
+        def recording(system, max_iters):
             systems.append(system)
-            return solve(system, params)
+            return solve(system, max_iters)
 
         mp.setattr(quantmc.harness, "solve_one_bit_mc", recording)
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
@@ -853,7 +791,7 @@ class TestSolveOneBitMC:
         # the gap of the minimum 0.5
         mask = SampleMask((1, 1), [0], [0])
         system = OneBitObservation(np.array([[1]]), np.array([[0.5]]), mask)
-        rep = solve_one_bit_mc(system, ProxParams())
+        rep = solve_one_bit_mc(system)
         assert rep.converged and rep.data_residual == 0.0
         assert 0.5 <= rep.matrix[0, 0] <= 0.5 / (1.0 - _GAP)
         assert rep.nuclear_norm == pytest.approx(rep.matrix[0, 0], rel=1e-12)
@@ -862,7 +800,7 @@ class TestSolveOneBitMC:
         # 0 lies in every entry's box: the zero matrix, without a step
         mask = sample_mask_uniform((4, 4), 8, seed=0)
         system = OneBitObservation(np.ones((3, 8), dtype=int), np.full((3, 8), -1e10), mask)
-        rep = solve_one_bit_mc(system, ProxParams())
+        rep = solve_one_bit_mc(system)
         assert np.all(rep.matrix == 0.0) and rep.converged
         assert rep.iterations == 0 and rep.stage_objectives == ()
 
@@ -872,7 +810,7 @@ class TestSolveOneBitMC:
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 10, 80, seed=22)
         obs = observe_one_bit(gt, mask, thr)
         system = build_polyhedron(obs)
-        rep = solve_one_bit_mc(system, ProxParams())
+        rep = solve_one_bit_mc(system)
         assert rep.converged and rep.data_residual == 0.0
         assert consistency_report(rep.matrix, obs, gt) == 0
 
@@ -883,7 +821,7 @@ class TestSolveOneBitMC:
         mask = sample_mask_uniform((8, 8), 30, seed=24)
         thr = generate_dither_tensor(DitherSpec.uniform(1.0), 6, 30, seed=25)
         system = build_polyhedron(observe_one_bit(gt, mask, thr))
-        rep = solve_one_bit_mc(system, ProxParams())
+        rep = solve_one_bit_mc(system)
         assert rep.converged
         assert rep.stage_objectives == (rep.objective,) and rep.objective == rep.nuclear_norm
         lo, hi = feasible_intervals(system)
@@ -898,7 +836,7 @@ class TestSolveOneBitMC:
         # the truth satisfies every sign, so the minimum is at most its
         # nuclear norm, and the answer at most 1 / (1 - _GAP) times that
         system, gt = _one_bit_system((10, 10), 50, 8, seed=26)
-        rep = solve_one_bit_mc(system, ProxParams())
+        rep = solve_one_bit_mc(system)
         assert rep.converged and rep.data_residual == 0.0
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
         assert rep.nuclear_norm <= np.linalg.norm(gt, "nuc") / (1.0 - _GAP)
@@ -907,7 +845,7 @@ class TestSolveOneBitMC:
         # contradictory signs around one entry: x >= 1 and x <= -1
         mask = SampleMask((1, 1), [0], [0])
         system = OneBitObservation(np.array([[1], [-1]]), np.array([[1.0], [-1.0]]), mask)
-        rep = solve_one_bit_mc(system, ProxParams(max_iters=2000))
+        rep = solve_one_bit_mc(system, 2000)
         assert not rep.converged
         assert rep.iterations == 0
         assert rep.data_residual > 0.1
@@ -920,7 +858,7 @@ class TestSolveOneBitMC:
     def test_box_without_a_minimum_takes_no_step(self, signs, thresholds):
         thresholds = np.array(thresholds)
         mask = SampleMask((1, thresholds.shape[1]), [0] * thresholds.shape[1], list(range(thresholds.shape[1])))
-        rep = solve_one_bit_mc(OneBitObservation(np.array(signs), thresholds, mask), ProxParams(max_iters=2000))
+        rep = solve_one_bit_mc(OneBitObservation(np.array(signs), thresholds, mask), 2000)
         assert not rep.converged and rep.iterations == 0 and np.all(rep.matrix == 0.0)
 
     def test_steps_are_scale_free(self):
@@ -939,7 +877,7 @@ class TestSolveOneBitMC:
         # cut short by the budget, the answer is the last iterate clipped into
         # the shrunk box, and its reported nuclear norm is its own
         system, _ = _one_bit_system((12, 12), 80, 10, seed=20)
-        rep = solve_one_bit_mc(system, ProxParams(max_iters=max_iters))
+        rep = solve_one_bit_mc(system, max_iters)
         assert not rep.converged and rep.iterations == max_iters
         assert rep.data_residual == 0.0
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
@@ -1006,10 +944,36 @@ class TestSolveOneBitMC:
                 OneBitObservation(np.zeros((0, 1), dtype=int), thresholds, mask)
 
 
+def _budget_solves():
+    """One solve per case, given its budget: each solver on a problem that
+    takes steps, and on one whose zero matrix is feasible."""
+    Q, mask, radius = _stress_problem(0)
+    vacuous = OneBitObservation(
+        np.ones((3, 8), dtype=int), np.full((3, 8), -1e10), sample_mask_uniform((4, 4), 8, seed=0)
+    )
+    system = _one_bit_system((6, 6), 20, 4, seed=20)[0]
+    return {
+        "ball": lambda budget: solve_quantized_mc(Q, mask, radius, budget),
+        "ball_zero_feasible": lambda budget: solve_quantized_mc(Q, mask, 2.0 * np.linalg.norm(Q), budget),
+        "one_bit": lambda budget: solve_one_bit_mc(system, budget),
+        "one_bit_zero_feasible": lambda budget: solve_one_bit_mc(vacuous, budget),
+    }
+
+
+@pytest.mark.parametrize("case", ["ball", "ball_zero_feasible", "one_bit", "one_bit_zero_feasible"])
+def test_budget_below_one_rejected(case):
+    # the budget is checked before any other work, the zero matrix's exit
+    # included; a budget of 1 is accepted
+    solve = _budget_solves()[case]
+    assert solve(1).iterations == (0 if case.endswith("zero_feasible") else 1)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(budget)
+
+
 # Most steps of the one-bit solver over the first trial of seeds 2-11
-# (base_seed s * 100000) of the onebit_known workload: the regularized
-# proxy's FISTA loop took 599, and the primal-dual loop on the sign box
-# takes 582 (1816 over seeds 2-21 without the masked repair, 1177 with it).
+# (base_seed s * 100000) of the onebit_known workload: it takes 582 (1177
+# over seeds 2-21, and 1816 there without the masked repair).
 BOX_ITERATION_LIMIT = 620
 
 
@@ -1022,7 +986,7 @@ def test_bench_workload_box_iterations(solves):
     assert sum(rep.iterations for rep in solves) <= BOX_ITERATION_LIMIT
 
 
-def _box_certified(system, params=None):
+def _box_certified(system):
     """Solve the one-bit program and recompute the answer's certificate
     against the sign box [lo, hi] from the inputs and outputs of the loop
     alone, with every norm taken by gesdd.
@@ -1043,7 +1007,7 @@ def _box_certified(system, params=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_svd_soft", recording)
-        rep = solve_one_bit_mc(system, params)
+        rep = solve_one_bit_mc(system)
     mask = system.mask
     X = calls[-2][2] if len(calls) >= 2 else np.zeros(rep.matrix.shape)
     Z, tau, Xn = calls[-1]
@@ -1097,24 +1061,23 @@ class TestSolveStatisticsOnly:
         return strip_thresholds(observe_one_bit(X, mask, thr))
 
     @staticmethod
-    def _solve(obs, delta, radius, params=None):
-        return solve_quantized_mc(surrogate_data(obs, delta), obs.mask, radius, params)
+    def _solve(obs, delta, radius):
+        return solve_quantized_mc(surrogate_data(obs, delta), obs.mask, radius)
 
     def test_all_positive_signs_large_radius_gives_zero(self):
         gt = generate_low_rank((5, 5), 1, 1.0, seed=29)
         mask = sample_mask_uniform((5, 5), 10, seed=30)
         obs = self._obs(np.abs(gt) + 2.0, mask, 2.0, 31)
-        rep = self._solve(obs, 2.0, 100.0, ProxParams())
+        rep = self._solve(obs, 2.0, 100.0)
         assert np.all(rep.matrix == 0.0)
 
     def test_scalar_case_residual_contract(self):
         mask = SampleMask((1, 1), [0], [0])
         obs = self._obs(np.array([[0.9]]), mask, 2.0, 32)
         assert obs.signs[0, 0] in (-1, 1)
-        params = ProxParams()
-        rep = self._solve(obs, 2.0, 0.1, params)
+        rep = self._solve(obs, 2.0, 0.1)
         surrogate = obs.signs[0, 0] * 1.0
-        assert abs(rep.matrix[0, 0] - surrogate) <= 0.1 * (1 + params.tol_feas)
+        assert abs(rep.matrix[0, 0] - surrogate) <= 0.1 * (1 + _TOL_FEAS)
 
     def test_multi_sequence_rejected(self):
         gt = generate_low_rank((4, 4), 1, 1.0, seed=33)
@@ -1131,6 +1094,6 @@ class TestSolveStatisticsOnly:
         obs = self._obs(gt, mask, delta, 38)
         surrogate = 0.5 * delta * obs.signs[0]
         radius = float(np.linalg.norm(gt[mask.rows, mask.cols] - surrogate))
-        rep = self._solve(obs, delta, radius, ProxParams())
+        rep = self._solve(obs, delta, radius)
         assert rep.converged
         assert np.linalg.norm(rep.matrix - gt) <= np.linalg.norm(gt)
