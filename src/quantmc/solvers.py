@@ -20,6 +20,16 @@ is stated once, in the docstring named here:
   into the box shrunk by a margin; its candidate is the iterate when it
   satisfies every sign, or else the iterate clipped into the shrunk box.
 
+Both programs are homogeneous in their data, so the floating-point range
+is settled once, where the data comes in: ``prox_nuclear`` and both
+solvers solve at unit scale, with their data (Z and theta, Q and the
+radius, or the sign box) times the power of two 2^-e of ``_unit_scale``
+that puts its largest finite |entry| in [0.5, 1), and multiply the answer,
+its nuclear norm and the ball residual back by 2^e.  A power of two scales
+exactly, so the answer at 2^k times the data is 2^k times the answer, and
+no kernel below (``_svd_soft``, ``_op_norm``) needs a range check of its
+own.
+
 Each solver takes one input beyond its program, the step budget
 ``max_iters``, and both are fully deterministic.
 """
@@ -42,11 +52,8 @@ __all__ = [
     "solve_quantized_mc",
 ]
 
-# Where _svd_soft's Gram path holds its precision: the smallest
-# theta / sigma_1, and the smallest ||Z||_F^2 (below it, an eps-relative
-# rounding of sigma_1^2 may be subnormal).
+# The smallest theta / sigma_1 at which _svd_soft's Gram path holds its precision.
 _GRAM_FLOOR = 1e-4
-_GRAM_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 # Interior margin of the one-bit box, in units of the box's largest finite
 # |bound| and shrunk per entry to a quarter of the entry's feasible interval
@@ -91,10 +98,18 @@ class SolverReport:
     stage_objectives: tuple = ()
 
 
-def _gesdd(Z: np.ndarray):
-    """Thin LAPACK gesdd SVD of Z, with the matrix described when it fails."""
+def _unit_scale(a: np.ndarray):
+    """(m, e) with m 2^e the largest finite |entry| of a and m in [0.5, 1),
+    or (0.0, 0) when that is 0: the one scale rule of the solvers (module
+    docstring)."""
+    return math.frexp(float(np.abs(a[np.isfinite(a)]).max(initial=0.0)))
+
+
+def _gesdd(Z: np.ndarray, compute_uv: bool = True):
+    """Thin LAPACK gesdd SVD of Z (singular values only without
+    compute_uv), with the matrix described when it fails."""
     try:
-        return np.linalg.svd(Z, full_matrices=False)
+        return np.linalg.svd(Z, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on {Z.shape} matrix (fro={np.linalg.norm(Z):.3e}, "
@@ -106,60 +121,50 @@ def _eigh_failed(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def _eigh(gram: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of the symmetric float64 gram.
+def _eigh(Z: np.ndarray, vectors: bool = True):
+    """Eigenvalues (ascending) and, with vectors, eigenvectors of the smaller
+    Gram matrix A^T A of Z, A = Z or Z^T when Z is wide.
 
-    LAPACK syevd through numpy's ``eigh_lo`` gufunc, the routine
-    ``np.linalg.eigh`` runs, with the same floating-point error state, so
-    the result is bitwise that of ``np.linalg.eigh`` and a failure to
-    converge raises ``np.linalg.LinAlgError``; it skips only the wrapper's
-    input checks and type conversions, which a float64 Gram matrix does not
-    need.
+    LAPACK syevd through numpy's ``eigh_lo`` gufunc (``eigvalsh_lo``
+    without vectors, about half the work), the routine ``np.linalg.eigh``
+    (``np.linalg.eigvalsh``) runs, with the same floating-point error
+    state, so the result is bitwise that of the numpy function on A^T A and
+    a failure to converge raises ``np.linalg.LinAlgError``; it skips only
+    the wrapper's input checks and type conversions, which a float64 Gram
+    matrix does not need.
     """
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    gram = A.T @ A
     with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.eigh_lo(gram, signature="d->dd")
+        if vectors:
+            return _umath_linalg.eigh_lo(gram, signature="d->dd")
+        return _umath_linalg.eigvalsh_lo(gram, signature="d->d")
 
 
-def _svd_soft(Z: np.ndarray, theta: float):
+def _svd_soft(Z: np.ndarray, theta: float, eig=None):
     """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
 
     It is the one matrix decomposition either solver takes per step.  With
     A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the smaller
-    Gram matrix A^T A (LAPACK syevd, by ``_eigh``) with lam > theta^2 give
-    sigma = sqrt(lam) and X = A V diag(1 - theta / sigma) V^T, and
-    sv = sigma - theta holds only those kept.  Squaring puts an error of
-    about eps * sigma_1^2 into every lam, so a singular value near theta is
-    off by at most eps * sigma_1^2 / (2 theta).  Below
-    theta = _GRAM_FLOOR * sigma_1 (where that reaches about
-    1e-12 * sigma_1), and when the trace of A^T A overflows or comes too
-    near the subnormal range, a full SVD (LAPACK gesdd) is taken instead;
-    its sv has one entry per singular value.
-    sigma_1^2 is at least the trace over the k = A.shape[1] eigenvalues, so
-    a theta that the trace alone puts below the floor goes to gesdd without
-    a syevd.  Either routine raises ``np.linalg.LinAlgError`` when LAPACK
-    does not converge (a NaN in Z, for one), which ``run_experiment``
-    records as a failed trial.
+    Gram matrix A^T A (``_eigh``, or eig where the caller has them already)
+    with lam > theta^2 give sigma = sqrt(lam) and
+    X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds only
+    those kept.  Squaring puts an error of about eps * sigma_1^2 into every
+    lam, so a singular value near theta is off by at most
+    eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1
+    (where that reaches about 1e-12 * sigma_1) a full SVD (``_gesdd``) is
+    taken instead; its sv has one entry per singular value.  Z must be at
+    the solvers' unit scale (module docstring), where A^T A neither
+    overflows nor underflows.  Either routine raises
+    ``np.linalg.LinAlgError`` when LAPACK does not converge (a NaN in Z,
+    for one), which ``run_experiment`` records as a failed trial.
     """
     A = Z.T if Z.shape[0] < Z.shape[1] else Z
-    gram = A.T @ A
-    trace = gram.trace()
-    if _GRAM_MIN <= trace < math.inf and theta >= _GRAM_FLOOR * math.sqrt(trace / A.shape[1]):
-        soft = _gram_soft(Z, _eigh(gram), theta)
-        if soft is not None:
-            return soft
-    u, s, vt = _gesdd(Z)
-    s_shrunk = np.maximum(s - theta, 0.0)
-    return (u * s_shrunk) @ vt, s_shrunk
-
-
-def _gram_soft(Z: np.ndarray, eig, theta: float):
-    """``_svd_soft``'s Gram path: (SVT_theta(Z), sv) from the eigenpairs
-    eig = (lam, V) of A^T A, A = Z or Z^T when Z is wide, or None where
-    theta < _GRAM_FLOOR * sigma_1 and the squares are too coarse."""
-    lam, V = eig
-    if theta < _GRAM_FLOOR * math.sqrt(lam[-1]):
-        return None
-    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    lam, V = eig or _eigh(Z)
+    if theta < _GRAM_FLOOR * math.sqrt(lam.max(initial=0.0)):
+        u, s, vt = _gesdd(Z)
+        s_shrunk = np.maximum(s - theta, 0.0)
+        return (u * s_shrunk) @ vt, s_shrunk
     k = lam.searchsorted(theta * theta, side="right")
     sigma = np.sqrt(lam[k:])
     Vk = V[:, k:]
@@ -168,19 +173,12 @@ def _gram_soft(Z: np.ndarray, eig, theta: float):
 
 
 def _op_norm(M: np.ndarray) -> float:
-    """||M||_op, the root of the largest eigenvalue of the smaller Gram matrix
-    (LAPACK syevd, values only, numpy's ``eigvalsh_lo``: about half the work
-    of ``_eigh``).  The largest eigenvalue is off by a small multiple of eps
-    times itself, so the root is good to about eps relative.  Where the
-    Gram matrix's trace is not in [_GRAM_MIN, inf), gesdd's largest singular
-    value is taken instead."""
-    A = M.T if M.shape[0] < M.shape[1] else M
-    gram = A.T @ A
-    if not _GRAM_MIN <= gram.trace() < math.inf:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    with np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        lam = _umath_linalg.eigvalsh_lo(gram, signature="d->d")
-    return math.sqrt(max(float(lam[-1]), 0.0))
+    """||M||_op, the root of the largest eigenvalue of M's smaller Gram
+    matrix (``_eigh``, values only).  The largest eigenvalue is off by a
+    small multiple of eps times itself, so the root is good to about eps
+    relative; M's entries must be at most about 1 (the solvers' unit scale,
+    module docstring), so that the Gram matrix does not overflow."""
+    return math.sqrt(max(float(_eigh(M, vectors=False)[-1]), 0.0))
 
 
 def _op_lower(M: np.ndarray, v: np.ndarray):
@@ -218,17 +216,18 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
 
     Minimizes theta * ||X||_* + 1/2 ||X - Z||_F^2; theta = 0 returns Z, and
     a negative or NaN theta raises ``ValueError``.
-    Computed by ``_svd_soft``: from the Gram eigendecomposition (LAPACK
-    syevd, numpy's ``eigh_lo``), or a full SVD (gesdd) when
-    theta < 1e-4 * sigma_1(Z).  Raises ``np.linalg.LinAlgError`` when LAPACK
-    does not converge.
+    Computed by ``_svd_soft`` on Z and theta at unit scale (module
+    docstring): from the Gram eigendecomposition (LAPACK syevd, numpy's
+    ``eigh_lo``), or a full SVD (gesdd) when theta < 1e-4 * sigma_1(Z).
+    Raises ``np.linalg.LinAlgError`` when LAPACK does not converge.
     """
     Zm = as_matrix(Z)
     if not theta >= 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
     if theta == 0:
         return Zm.copy()
-    return _svd_soft(Zm, theta)[0]
+    _, e = _unit_scale(Zm)
+    return np.ldexp(_svd_soft(np.ldexp(Zm, -e), float(np.ldexp(theta, -e)))[0], e)
 
 
 def _fro(a: np.ndarray) -> float:
@@ -243,7 +242,7 @@ def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
     and that matrix's nuclear norm, by one values-only SVD."""
     F = X.copy()
     F.put(idx, values)
-    return F, float(np.linalg.svd(F, compute_uv=False).sum())
+    return F, float(_gesdd(F, compute_uv=False).sum())
 
 
 def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
@@ -312,8 +311,9 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     y = (P(X) - q) / mu, with mu the root of
     sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
     smaller Gram matrix gives both: its eigenvalues are the sigma_i^2, and
-    its eigenpairs give SVT_mu(Q) as in ``_svd_soft``, which takes the start
-    instead where its precision rule calls for gesdd.
+    ``_svd_soft`` takes SVT_mu(Q) from its eigenpairs (or by gesdd, where
+    mu lies below its precision floor).  All of this runs on Q and the
+    radius at unit scale (module docstring).
 
     Each step's feasible point F is Xn while its residual r = P(Xn) - q has
     ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xn, with t the end
@@ -349,7 +349,10 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     off[mask.rows, mask.cols] = 0.0
     if np.any(off != 0.0):
         raise ValueError("Q must vanish off the sample mask")
+    # The problem at unit scale: Q, q and the radius times 2^-e.
     q = Qm[mask.rows, mask.cols]
+    qmax, e = _unit_scale(q)
+    Qm, q, radius = np.ldexp(Qm, -e), np.ldexp(q, -e), float(np.ldexp(radius, -e))
     qnorm = float(np.linalg.norm(q))
 
     if qnorm <= radius:
@@ -357,7 +360,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
             matrix=np.zeros(Qm.shape),
             iterations=0,
             objective=0.0,
-            data_residual=qnorm,
+            data_residual=float(np.ldexp(qnorm, e)),
             converged=True,
             nuclear_norm=0.0,
         )
@@ -367,19 +370,13 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     # units of ||q||: with the k largest singular values at or above mu, the
     # Pareto residual squared is tail_k + k mu^2, tail_k the sum of the other
     # squares, and it rises from 0 to 1 on [0, sigma_1].
-    A = Qm.T if Qm.shape[0] < Qm.shape[1] else Qm
-    gram = A.T @ A
-    eig = _eigh(gram) if _GRAM_MIN <= gram.trace() < math.inf else None
-    if eig is None:
-        sq = (np.linalg.svd(Qm, compute_uv=False) / qnorm) ** 2
-    else:
-        sq = np.maximum(eig[0][::-1], 0.0) / (qnorm * qnorm)
+    eig = _eigh(Qm)
+    sq = np.maximum(eig[0][::-1], 0.0) / (qnorm * qnorm)
     tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)
     rho2 = (radius / qnorm) ** 2
     k = max(1, int(np.count_nonzero(tails + np.arange(1, len(sq) + 1) * sq > rho2)))
     mu = qnorm * math.sqrt(max(rho2 - tails[k - 1], 0.0) / k)
-    soft = None if eig is None else _gram_soft(Qm, eig, mu)
-    X = soft[0] if soft else _svd_soft(Qm, mu)[0]
+    X = _svd_soft(Qm, mu, eig)[0]
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
     limit = radius * (1.0 + _TOL_FEAS)
@@ -427,14 +424,15 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         return F, f_nuc, dual, math.sqrt(f @ f) <= limit
 
     F, f_nuc, iters, converged = _pdhg(
-        X, (X.take(idx) - q) / mu, idx, 2.0 * float(np.abs(q).max()), prox, support, candidate, max_iters
+        X, (X.take(idx) - q) / mu, idx, 2.0 * qmax, prox, support, candidate, max_iters
     )
     f = F.take(idx) - q
+    f_nuc = float(np.ldexp(f_nuc, e))
     return SolverReport(
-        matrix=F,
+        matrix=np.ldexp(F, e),
         iterations=iters,
         objective=f_nuc,
-        data_residual=math.sqrt(f @ f),
+        data_residual=float(np.ldexp(math.sqrt(f @ f), e)),
         converged=converged,
         nuclear_norm=f_nuc,
         stage_objectives=(f_nuc,),
@@ -455,8 +453,9 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     0 (some entry must then be negative, and no point has the least nuclear
     norm).
 
-    Otherwise, with s the largest finite |bound|, the program is solved by
-    ``_pdhg`` on the box shrunk by gamma_k = min(_FEAS_MARGIN s, width_k / 4)
+    Otherwise the program is solved at unit scale (module docstring).  With
+    s the largest finite |bound|, ``_pdhg`` runs on the box shrunk by
+    gamma_k = min(_FEAS_MARGIN s, width_k / 4)
     on each side: its dual prox is v - sigma clip(v / sigma), the clip onto
     the shrunk box, which keeps the multiplier off every unbounded side.
     The steps are tau = s / 2 and sigma = 0.99 / tau, so the loop is
@@ -478,14 +477,14 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     mask = system.mask
     X = np.zeros((mask.dims.n1, mask.dims.n2))
     lo, hi = feasible_intervals(system)
-    bounds = np.abs(np.concatenate((lo, hi)))
-    scale = float(bounds[np.isfinite(bounds)].max(initial=0.0))
+    scale, e = _unit_scale(np.concatenate((lo, hi)))
     zero_feasible = bool(((lo <= 0.0) & (0.0 < hi)).all())
     if zero_feasible or scale == 0.0 or not (lo < hi).all():
         return SolverReport(
             matrix=X, iterations=0, objective=0.0, data_residual=violation_measure(system, X),
             converged=zero_feasible, nuclear_norm=0.0,
         )
+    lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)  # the box at unit scale
     gamma = np.minimum(_FEAS_MARGIN * scale, 0.25 * (hi - lo))
     box_lo, box_hi = lo + gamma, hi - gamma
     idx = mask.rows * X.shape[1] + mask.cols  # C-order flat index of the mask
@@ -507,6 +506,7 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     F, nuc, iters, converged = _pdhg(
         X, np.zeros(mask.m_prime), idx, 0.5 * scale, prox, support, candidate, max_iters
     )
+    F, nuc = np.ldexp(F, e), float(np.ldexp(nuc, e))
     return SolverReport(
         matrix=F,
         iterations=iters,

@@ -78,6 +78,29 @@ class TestProxNuclear:
                 s_out = np.linalg.svd(prox_nuclear(Z, theta), compute_uv=False)
                 assert np.max(np.abs(s_out - np.maximum(s_in - theta, 0.0))) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scales(self, scale):
+        # the Gram matrix of Z itself would underflow or overflow; the
+        # operator solves at unit scale and must still match the oracle
+        W = np.random.default_rng(7).standard_normal((20, 12))
+        Z = scale * W
+        theta = 0.1 * np.linalg.norm(Z, 2)
+        X = prox_nuclear(Z, theta)
+        X_ref, _ = _gesdd_soft(Z, theta)
+        assert np.max(np.abs(X - X_ref)) <= 1e-10 * scale * np.linalg.norm(W)
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 900])
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (20, 20), (7, 3)], ids=["tall", "wide", "square", "7x3"])
+    def test_scale_free_across_the_range(self, svd_calls, shape, k):
+        # Z and theta times 2^k give 2^k times the answer, bitwise, by the
+        # Gram path alone (theta lies above the precision floor)
+        Z = np.random.default_rng(sum(shape)).standard_normal(shape)
+        theta = 0.1 * np.linalg.norm(Z, 2)
+        svd_calls.clear()
+        X = prox_nuclear(Z, theta)
+        np.testing.assert_array_equal(prox_nuclear(np.ldexp(Z, k), np.ldexp(theta, k)), np.ldexp(X, k))
+        assert svd_calls == []
+
 
 def _gesdd_soft(Z, theta):
     """Reference SVT: full LAPACK gesdd SVD, shrink, recombine."""
@@ -107,7 +130,8 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Shapes of the Gram matrices ``_svd_soft`` decomposes while the test runs."""
+    """Shapes of the matrices whose Gram matrix ``_eigh`` decomposes while
+    the test runs."""
     return _record_shapes(monkeypatch, quantmc.solvers, "_eigh")
 
 
@@ -127,12 +151,13 @@ def solves(monkeypatch):
 
 @pytest.fixture
 def last_soft(monkeypatch):
-    """The (matrix, sv) of the last ``_svd_soft`` call while the test runs."""
+    """The (matrix, sv) of the last ``_svd_soft`` call while the test runs,
+    at the solver's unit scale."""
     last = []
     svd_soft = quantmc.solvers._svd_soft
 
-    def recording(Z, theta):
-        last[:] = svd_soft(Z, theta)
+    def recording(Z, theta, eig=None):
+        last[:] = svd_soft(Z, theta, eig)
         return tuple(last)
 
     monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording)
@@ -178,7 +203,7 @@ class TestSvdSoft:
         assert np.max(np.abs(X - X_ref), initial=0.0) <= 1e-10 * max(1.0, np.linalg.norm(Z))
         assert sv.sum() == pytest.approx(sv_ref.sum(), rel=1e-12)
         assert sv @ sv == pytest.approx(sv_ref @ sv_ref, rel=1e-12)
-        return X
+        return X, sv
 
     @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (7, 3), (3, 7), (1, 5)])
     @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5])
@@ -195,7 +220,7 @@ class TestSvdSoft:
 
     def test_theta_at_a_repeated_singular_value(self):
         Z = _with_spectrum((40, 30), [5.0, 3.0, 3.0, 3.0, 1.0], seed=4)
-        X = self._assert_matches_oracle(Z, 3.0)
+        X, _ = self._assert_matches_oracle(Z, 3.0)
         assert np.linalg.svd(X, compute_uv=False)[0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-12, 2.0])
@@ -213,19 +238,6 @@ class TestSvdSoft:
         assert X.shape == shape and np.all(X == 0.0)
         assert sv.sum() == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    @pytest.mark.parametrize("scale", [1e-160, 1e160])
-    def test_extreme_scales(self, scale):
-        # the Gram matrix of Z underflows or overflows; the kernel must
-        # still match the oracle
-        W = np.random.default_rng(7).standard_normal((20, 12))
-        Z = scale * W
-        theta = 0.1 * np.linalg.norm(Z, 2)
-        X, sv = _svd_soft(Z, theta)
-        X_ref, sv_ref = _gesdd_soft(Z, theta)
-        assert np.max(np.abs(X - X_ref)) <= 1e-10 * scale * np.linalg.norm(W)
-        assert sv.sum() == pytest.approx(sv_ref.sum(), rel=1e-12)
-
     @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160)])
     @pytest.mark.parametrize("ratio, gesdd_calls", [(0.999 * _GRAM_FLOOR, 1), (1.001 * _GRAM_FLOOR, 0)])
     def test_precision_floor(self, svd_calls, shape, ratio, gesdd_calls):
@@ -236,33 +248,38 @@ class TestSvdSoft:
         assert len(svd_calls) == gesdd_calls + 1  # plus the oracle's own SVD
 
     @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (3, 7)])
-    def test_zero_theta_skips_eigh(self, eigh_calls, svd_calls, shape):
-        # sigma_1^2 >= trace / k puts theta = 0 below the floor before the
-        # Gram matrix is decomposed: one gesdd, no eigh
+    def test_zero_theta_falls_back_to_gesdd(self, svd_calls, shape):
+        # theta = 0 lies below the floor: one gesdd, which returns Z
         Z = np.random.default_rng(8).standard_normal(shape)
         X, sv = _svd_soft(Z, 0.0)
-        assert eigh_calls == [] and len(svd_calls) == 1
+        assert len(svd_calls) == 1
         assert np.max(np.abs(X - Z)) <= 1e-12 * np.linalg.norm(Z)
         assert sv.sum() == pytest.approx(np.linalg.norm(Z, "nuc"), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(160, 160), (160, 40), (40, 160), (3, 7)])
     def test_gram_path_decomposes_once(self, eigh_calls, svd_calls, shape):
         # the positive control of the test above: at a threshold above the
-        # floor the one decomposition is the k x k Gram matrix's, k the
-        # smaller side, and no gesdd runs
+        # floor the one decomposition is Z's smaller Gram matrix's, and no
+        # gesdd runs; given those eigenpairs, as the ball solver's start
+        # gives its own, the kernel takes none and the same answer
         Z = np.random.default_rng(8).standard_normal(shape)
-        k = min(shape)
-        self._assert_matches_oracle(Z, 0.1 * np.linalg.norm(Z, 2))
-        assert eigh_calls == [(k, k)] and len(svd_calls) == 1  # the oracle's own SVD
+        theta = 0.1 * np.linalg.norm(Z, 2)
+        X, sv = self._assert_matches_oracle(Z, theta)
+        assert eigh_calls == [shape] and len(svd_calls) == 1  # the oracle's own SVD
+        X_given, sv_given = _svd_soft(Z, theta, quantmc.solvers._eigh(Z))
+        assert eigh_calls == [shape, shape] and len(svd_calls) == 1
+        assert np.array_equal(X_given, X) and np.array_equal(sv_given, sv)
 
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
     def test_bench_workload_matches_the_oracle(self, monkeypatch, solves, workload):
-        # Each ball solve decomposes Q's Gram matrix once for its start, then
-        # takes one soft-threshold per step, each by its own Gram matrix, and
-        # at most one exact operator norm per step; none of these solves
-        # needs the masked repair and its values-only SVD.  The one-bit solve
-        # takes one soft-threshold per step, each by its own Gram matrix, and
-        # at most one values-only SVD per step, for its masked repair.
+        # Each ball solve decomposes Q's Gram matrix once for its start,
+        # whose soft-threshold takes those eigenpairs, then takes one
+        # soft-threshold per step, each by its own Gram matrix, and at most
+        # one exact operator norm per step, by the eigenvalues of one more;
+        # none of these solves needs the masked repair and its values-only
+        # SVD.  The one-bit solve takes one soft-threshold per step, each by
+        # its own Gram matrix, and at most one values-only SVD per step, for
+        # its masked repair.
         events = []
         svd, svd_soft = np.linalg.svd, quantmc.solvers._svd_soft
         eigh, op_norm = quantmc.solvers._eigh, quantmc.solvers._op_norm
@@ -278,9 +295,13 @@ class TestSvdSoft:
             events.append("values" if kwargs.get("compute_uv") is False else "gesdd")
             return svd(a, *args, **kwargs)
 
+        def recording_eigh(Z, vectors=True):
+            events.append("eigh" if vectors else "eigvals")
+            return eigh(Z, vectors)
+
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording("soft", svd_soft))
-        monkeypatch.setattr(quantmc.solvers, "_eigh", recording("eigh", eigh))
+        monkeypatch.setattr(quantmc.solvers, "_eigh", recording_eigh)
         monkeypatch.setattr(quantmc.solvers, "_op_norm", recording("op", op_norm))
         for name in ("solve_quantized_mc", "solve_one_bit_mc"):
             monkeypatch.setattr(quantmc.harness, name, recording("solve", getattr(quantmc.harness, name)))
@@ -295,11 +316,11 @@ class TestSvdSoft:
                 assert all(step.split() in (["eigh"], ["eigh", "values"]) for step in steps)
                 assert any(step.split() == ["eigh", "values"] for step in steps)
             else:
-                start, *steps = run.split("soft")
-                assert start.split() == ["eigh"] and len(steps) == rep.iterations
-                assert all(step.split() in (["eigh"], ["eigh", "op"]) for step in steps)
-        monkeypatch.setattr(quantmc.solvers, "_svd_soft", _gesdd_soft)
-        monkeypatch.setattr(quantmc.solvers, "_gram_soft", lambda Z, eig, theta: None)
+                start, start_soft, *steps = run.split("soft")
+                assert start.split() == ["eigh"] and start_soft.split() == []
+                assert len(steps) == rep.iterations
+                assert all(step.split() in (["eigh"], ["eigh", "op", "eigvals"]) for step in steps)
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", lambda Z, theta, eig=None: _gesdd_soft(Z, theta))
         monkeypatch.setattr(quantmc.solvers, "_op_norm", lambda M: np.linalg.norm(M, 2))
         solves.clear()
         oracle_records, _ = quantmc.harness.run_experiment(cfg)
@@ -311,50 +332,60 @@ class TestSvdSoft:
             assert rec.err_fro == pytest.approx(ref.err_fro, rel=1e-9)
 
 
-def _grams():
-    """Gram matrices A^T A of the sizes and structures the kernel meets."""
+def _matrices():
+    """Matrices whose smaller Gram matrix has the size and structure the
+    kernel meets, keyed by that Gram matrix."""
     rng = np.random.default_rng(9)
-    grams = {}
+    matrices = {}
     for k in (1, 2, 32, 128):
-        A = rng.standard_normal((k + 5, k))
-        grams[f"{k}x{k}"] = A.T @ A
-    wide = rng.standard_normal((3, 7))
-    grams["3x3 of a wide 3x7"] = wide @ wide.T
-    low = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 30))
-    grams["rank-deficient 30x30"] = low.T @ low
-    repeated = _with_spectrum((40, 30), [5.0, 3.0, 3.0, 3.0, 1.0], seed=4)
-    grams["repeated eigenvalue 30x30"] = repeated.T @ repeated
-    return grams
+        matrices[f"{k}x{k}"] = rng.standard_normal((k + 5, k))
+    matrices["3x3 of a wide 3x7"] = rng.standard_normal((3, 7))
+    matrices["rank-deficient 30x30"] = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 30))
+    matrices["repeated eigenvalue 30x30"] = _with_spectrum((40, 30), [5.0, 3.0, 3.0, 3.0, 1.0], seed=4)
+    return matrices
 
 
-GRAMS = _grams()
+MATRICES = _matrices()
+
+
+def _gram(Z):
+    """The smaller Gram matrix of Z, formed as ``_eigh`` forms it."""
+    A = Z.T if Z.shape[0] < Z.shape[1] else Z
+    return A.T @ A
 
 
 class TestEigh:
-    """``_eigh`` is numpy's own syevd call, without the wrapper."""
+    """``_eigh`` is numpy's own syevd call on the smaller Gram matrix,
+    without the wrapper, with and without the eigenvectors."""
 
-    @pytest.mark.parametrize("name", list(GRAMS))
+    @pytest.mark.parametrize("name", list(MATRICES))
     def test_bitwise_equal_to_numpy(self, name):
-        gram = GRAMS[name]
-        lam, V = quantmc.solvers._eigh(gram)
-        lam_ref, V_ref = np.linalg.eigh(gram)
+        Z = MATRICES[name]
+        lam, V = quantmc.solvers._eigh(Z)
+        lam_ref, V_ref = np.linalg.eigh(_gram(Z))
         assert lam.dtype == V.dtype == np.float64
         assert np.array_equal(lam, lam_ref) and np.array_equal(V, V_ref)
+        values = quantmc.solvers._eigh(Z, vectors=False)
+        assert values.dtype == np.float64 and np.array_equal(values, np.linalg.eigvalsh(_gram(Z)))
 
     @pytest.mark.parametrize("full", [False, True])
     def test_nan_raises_linalg_error_without_a_warning(self, full):
-        # the Gram of a Z with one NaN entry, or a Gram of NaNs: LAPACK does
-        # not converge, np.linalg.eigh raises, and so must _eigh, with the
-        # error state that turns the flag into the error instead of a warning
+        # a Z with one NaN entry, or a Z of NaNs: LAPACK does not converge on
+        # its Gram matrix, np.linalg.eigh and eigvalsh raise, and so must
+        # _eigh on both paths, with the error state that turns the flag into
+        # the error instead of a warning
         Z = np.random.default_rng(10).standard_normal((9, 4))
         Z[2, 1] = np.nan
-        gram = np.full((3, 3), np.nan) if full else Z.T @ Z
+        if full:
+            Z = np.full((3, 3), np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.eigh(gram)
-            with pytest.raises(np.linalg.LinAlgError):
-                quantmc.solvers._eigh(gram)
+            for reference in (np.linalg.eigh, np.linalg.eigvalsh):
+                with pytest.raises(np.linalg.LinAlgError):
+                    reference(_gram(Z))
+            for vectors in (True, False):
+                with pytest.raises(np.linalg.LinAlgError):
+                    quantmc.solvers._eigh(Z, vectors)
 
 
 def _op_norm_cases():
@@ -366,14 +397,14 @@ def _op_norm_cases():
         "wide": rng.standard_normal((7, 40)),
         "rank-1": np.outer(rng.standard_normal(30), rng.standard_normal(20)),
         "masked residual": project(answer - Q, mask),
-        "gram below its floor": 1e-160 * rng.standard_normal((9, 5)),
+        "tiny residual": 1e-12 * rng.standard_normal((9, 5)),
     }
 
 
 class TestOpNorm:
     """``_op_norm`` against gesdd's largest singular value."""
 
-    @pytest.mark.parametrize("name", ["tall", "wide", "rank-1", "masked residual", "gram below its floor"])
+    @pytest.mark.parametrize("name", ["tall", "wide", "rank-1", "masked residual", "tiny residual"])
     def test_matches_gesdd(self, name):
         M = _op_norm_cases()[name]
         assert quantmc.solvers._op_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
@@ -432,19 +463,19 @@ def _certified(Q, mask, radius):
 
     Two dual points are tried, and the one with the smaller gap is kept.
     The first is the step's own: the last step took Xn = SVT_tau(Z) with
-    Z = X - tau P^* y, X the previous soft-threshold's output, so
-    y = P(X - Z) / tau and the point is y / (1 + ||X - Xn||_F / tau).  It
-    needs two soft-thresholds; a solve of one step has only its step's.
-    The second is the answer's own residual f = P(answer) - q, as
-    f / ||P^* f||_op.  Returns (report, nuclear norm and residual of the
+    Z = X - tau P^* y, X the previous soft-threshold's output (the start's,
+    SVT_mu(Q), before the first step), so y = P(X - Z) / tau and the point
+    is y / (1 + ||X - Xn||_F / tau); the loop runs at unit scale, which y
+    does not see.  The second is the answer's own residual
+    f = P(answer) - q, as f / ||P^* f||_op.  Returns (report, nuclear norm and residual of the
     answer, ||P^* y||_op of the kept point y, gap ||answer||_* + <y, q> +
     radius ||y||).
     """
     calls = []  # (Z, theta, output) of each soft-threshold
     svd_soft = quantmc.solvers._svd_soft
 
-    def recording(Z, theta):
-        out = svd_soft(Z, theta)
+    def recording(Z, theta, eig=None):
+        out = svd_soft(Z, theta, eig)
         calls.append((Z.copy(), theta, out[0]))
         return out
 
@@ -455,11 +486,9 @@ def _certified(Q, mask, radius):
     nuclear = np.linalg.norm(rep.matrix, "nuc")
     f = rep.matrix[mask.rows, mask.cols] - q
     residual = np.linalg.norm(f)
-    points = [f / np.linalg.norm(scatter_vector(f, mask), 2)]
-    if len(calls) >= 2:
-        (_, _, X), (Z, tau, Xn) = calls[-2:]
-        y = (X - Z)[mask.rows, mask.cols] / tau
-        points.append(y / (1.0 + np.linalg.norm(X - Xn) / tau))
+    (_, _, X), (Z, tau, Xn) = calls[-2:]
+    y = (X - Z)[mask.rows, mask.cols] / tau
+    points = [f / np.linalg.norm(scatter_vector(f, mask), 2), y / (1.0 + np.linalg.norm(X - Xn) / tau)]
     gaps = [nuclear + y @ q + radius * np.linalg.norm(y) for y in points]
     k = int(np.argmin(gaps))
     return rep, nuclear, residual, np.linalg.norm(scatter_vector(points[k], mask), 2), gaps[k]
@@ -498,6 +527,42 @@ class TestSolveQuantizedMC:
                 scaled = solve_quantized_mc(scale * Q, mask, scale * radius)
                 assert scaled.iterations == rep.iterations and scaled.converged
                 np.testing.assert_array_equal(scaled.matrix, scale * rep.matrix)
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_scale_free_across_the_range(self, k):
+        # Q and the radius times 2^k give 2^k times the answer, bitwise and
+        # in the same steps, near either end of the floating-point range
+        for j in range(150):
+            Q, mask, radius = _stress_problem(j)
+            rep = solve_quantized_mc(Q, mask, radius)
+            scaled = solve_quantized_mc(np.ldexp(Q, k), mask, np.ldexp(radius, k))
+            assert (scaled.iterations, scaled.converged) == (rep.iterations, rep.converged)
+            np.testing.assert_array_equal(scaled.matrix, np.ldexp(rep.matrix, k))
+            assert scaled.nuclear_norm == np.ldexp(rep.nuclear_norm, k)
+            assert scaled.data_residual == np.ldexp(rep.data_residual, k)
+
+    @staticmethod
+    def _probe():
+        """A 10 x 10 rank-2 problem, 60 entries observed with 0.1 noise, at
+        radius 0.3 ||q||."""
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10))
+        mask = sample_mask_uniform((10, 10), 60, 3)
+        Q = project(X + 0.1 * rng.standard_normal((10, 10)), mask)
+        return Q, mask, 0.3 * float(np.linalg.norm(Q[mask.rows, mask.cols]))
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_beyond_the_gram_range(self, k):
+        # at 2^-600 ||q||^2 underflows to 0 and at 2^600 Q's Gram matrix
+        # overflows; solved at unit scale, the answer is still 2^k times the
+        # answer at scale 1
+        Q, mask, radius = self._probe()
+        rep = solve_quantized_mc(Q, mask, radius)
+        scaled = solve_quantized_mc(np.ldexp(Q, k), mask, np.ldexp(radius, k))
+        assert rep.converged and rep.iterations > 0
+        assert scaled.converged and scaled.iterations == rep.iterations
+        np.testing.assert_array_equal(scaled.matrix, np.ldexp(rep.matrix, k))
+        assert scaled.nuclear_norm == np.ldexp(rep.nuclear_norm, k)
 
     @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
     def test_full_mask_start_is_the_solution(self, share):
@@ -616,7 +681,7 @@ class TestSolveQuantizedMC:
         # answer is that iterate scaled onto the sphere.
         ((Q, mask, radius),) = TestBallOracle._problems("large_n-2")
         rep = solve_quantized_mc(Q, mask, radius)
-        X, sv = last_soft
+        X, sv = np.ldexp(last_soft[0], quantmc.solvers._unit_scale(Q)[1]), last_soft[1]
         t = np.vdot(rep.matrix, X) / np.vdot(X, X)
         assert rep.converged and t != pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(rep.matrix - t * X)) <= 1e-14 * np.abs(X).max()
@@ -635,7 +700,7 @@ class TestSolveQuantizedMC:
         Q = project(gt, mask)
         q = Q[mask.rows, mask.cols]
         rep, nuclear, residual, op, gap = _certified(Q, mask, radius)
-        X = last_soft[0]
+        X = np.ldexp(last_soft[0], quantmc.solvers._unit_scale(Q)[1])
         r = X[mask.rows, mask.cols] - q
         assert quantmc.solvers._ray(X[mask.rows, mask.cols], r, np.linalg.norm(r), radius) == 0.0
         assert np.array_equal(rep.matrix - project(rep.matrix, mask), X - project(X, mask))
@@ -872,6 +937,19 @@ class TestSolveOneBitMC:
             assert rep_scaled.iterations == rep.iterations and rep_scaled.converged
             np.testing.assert_array_equal(rep_scaled.matrix, scale * rep.matrix)
 
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_scale_free_across_the_range(self, k):
+        # truth and thresholds times 2^k keep every sign, and the answer is
+        # 2^k times the answer at scale 1, bitwise and in the same steps
+        for seed in range(10):
+            system, _ = _one_bit_system((16, 12), 120, 5, seed=seed)
+            rep = solve_one_bit_mc(system)
+            scaled = solve_one_bit_mc(OneBitObservation(system.signs, np.ldexp(system.thresholds, k), system.mask))
+            assert rep.converged and rep.iterations > 0
+            assert scaled.converged and scaled.iterations == rep.iterations
+            np.testing.assert_array_equal(scaled.matrix, np.ldexp(rep.matrix, k))
+            assert scaled.nuclear_norm == np.ldexp(rep.nuclear_norm, k) and scaled.data_residual == 0.0
+
     @pytest.mark.parametrize("max_iters", [1, 3, 10])
     def test_budget_answer_is_sign_feasible(self, max_iters):
         # cut short by the budget, the answer is the last iterate clipped into
@@ -1000,8 +1078,8 @@ def _box_certified(system):
     calls = []  # (Z, theta, output) of each soft-threshold
     svd_soft = quantmc.solvers._svd_soft
 
-    def recording(Z, theta):
-        out = svd_soft(Z, theta)
+    def recording(Z, theta, eig=None):
+        out = svd_soft(Z, theta, eig)
         calls.append((Z.copy(), theta, out[0]))
         return out
 
