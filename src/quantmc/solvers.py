@@ -2,23 +2,25 @@
 
 Both of the paper's programs are min ||X||_* subject to P_mask(X) in C, with
 no regularization term, and both are solved by one certified primal-dual
-(Chambolle-Pock) loop, ``_pdhg``: one singular-value soft-threshold per
-step, ``_svd_soft``, and a stop at the first answer whose duality gap is at
-most _GAP of its nuclear norm.  Each program passes the loop its dual prox,
-the support function of C, and its candidate answer; where the iterate
-misses C, both repair it on the mask alone, ``_masked_repair``.  Each rule
-is stated once, in the docstring named here:
+(Chambolle-Pock) loop, ``_pdhg``, over-relaxed by _RHO: one singular-value
+soft-threshold per step, ``_svd_soft``, and a stop at the first answer whose
+duality gap is at most _GAP of its nuclear norm.  Each program passes the
+loop its dual prox, the support function of C, and its candidate answer;
+where the iterate misses C, both repair it on the mask alone,
+``_masked_repair``.  Each rule is stated once, in the docstring named here:
 
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
-  loop starts at Q's own Pareto point (one ``_eigh`` of Q's Gram matrix).
-  Its candidate is the iterate, scaled along its ray onto the ball when it
-  lies outside (``_ray``), and the gap takes the better of the step's own
-  dual point and the answer's residual, scaled by its exact operator norm
-  (``_op_norm``).
+  loop starts at Q's own Pareto point and its multiplier (one ``_eigh`` of
+  Q's Gram matrix).  Its candidate is the iterate, scaled along its ray
+  onto the ball when it lies outside (``_ray``), and the gap takes the
+  better of the step's own dual point and the answer's residual, scaled by
+  its exact operator norm (``_op_norm``).
 * ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
   ``feasible_intervals``.  The loop starts at zero and draws its iterates
-  into the box shrunk by a margin; its candidate is the iterate when it
-  satisfies every sign, or else the iterate clipped into the shrunk box.
+  into the box shrunk by a margin; its support function takes the dual
+  point off the box's unbounded sides, and its candidate is the iterate
+  when it satisfies every sign, or else the iterate clipped into the
+  shrunk box.
 
 Both programs are homogeneous in their data, so the floating-point range
 is settled once, where the data comes in: ``prox_nuclear`` and both
@@ -67,9 +69,18 @@ _FEAS_MARGIN = 5e-7
 
 # Relative duality gap at which both solvers stop: the answer's nuclear norm
 # is then at most 1 / (1 - _GAP) times the program's minimum.  On the ball
-# bench workloads (first trial of seeds 2-11) the loop takes 120 and 413
-# steps at 1e-2, 182 and 1121 at 1e-3, and 334 and 3419 at 3e-6.
+# bench workloads large_n and rate_sweep (first trial of seeds 2-11) the
+# loop takes 81 and 292 steps at 1e-2, 134 and 774 at 1e-3, and 223 and
+# 2277 at 3e-6.
 _GAP = 1e-2
+
+# Relaxation of the primal-dual step (``_pdhg``), in (0, 2).  Over the first
+# trial of seeds 2-11 of large_n, rate_sweep and onebit_known, and over the
+# tests' 150 ball stress problems, the loop takes 120, 413, 592 and 4011
+# steps at 1 (582 on onebit_known in the dual-first form), 93, 324, 463 and
+# 3149 at 1.3, 81, 292, 404 and 2825 at 1.5, and 75, 299, 366 and 2746 at
+# 1.7, where rate_sweep turns up again.
+_RHO = 1.5
 
 # Relative slack on the ball radius: a ball answer counts as feasible when
 # ||P(X) - q|| <= radius (1 + _TOL_FEAS).  The one-bit solver's answers
@@ -245,30 +256,46 @@ def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
     return F, float(_gesdd(F, compute_uv=False).sum())
 
 
+def _step_dual(X, y, Xt, tau):
+    """The dual point a step proves feasible for free: y / (1 + ||X -
+    Xt||_F / tau), for the step's input pair (X, y) and Xt = SVT_tau(X -
+    tau P^* y).  (X - tau P^* y - Xt) / tau is a subgradient of ||.||_* at
+    Xt, so its operator norm is at most 1 and ||P^* y||_op is at most
+    1 + ||X - Xt||_F / tau, whatever X is."""
+    return y / (1.0 + _fro(X - Xt) / tau)
+
+
 def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
     """The primal-dual loop of Chambolle and Pock (J. Math. Imaging Vis.
     2011) on min ||X||_* subject to P(X) in C, from the pair (X, y), with P
-    the masked entries at the C-order flat indices idx.
+    the masked entries at the C-order flat indices idx, over-relaxed by
+    _RHO.
 
     The saddle problem is min_X max_y ||X||_* + <P(X), y> - sigma_C(y), with
-    sigma_C the support function of C, and each step is
+    sigma_C the support function of C, and each step maps the pair (X, y)
+    primal first,
 
-        y = prox(y / sigma + P(Xbar), sigma),
-        Xn = SVT_tau(X - tau P^* y),  Xbar = 2 Xn - X,
+        Xt = SVT_tau(X - tau P^* y),  yt = prox(y / sigma + P(2 Xt - X), sigma),
+        X <- X + _RHO (Xt - X),  y <- y + _RHO (yt - y),
 
     one ``_svd_soft`` per step, with sigma = 0.99 / tau (sigma tau ||P||^2
     < 1).  ``prox(v / sigma, sigma)`` is the prox of sigma * sigma_C at v,
-    v - sigma Pi_C(v / sigma).  Any y with ||P^* y||_op <= 1 proves that no
-    point of the program has a nuclear norm below -sigma_C(y), and each
-    step has one for free: (X - tau P^* y - Xn) / tau is a subgradient of
-    ||.||_* at Xn, so ||P^* y||_op <= 1 + ||X - Xn||_F / tau, and
-    y' = y / (1 + ||X - Xn||_F / tau) is dual feasible; ``support(y')`` is
-    sigma_C(y').
+    v - sigma Pi_C(v / sigma).  The map (X, y) -> (Xt, yt) is firmly
+    nonexpansive in the method's metric, so any relaxation in (0, 2) keeps
+    the iteration convergent (Condat, J. Optim. Theory Appl. 2013;
+    Chambolle and Pock, Math. Program. 2016).
 
-    ``candidate(Xn, P(Xn), ||Xn||_*, -sigma_C(y'), last)`` gives the step's
+    Any y with ||P^* y||_op <= 1 proves that no point of the program has a
+    nuclear norm below -sigma_C(y), and each step has one for free,
+    y' = ``_step_dual(X, y, Xt, tau)``: the soft-threshold's subgradient
+    holds for any input X, the relaxed one included.  ``support(y')`` is
+    sigma_C at y', or at a dual-feasible point the program derives from it
+    where sigma_C(y') is infinite.
+
+    ``candidate(Xt, P(Xt), ||Xt||_*, -support(y'), last)`` gives the step's
     answer: None, or (F, ||F||_*, dual, feasible), with F a point of the
     program when ``feasible`` is true and dual a lower bound at least
-    -sigma_C(y'); ``last`` is true on the last step of the budget, which
+    -support(y'); ``last`` is true on the last step of the budget, which
     must give an answer.  The loop stops at the first feasible F whose gap
     ||F||_* - dual is at most _GAP ||F||_*, and returns (F, ||F||_*,
     iterations, True); after max_iters steps it returns the last step's
@@ -276,21 +303,21 @@ def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
     """
     sigma = 0.99 / tau
     x = X.take(idx)
-    x_bar = x
     for iters in range(1, max_iters + 1):
-        y = prox(y / sigma + x_bar, sigma)
         Z = X.copy()
         Z.put(idx, x - tau * y)
-        Xn, sv = _svd_soft(Z, tau)
-        nuc = float(np.add.reduce(sv))
-        xn = Xn.take(idx)
-        y_dual = y / (1.0 + _fro(X - Xn) / tau)
-        X, x, x_bar = Xn, xn, 2.0 * xn - x
-        answer = candidate(X, x, nuc, -support(y_dual), iters == max_iters)
+        Xt, sv = _svd_soft(Z, tau)
+        xt = Xt.take(idx)
+        dual = -support(_step_dual(X, y, Xt, tau))
+        answer = candidate(Xt, xt, float(np.add.reduce(sv)), dual, iters == max_iters)
         if answer is not None:
             F, f_nuc, dual, feasible = answer
             if feasible and f_nuc - dual <= _GAP * f_nuc:
                 return F, f_nuc, iters, True
+        yt = prox(y / sigma + (2.0 * xt - x), sigma)
+        X = X + _RHO * (Xt - X)
+        x = x + _RHO * (xt - x)
+        y = y + _RHO * (yt - y)
     return F, f_nuc, iters, False
 
 
@@ -310,19 +337,25 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     Pareto point, the solution on a full mask: X = SVT_mu(Q) and
     y = (P(X) - q) / mu, with mu the root of
     sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
-    smaller Gram matrix gives both: its eigenvalues are the sigma_i^2, and
+    smaller Gram matrix gives all three: its eigenvalues are the sigma_i^2,
     ``_svd_soft`` takes SVT_mu(Q) from its eigenpairs (or by gesdd, where
-    mu lies below its precision floor).  All of this runs on Q and the
-    radius at unit scale (module docstring).
+    mu lies below its precision floor), and y = -P(A V diag(w) V^T), with
+    A = Q (Q^T when Q is wide), V the eigenvectors and
+    w_i = 1 / max(sigma_i, mu), is the same multiplier without the
+    subtraction, which at a tiny mu divides X's rounding error by mu.
+    Where max(sigma_i, mu) lies at or below the precision floor,
+    w_i = 0, so a mu of 0 (a radius whose square underflows) divides
+    nothing.  All of this runs on Q and the radius at unit scale (module
+    docstring).
 
-    Each step's feasible point F is Xn while its residual r = P(Xn) - q has
-    ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xn, with t the end
+    Each step's feasible point F is Xt while its residual r = P(Xt) - q has
+    ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the end
     nearest 1 of the interval of scales that ``_ray`` finds inside the
-    ball; ||t Xn||_* = t ||Xn||_* needs no decomposition, and t Xn keeps
-    Xn's rank.  Where that line misses the ball (or rounding puts t Xn
-    outside it), F is Xn with P(F) = q + r radius / ||r||, the masked
-    repair.  That moves Xn by ||r|| - radius in Frobenius norm, so ||F||_*
-    is at most ||Xn||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own
+    ball; ||t Xt||_* = t ||Xt||_* needs no decomposition, and t Xt keeps
+    Xt's rank.  Where that line misses the ball (or rounding puts t Xt
+    outside it), F is Xt with P(F) = q + r radius / ||r||, the masked
+    repair.  That moves Xt by ||r|| - radius in Frobenius norm, so ||F||_*
+    is at most ||Xt||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own
     nuclear norm takes one values-only SVD (``_masked_repair``), once that
     bound certifies the gap (F counts only if the rounding of
     q + r radius / ||r|| leaves it inside the ball, which a tiny radius may
@@ -334,7 +367,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     multiplier's direction at the solution.  Its exact norm costs one
     ``_op_norm``, taken only when the first point does not certify and
     neither of two free lower bounds on ||P^* f||_op rules it out:
-    |<f, P(Xn)>| / ||Xn||_*, as ||.||_op is dual to ||.||_*, and
+    |<f, P(Xt)>| / ||Xt||_*, as ||.||_op is dual to ||.||_*, and
     ``_op_lower``'s power steps, each warm-started from the last.  The loop
     stops, converged, at the first F whose gap ||F||_* - dual is at most
     _GAP ||F||_*.  After max_iters steps the last F is returned with
@@ -377,6 +410,12 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     k = max(1, int(np.count_nonzero(tails + np.arange(1, len(sq) + 1) * sq > rho2)))
     mu = qnorm * math.sqrt(max(rho2 - tails[k - 1], 0.0) / k)
     X = _svd_soft(Qm, mu, eig)[0]
+    # The start's multiplier (P(X) - q) / mu in closed form (docstring).
+    lam, V = eig
+    s = np.maximum(np.sqrt(np.maximum(lam, 0.0)), mu)  # max(sigma_i, mu), ascending
+    w = np.divide(1.0, s, out=np.zeros_like(s), where=s > _GRAM_FLOOR * s[-1])
+    A = Qm.T if Qm.shape[0] < Qm.shape[1] else Qm
+    Y = (A @ (V * w)) @ V.T
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
     limit = radius * (1.0 + _TOL_FEAS)
@@ -424,7 +463,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         return F, f_nuc, dual, math.sqrt(f @ f) <= limit
 
     F, f_nuc, iters, converged = _pdhg(
-        X, (X.take(idx) - q) / mu, idx, 2.0 * qmax, prox, support, candidate, max_iters
+        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, prox, support, candidate, max_iters
     )
     f = F.take(idx) - q
     f_nuc = float(np.ldexp(f_nuc, e))
@@ -457,14 +496,17 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     s the largest finite |bound|, ``_pdhg`` runs on the box shrunk by
     gamma_k = min(_FEAS_MARGIN s, width_k / 4)
     on each side: its dual prox is v - sigma clip(v / sigma), the clip onto
-    the shrunk box, which keeps the multiplier off every unbounded side.
-    The steps are tau = s / 2 and sigma = 0.99 / tau, so the loop is
-    scale-free like the ball's, and it starts at X = 0, y = 0.  Each step's
-    dual point is certified against the sign box [lo, hi] itself, whose
-    support function is sum over y > 0 of y hi plus sum over y < 0 of
-    y lo.  Once the step's own gap ||Xn||_* - dual is at
-    most _GAP ||Xn||_*, the answer is Xn if it is strictly sign-feasible,
-    and otherwise Xn with its masked entries clipped into the shrunk box
+    the shrunk box.  The steps are tau = s / 2 and sigma = 0.99 / tau, so
+    the loop is scale-free like the ball's, and it starts at X = 0, y = 0.
+    Each step's dual point is certified against the sign box [lo, hi]
+    itself, whose support function is sum over y > 0 of y hi plus sum over
+    y < 0 of y lo.  The prox puts no weight on an unbounded side, but the
+    relaxed multiplier can, and there the support function is infinite; so
+    the support function first drops that part c of the dual point and
+    divides the rest by 1 + ||c||_F, which keeps it dual feasible, as
+    ||P^* c||_op <= ||c||_F.  Once the step's own gap ||Xt||_* - dual is at
+    most _GAP ||Xt||_*, the answer is Xt if it is strictly sign-feasible,
+    and otherwise Xt with its masked entries clipped into the shrunk box
     (strictly sign-feasible by construction), accepted if the gap at its
     own nuclear norm, by one values-only SVD, still certifies.  So every
     converged answer satisfies every sign constraint, and its nuclear norm
@@ -487,12 +529,18 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)  # the box at unit scale
     gamma = np.minimum(_FEAS_MARGIN * scale, 0.25 * (hi - lo))
     box_lo, box_hi = lo + gamma, hi - gamma
+    open_lo, open_hi = np.isinf(lo), np.isinf(hi)
     idx = mask.rows * X.shape[1] + mask.cols  # C-order flat index of the mask
 
     def prox(v, sigma):
         return sigma * (v - np.minimum(np.maximum(v, box_lo), box_hi))
 
     def support(y):
+        # c, y's weight on unbounded sides, would make sigma infinite; as
+        # ||P^* c||_op <= ||c||_F, (y - c) / (1 + ||c||_F) is dual feasible
+        wrong = ((y > 0.0) & open_hi) | ((y < 0.0) & open_lo)
+        c = y[wrong]
+        y = np.where(wrong, 0.0, y) / (1.0 + math.sqrt(c @ c))
         up, down = y > 0.0, y < 0.0
         return float(y[up] @ hi[up] + y[down] @ lo[down])
 
