@@ -309,12 +309,14 @@ def _record(cfg, trial, m_prime, err, ref_norm, bound, report, *, zeta=None, wal
 def _solve_ball(cfg: ExperimentConfig, gt, mask, Q, q_max_sq: float):
     """Ball solve of a trial against data Q, zero off the mask, whose entries
     are bounded by q_max; the radius is the theorem's sqrt(m' (eps + q_max^2))
-    or, under the oracle policy, the trial's true masked residual."""
+    or, under the oracle policy, the trial's true masked residual, floored at
+    1e-12 times the data's norm ||q|| so that it scales with the data, as the
+    solver does."""
     if cfg.effective_delta_policy() == "theorem":
         radius = float(np.sqrt(mask.m_prime * (cfg.epsilon + q_max_sq)))
     else:
-        residual = select_vector(gt, mask) - Q[mask.rows, mask.cols]
-        radius = max(float(np.linalg.norm(residual)), 1e-12)
+        q = Q[mask.rows, mask.cols]
+        radius = max(float(np.linalg.norm(select_vector(gt, mask) - q)), 1e-12 * float(np.linalg.norm(q)))
     return solve_quantized_mc(Q, mask, radius, cfg.max_iters)
 
 

@@ -62,6 +62,9 @@ class OneBitObservation:
             thresholds = np.asarray(self.thresholds, dtype=float)
             if thresholds.shape != signs.shape:
                 raise ValueError("thresholds shape must match signs shape")
+            # +-inf are one-sided bounds, but a NaN threshold bounds nothing
+            if np.isnan(thresholds).any():
+                raise ValueError("thresholds must not be NaN")
             object.__setattr__(self, "thresholds", thresholds)
         signs = signs.astype(np.int64)
         signs.flags.writeable = False

@@ -5,9 +5,11 @@ no regularization term, and both are solved by one certified primal-dual
 (Chambolle-Pock) loop, ``_pdhg``, over-relaxed by _RHO: one singular-value
 soft-threshold per step, ``_svd_soft``, and a stop at the first answer whose
 duality gap is at most _GAP of its nuclear norm.  Each program passes the
-loop its dual prox, the support function of C, and its candidate answer;
-where the iterate misses C, both repair it on the mask alone,
-``_masked_repair``.  Each rule is stated once, in the docstring named here:
+loop the Euclidean projection onto C, the support function of C, and its
+candidate answer; the loop forms the dual step from the projection, and
+where the iterate misses C, both repair it by projecting its masked entries
+onto C, ``_masked_repair``.  Each rule is stated once, in the docstring
+named here:
 
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
   loop starts at Q's own Pareto point and its multiplier (one ``_eigh`` of
@@ -16,11 +18,11 @@ where the iterate misses C, both repair it on the mask alone,
   better of the step's own dual point and the answer's residual, scaled by
   its exact operator norm (``_op_norm``).
 * ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
-  ``feasible_intervals``.  The loop starts at zero and draws its iterates
-  into the box shrunk by a margin; its support function takes the dual
-  point off the box's unbounded sides, and its candidate is the iterate
-  when it satisfies every sign, or else the iterate clipped into the
-  shrunk box.
+  ``feasible_intervals``.  The loop starts at zero and projects onto the
+  box shrunk by a margin, which draws its iterates strictly inside the
+  sign box; its support function takes the dual point off the box's
+  unbounded sides, and its candidate is the iterate with its masked
+  entries clipped into the shrunk box.
 
 Both programs are homogeneous in their data, so the floating-point range
 is settled once, where the data comes in: ``prox_nuclear`` and both
@@ -59,12 +61,15 @@ _GRAM_FLOOR = 1e-4
 
 # Interior margin of the one-bit box, in units of the box's largest finite
 # |bound| and shrunk per entry to a quarter of the entry's feasible interval
-# so the shrunk box stays nonempty: the one-bit loop's multiplier pushes its
-# iterates into the shrunk box, and its repair clips into it, so that they
-# land strictly inside the sign box.  The shrunk box's minimum lies above
-# the sign box's, which the stop certifies against, so the margin scales
-# with the bounds: a fixed 5e-7 kept every solve of onebit_known at
-# alpha = dither_param = 1e-4 from certifying.
+# so the shrunk box stays nonempty: the one-bit loop projects onto the
+# shrunk box, which pushes its iterates, and puts its repair, strictly
+# inside the sign box.  Without it the answer can sit on an open side and
+# flip that sign: on the 1x2 system x < 0, x' >= 1e-3, the box
+# [lo, nextafter(hi)] gave x = -0.0, which reads as +1, with a violation of
+# 0.  The shrunk box's minimum lies above the sign box's, which the stop
+# certifies against, so the margin scales with the bounds: a fixed 5e-7
+# kept every solve of onebit_known at alpha = dither_param = 1e-4 from
+# certifying.
 _FEAS_MARGIN = 5e-7
 
 # Relative duality gap at which both solvers stop: the answer's nuclear norm
@@ -241,13 +246,6 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return np.ldexp(_svd_soft(np.ldexp(Zm, -e), float(np.ldexp(theta, -e)))[0], e)
 
 
-def _fro(a: np.ndarray) -> float:
-    """||a||_F computed as np.linalg.norm does: the root of the dot product of
-    a raveled (in memory order) view with itself."""
-    v = a.ravel(order="K")
-    return math.sqrt(v @ v)
-
-
 def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
     """X with its masked entries (C-order flat indices idx) set to values,
     and that matrix's nuclear norm, by one values-only SVD."""
@@ -262,10 +260,10 @@ def _step_dual(X, y, Xt, tau):
     tau P^* y).  (X - tau P^* y - Xt) / tau is a subgradient of ||.||_* at
     Xt, so its operator norm is at most 1 and ||P^* y||_op is at most
     1 + ||X - Xt||_F / tau, whatever X is."""
-    return y / (1.0 + _fro(X - Xt) / tau)
+    return y / (1.0 + np.linalg.norm(X - Xt) / tau)
 
 
-def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
+def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
     """The primal-dual loop of Chambolle and Pock (J. Math. Imaging Vis.
     2011) on min ||X||_* subject to P(X) in C, from the pair (X, y), with P
     the masked entries at the C-order flat indices idx, over-relaxed by
@@ -275,12 +273,15 @@ def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
     sigma_C the support function of C, and each step maps the pair (X, y)
     primal first,
 
-        Xt = SVT_tau(X - tau P^* y),  yt = prox(y / sigma + P(2 Xt - X), sigma),
+        Xt = SVT_tau(X - tau P^* y),  v = y / sigma + P(2 Xt - X),
+        yt = sigma (v - project(v)),
         X <- X + _RHO (Xt - X),  y <- y + _RHO (yt - y),
 
     one ``_svd_soft`` per step, with sigma = 0.99 / tau (sigma tau ||P||^2
-    < 1).  ``prox(v / sigma, sigma)`` is the prox of sigma * sigma_C at v,
-    v - sigma Pi_C(v / sigma).  The map (X, y) -> (Xt, yt) is firmly
+    < 1) and ``project`` the Euclidean projection Pi_C onto C.  yt is the
+    prox of sigma * sigma_C at sigma v, by Moreau's identity
+    sigma v - sigma Pi_C(v), so each program states C once, as Pi_C.  The
+    map (X, y) -> (Xt, yt) is firmly
     nonexpansive in the method's metric, so any relaxation in (0, 2) keeps
     the iteration convergent (Condat, J. Optim. Theory Appl. 2013;
     Chambolle and Pock, Math. Program. 2016).
@@ -314,7 +315,8 @@ def _pdhg(X, y, idx, tau, prox, support, candidate, max_iters: int):
             F, f_nuc, dual, feasible = answer
             if feasible and f_nuc - dual <= _GAP * f_nuc:
                 return F, f_nuc, iters, True
-        yt = prox(y / sigma + (2.0 * xt - x), sigma)
+        v = y / sigma + (2.0 * xt - x)
+        yt = sigma * (v - project(v))
         X = X + _RHO * (Xt - X)
         x = x + _RHO * (xt - x)
         y = y + _RHO * (yt - y)
@@ -329,9 +331,9 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     otherwise ``ValueError``.  If the zero matrix is feasible it is returned
     directly (it has minimal nuclear norm).  Otherwise the saddle problem
     min_X max_y ||X||_* + <P(X), y> - <y, q> - radius ||y||, q the masked
-    entries of Q, is solved by ``_pdhg``, whose dual prox here is
-    v - sigma Pi(v / sigma), Pi the projection onto the ball, and whose
-    support function is sigma(y) = <y, q> + radius ||y||.  Its steps are
+    entries of Q, is solved by ``_pdhg``, with Pi the projection onto the
+    ball, Pi(v) = q + (v - q) radius / ||v - q|| outside it, and the support
+    function sigma(y) = <y, q> + radius ||y||.  Its steps are
     tau = 2 max_k |q_k| and sigma = 0.99 / tau (X and tau scale with Q,
     y and sigma tau do not).  The loop starts at Q's own
     Pareto point, the solution on a full mask: X = SVT_mu(Q) and
@@ -353,11 +355,11 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     nearest 1 of the interval of scales that ``_ray`` finds inside the
     ball; ||t Xt||_* = t ||Xt||_* needs no decomposition, and t Xt keeps
     Xt's rank.  Where that line misses the ball (or rounding puts t Xt
-    outside it), F is Xt with P(F) = q + r radius / ||r||, the masked
-    repair.  That moves Xt by ||r|| - radius in Frobenius norm, so ||F||_*
-    is at most ||Xt||_* + (||r|| - radius) sqrt(min(n1, n2)), and F's own
-    nuclear norm takes one values-only SVD (``_masked_repair``), once that
-    bound certifies the gap (F counts only if the rounding of
+    outside it), F is Xt with P(F) = Pi(P(Xt)) = q + r radius / ||r||, the
+    masked repair.  That moves Xt by ||r|| - radius in Frobenius norm, so
+    ||F||_* is at most ||Xt||_* + (||r|| - radius) sqrt(min(n1, n2)), and
+    F's own nuclear norm takes one values-only SVD (``_masked_repair``),
+    once that bound certifies the gap (F counts only if the rounding of
     q + r radius / ||r|| leaves it inside the ball, which a tiny radius may
     not).
 
@@ -365,11 +367,10 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     the loop's own y'.  The second is F's own residual, f / ||P^* f||_op with
     f = P(F) - q (r for the masked repair, which is parallel to it), the
     multiplier's direction at the solution.  Its exact norm costs one
-    ``_op_norm``, taken only when the first point does not certify and
-    neither of two free lower bounds on ||P^* f||_op rules it out:
-    |<f, P(Xt)>| / ||Xt||_*, as ||.||_op is dual to ||.||_*, and
-    ``_op_lower``'s power steps, each warm-started from the last.  The loop
-    stops, converged, at the first F whose gap ||F||_* - dual is at most
+    ``_op_norm``, taken only when the first point does not certify and a
+    free lower bound on ||P^* f||_op does not rule it out: ``_op_lower``'s
+    power steps, each warm-started from the last.  The loop stops,
+    converged, at the first F whose gap ||F||_* - dual is at most
     _GAP ||F||_*.  After max_iters steps the last F is returned with
     converged=False.
     """
@@ -422,10 +423,10 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
     u = np.full(Qm.shape[1], 1.0 / math.sqrt(Qm.shape[1]))  # _op_lower's vector, kept across steps
 
-    def prox(v, sigma):
+    def project(v):
         w = v - q
         w_norm = math.sqrt(w @ w)
-        return (sigma * (1.0 - radius / w_norm)) * w if w_norm > radius else np.zeros_like(w)
+        return q + (radius / w_norm) * w if w_norm > radius else v
 
     def support(y):
         return float(y @ q) + radius * math.sqrt(y @ y)
@@ -444,11 +445,12 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         g, f_nuc = (r, nuc + (r_norm - radius) * spread) if masked else (f, t * nuc)
 
         # The second dual point, g / ||P^* g||_op; its exact norm is taken
-        # only when neither free lower bound rules out a certificate.
+        # only when _op_lower's free lower bound does not rule out a
+        # certificate.
         if f_nuc - dual > _GAP * f_nuc:
-            num = -float(g @ q) - radius * math.sqrt(g @ g)
+            num = -support(g)
             need = num / ((1.0 - _GAP) * f_nuc)  # the largest norm that certifies
-            if num > 0.0 and abs(float(g @ x)) <= need * nuc:
+            if num > 0.0:
                 M = np.zeros(Qm.shape)
                 M.put(idx, g)
                 lower, u = _op_lower(M, u)
@@ -458,12 +460,12 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
             return (X if t == 1.0 else t * X), f_nuc, dual, True
         if f_nuc - dual > _GAP * f_nuc and not last:
             return None
-        F, f_nuc = _masked_repair(X, idx, q + (radius / r_norm) * r)
+        F, f_nuc = _masked_repair(X, idx, project(x))
         f = F.take(idx) - q
         return F, f_nuc, dual, math.sqrt(f @ f) <= limit
 
     F, f_nuc, iters, converged = _pdhg(
-        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, prox, support, candidate, max_iters
+        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, project, support, candidate, max_iters
     )
     f = F.take(idx) - q
     f_nuc = float(np.ldexp(f_nuc, e))
@@ -494,25 +496,23 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
 
     Otherwise the program is solved at unit scale (module docstring).  With
     s the largest finite |bound|, ``_pdhg`` runs on the box shrunk by
-    gamma_k = min(_FEAS_MARGIN s, width_k / 4)
-    on each side: its dual prox is v - sigma clip(v / sigma), the clip onto
-    the shrunk box.  The steps are tau = s / 2 and sigma = 0.99 / tau, so
-    the loop is scale-free like the ball's, and it starts at X = 0, y = 0.
-    Each step's dual point is certified against the sign box [lo, hi]
-    itself, whose support function is sum over y > 0 of y hi plus sum over
-    y < 0 of y lo.  The prox puts no weight on an unbounded side, but the
-    relaxed multiplier can, and there the support function is infinite; so
-    the support function first drops that part c of the dual point and
-    divides the rest by 1 + ||c||_F, which keeps it dual feasible, as
-    ||P^* c||_op <= ||c||_F.  Once the step's own gap ||Xt||_* - dual is at
-    most _GAP ||Xt||_*, the answer is Xt if it is strictly sign-feasible,
-    and otherwise Xt with its masked entries clipped into the shrunk box
-    (strictly sign-feasible by construction), accepted if the gap at its
-    own nuclear norm, by one values-only SVD, still certifies.  So every
-    converged answer satisfies every sign constraint, and its nuclear norm
-    is at most 1 / (1 - _GAP) times the program's minimum.  After max_iters
-    steps the last step's clipped (or strictly feasible) point is returned
-    with converged=False.
+    gamma_k = min(_FEAS_MARGIN s, width_k / 4) on each side: its projection
+    is the clip onto the shrunk box.  The steps are tau = s / 2 and
+    sigma = 0.99 / tau, so the loop is scale-free like the ball's, and it
+    starts at X = 0, y = 0.  Each step's dual point is certified against
+    the sign box [lo, hi] itself, whose support function is sum over y > 0
+    of y hi plus sum over y < 0 of y lo.  The dual step puts no weight on an
+    unbounded side, but the relaxed multiplier can, and there the support
+    function is infinite; so the support function first drops that part c
+    of the dual point and divides the rest by 1 + ||c||_F, which keeps it
+    dual feasible, as ||P^* c||_op <= ||c||_F.  Once the step's own gap
+    ||Xt||_* - dual is at most _GAP ||Xt||_*, the answer is Xt with its
+    masked entries clipped into the shrunk box (strictly sign-feasible by
+    construction), accepted if the gap at its own nuclear norm, by one
+    values-only SVD, still certifies.  So every converged answer satisfies
+    every sign constraint, and its nuclear norm is at most 1 / (1 - _GAP)
+    times the program's minimum.  After max_iters steps the last step's
+    clipped point is returned with converged=False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -532,8 +532,8 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     open_lo, open_hi = np.isinf(lo), np.isinf(hi)
     idx = mask.rows * X.shape[1] + mask.cols  # C-order flat index of the mask
 
-    def prox(v, sigma):
-        return sigma * (v - np.minimum(np.maximum(v, box_lo), box_hi))
+    def project(v):
+        return np.minimum(np.maximum(v, box_lo), box_hi)
 
     def support(y):
         # c, y's weight on unbounded sides, would make sigma infinite; as
@@ -547,12 +547,10 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     def candidate(X, x, nuc, dual, last):
         if nuc - dual > _GAP * nuc and not last:
             return None
-        if ((lo <= x) & (x < hi)).all():
-            return X, nuc, dual, True
-        return *_masked_repair(X, idx, np.minimum(np.maximum(x, box_lo), box_hi)), dual, True
+        return *_masked_repair(X, idx, project(x)), dual, True
 
     F, nuc, iters, converged = _pdhg(
-        X, np.zeros(mask.m_prime), idx, 0.5 * scale, prox, support, candidate, max_iters
+        X, np.zeros(mask.m_prime), idx, 0.5 * scale, project, support, candidate, max_iters
     )
     F, nuc = np.ldexp(F, e), float(np.ldexp(nuc, e))
     return SolverReport(

@@ -343,6 +343,30 @@ class TestRunQuantized:
         assert all(r.m_prime == 18 and r.K == 4 for r in records)
 
 
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [
+        ("quantized", dict(K=8, dither_kind="uniform", sample_fraction=0.5, trials=3)),
+        ("onebit_stats_only", dict(sample_fraction=1.0, trials=2)),
+    ],
+)
+def test_oracle_rows_are_scale_free(scenario, extra):
+    # the solver is scale-free, and so is the oracle radius's floor: at
+    # alpha = 2^-50 (delta scaled with it) every row reads as at alpha = 1,
+    # where an absolute floor of 1e-12 exceeded ||q|| and returned X = 0
+    def rows(alpha):
+        delta = alpha / 4 if scenario == "quantized" else 2 * alpha
+        cfg = ExperimentConfig(
+            scenario=scenario, n1=16, n2=16, r=1, alpha=alpha, delta=delta, base_seed=7,
+            delta_policy="oracle", **extra,
+        )
+        return [(r.rel_err, r.iterations, r.converged) for r in run_experiment(cfg)[0]]
+
+    ref = rows(1.0)
+    assert all(rel_err < 1.0 and iterations > 0 for rel_err, iterations, _ in ref)
+    assert rows(2.0**-50) == ref
+
+
 class TestRunOneBit:
     def test_known_dithers_records_all_bounds(self):
         cfg = ExperimentConfig(

@@ -290,3 +290,15 @@ class TestValidation:
     def test_negative_noise_sigma_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             observe_one_bit(np.array([[2.0]]), _one_entry_mask(), _tensor([[0.5]]), noise_sigma=-0.3)
+
+    def test_nan_threshold_rejected(self):
+        # a NaN threshold bounds nothing (its sign would be recorded as -1 and
+        # the solver would return X = 0 with a NaN residual); +-inf are
+        # one-sided bounds and stay allowed
+        mask = SampleMask((2, 2), [0, 0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="NaN"):
+            observe_one_bit(np.ones((2, 2)), mask, _tensor([[0.5, np.nan, -0.2]]))
+        with pytest.raises(ValueError, match="NaN"):
+            OneBitObservation(np.ones((1, 3), dtype=int), _tensor([[0.5, np.nan, -0.2]]), mask)
+        obs = observe_one_bit(np.ones((2, 2)), mask, _tensor([[0.5, np.inf, -np.inf]]))
+        assert obs.signs.tolist() == [[1, -1, 1]]

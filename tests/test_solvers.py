@@ -21,7 +21,7 @@ from quantmc.onebit import (
     strip_thresholds,
     surrogate_data,
 )
-from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix
+from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix, sign_pm1
 from quantmc.solvers import (
     _FEAS_MARGIN,
     _GAP,
@@ -275,11 +275,12 @@ class TestSvdSoft:
         # Each ball solve decomposes Q's Gram matrix once for its start,
         # whose soft-threshold takes those eigenpairs, then takes one
         # soft-threshold per step, each by its own Gram matrix, and at most
-        # one exact operator norm per step, by the eigenvalues of one more;
-        # none of these solves needs the masked repair and its values-only
-        # SVD.  The one-bit solve takes one soft-threshold per step, each by
-        # its own Gram matrix, and at most one values-only SVD per step, for
-        # its masked repair.
+        # one exact operator norm per step, by the eigenvalues of one more,
+        # where _op_lower's bound does not rule it out; none of these solves
+        # needs the masked repair and its values-only SVD.  The one-bit
+        # solve takes one soft-threshold per step, each by its own Gram
+        # matrix, and one values-only SVD, for its masked repair, at each
+        # step whose own gap certifies, the stopping step among them.
         events = []
         svd, svd_soft = np.linalg.svd, quantmc.solvers._svd_soft
         eigh, op_norm = quantmc.solvers._eigh, quantmc.solvers._op_norm
@@ -314,7 +315,7 @@ class TestSvdSoft:
                 steps = run.split("soft")[1:]
                 assert len(steps) == rep.iterations
                 assert all(step.split() in (["eigh"], ["eigh", "values"]) for step in steps)
-                assert any(step.split() == ["eigh", "values"] for step in steps)
+                assert steps[-1].split() == ["eigh", "values"]
             else:
                 start, start_soft, *steps = run.split("soft")
                 assert start.split() == ["eigh"] and start_soft.split() == []
@@ -849,7 +850,7 @@ def _recorded_box_steps(system):
     steps = []
     pdhg = quantmc.solvers._pdhg
 
-    def recording(X, y, idx, tau, prox, support, candidate, max_iters):
+    def recording(X, y, idx, tau, project, support, candidate, max_iters):
         points = []
 
         def recording_support(w):
@@ -861,7 +862,7 @@ def _recorded_box_steps(system):
             steps.append((points[-1], dual, answer))
             return answer
 
-        return pdhg(X, y, idx, tau, prox, recording_support, recording_candidate, max_iters)
+        return pdhg(X, y, idx, tau, project, recording_support, recording_candidate, max_iters)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_pdhg", recording)
@@ -880,6 +881,59 @@ def _box_support(w, lo, hi):
     """sigma_[lo, hi](w): the sum over w > 0 of w hi and over w < 0 of w lo."""
     up, down = w > 0.0, w < 0.0
     return w[up] @ hi[up] + w[down] @ lo[down]
+
+
+def _recorded_projections(solve, *args):
+    """Run solve(*args) and record each projection the loop's dual step
+    takes, at the solver's unit scale: the ``project`` that ``_pdhg``
+    takes, wrapped.  Returns (report, project, projected points)."""
+    points, given = [], []
+    pdhg = quantmc.solvers._pdhg
+
+    def recording(X, y, idx, tau, project, support, candidate, max_iters):
+        def recording_project(v):
+            p = project(v)
+            points.append(p.copy())
+            return p
+
+        given.append(project)
+        return pdhg(X, y, idx, tau, recording_project, support, candidate, max_iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantmc.solvers, "_pdhg", recording)
+        rep = solve(*args)
+    (project,) = given
+    return rep, project, points
+
+
+@pytest.mark.parametrize("problem", ["ball-0", "ball-1", "ball-2", "box-0", "box-1"])
+def test_dual_step_projects_into_the_set(problem):
+    # Each program states its set C once, as its projection: the loop takes
+    # it once per step but the stopping one, for its dual step
+    # sigma (v - project(v)).  Every projected point lies in C: in the ball
+    # to _TOL_FEAS, and in the shrunk box, strictly inside the sign box.  On
+    # the box, projecting twice is projecting once, bitwise.
+    kind, k = problem.split("-")
+    if kind == "ball":
+        Q, mask, radius = _stress_problem(int(k))
+        rep, project, points = _recorded_projections(solve_quantized_mc, Q, mask, radius)
+        q = Q[mask.rows, mask.cols]
+        e = quantmc.solvers._unit_scale(q)[1]
+        q, radius = np.ldexp(q, -e), np.ldexp(radius, -e)
+        for p in points:
+            assert np.linalg.norm(p - q) <= radius * (1.0 + _TOL_FEAS)
+    else:
+        # five sequences per entry (some boxes one-sided), or ten
+        shape, m_prime, m, seed = ((16, 12), 120, 5, 5) if k == "0" else ((12, 12), 80, 10, 20)
+        system = _one_bit_system(shape, m_prime, m, seed)[0]
+        rep, project, points = _recorded_projections(solve_one_bit_mc, system)
+        lo, hi = feasible_intervals(system)
+        e = quantmc.solvers._unit_scale(np.concatenate((lo, hi)))[1]
+        lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)
+        for p in points:
+            assert np.all((lo < p) & (p < hi))
+            np.testing.assert_array_equal(project(p), p)
+    assert rep.converged and len(points) == rep.iterations - 1 > 0
 
 
 class TestSolveOneBitMC:
@@ -958,6 +1012,19 @@ class TestSolveOneBitMC:
         rep = solve_one_bit_mc(OneBitObservation(np.array(signs), thresholds, mask), 2000)
         assert not rep.converged and rep.iterations == 0 and np.all(rep.matrix == 0.0)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.75, 1e3])
+    def test_margin_keeps_a_sign_at_its_tie(self, t):
+        # x < 0 and x' >= t: the minimum sits on the open side x = 0, where
+        # the tie goes to +1 and violation_measure reads 0, so only the
+        # signs show whether the answer stayed strictly inside; without the
+        # interior margin the answer at t = 1e-3 was x = -0.0, sign +1
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
+        system = OneBitObservation(np.array([[-1, 1]]), np.array([[0.0, t]]), mask)
+        rep = solve_one_bit_mc(system)
+        x = rep.matrix[mask.rows, mask.cols]
+        assert rep.converged
+        np.testing.assert_array_equal(sign_pm1(x - system.thresholds), system.signs)
+
     def test_steps_are_scale_free(self):
         # the margin and tau scale with the thresholds, so a scale by a power
         # of two scales every iterate exactly
@@ -984,12 +1051,17 @@ class TestSolveOneBitMC:
 
     @pytest.mark.parametrize("max_iters", [1, 3, 10])
     def test_budget_answer_is_sign_feasible(self, max_iters):
-        # cut short by the budget, the answer is the last iterate clipped into
-        # the shrunk box, and its reported nuclear norm is its own
+        # cut short by the budget, the answer is the last iterate's masked
+        # repair, its masked entries projected onto the shrunk box, so it
+        # lies strictly inside the sign box; its reported nuclear norm is
+        # its own
         system, _ = _one_bit_system((12, 12), 80, 10, seed=20)
         rep = solve_one_bit_mc(system, max_iters)
         assert not rep.converged and rep.iterations == max_iters
         assert rep.data_residual == 0.0
+        lo, hi = feasible_intervals(system)
+        x = rep.matrix[system.mask.rows, system.mask.cols]
+        assert np.all((lo < x) & (x < hi))
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
 
     @pytest.mark.parametrize("problem", ["onebit_known", "unbounded_side"])
