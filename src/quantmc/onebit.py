@@ -131,9 +131,10 @@ def feasible_intervals(system: OneBitObservation):
     -1 threshold (-inf/+inf when a side is unconstrained).
     """
     thresholds = _thresholds(system, "the feasible box")
-    plus = np.where(system.signs > 0, thresholds, -np.inf)
-    minus = np.where(system.signs < 0, thresholds, np.inf)
-    return plus.max(axis=0), minus.min(axis=0)
+    return (
+        thresholds.max(axis=0, where=system.signs > 0, initial=-np.inf),
+        thresholds.min(axis=0, where=system.signs < 0, initial=np.inf),
+    )
 
 
 def hamming(a, b) -> int:
@@ -152,12 +153,13 @@ def consistency_report(x_bar, obs: OneBitObservation, x_true) -> int:
 
     Counts, on the mask only and over all m sequences, positions where
     sign(x_true - t) and sign(x_bar - t) differ, with the tie-at-threshold
-    resolved to +1 on both sides.
+    resolved to +1 on both sides: for finite entries, sign(x - t) is +1
+    exactly when x >= t.
     """
     t = _thresholds(obs, "consistency")
     xt = select_vector(as_matrix(x_true), obs.mask)
     xb = select_vector(as_matrix(x_bar), obs.mask)
-    return hamming(sign_pm1(xt[None, :] - t), sign_pm1(xb[None, :] - t))
+    return int(np.count_nonzero((xt >= t) != (xb >= t)))
 
 
 def t_ave(X, obs: OneBitObservation, power: int) -> float:

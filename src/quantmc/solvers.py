@@ -254,13 +254,13 @@ def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
     return F, float(_gesdd(F, compute_uv=False).sum())
 
 
-def _step_dual(X, y, Xt, tau):
-    """The dual point a step proves feasible for free: y / (1 + ||X -
-    Xt||_F / tau), for the step's input pair (X, y) and Xt = SVT_tau(X -
-    tau P^* y).  (X - tau P^* y - Xt) / tau is a subgradient of ||.||_* at
-    Xt, so its operator norm is at most 1 and ||P^* y||_op is at most
-    1 + ||X - Xt||_F / tau, whatever X is."""
-    return y / (1.0 + np.linalg.norm(X - Xt) / tau)
+def _step_dual(y, D, tau):
+    """The dual point a step proves feasible for free: y / (1 + ||D||_F /
+    tau), for the step's input pair (X, y), Xt = SVT_tau(X - tau P^* y) and
+    its step difference D = Xt - X.  (X - tau P^* y - Xt) / tau is a
+    subgradient of ||.||_* at Xt, so its operator norm is at most 1 and
+    ||P^* y||_op is at most 1 + ||D||_F / tau, whatever X is."""
+    return y / (1.0 + np.linalg.norm(D) / tau)
 
 
 def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
@@ -275,10 +275,13 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
 
         Xt = SVT_tau(X - tau P^* y),  v = y / sigma + P(2 Xt - X),
         yt = sigma (v - project(v)),
-        X <- X + _RHO (Xt - X),  y <- y + _RHO (yt - y),
+        X <- X + _RHO D,  y <- y + _RHO (yt - y),
 
     one ``_svd_soft`` per step, with sigma = 0.99 / tau (sigma tau ||P||^2
-    < 1) and ``project`` the Euclidean projection Pi_C onto C.  yt is the
+    < 1) and ``project`` the Euclidean projection Pi_C onto C.  The step
+    difference D = Xt - X is formed once and serves both the relaxation and
+    the dual point below; the relaxed P(X) is read off the relaxed X, the
+    same bits as relaxing P(X) on its own.  yt is the
     prox of sigma * sigma_C at sigma v, by Moreau's identity
     sigma v - sigma Pi_C(v), so each program states C once, as Pi_C.  The
     map (X, y) -> (Xt, yt) is firmly
@@ -288,8 +291,8 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
 
     Any y with ||P^* y||_op <= 1 proves that no point of the program has a
     nuclear norm below -sigma_C(y), and each step has one for free,
-    y' = ``_step_dual(X, y, Xt, tau)``: the soft-threshold's subgradient
-    holds for any input X, the relaxed one included.  ``support(y')`` is
+    y' = ``_step_dual(y, D, tau)``: the soft-threshold's subgradient holds
+    for any input X, the relaxed one included.  ``support(y')`` is
     sigma_C at y', or at a dual-feasible point the program derives from it
     where sigma_C(y') is infinite.
 
@@ -309,7 +312,8 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
         Z.put(idx, x - tau * y)
         Xt, sv = _svd_soft(Z, tau)
         xt = Xt.take(idx)
-        dual = -support(_step_dual(X, y, Xt, tau))
+        D = Xt - X
+        dual = -support(_step_dual(y, D, tau))
         answer = candidate(Xt, xt, float(np.add.reduce(sv)), dual, iters == max_iters)
         if answer is not None:
             F, f_nuc, dual, feasible = answer
@@ -317,8 +321,8 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
                 return F, f_nuc, iters, True
         v = y / sigma + (2.0 * xt - x)
         yt = sigma * (v - project(v))
-        X = X + _RHO * (Xt - X)
-        x = x + _RHO * (xt - x)
+        X = X + _RHO * D
+        x = X.take(idx)
         y = y + _RHO * (yt - y)
     return F, f_nuc, iters, False
 
@@ -505,11 +509,18 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     unbounded side, but the relaxed multiplier can, and there the support
     function is infinite; so the support function first drops that part c
     of the dual point and divides the rest by 1 + ||c||_F, which keeps it
-    dual feasible, as ||P^* c||_op <= ||c||_F.  Once the step's own gap
-    ||Xt||_* - dual is at most _GAP ||Xt||_*, the answer is Xt with its
-    masked entries clipped into the shrunk box (strictly sign-feasible by
-    construction), accepted if the gap at its own nuclear norm, by one
-    values-only SVD, still certifies.  So every converged answer satisfies
+    dual feasible, as ||P^* c||_op <= ||c||_F.  That is vector arithmetic,
+    with y+ = max(y, 0), y- = min(y, 0) and the bounds' infinite sides set
+    to 0 in hi_f and lo_f: sigma = (<y+, hi_f> + <y-, lo_f>) / (1 + ||c||),
+    ||c||^2 the sum of (y+)^2 over hi = +inf and of (y-)^2 over lo = -inf,
+    with hi_f, lo_f and the 0/1 side weights formed once per solve.  Once
+    the step's own gap ||Xt||_* - dual is at most _GAP ||Xt||_*, the
+    answer is Xt with its masked entries clipped into the shrunk box
+    (strictly sign-feasible by construction), accepted if the gap at its
+    own nuclear norm, by one values-only SVD, still certifies.  That needs
+    dual >= (1 - _GAP) ||F||_* > 0, as the clipped F is never 0, so no
+    repair is taken while dual <= 0 (as at step 1, where Xt = 0), but on
+    the budget's last step.  So every converged answer satisfies
     every sign constraint, and its nuclear norm is at most 1 / (1 - _GAP)
     times the program's minimum.  After max_iters steps the last step's
     clipped point is returned with converged=False.
@@ -530,6 +541,8 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     gamma = np.minimum(_FEAS_MARGIN * scale, 0.25 * (hi - lo))
     box_lo, box_hi = lo + gamma, hi - gamma
     open_lo, open_hi = np.isinf(lo), np.isinf(hi)
+    lo_f, hi_f = np.where(open_lo, 0.0, lo), np.where(open_hi, 0.0, hi)
+    w_lo, w_hi = open_lo.astype(float), open_hi.astype(float)
     idx = mask.rows * X.shape[1] + mask.cols  # C-order flat index of the mask
 
     def project(v):
@@ -538,14 +551,13 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     def support(y):
         # c, y's weight on unbounded sides, would make sigma infinite; as
         # ||P^* c||_op <= ||c||_F, (y - c) / (1 + ||c||_F) is dual feasible
-        wrong = ((y > 0.0) & open_hi) | ((y < 0.0) & open_lo)
-        c = y[wrong]
-        y = np.where(wrong, 0.0, y) / (1.0 + math.sqrt(c @ c))
-        up, down = y > 0.0, y < 0.0
-        return float(y[up] @ hi[up] + y[down] @ lo[down])
+        up, down = np.maximum(y, 0.0), np.minimum(y, 0.0)
+        c_norm = math.sqrt((up * up) @ w_hi + (down * down) @ w_lo)
+        return float(up @ hi_f + down @ lo_f) / (1.0 + c_norm)
 
     def candidate(X, x, nuc, dual, last):
-        if nuc - dual > _GAP * nuc and not last:
+        # A repair certifies only if dual >= (1 - _GAP) ||F||_* > 0.
+        if not last and (dual <= 0.0 or nuc - dual > _GAP * nuc):
             return None
         return *_masked_repair(X, idx, project(x)), dual, True
 

@@ -17,6 +17,7 @@ from quantmc.onebit import (
     build_polyhedron,
     consistency_report,
     feasible_intervals,
+    hamming,
     observe_one_bit,
     strip_thresholds,
     surrogate_data,
@@ -460,15 +461,15 @@ def _stress_problem(k):
 
 def _last_step(solve, *args):
     """Run solve(*args) and record the last step ``_pdhg`` takes: its input
-    pair (X, y), its soft-threshold Xt = SVT_tau(X - tau P^* y) and tau, at
-    the solver's unit scale, which y does not see.  Returns (report, (X, y,
-    Xt, tau))."""
+    multiplier y, its step difference D = Xt - X, with Xt = SVT_tau(X -
+    tau P^* y) for the step's input X, and tau, at the solver's unit scale,
+    which y does not see.  Returns (report, (y, D, tau))."""
     last = []
     step_dual = quantmc.solvers._step_dual
 
-    def recording(X, y, Xt, tau):
-        last[:] = [(X.copy(), y.copy(), Xt.copy(), tau)]
-        return step_dual(X, y, Xt, tau)
+    def recording(y, D, tau):
+        last[:] = [(y.copy(), D.copy(), tau)]
+        return step_dual(y, D, tau)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_step_dual", recording)
@@ -482,19 +483,20 @@ def _certified(Q, mask, radius):
     gesdd or np.linalg.norm.
 
     Two dual points are tried, and the one with the smaller gap is kept.
-    The first is the last step's own: from its input pair (X, y) and
-    Xt = SVT_tau(X - tau P^* y), the point y / (1 + ||X - Xt||_F / tau).
+    The first is the last step's own: from its input multiplier y and its
+    step difference D = Xt - X, Xt = SVT_tau(X - tau P^* y), the point
+    y / (1 + ||D||_F / tau).
     The second is the answer's own residual f = P(answer) - q, as
     f / ||P^* f||_op, unless f = 0.  Returns (report, nuclear norm and
     residual of the answer, ||P^* y||_op of the kept point y, gap
     ||answer||_* + <y, q> + radius ||y||).
     """
-    rep, (X, y, Xt, tau) = _last_step(solve_quantized_mc, Q, mask, radius)
+    rep, (y, D, tau) = _last_step(solve_quantized_mc, Q, mask, radius)
     q = Q[mask.rows, mask.cols]
     nuclear = np.linalg.norm(rep.matrix, "nuc")
     f = rep.matrix[mask.rows, mask.cols] - q
     residual = np.linalg.norm(f)
-    points = [y / (1.0 + np.linalg.norm(X - Xt) / tau)]
+    points = [y / (1.0 + np.linalg.norm(D) / tau)]
     if np.any(f != 0.0):
         points.append(f / np.linalg.norm(scatter_vector(f, mask), 2))
     gaps = [nuclear + y @ q + radius * np.linalg.norm(y) for y in points]
@@ -1153,6 +1155,74 @@ class TestSolveOneBitMC:
                 OneBitObservation(np.zeros((0, 1), dtype=int), thresholds, mask)
 
 
+def _open_box_system(rng, n):
+    """A random 1 x n one-bit system over two sequences whose entries' boxes
+    are two-sided, lower-open, upper-open or all-open, with the zero matrix
+    outside the box: the first entry's box lies in [1, 2]."""
+    kinds = rng.integers(0, 4, n)
+    kinds[0] = 0
+    base = rng.uniform(-1.0, 0.5, n)
+    lo = np.where(kinds % 2 == 0, base, -np.inf)
+    hi = np.where(kinds < 2, base + rng.uniform(0.1, 1.0, n), np.inf)
+    lo[0], hi[0] = 1.0, 2.0
+    signs = np.array([np.ones(n), -np.ones(n)], dtype=int)
+    return OneBitObservation(signs, np.array([lo, hi]), SampleMask((1, n), np.zeros(n, dtype=int), np.arange(n)))
+
+
+def _old_feasible_intervals(system):
+    """``feasible_intervals`` written out with np.where."""
+    plus = np.where(system.signs > 0, system.thresholds, -np.inf)
+    minus = np.where(system.signs < 0, system.thresholds, np.inf)
+    return plus.max(axis=0), minus.min(axis=0)
+
+
+def test_vector_forms_match_their_definitions():
+    # The one-bit support function, sigma over the sign box after dropping
+    # the part c of y on unbounded sides and dividing by 1 + ||c||_F, is
+    # formed from bound vectors with their infinite sides set to 0; on
+    # random multipliers with zeros, over boxes of every openness, it is the
+    # definition (_support_repair, then _box_support) to 1e-12 relative.
+    # feasible_intervals' masked reductions and consistency_report's
+    # comparison count equal their np.where and sign_pm1 / hamming forms
+    # exactly, with ties at thresholds and +-inf thresholds.
+    rng = np.random.default_rng(2028)
+    pdhg = quantmc.solvers._pdhg
+    for _ in range(20):
+        system = _open_box_system(rng, 40)
+        supports = []
+
+        def recording(X, y, idx, tau, project, support, candidate, max_iters):
+            supports.append(support)
+            return pdhg(X, y, idx, tau, project, support, candidate, max_iters)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantmc.solvers, "_pdhg", recording)
+            solve_one_bit_mc(system, 1)
+        (support,) = supports
+        lo, hi = feasible_intervals(system)
+        for open_lo in (False, True):
+            for open_hi in (False, True):
+                assert np.any((np.isinf(lo) == open_lo) & (np.isinf(hi) == open_hi))
+        e = quantmc.solvers._unit_scale(np.concatenate((lo, hi)))[1]
+        lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)
+        finite = np.abs(np.where(np.isinf(lo), 0.0, lo)) + np.abs(np.where(np.isinf(hi), 0.0, hi))
+        for _ in range(5):
+            y = rng.standard_normal(lo.size) * (rng.random(lo.size) < 0.7)
+            expected = _box_support(_support_repair(y, lo, hi), lo, hi)
+            assert support(y) == pytest.approx(expected, rel=1e-12, abs=1e-12 * float(np.abs(y) @ finite))
+
+    grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
+    for _ in range(100):
+        m, n = (int(v) for v in rng.integers(1, 6, 2))
+        mask = SampleMask((1, n), np.zeros(n, dtype=int), np.arange(n))
+        system = OneBitObservation(rng.choice([-1, 1], (m, n)), rng.choice(grid, (m, n)), mask)
+        for new, old in zip(feasible_intervals(system), _old_feasible_intervals(system)):
+            np.testing.assert_array_equal(new, old)
+        t = system.thresholds
+        xt, xb = (rng.choice(grid[1:-1], (1, n)) for _ in range(2))
+        assert consistency_report(xb, system, xt) == hamming(sign_pm1(xt - t), sign_pm1(xb - t))
+
+
 def _budget_solves():
     """One solve per case, given its budget: each solver on a problem that
     takes steps, and on one whose zero matrix is feasible."""
@@ -1185,14 +1255,42 @@ def test_budget_below_one_rejected(case):
 # unrelaxed).
 BOX_ITERATION_LIMIT = 430
 
+# Most masked repairs (values-only SVDs) of the one-bit solver over the same
+# trials: it takes 38, one per solve fewer than the 48 of a candidate that
+# also repairs while the step's dual bound is at most 0, as at step 1.
+BOX_REPAIR_LIMIT = 40
+
 
 def test_bench_workload_box_iterations(solves):
-    for seed in range(2, 12):
-        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
-        records, _ = quantmc.harness.run_experiment(cfg)
-        assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
+    # Also: no repair runs at a step whose dual bound is at most 0, where it
+    # cannot certify, but on the budget's last step.
+    repairs = []
+    pdhg, masked_repair = quantmc.solvers._pdhg, quantmc.solvers._masked_repair
+
+    def recording(X, y, idx, tau, project, support, candidate, max_iters):
+        def recording_candidate(X, x, nuc, dual, last):
+            before = len(repairs)
+            answer = candidate(X, x, nuc, dual, last)
+            repairs[before:] = [(dual, last)] * (len(repairs) - before)
+            return answer
+
+        return pdhg(X, y, idx, tau, project, support, recording_candidate, max_iters)
+
+    def counting(*args):
+        repairs.append(None)
+        return masked_repair(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantmc.solvers, "_pdhg", recording)
+        mp.setattr(quantmc.solvers, "_masked_repair", counting)
+        for seed in range(2, 12):
+            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
+            records, _ = quantmc.harness.run_experiment(cfg)
+            assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
     assert len(solves) == 10 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= BOX_ITERATION_LIMIT
+    assert 10 <= len(repairs) <= BOX_REPAIR_LIMIT
+    assert all(dual > 0.0 or last for dual, last in repairs)
 
 
 def _box_certified(system):
@@ -1200,15 +1298,16 @@ def _box_certified(system):
     against the sign box [lo, hi] from the inputs and outputs of the loop
     alone, with every norm taken by gesdd.
 
-    From the last step's input pair (X, y) and Xt = SVT_tau(X - tau P^* y),
-    the step's dual point is y' = y / (1 + ||X - Xt||_F / tau), and
-    ``_support_repair`` takes it off the unbounded sides.  Returns (report,
+    From the last step's input multiplier y and its step difference
+    D = Xt - X, Xt = SVT_tau(X - tau P^* y), the step's dual point is
+    y' = y / (1 + ||D||_F / tau), and ``_support_repair`` takes it off the
+    unbounded sides.  Returns (report,
     nuclear norm of the answer, ||P^* y''||_op, gap ||answer||_* +
     sigma_[lo, hi](y'')) for that repaired point y''.
     """
-    rep, (X, y, Xt, tau) = _last_step(solve_one_bit_mc, system)
+    rep, (y, D, tau) = _last_step(solve_one_bit_mc, system)
     lo, hi = feasible_intervals(system)
-    y = _support_repair(y / (1.0 + np.linalg.norm(X - Xt) / tau), lo, hi)
+    y = _support_repair(y / (1.0 + np.linalg.norm(D) / tau), lo, hi)
     nuclear = np.linalg.norm(rep.matrix, "nuc")
     return rep, nuclear, np.linalg.norm(scatter_vector(y, system.mask), 2), nuclear + _box_support(y, lo, hi)
 

@@ -1,0 +1,145 @@
+"""Alternating parent/change pairs of the benchmark, summarized per workload.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --pr 28 \\
+        --workloads onebit_known large_n --seeds 2801-2810 [--seconds 30]
+
+Each checkout must hold ``perfbench/run.py`` and ``BENCHMARK.json``.  For
+every workload and seed, the pair's two runs of
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+go one after the other, each in its own checkout, and the side that runs
+first alternates from pair to pair, so that a drift of the machine falls on
+both sides alike.  Every run (its end-to-end metrics, trial counts and
+report hash) and, per workload and metric, each side's median and
+quartiles, the change's relative move of the median and the pairs the
+change wins go into ``BENCH_<pr>.json`` in the current directory.  Keys of
+an existing file that this script does not write (notes, step counts) are
+kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def summarize(parent, change, better):
+    """Summary of one metric over paired runs: parent[i] and change[i] come
+    from pair i, and better is "lower" or "higher".  The change wins a pair
+    where its value is strictly better; the quartiles are numpy's linear
+    25th and 75th percentiles, and change_rel is the change's median over
+    the parent's, minus 1 (None at a parent median of 0)."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError(f"need equal, nonempty sides, got {len(parent)} and {len(change)} runs")
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    p, c = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
+    wins = c < p if better == "lower" else c > p
+    p_med, c_med = float(np.median(p)), float(np.median(c))
+    return {
+        "parent_median": p_med,
+        "change_median": c_med,
+        "parent_quartiles": [float(v) for v in np.percentile(p, [25, 75])],
+        "change_quartiles": [float(v) for v in np.percentile(c, [25, 75])],
+        "change_rel": c_med / p_med - 1.0 if p_med != 0.0 else None,
+        "change_wins": int(np.count_nonzero(wins)),
+        "pairs": len(p),
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in checkout: its last stdout line, the JSON result,
+    with the report hash the run printed added as ``report_csv_sha256``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {out.returncode}: {out.stderr.strip()}")
+    result = json.loads(lines[-1])
+    result["report_csv_sha256"] = next((line.split()[1] for line in lines if line.startswith("report_csv_sha256 ")), None)
+    return result
+
+
+def git_commit(checkout: Path):
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def workload_row(workload, seeds, seconds, first_sides, results, spec):
+    """The BENCH row of one workload: results[side][i] is run i of side."""
+    row = {
+        "workload": workload,
+        "seconds": seconds,
+        "trace": 0,
+        "seeds": list(seeds),
+        "first_side": list(first_sides),
+        "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
+        "report_csv_sha256": {side: [r["report_csv_sha256"] for r in results[side]] for side in SIDES},
+        "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
+        "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
+        "metrics": {},
+    }
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        row["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            **values,
+            **summarize(values["parent"], values["change"], metric["better"]),
+        }
+    return row
+
+
+def parse_seeds(text: str):
+    """'2801-2810' or '5,7,9' as a list of ints."""
+    if "-" in text:
+        first, last = (int(v) for v in text.split("-"))
+        return list(range(first, last + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+
+    path = Path(f"BENCH_{args.pr}.json")
+    bench = json.loads(path.read_text()) if path.exists() else {}
+    bench["command"] = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"
+    bench.update({f"{side}_commit": git_commit(checkouts[side]) for side in SIDES})
+    rows = {row["workload"]: row for row in bench.get("runs", [])}
+    for workload in args.workloads:
+        results = {side: [] for side in SIDES}
+        first_sides = []
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            first_sides.append(order[0])
+            for side in order:
+                results[side].append(run_once(checkouts[side], workload, seed, args.seconds))
+            wall = {side: results[side][-1]["metrics"]["wall_svd"]["value"] for side in SIDES}
+            print(f"{workload} seed {seed}: wall_svd parent {wall['parent']:.4g} change {wall['change']:.4g}", flush=True)
+        rows[workload] = workload_row(workload, args.seeds, args.seconds, first_sides, results, spec)
+        bench["runs"] = list(rows.values())
+        path.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
