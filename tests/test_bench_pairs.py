@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py; Tier-1 runs no benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ _SPEC.loader.exec_module(bench_pairs)
 def test_summary_of_lower_is_better():
     parent = [10.0, 12.0, 11.0, 13.0, 9.0]
     change = [9.0, 12.0, 10.0, 14.0, 8.0]
-    s = bench_pairs.summarize(parent, change, "lower")
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
     assert s["parent_median"] == 11.0 and s["change_median"] == 10.0
     assert s["parent_quartiles"] == [10.0, 12.0] and s["change_quartiles"] == [9.0, 12.0]
     assert s["change_rel"] == pytest.approx(-1.0 / 11.0)
@@ -23,14 +24,14 @@ def test_summary_of_lower_is_better():
 
 
 def test_summary_of_higher_is_better():
-    s = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0], "higher")
+    s = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0], "higher", 0.25)
     assert s["parent_median"] == 2.5 and s["change_median"] == 2.0
     assert s["parent_quartiles"] == [1.75, 3.25]
     assert s["change_wins"] == 2 and s["pairs"] == 4
 
 
 def test_summary_at_a_zero_parent_median():
-    s = bench_pairs.summarize([0.0, 0.0], [0.0, 1.0], "lower")
+    s = bench_pairs.summarize([0.0, 0.0], [0.0, 1.0], "lower", 0.25)
     assert s["change_rel"] is None and s["change_wins"] == 0
 
 
@@ -40,7 +41,64 @@ def test_summary_at_a_zero_parent_median():
 )
 def test_summary_rejects_bad_input(parent, change, better):
     with pytest.raises(ValueError):
-        bench_pairs.summarize(parent, change, better)
+        bench_pairs.summarize(parent, change, better, 0.25)
+
+
+# Ten parent runs with median 10.0 and interquartile range 1.0.
+_PARENT = [9.0, 9.5, 9.5, 9.5, 10.0, 10.0, 10.5, 10.5, 10.5, 11.0]
+
+
+@pytest.mark.parametrize(
+    "change, better, holds",
+    [
+        # every pair better, the median 1.5 below: the claim holds
+        ([v - 1.5 for v in _PARENT], "lower", True),
+        # the same for a higher-is-better metric
+        ([v + 1.5 for v in _PARENT], "higher", True),
+        # 8 of 10 pairs better, though the median moves by 1.5
+        ([v - 1.5 for v in _PARENT[:8]] + [v + 1.0 for v in _PARENT[8:]], "lower", False),
+        # every pair better, but the median moves by the IQR alone
+        ([v - 1.0 for v in _PARENT], "lower", False),
+        # a gain in the wrong direction
+        ([v - 1.5 for v in _PARENT], "higher", False),
+    ],
+)
+def test_claim_holds_needs_nine_wins_in_ten_and_a_move_past_the_iqr(change, better, holds):
+    s = bench_pairs.summarize(_PARENT, change, better, 0.25)
+    assert s["parent_quartiles"] == [9.5, 10.5]
+    assert s["claim_holds"] is holds
+
+
+@pytest.mark.parametrize(
+    "shift, better, within",
+    [
+        (2.4, "lower", True),  # 24% worse
+        (2.5, "lower", True),  # at the bound
+        (2.6, "lower", False),
+        (-5.0, "lower", True),  # better by any amount
+        (-2.4, "higher", True),
+        (-2.6, "higher", False),
+        (5.0, "higher", True),
+    ],
+)
+def test_within_bound_compares_the_medians(shift, better, within):
+    s = bench_pairs.summarize(_PARENT, [v + shift for v in _PARENT], better, 0.25)
+    assert s["within_bound"] is within
+
+
+def test_commit_of_a_checkout(tmp_path):
+    # a checkout's HEAD names it only while its tracked files are unchanged
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    assert bench_pairs.git_commit(tmp_path) is None
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "f").write_text("a")
+    subprocess.run(git + ["add", "f"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "f"], cwd=tmp_path, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+    (tmp_path / "untracked").write_text("b")
+    assert bench_pairs.git_commit(tmp_path) == head
+    (tmp_path / "f").write_text("c")
+    assert bench_pairs.git_commit(tmp_path) is None
 
 
 def test_seed_ranges():

@@ -12,10 +12,10 @@ go one after the other, each in its own checkout, and the side that runs
 first alternates from pair to pair, so that a drift of the machine falls on
 both sides alike.  Every run (its end-to-end metrics, trial counts and
 report hash) and, per workload and metric, each side's median and
-quartiles, the change's relative move of the median and the pairs the
-change wins go into ``BENCH_<pr>.json`` in the current directory.  Keys of
-an existing file that this script does not write (notes, step counts) are
-kept.
+quartiles, the change's relative move of the median, the pairs the change
+wins and the two results of the review rule (``summarize``) go into
+``BENCH_<pr>.json`` in the current directory.  Keys of an existing file
+that this script does not write (notes, step counts) are kept.
 """
 
 from __future__ import annotations
@@ -31,12 +31,17 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def summarize(parent, change, better):
+def summarize(parent, change, better, bound):
     """Summary of one metric over paired runs: parent[i] and change[i] come
-    from pair i, and better is "lower" or "higher".  The change wins a pair
-    where its value is strictly better; the quartiles are numpy's linear
-    25th and 75th percentiles, and change_rel is the change's median over
-    the parent's, minus 1 (None at a parent median of 0)."""
+    from pair i, better is "lower" or "higher", and bound the metric's
+    relative bound.  The change wins a pair where its value is strictly
+    better; the quartiles are numpy's linear 25th and 75th percentiles, and
+    change_rel is the change's median over the parent's, minus 1 (None at a
+    parent median of 0).  The review rule's two results: ``claim_holds``,
+    the change wins at least 9 in 10 pairs and its median is better than
+    the parent's by more than the parent's interquartile range; and
+    ``within_bound``, the change's median is worse than the parent's by at
+    most bound times the parent's median (in magnitude)."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonempty sides, got {len(parent)} and {len(change)} runs")
     if better not in ("lower", "higher"):
@@ -44,14 +49,19 @@ def summarize(parent, change, better):
     p, c = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
     wins = c < p if better == "lower" else c > p
     p_med, c_med = float(np.median(p)), float(np.median(c))
+    p_q = [float(v) for v in np.percentile(p, [25, 75])]
+    gain = p_med - c_med if better == "lower" else c_med - p_med
+    wins_n = int(np.count_nonzero(wins))
     return {
         "parent_median": p_med,
         "change_median": c_med,
-        "parent_quartiles": [float(v) for v in np.percentile(p, [25, 75])],
+        "parent_quartiles": p_q,
         "change_quartiles": [float(v) for v in np.percentile(c, [25, 75])],
         "change_rel": c_med / p_med - 1.0 if p_med != 0.0 else None,
-        "change_wins": int(np.count_nonzero(wins)),
+        "change_wins": wins_n,
         "pairs": len(p),
+        "claim_holds": 10 * wins_n >= 9 * len(p) and gain > p_q[1] - p_q[0],
+        "within_bound": -gain <= bound * abs(p_med),
     }
 
 
@@ -69,8 +79,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def git_commit(checkout: Path):
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """The commit checkout holds, or None where it is no git checkout or
+    has changes to tracked files, which its HEAD would not describe."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=checkout, capture_output=True, text=True)
+    return head.stdout.strip() if head.returncode == 0 and dirty.returncode == 0 and not dirty.stdout.strip() else None
 
 
 def workload_row(workload, seeds, seconds, first_sides, results, spec):
@@ -95,7 +108,7 @@ def workload_row(workload, seeds, seconds, first_sides, results, spec):
             "better": metric["better"],
             "bound": metric["bound"],
             **values,
-            **summarize(values["parent"], values["change"], metric["better"]),
+            **summarize(values["parent"], values["change"], metric["better"], metric["bound"]),
         }
     return row
 
