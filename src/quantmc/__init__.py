@@ -37,7 +37,6 @@ from .onebit import (
     UnsupportedModeError,
     build_polyhedron,
     consistency_report,
-    hamming,
     observe_one_bit,
     strip_thresholds,
     surrogate_data,

@@ -22,7 +22,6 @@ __all__ = [
     "build_polyhedron",
     "consistency_report",
     "feasible_intervals",
-    "hamming",
     "observe_one_bit",
     "strip_thresholds",
     "surrogate_data",
@@ -38,7 +37,9 @@ class UnsupportedModeError(RuntimeError):
 @dataclasses.dataclass(frozen=True, eq=False)
 class OneBitObservation:
     """Signs of masked entries against m threshold sequences: the sign system
-    s * (x_k - t) >= 0, one constraint per (sequence, masked entry).
+    x_k >= t where s = +1 and x_k < t where s = -1, one constraint per
+    (sequence, masked entry); the strict side is the +1 tie rule of
+    ``sign_pm1``.
 
     Row l, column k of ``signs``/``thresholds`` is the constraint on the k-th
     masked entry (canonical mask order) from the l-th sequence.
@@ -110,25 +111,38 @@ def build_polyhedron(obs: OneBitObservation) -> OneBitObservation:
 
 
 def violation_measure(system: OneBitObservation, X) -> float:
-    """Root-sum-square of constraint violations max(0, -s*(x_k - t)).
+    """Root-sum-square of the sign constraints' violations.
 
-    Zero exactly when X's masked entries lie in the closed box [lo, hi] of
-    ``feasible_intervals``.  An entry on the threshold of a -1 sign reads
-    zero here, yet the +1 tie rule gives it the opposite sign, and
-    ``consistency_report`` counts that tie as a disagreement.
+    A +1 sign asks x_k >= t and is violated by max(0, t - x_k); a -1 sign
+    asks x_k < t, that is x_k <= t' = nextafter(t, -inf), and is violated
+    by max(0, x_k - t').  So it is zero exactly when X's masked entries lie
+    in the half-open box lo <= x < hi of ``feasible_intervals``, and an
+    entry on the threshold of a -1 sign, which the +1 tie rule reads as
+    +1, violates it.  The violations are divided by the largest before
+    squaring, so that a violation reads as nonzero however small it is.
     """
     x = select_vector(as_matrix(X), system.mask)
-    slack = system.signs * (x[None, :] - _thresholds(system, "violation"))
-    v = np.minimum(slack, 0.0)
-    return float(np.sqrt(np.sum(v * v)))
+    t = _thresholds(system, "violation")
+    plus = system.signs > 0
+    broken = (x < t) == plus  # x reads as -s under the +1 tie rule
+    if not broken.any():
+        return 0.0
+    x, t, plus = np.broadcast_to(x, t.shape)[broken], t[broken], plus[broken]
+    v = np.where(plus, t - x, x - np.nextafter(t, -np.inf))
+    largest = float(v.max())
+    if largest == np.inf:
+        return largest
+    v = v / largest
+    return largest * float(np.sqrt(v @ v))
 
 
 def feasible_intervals(system: OneBitObservation):
-    """Per-entry feasible interval [lo, hi] implied by the sign constraints.
+    """Per-entry feasible interval [lo, hi) implied by the sign constraints.
 
     Each constraint touches a single entry, so the polyhedron is the box
-    lo_k <= x_k <= hi_k with lo the largest +1 threshold and hi the smallest
-    -1 threshold (-inf/+inf when a side is unconstrained).
+    lo_k <= x_k < hi_k with lo the largest +1 threshold and hi the smallest
+    -1 threshold (-inf/+inf when a side is unconstrained); the open side is
+    the +1 tie rule of ``sign_pm1``.
     """
     thresholds = _thresholds(system, "the feasible box")
     return (
@@ -137,19 +151,9 @@ def feasible_intervals(system: OneBitObservation):
     )
 
 
-def hamming(a, b) -> int:
-    """Number of positions where two equal-size sign arrays differ."""
-    av = np.asarray(a).ravel()
-    bv = np.asarray(b).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    if not (np.all(np.abs(av) == 1) and np.all(np.abs(bv) == 1)):
-        raise ValueError("inputs must be +-1 sign vectors")
-    return int(np.count_nonzero(av != bv))
-
-
 def consistency_report(x_bar, obs: OneBitObservation, x_true) -> int:
-    """Sign disagreements zeta between a solution and the generating matrix.
+    """Sign disagreements zeta between a solution and the generating matrix:
+    the paper's Hamming distance between their sign patterns.
 
     Counts, on the mask only and over all m sequences, positions where
     sign(x_true - t) and sign(x_bar - t) differ, with the tie-at-threshold

@@ -5,24 +5,25 @@ no regularization term, and both are solved by one certified primal-dual
 (Chambolle-Pock) loop, ``_pdhg``, over-relaxed by _RHO: one singular-value
 soft-threshold per step, ``_svd_soft``, and a stop at the first answer whose
 duality gap is at most _GAP of its nuclear norm.  Each program passes the
-loop the Euclidean projection onto C, the support function of C, and its
-candidate answer; the loop forms the dual step from the projection, and
-where the iterate misses C, both repair it by projecting its masked entries
-onto C, ``_masked_repair``.  Each rule is stated once, in the docstring
+loop the Euclidean projection onto C and the support function of C; the
+loop forms the dual step from the projection, and repairs an iterate that
+misses C by projecting its masked entries onto C, under one rule for when
+that repair's SVD can pay.  Each rule is stated once, in the docstring
 named here:
 
+* ``_pdhg``: the step, its free dual point, the masked repair and the stop.
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
   loop starts at Q's own Pareto point and its multiplier (one ``_eigh`` of
-  Q's Gram matrix).  Its candidate is the iterate, scaled along its ray
-  onto the ball when it lies outside (``_ray``), and the gap takes the
-  better of the step's own dual point and the answer's residual, scaled by
-  its exact operator norm (``_op_norm``).
+  Q's Gram matrix).  Its candidate answers are cheaper than the repair:
+  the iterate, or the iterate scaled along its ray onto the ball when it
+  lies outside (``_ray``), and their gap takes the better of the step's
+  own dual point and the answer's residual, scaled by its exact operator
+  norm (``_op_norm``).
 * ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
   ``feasible_intervals``.  The loop starts at zero and projects onto the
-  box shrunk by a margin, which draws its iterates strictly inside the
-  sign box; its support function takes the dual point off the box's
-  unbounded sides, and its candidate is the iterate with its masked
-  entries clipped into the shrunk box.
+  box shrunk by a margin, which draws its iterates, and the repair, strictly
+  inside the sign box; its support function takes the dual point off the
+  box's unbounded sides.
 
 Both programs are homogeneous in their data, so the floating-point range
 is settled once, where the data comes in: ``prox_nuclear`` and both
@@ -247,14 +248,6 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return np.ldexp(_svd_soft(np.ldexp(Zm, -e), float(np.ldexp(theta, -e)))[0], e)
 
 
-def _masked_repair(X: np.ndarray, idx: np.ndarray, values: np.ndarray):
-    """X with its masked entries (C-order flat indices idx) set to values,
-    and that matrix's nuclear norm, by one values-only SVD."""
-    F = X.copy()
-    F.put(idx, values)
-    return F, float(_gesdd(F, compute_uv=False).sum())
-
-
 def _step_dual(y, D, tau):
     """The dual point a step proves feasible for free: y / (1 + ||D||_F /
     tau), for the step's input pair (X, y), Xt = SVT_tau(X - tau P^* y) and
@@ -264,7 +257,7 @@ def _step_dual(y, D, tau):
     return y / (1.0 + np.linalg.norm(D) / tau)
 
 
-def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
+def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, contains=None):
     """The primal-dual loop of Chambolle and Pock (J. Math. Imaging Vis.
     2011) on min ||X||_* subject to P(X) in C, from the pair (X, y), with P
     the masked entries at the C-order flat indices idx, over-relaxed by
@@ -274,7 +267,7 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
     sigma_C the support function of C, and each step maps the pair (X, y)
     primal first,
 
-        Xt = SVT_tau(X - tau P^* y),  v = y / sigma + P(2 Xt - X),
+        Xt = SVT_tau(Z),  Z = X - tau P^* y,  v = y / sigma + P(2 Xt - X),
         yt = sigma (v - project(v)),
         X <- X + _RHO D,  y <- y + _RHO (yt - y),
 
@@ -295,31 +288,55 @@ def _pdhg(X, y, idx, tau, project, support, candidate, max_iters: int):
     y' = ``_step_dual(y, D, tau)``: the soft-threshold's subgradient holds
     for any input X, the relaxed one included.  ``support(y')`` is
     sigma_C at y', or at a dual-feasible point the program derives from it
-    where sigma_C(y') is infinite.
+    where sigma_C(y') is infinite; dual = -support(y').
 
-    ``candidate(P(X), y, Xt, P(Xt), ||Xt||_*, -support(y'), last)``, with
-    (P(X), y) the step's input pair, gives the step's answer: None, or
-    (F, ||F||_*, dual, feasible), with F a point of the program when
-    ``feasible`` is true and dual a lower bound at least -support(y');
-    ``last`` is true on the last step of the budget, which must give an
-    answer.  The loop stops at the first feasible F whose gap
+    Each step's answer F is the program's ``candidate(Xt, P(Xt), ||Xt||_*,
+    dual)``, a point of C with (F, ||F||_*, a lower bound at least dual),
+    where it has one; otherwise it is the masked repair, Xt with
+    P(F) = project(P(Xt)), whose nuclear norm takes one values-only SVD
+    (``_gesdd``).  Where the program passes a membership test, the repair
+    counts only if ``contains(P(F))``: rounding can put the projection of
+    a point far outside a tiny ball just outside it.  The SVD is skipped
+    where the repair cannot certify, as it needs
+    dual >= (1 - _GAP) ||F||_* > 0: while dual <= 0 or the step's own gap
+    ||Xt||_* - dual exceeds _GAP ||Xt||_*, and then, with p = project(P(Xt)),
+    where dual lies below (1 - _GAP) times a free lower bound on ||F||_*,
+    less a relative 1e-9 for rounding.  With G = (Z - Xt) / tau the step's
+    subgradient, ||G||_op <= 1 and <Xt, G> = ||Xt||_*, and F - Xt lies on
+    the mask, so ||F||_* >= <F, G> = ||Xt||_* + <p - P(Xt), (z - P(Xt)) / tau>,
+    z = P(Z).  The cheap tests come first, so most steps project nothing
+    for it.  A skip spares only a repair that could not certify, so it
+    never moves the stopping step; the budget's last step, which must give
+    an answer, skips nothing.  The loop stops at the first F whose gap
     ||F||_* - dual is at most _GAP ||F||_*, and returns (F, ||F||_*,
-    iterations, True); after max_iters steps it returns the last step's
-    answer with False.
+    iterations, True); after max_iters steps it returns the last step's F
+    with False.
     """
     sigma = 0.99 / tau
     x = X.take(idx)
     for iters in range(1, max_iters + 1):
+        last = iters == max_iters
         Z = X.copy()
         Z.put(idx, x - tau * y)
         Xt, sv = _svd_soft(Z, tau)
         xt = Xt.take(idx)
         D = Xt - X
+        nuc = float(np.add.reduce(sv))
         dual = -support(_step_dual(y, D, tau))
-        answer = candidate(x, y, Xt, xt, float(np.add.reduce(sv)), dual, iters == max_iters)
+        answer = candidate(Xt, xt, nuc, dual) if candidate else None
+        if answer is None and (last or dual > 0.0 and nuc - dual <= _GAP * nuc):
+            # z = x - tau y is formed again here: kept alive through every
+            # step, it made the large_n solves about 2% slower
+            p = project(xt)
+            if last or not dual < (1.0 - _GAP) * (1.0 - 1e-9) * (nuc + (p - xt) @ (x - tau * y - xt) / tau):
+                F = Xt.copy()
+                F.put(idx, p)
+                # a repair outside C cannot stop the loop: its bound is -inf
+                inside = contains is None or contains(p)
+                answer = F, float(_gesdd(F, compute_uv=False).sum()), dual if inside else -math.inf
         if answer is not None:
-            F, f_nuc, dual, feasible = answer
-            if feasible and f_nuc - dual <= _GAP * f_nuc:
+            F, f_nuc, f_dual = answer
+            if f_nuc - f_dual <= _GAP * f_nuc:
                 return F, f_nuc, iters, True
         v = y / sigma + (2.0 * xt - x)
         yt = sigma * (v - project(v))
@@ -356,28 +373,22 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     nothing.  All of this runs on Q and the radius at unit scale (module
     docstring).
 
-    Each step's feasible point F is Xt while its residual r = P(Xt) - q has
-    ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the end
-    nearest 1 of the interval of scales that ``_ray`` finds inside the
+    Each step's candidate answer is Xt while its residual r = P(Xt) - q
+    has ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the
+    end nearest 1 of the interval of scales that ``_ray`` finds inside the
     ball; ||t Xt||_* = t ||Xt||_* needs no decomposition, and t Xt keeps
     Xt's rank.  Where that line misses the ball (or rounding puts t Xt
-    outside it), F is Xt with P(F) = Pi(P(Xt)) = q + r radius / ||r||, the
-    masked repair.  That moves Xt by ||r|| - radius in Frobenius norm, so
-    ||F||_* is at most ||Xt||_* + (||r|| - radius) sqrt(min(n1, n2)), and
-    F's own nuclear norm takes one values-only SVD (``_masked_repair``),
-    once that bound certifies the gap (F counts only if the rounding of
-    q + r radius / ||r|| leaves it inside the ball, which a tiny radius may
-    not).
-
-    Each step certifies F with the better of two dual points.  The first is
-    the loop's own y'.  The second is F's own residual, f / ||P^* f||_op with
-    f = P(F) - q (r for the masked repair, which is parallel to it), the
-    multiplier's direction at the solution.  Its exact norm costs one
-    ``_op_norm``, taken only when the first point does not certify and a
-    free lower bound on ||P^* f||_op does not rule it out: ``_op_lower``'s
-    power steps, each warm-started from the last.  The loop stops,
-    converged, at the first F whose gap ||F||_* - dual is at most
-    _GAP ||F||_*.  After max_iters steps the last F is returned with
+    outside it), there is no candidate, and the loop takes its masked
+    repair, P(F) = Pi(P(Xt)), which counts while it lies in the ball to
+    the same slack.  A candidate is certified with the better of two dual
+    points.  The first is the loop's own y'.  The second is the candidate's
+    own residual, f / ||P^* f||_op with f = P(F) - q, the multiplier's
+    direction at the solution.  Its exact norm costs one ``_op_norm``,
+    taken only when the first point does not certify and a free lower
+    bound on ||P^* f||_op does not rule it out: ``_op_lower``'s power
+    steps, each warm-started from the last.  The loop stops, converged, at
+    the first answer whose gap ||F||_* - dual is at most _GAP ||F||_*.
+    After max_iters steps the last answer is returned with
     converged=False.
     """
     if max_iters < 1:
@@ -426,7 +437,6 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
     limit = radius * (1.0 + _TOL_FEAS)
-    spread = math.sqrt(min(Qm.shape))  # ||D||_* <= spread ||D||_F
     u = np.full(Qm.shape[1], 1.0 / math.sqrt(Qm.shape[1]))  # _op_lower's vector, kept across steps
 
     def project(v):
@@ -437,41 +447,35 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     def support(y):
         return float(y @ q) + radius * math.sqrt(y @ y)
 
-    def candidate(_x, _y, X, x, nuc, dual, last):
-        # The feasible point F: t X on the ray, or the masked repair, whose
-        # nuclear norm is bounded here and taken by SVD once it certifies.
+    def contains(p):
+        f = p - q
+        return math.sqrt(f @ f) <= limit
+
+    def candidate(X, x, nuc, dual):
+        # X inside the ball or t X on its ray, or None where the ray misses
         nonlocal u
         r = x - q
         r_norm = math.sqrt(r @ r)
         t = 1.0 if r_norm <= limit else _ray(x, r, r_norm, radius)
-        if t > 0.0:
-            f = r if t == 1.0 else t * x - q
-            f_norm = math.sqrt(f @ f)
-        masked = not (t > 0.0 and f_norm <= limit)
-        g, f_nuc = (r, nuc + (r_norm - radius) * spread) if masked else (f, t * nuc)
-
-        # The second dual point, g / ||P^* g||_op; its exact norm is taken
+        f = r if t == 1.0 else t * x - q
+        if not (t > 0.0 and math.sqrt(f @ f) <= limit):
+            return None
+        # The second dual point, f / ||P^* f||_op; its exact norm is taken
         # only when _op_lower's free lower bound does not rule out a
         # certificate.
+        f_nuc = t * nuc
         if f_nuc - dual > _GAP * f_nuc:
-            num = -support(g)
-            need = num / ((1.0 - _GAP) * f_nuc)  # the largest norm that certifies
+            num = -support(f)
             if num > 0.0:
                 M = np.zeros(Qm.shape)
-                M.put(idx, g)
+                M.put(idx, f)
                 lower, u = _op_lower(M, u)
-                if lower <= need:
+                if lower <= num / ((1.0 - _GAP) * f_nuc):  # the largest norm that certifies
                     dual = max(dual, num / _op_norm(M))
-        if not masked:
-            return (X if t == 1.0 else t * X), f_nuc, dual, True
-        if f_nuc - dual > _GAP * f_nuc and not last:
-            return None
-        F, f_nuc = _masked_repair(X, idx, project(x))
-        f = F.take(idx) - q
-        return F, f_nuc, dual, math.sqrt(f @ f) <= limit
+        return (X if t == 1.0 else t * X), f_nuc, dual
 
     F, f_nuc, iters, converged = _pdhg(
-        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, project, support, candidate, max_iters
+        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, project, support, max_iters, candidate, contains
     )
     f = F.take(idx) - q
     f_nuc = float(np.ldexp(f_nuc, e))
@@ -517,25 +521,13 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     with y+ = max(y, 0), y- = min(y, 0) and the bounds' infinite sides set
     to 0 in hi_f and lo_f: sigma = (<y+, hi_f> + <y-, lo_f>) / (1 + ||c||),
     ||c||^2 the sum of (y+)^2 over hi = +inf and of (y-)^2 over lo = -inf,
-    with hi_f, lo_f and the 0/1 side weights formed once per solve.  Once
-    the step's own gap ||Xt||_* - dual is at most _GAP ||Xt||_*, the
-    answer is Xt with its masked entries clipped into the shrunk box
-    (strictly sign-feasible by construction), accepted if the gap at its
-    own nuclear norm, by one values-only SVD, still certifies.  That needs
-    dual >= (1 - _GAP) ||F||_* > 0, as the clipped F is never 0, so no
-    repair is taken while dual <= 0 (as at step 1, where Xt = 0), nor
-    where dual lies below (1 - _GAP) times a free lower bound on ||F||_*,
-    less a relative 1e-9 for rounding.  With G = (Z - Xt) / tau the step's
-    subgradient, Z = X - tau P^* y its input to the soft-threshold,
-    ||G||_op <= 1 and <Xt, G> = ||Xt||_*, and F - Xt lies on the mask, so
-    ||F||_* >= <F, G> = ||Xt||_* + <p - xt, (x - tau y - xt) / tau>, with
-    p the clipped xt and (x, y) the step's input pair.  Both skips spare
-    only repairs that could not certify, so neither changes the step that
-    stops, and neither is taken on the budget's last step.  Over the same
-    trials the loop takes 57 repairs, against 100 without the bound.  So
-    every converged answer satisfies every sign constraint, and its nuclear
-    norm is at most 1 / (1 - _GAP) times the program's minimum.  After max_iters steps the last step's
-    clipped point is returned with converged=False.
+    with hi_f, lo_f and the 0/1 side weights formed once per solve.  Every
+    answer is the loop's masked repair, Xt with its masked entries clipped
+    into the shrunk box, so it is strictly sign-feasible by construction,
+    and a converged one has a nuclear norm of at most 1 / (1 - _GAP) times
+    the program's minimum.  Over the same trials the loop takes 57 repair
+    SVDs.  After max_iters steps the last step's repair is returned with
+    converged=False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -568,18 +560,7 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
         c_norm = math.sqrt((up * up) @ w_hi + (down * down) @ w_lo)
         return float(up @ hi_f + down @ lo_f) / (1.0 + c_norm)
 
-    def candidate(x0, y0, X, x, nuc, dual, last):
-        # A repair certifies only if dual >= (1 - _GAP) ||F||_* > 0, and
-        # ||F||_* >= nuc + <p - x, g>, with g = (x0 - tau y0 - x) / tau the
-        # step's subgradient on the mask (docstring).
-        if not last and (dual <= 0.0 or nuc - dual > _GAP * nuc):
-            return None
-        p = project(x)
-        if not last and dual < (1.0 - _GAP) * (1.0 - 1e-9) * (nuc + (p - x) @ (x0 - tau * y0 - x) / tau):
-            return None
-        return *_masked_repair(X, idx, p), dual, True
-
-    F, nuc, iters, converged = _pdhg(X, np.zeros(mask.m_prime), idx, tau, project, support, candidate, max_iters)
+    F, nuc, iters, converged = _pdhg(X, np.zeros(mask.m_prime), idx, tau, project, support, max_iters)
     F, nuc = np.ldexp(F, e), float(np.ldexp(nuc, e))
     return SolverReport(
         matrix=F,

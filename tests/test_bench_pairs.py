@@ -86,6 +86,27 @@ def test_within_bound_compares_the_medians(shift, better, within):
     assert s["within_bound"] is within
 
 
+@pytest.mark.parametrize(
+    "parent, change, better, resolved",
+    [
+        # the parent's IQR, 1.0, is 10% of its median: tight enough at 0.25
+        (_PARENT, [v + 2.0 for v in _PARENT], "lower", True),
+        (_PARENT, [v - 2.0 for v in _PARENT], "higher", True),
+        # an IQR of 8.0 about a median of 10.0 is too wide to tell...
+        ([2.0, 6.0, 10.0, 14.0, 18.0], [1.0, 5.0, 9.0, 13.0, 17.0], "lower", False),
+        # ...unless every change run beats every parent run
+        ([2.0, 6.0, 10.0, 14.0, 18.0], [0.5, 1.0, 1.0, 1.5, 1.9], "lower", True),
+        ([2.0, 6.0, 10.0, 14.0, 18.0], [18.5, 19.0, 20.0, 21.0, 22.0], "higher", True),
+        # a tie with the best parent run is no separation
+        ([2.0, 6.0, 10.0, 14.0, 18.0], [0.5, 1.0, 1.0, 1.5, 2.0], "lower", False),
+        # separated, but on the worse side
+        ([2.0, 6.0, 10.0, 14.0, 18.0], [0.5, 1.0, 1.0, 1.5, 1.9], "higher", False),
+    ],
+)
+def test_resolved_needs_a_tight_parent_or_separated_runs(parent, change, better, resolved):
+    assert bench_pairs.summarize(parent, change, better, 0.25)["resolved"] is resolved
+
+
 def test_commit_of_a_checkout(tmp_path):
     # a checkout's HEAD names it only while its tracked files are unchanged
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]

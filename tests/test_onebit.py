@@ -10,7 +10,6 @@ from quantmc.onebit import (
     build_polyhedron,
     consistency_report,
     feasible_intervals,
-    hamming,
     observe_one_bit,
     strip_thresholds,
     surrogate_data,
@@ -111,29 +110,38 @@ class TestViolationMeasure:
         assert violation_measure(system, np.array([[0.5]])) == 0.0
         assert violation_measure(system, np.array([[0.7]])) == 0.0
 
-    def test_tie_on_a_minus_sign_reads_zero_but_flips(self):
-        # x = t on a -1 sign lies in the closed box, so the measure is zero,
-        # but the +1 tie rule reads it as +1: one disagreement
+    def test_tie_on_a_minus_sign_violates(self):
+        # x = t on a -1 sign lies outside the half-open box lo <= x < hi:
+        # the +1 tie rule reads it as +1, one disagreement, and the measure
+        # is positive, by the distance to nextafter(t, -inf)
         system = OneBitObservation(np.array([[-1]]), np.array([[0.5]]), _one_entry_mask())
         x = np.array([[0.5]])
-        assert violation_measure(system, x) == 0.0
+        assert violation_measure(system, x) == 0.5 - np.nextafter(0.5, -np.inf) > 0.0
         assert consistency_report(x, system, np.array([[0.0]])) == 1
+        assert violation_measure(system, np.array([[np.nextafter(0.5, -np.inf)]])) == 0.0
 
+    def test_negative_zero_at_a_zero_threshold_violates(self):
+        # x < 0 and x' >= 1e-3: x = -0.0 reads as +1 against t = 0, so the
+        # answer [-0.0, 1e-3] violates the first sign, by the least subnormal
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
+        system = OneBitObservation(np.array([[-1, 1]]), np.array([[0.0, 1e-3]]), mask)
+        x = np.array([[-0.0, 1e-3]])
+        assert consistency_report(x, system, np.array([[-1.0, 1.0]])) == 1
+        assert violation_measure(system, x) == np.nextafter(0.0, 1.0)
 
-class TestHamming:
-    def test_examples(self):
-        assert hamming([1, -1, 1], [1, 1, 1]) == 1
-        a = np.array([1, -1, 1, -1, 1])
-        assert hamming(a, a) == 0
-        assert hamming(a, -a) == 5
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_violation_beyond_the_square_range(self, scale):
+        # a violation of 1e-170 squares to 0 and one of 1e170 to inf; the
+        # measure divides by the largest before squaring
+        mask = SampleMask((1, 2), [0, 0], [0, 1])
+        system = OneBitObservation(np.array([[1, 1]]), np.array([[scale, scale]]), mask)
+        assert violation_measure(system, np.array([[0.0, scale]])) == scale
+        assert violation_measure(system, np.array([[0.0, 0.0]])) == pytest.approx(np.sqrt(2.0) * scale, rel=1e-15)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming([1, -1], [1])
-
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            hamming([1, 0], [1, 1])
+    def test_unsatisfiable_side_is_infinite(self):
+        # x < -inf admits no x
+        system = OneBitObservation(np.array([[-1]]), np.array([[-np.inf]]), _one_entry_mask())
+        assert violation_measure(system, np.array([[0.0]])) == np.inf
 
 
 class TestConsistencyReport:
@@ -159,7 +167,7 @@ class TestConsistencyReport:
                 t = thr[ell, k]
                 if sign_pm1(xt[k] - t) != sign_pm1(xb[k] - t):
                     expected += 1
-        per_sequence = [hamming(sign_pm1(xt - t), sign_pm1(xb - t)) for t in thr]
+        per_sequence = [np.count_nonzero(sign_pm1(xt - t) != sign_pm1(xb - t)) for t in thr]
         assert zeta == expected == sum(per_sequence)
 
     def test_zeta_bounded_by_constraint_count(self):

@@ -17,10 +17,10 @@ from quantmc.onebit import (
     build_polyhedron,
     consistency_report,
     feasible_intervals,
-    hamming,
     observe_one_bit,
     strip_thresholds,
     surrogate_data,
+    violation_measure,
 )
 from quantmc.quantize import DitherSpec, QuantizerSpec, generate_dither_tensor, quantize_matrix, sign_pm1
 from quantmc.solvers import (
@@ -506,8 +506,10 @@ def _certified(Q, mask, radius):
 
 class TestSolveQuantizedMC:
     # Most iterations over the 150 problems of _stress_problem at the default
-    # budget: the loop takes 2825 (4011 unrelaxed).
-    STRESS_ITERATION_LIMIT = 3000
+    # budget: the loop takes 1817 (2825 while the ball held back its masked
+    # repair's SVD until an upper bound on ||F||_* certified; 4011
+    # unrelaxed).
+    STRESS_ITERATION_LIMIT = 1850
 
     def test_stress_set_converges(self):
         total, missed = 0, []
@@ -688,12 +690,13 @@ class TestSolveQuantizedMC:
     @pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
     def test_tiny_radius_converges(self, radius):
         # On the inputs of test_budget_exhaustion_reports_not_converged, each
-        # radius is certified in 39 steps (58, and 60 at 1e-12, unrelaxed)
+        # radius is certified in 19 steps (20 at 1e-12; 39 under the ball's
+        # former upper-bound gate on the repair's SVD, 58 and 60 unrelaxed)
         # by the masked repair (the ray misses the ball).
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius)
-        assert rep.converged and rep.iterations <= 45
+        assert rep.converged and rep.iterations <= 22
         assert residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
@@ -843,33 +846,68 @@ def _bench_one_bit_system(seed):
     return system
 
 
-def _recorded_box_steps(system):
-    """Solve the one-bit program and record what ``_pdhg`` weighs at each
-    step: (w, dual, answer), with w the dual point the loop passed to the
-    program's support function, dual the lower bound it passed on to the
-    candidate, and answer the candidate's (F, ||F||_*, dual, feasible) or
-    None.  Returns (report, steps)."""
-    steps = []
-    pdhg = quantmc.solvers._pdhg
+def _recorded_steps(solve, *args):
+    """Run solve(*args) and record each step ``_pdhg`` takes, at the
+    solver's unit scale, as a dict: Z and Xt, the soft-threshold's input and
+    output, and nuc = ||Xt||_*; w, the dual point the loop passed to the
+    program's support function, and dual = -support(w); masked, true where
+    the step had no candidate answer (on every step of a program that
+    passes no candidate); projections, the (input, output) pair of each
+    call to ``project``; repair, the masked repair (F, ||F||_*) where its
+    values-only SVD ran, else None; and last, true on the budget's last
+    step.  Returns (solve's result, steps, loop), with loop the idx, tau,
+    project and max_iters of the last ``_pdhg`` call."""
+    steps, loop = [], {}
+    pdhg, svd_soft, gesdd = quantmc.solvers._pdhg, quantmc.solvers._svd_soft, quantmc.solvers._gesdd
 
-    def recording(X, y, idx, tau, project, support, candidate, max_iters):
-        points = []
+    def recording_soft(Z, theta, eig=None):
+        Xt, sv = svd_soft(Z, theta, eig)
+        if loop:  # not the ball start's soft-threshold
+            loop["iters"] += 1
+            last = loop["iters"] == loop["max_iters"]
+            nuc = float(np.add.reduce(sv))
+            steps.append(dict(Z=Z.copy(), Xt=Xt.copy(), nuc=nuc, masked=True, projections=[], repair=None, last=last))
+        return Xt, sv
+
+    def recording_gesdd(Z, compute_uv=True):
+        out = gesdd(Z, compute_uv)
+        if loop and not compute_uv:
+            steps[-1]["repair"] = (Z.copy(), float(out.sum()))
+        return out
+
+    def recording(X, y, idx, tau, project, support, max_iters, candidate=None, contains=None):
+        loop.update(idx=idx, tau=tau, project=project, max_iters=max_iters, iters=0)
+
+        def recording_project(v):
+            p = project(v)
+            steps[-1]["projections"].append((v.copy(), p.copy()))
+            return p
 
         def recording_support(w):
-            points.append(w.copy())
-            return support(w)
+            value = support(w)
+            steps[-1].update(w=w.copy(), dual=-value)
+            return value
 
-        def recording_candidate(x0, y0, X, x, nuc, dual, last):
-            answer = candidate(x0, y0, X, x, nuc, dual, last)
-            steps.append((points[-1], dual, answer))
+        def recording_candidate(Xt, xt, nuc, dual):
+            answer = candidate(Xt, xt, nuc, dual)
+            steps[-1]["masked"] = answer is None
             return answer
 
-        return pdhg(X, y, idx, tau, project, recording_support, recording_candidate, max_iters)
+        wrapped = recording_candidate if candidate else None
+        return pdhg(X, y, idx, tau, recording_project, recording_support, max_iters, wrapped, contains)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_pdhg", recording)
-        rep = solve_one_bit_mc(system)
-    return rep, steps
+        mp.setattr(quantmc.solvers, "_svd_soft", recording_soft)
+        mp.setattr(quantmc.solvers, "_gesdd", recording_gesdd)
+        result = solve(*args)
+    return result, steps, loop
+
+
+def _at_unit_scale(system):
+    """Whether the one-bit box of system is its own unit scale, so that
+    what the loop records needs no rescaling."""
+    return quantmc.solvers._unit_scale(np.concatenate(feasible_intervals(system)))[1] == 0
 
 
 def _support_repair(w, lo, hi):
@@ -885,57 +923,51 @@ def _box_support(w, lo, hi):
     return w[up] @ hi[up] + w[down] @ lo[down]
 
 
-def _recorded_projections(solve, *args):
-    """Run solve(*args) and record each projection the loop's dual step
-    takes, at the solver's unit scale: the ``project`` that ``_pdhg``
-    takes, wrapped.  Returns (report, project, projected points)."""
-    points, given = [], []
-    pdhg = quantmc.solvers._pdhg
-
-    def recording(X, y, idx, tau, project, support, candidate, max_iters):
-        def recording_project(v):
-            p = project(v)
-            points.append(p.copy())
-            return p
-
-        given.append(project)
-        return pdhg(X, y, idx, tau, recording_project, support, candidate, max_iters)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantmc.solvers, "_pdhg", recording)
-        rep = solve(*args)
-    (project,) = given
-    return rep, project, points
-
-
 @pytest.mark.parametrize("problem", ["ball-0", "ball-1", "ball-2", "box-0", "box-1"])
 def test_dual_step_projects_into_the_set(problem):
     # Each program states its set C once, as its projection: the loop takes
     # it once per step but the stopping one, for its dual step
-    # sigma (v - project(v)).  Every projected point lies in C: in the ball
-    # to _TOL_FEAS, and in the shrunk box, strictly inside the sign box.  On
-    # the box, projecting twice is projecting once, bitwise.
+    # sigma (v - project(v)), and before a masked repair's SVD, on Xt's
+    # masked entries, at most once per step and ahead of the dual step.
+    # Every projected point lies in C: in the ball to _TOL_FEAS, and in the
+    # shrunk box, strictly inside the sign box.  On the box, projecting
+    # twice is projecting once, bitwise.
     kind, k = problem.split("-")
     if kind == "ball":
         Q, mask, radius = _stress_problem(int(k))
-        rep, project, points = _recorded_projections(solve_quantized_mc, Q, mask, radius)
+        rep, steps, loop = _recorded_steps(solve_quantized_mc, Q, mask, radius)
         q = Q[mask.rows, mask.cols]
         e = quantmc.solvers._unit_scale(q)[1]
         q, radius = np.ldexp(q, -e), np.ldexp(radius, -e)
-        for p in points:
+
+        def check(p):
             assert np.linalg.norm(p - q) <= radius * (1.0 + _TOL_FEAS)
     else:
         # five sequences per entry (some boxes one-sided), or ten
         shape, m_prime, m, seed = ((16, 12), 120, 5, 5) if k == "0" else ((12, 12), 80, 10, 20)
         system = _one_bit_system(shape, m_prime, m, seed)[0]
-        rep, project, points = _recorded_projections(solve_one_bit_mc, system)
+        rep, steps, loop = _recorded_steps(solve_one_bit_mc, system)
         lo, hi = feasible_intervals(system)
         e = quantmc.solvers._unit_scale(np.concatenate((lo, hi)))[1]
         lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)
-        for p in points:
+
+        def check(p):
             assert np.all((lo < p) & (p < hi))
-            np.testing.assert_array_equal(project(p), p)
-    assert rep.converged and len(points) == rep.iterations - 1 > 0
+            np.testing.assert_array_equal(loop["project"](p), p)
+    dual_steps, repairs = 0, 0
+    for i, step in enumerate(steps):
+        calls = step["projections"]
+        if i < len(steps) - 1:
+            dual_steps += 1
+            check(calls[-1][1])
+            calls = calls[:-1]
+        assert len(calls) <= 1 and (step["repair"] is None or len(calls) == 1)
+        for v, p in calls:
+            np.testing.assert_array_equal(v, step["Xt"].take(loop["idx"]))
+            check(p)
+            repairs += 1
+    assert rep.converged and dual_steps == rep.iterations - 1 > 0
+    assert repairs > 0 or kind == "ball"
 
 
 class TestSolveOneBitMC:
@@ -1078,22 +1110,22 @@ class TestSolveOneBitMC:
         else:
             # one dither per entry: every box has exactly one unbounded side
             system = _one_bit_system((10, 10), 50, 1, seed=30)[0]
-        rep, steps = _recorded_box_steps(system)
-        assert rep.converged and rep.iterations == len(steps) > 1
+        rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
+        assert rep.converged and rep.iterations == len(steps) > 1 and _at_unit_scale(system)
         lo, hi = feasible_intervals(system)
         assert np.any(np.isinf(lo) | np.isinf(hi))
         if problem == "unbounded_side":
             assert np.all(np.isinf(lo) != np.isinf(hi))
-        for w, dual, answer in steps[:-1]:
-            assert answer is None or not (answer[3] and answer[1] - answer[2] <= _GAP * answer[1])
-        w, dual, (F, f_nuc, answer_dual, feasible) = steps[-1]
+        for step in steps[:-1]:
+            assert step["repair"] is None or step["repair"][1] - step["dual"] > _GAP * step["repair"][1]
+        w, dual, (F, f_nuc) = steps[-1]["w"], steps[-1]["dual"], steps[-1]["repair"]
         np.testing.assert_array_equal(F, rep.matrix)
-        assert feasible and f_nuc == rep.nuclear_norm
+        assert f_nuc == rep.nuclear_norm
         assert f_nuc == pytest.approx(np.linalg.norm(F, "nuc"), rel=1e-9)
         w = _support_repair(w, lo, hi)
         assert np.all(w[np.isinf(hi)] <= 0.0) and np.all(w[np.isinf(lo)] >= 0.0)
         support = _box_support(w, lo, hi)
-        assert math.isfinite(support) and answer_dual == dual
+        assert math.isfinite(support)
         assert dual == pytest.approx(-support, rel=1e-12, abs=1e-12 * f_nuc)
         assert np.linalg.norm(scatter_vector(w, system.mask), 2) <= 1.0 + 1e-9
         assert 0.0 <= f_nuc - dual <= _GAP * f_nuc
@@ -1105,14 +1137,14 @@ class TestSolveOneBitMC:
         # below the shrunk box's -sigma(w), a bound for the shrunk program only.
         # The answer satisfies every sign, strictly.
         system = _bench_one_bit_system(1)
-        rep, steps = _recorded_box_steps(system)
-        assert rep.converged and rep.data_residual == 0.0
+        rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
+        assert rep.converged and rep.data_residual == 0.0 and _at_unit_scale(system)
         lo, hi = feasible_intervals(system)
         x = rep.matrix[system.mask.rows, system.mask.cols]
         assert np.all((lo <= x) & (x < hi))
         bounds = np.abs(np.concatenate((lo, hi)))
         gamma = np.minimum(_FEAS_MARGIN * bounds[np.isfinite(bounds)].max(), 0.25 * (hi - lo))
-        w, dual, (F, f_nuc, _, _) = steps[-1]
+        w, dual, (F, f_nuc) = steps[-1]["w"], steps[-1]["dual"], steps[-1]["repair"]
         w = _support_repair(w, lo, hi)
         sign_box = -_box_support(w, lo, hi)
         shrunk_box = -_box_support(w, lo + gamma, hi - gamma)
@@ -1133,14 +1165,14 @@ class TestSolveOneBitMC:
         # a gap of 1e-5.
         system = _one_bit_system((16, 12), 120, 5, seed=5)[0]
         lo, hi = feasible_intervals(system)
-        rep, steps = _recorded_box_steps(system)
+        rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quantmc.solvers, "_GAP", 1e-5)
             ref = solve_one_bit_mc(system)
-        assert rep.converged and ref.converged
+        assert rep.converged and ref.converged and _at_unit_scale(system)
         ref_nuclear = np.linalg.norm(ref.matrix, "nuc")
         repaired = 0
-        for w, dual, _ in steps:
+        for w, dual in ((step["w"], step["dual"]) for step in steps):
             repaired += bool(np.any((w > 0.0) & np.isinf(hi)) or np.any((w < 0.0) & np.isinf(lo)))
             w = _support_repair(w, lo, hi)
             assert np.linalg.norm(scatter_vector(w, system.mask), 2) <= 1.0 + 1e-9
@@ -1183,17 +1215,18 @@ def test_vector_forms_match_their_definitions():
     # random multipliers with zeros, over boxes of every openness, it is the
     # definition (_support_repair, then _box_support) to 1e-12 relative.
     # feasible_intervals' masked reductions and consistency_report's
-    # comparison count equal their np.where and sign_pm1 / hamming forms
-    # exactly, with ties at thresholds and +-inf thresholds.
+    # comparison count equal their np.where and sign_pm1 forms
+    # exactly, with ties at thresholds and +-inf thresholds, and
+    # violation_measure its per-constraint sum to 1e-12 relative.
     rng = np.random.default_rng(2028)
     pdhg = quantmc.solvers._pdhg
     for _ in range(20):
         system = _open_box_system(rng, 40)
         supports = []
 
-        def recording(X, y, idx, tau, project, support, candidate, max_iters):
+        def recording(X, y, idx, tau, project, support, *args):
             supports.append(support)
-            return pdhg(X, y, idx, tau, project, support, candidate, max_iters)
+            return pdhg(X, y, idx, tau, project, support, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quantmc.solvers, "_pdhg", recording)
@@ -1220,7 +1253,13 @@ def test_vector_forms_match_their_definitions():
             np.testing.assert_array_equal(new, old)
         t = system.thresholds
         xt, xb = (rng.choice(grid[1:-1], (1, n)) for _ in range(2))
-        assert consistency_report(xb, system, xt) == hamming(sign_pm1(xt - t), sign_pm1(xb - t))
+        assert consistency_report(xb, system, xt) == np.count_nonzero(sign_pm1(xt - t) != sign_pm1(xb - t))
+        below = np.nextafter(t, -np.inf)
+        violations = [
+            max(0.0, tk - xk) if sk > 0 else max(0.0, xk - bk)
+            for sk, tk, bk, xk in zip(system.signs.ravel(), t.ravel(), below.ravel(), np.broadcast_to(xb, t.shape).ravel())
+        ]
+        assert violation_measure(system, xb) == pytest.approx(math.sqrt(sum(v * v for v in violations)), rel=1e-12)
 
 
 def _budget_solves():
@@ -1256,9 +1295,9 @@ def test_budget_below_one_rejected(case):
 BOX_ITERATION_LIMIT = 355
 
 # Most masked repairs (values-only SVDs) of the one-bit solver over the same
-# trials: it takes 57, against 100 without the candidate's lower bound
-# <F, G> on the repair's nuclear norm; one more per solve repairs also while
-# the step's dual bound is at most 0, as at step 1.
+# trials: it takes 57, against 100 without the loop's lower bound <F, G> on
+# the repair's nuclear norm; one more per solve repairs also while the
+# step's dual bound is at most 0, as at step 1.
 BOX_REPAIR_LIMIT = 60
 
 
@@ -1266,32 +1305,15 @@ def test_bench_workload_box_iterations(solves):
     # Also: no repair runs at a step whose dual bound is at most 0, where it
     # cannot certify, but on the budget's last step.
     repairs = []
-    pdhg, masked_repair = quantmc.solvers._pdhg, quantmc.solvers._masked_repair
-
-    def recording(X, y, idx, tau, project, support, candidate, max_iters):
-        def recording_candidate(x0, y0, X, x, nuc, dual, last):
-            before = len(repairs)
-            answer = candidate(x0, y0, X, x, nuc, dual, last)
-            repairs[before:] = [(dual, last)] * (len(repairs) - before)
-            return answer
-
-        return pdhg(X, y, idx, tau, project, support, recording_candidate, max_iters)
-
-    def counting(*args):
-        repairs.append(None)
-        return masked_repair(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantmc.solvers, "_pdhg", recording)
-        mp.setattr(quantmc.solvers, "_masked_repair", counting)
-        for seed in range(2, 12):
-            cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
-            records, _ = quantmc.harness.run_experiment(cfg)
-            assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
+    for seed in range(2, 12):
+        cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
+        (records, _), steps, _ = _recorded_steps(quantmc.harness.run_experiment, cfg)
+        assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
+        repairs += [step for step in steps if step["repair"] is not None]
     assert len(solves) == 10 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= BOX_ITERATION_LIMIT
     assert 10 <= len(repairs) <= BOX_REPAIR_LIMIT
-    assert all(dual > 0.0 or last for dual, last in repairs)
+    assert all(step["dual"] > 0.0 or step["last"] for step in repairs)
 
 
 # The one-bit regimes beyond the benchmark: the onebit_known workload with
@@ -1319,64 +1341,54 @@ def test_one_bit_regimes_converge(solves, regime):
     assert sum(rep.iterations for rep in solves) <= limit
 
 
-def _weighed_repairs(system):
-    """Solve the one-bit program and record each repair the candidate
-    weighs by its lower bound: at each step that passes its scalar filter
-    (not the last, a positive dual bound within _GAP of ||Xt||_*).
-    Returns (report, list of (F, G, dual, skipped)), with F the repair,
-    G = (Z - Xt) / tau the step's subgradient, from the soft-threshold's
-    own input Z, at the solver's unit scale, and skipped true where the
-    step gave no answer."""
-    weighed, inputs = [], []
-    pdhg, svd_soft = quantmc.solvers._pdhg, quantmc.solvers._svd_soft
-
-    def recording_soft(Z, theta, eig=None):
-        inputs[:] = [(Z.copy(), theta)]
-        return svd_soft(Z, theta, eig)
-
-    def recording(X, y, idx, tau, project, support, candidate, max_iters):
-        def recording_candidate(x0, y0, Xt, xt, nuc, dual, last):
-            answer = candidate(x0, y0, Xt, xt, nuc, dual, last)
-            if not last and dual > 0.0 and nuc - dual <= _GAP * nuc:
-                (Z, theta), F = inputs[0], Xt.copy()
-                F.put(idx, project(xt))
-                weighed.append((F, (Z - Xt) / theta, dual, answer is None))
-            return answer
-
-        return pdhg(X, y, idx, tau, project, support, recording_candidate, max_iters)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantmc.solvers, "_pdhg", recording)
-        mp.setattr(quantmc.solvers, "_svd_soft", recording_soft)
-        rep = solve_one_bit_mc(system)
+def _weighed_repairs(solve, *args):
+    """Solve a program and record each masked repair the loop weighs by its
+    lower bound: at each step without a candidate answer that passes the
+    scalar filter (not the last, a positive dual bound within _GAP of
+    ||Xt||_*).  Returns (report, list of (F, G, dual, skipped)), with F the
+    repair, G = (Z - Xt) / tau the step's subgradient, from the
+    soft-threshold's own input Z, at the solver's unit scale, and skipped
+    true where the repair's SVD did not run."""
+    rep, steps, loop = _recorded_steps(solve, *args)
+    weighed = []
+    for step in steps:
+        Xt, dual, nuc = step["Xt"], step["dual"], step["nuc"]
+        if step["masked"] and not step["last"] and dual > 0.0 and nuc - dual <= _GAP * nuc:
+            F = Xt.copy()
+            F.put(loop["idx"], loop["project"](Xt.take(loop["idx"])))
+            weighed.append((F, (step["Z"] - Xt) / loop["tau"], dual, step["repair"] is None))
     return rep, weighed
 
 
 def test_repair_bound_skips_only_futile_repairs():
-    # The one-bit candidate skips a repair's SVD where the step's dual bound
-    # lies below (1 - _GAP) <F, G>: ||G||_op <= 1, so ||F||_* >= <F, G> and
-    # the repair could not certify.  Each skipped F's nuclear norm, by
-    # gesdd, bears that out, on onebit_known seeds 2-6 and on the ten
-    # 16 x 12 systems of test_scale_free_across_the_range; and, away from
-    # the threshold by more than rounding, the candidate skips exactly the
-    # repairs that <F, G>, taken here from F and G whole, rules out.
-    systems = [_bench_one_bit_system(seed) for seed in range(2, 7)]
-    systems += [_one_bit_system((16, 12), 120, 5, seed=seed)[0] for seed in range(10)]
-    skips, taken = 0, 0
-    for system in systems:
-        rep, weighed = _weighed_repairs(system)
-        assert rep.converged
-        for F, G, dual, skipped in weighed:
-            bound = (1.0 - _GAP) * np.vdot(F, G)
-            if skipped:
-                nuclear = np.linalg.svd(F, compute_uv=False).sum()
-                assert np.vdot(F, G) <= nuclear * (1.0 + 1e-12)
-                assert (1.0 - _GAP) * nuclear > dual
-            if abs(dual - bound) > 1e-6 * dual:
-                assert skipped == (dual < bound)
-        skips += sum(skipped for *_, skipped in weighed)
-        taken += sum(not skipped for *_, skipped in weighed)
-    assert skips > 0 and taken > 0
+    # The loop skips a masked repair's SVD where the step's dual bound lies
+    # below (1 - _GAP) <F, G>: ||G||_op <= 1, so ||F||_* >= <F, G> and the
+    # repair could not certify.  Each skipped F's nuclear norm, by gesdd,
+    # bears that out, on onebit_known seeds 2-6 and on the ten 16 x 12
+    # systems of test_scale_free_across_the_range, and on the ball's masked
+    # repairs over the 150 stress problems; and, away from the threshold by
+    # more than rounding, the loop skips exactly the repairs that <F, G>,
+    # taken here from F and G whole, rules out.  Each program both skips
+    # and takes repairs.
+    one_bit = [(solve_one_bit_mc, _bench_one_bit_system(seed)) for seed in range(2, 7)]
+    one_bit += [(solve_one_bit_mc, _one_bit_system((16, 12), 120, 5, seed=seed)[0]) for seed in range(10)]
+    ball = [(solve_quantized_mc, *_stress_problem(k)) for k in range(150)]
+    for problems in (one_bit, ball):
+        skips, taken = 0, 0
+        for solve, *args in problems:
+            rep, weighed = _weighed_repairs(solve, *args)
+            assert rep.converged
+            for F, G, dual, skipped in weighed:
+                bound = (1.0 - _GAP) * np.vdot(F, G)
+                if skipped:
+                    nuclear = np.linalg.svd(F, compute_uv=False).sum()
+                    assert np.vdot(F, G) <= nuclear * (1.0 + 1e-12)
+                    assert (1.0 - _GAP) * nuclear > dual
+                if abs(dual - bound) > 1e-6 * dual:
+                    assert skipped == (dual < bound)
+            skips += sum(skipped for *_, skipped in weighed)
+            taken += sum(not skipped for *_, skipped in weighed)
+        assert skips > 0 and taken > 0
 
 
 def _box_certified(system):

@@ -13,7 +13,7 @@ first alternates from pair to pair, so that a drift of the machine falls on
 both sides alike.  Every run (its end-to-end metrics, trial counts and
 report hash) and, per workload and metric, each side's median and
 quartiles, the change's relative move of the median, the pairs the change
-wins and the two results of the review rule (``summarize``) go into
+wins and the three results of the review rule (``summarize``) go into
 ``BENCH_<pr>.json`` in the current directory.  Keys of an existing file
 that this script does not write (notes, step counts) are kept.
 """
@@ -37,17 +37,21 @@ def summarize(parent, change, better, bound):
     relative bound.  The change wins a pair where its value is strictly
     better; the quartiles are numpy's linear 25th and 75th percentiles, and
     change_rel is the change's median over the parent's, minus 1 (None at a
-    parent median of 0).  The review rule's two results: ``claim_holds``,
+    parent median of 0).  The review rule's three results: ``claim_holds``,
     the change wins at least 9 in 10 pairs and its median is better than
-    the parent's by more than the parent's interquartile range; and
+    the parent's by more than the parent's interquartile range;
     ``within_bound``, the change's median is worse than the parent's by at
-    most bound times the parent's median (in magnitude)."""
+    most bound times the parent's median (in magnitude); and ``resolved``,
+    the runs are tight enough to tell: the parent's interquartile range is
+    at most bound times its median (in magnitude), or every change run is
+    better than every parent run."""
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonempty sides, got {len(parent)} and {len(change)} runs")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     p, c = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
     wins = c < p if better == "lower" else c > p
+    apart = c.max() < p.min() if better == "lower" else c.min() > p.max()
     p_med, c_med = float(np.median(p)), float(np.median(c))
     p_q = [float(v) for v in np.percentile(p, [25, 75])]
     gain = p_med - c_med if better == "lower" else c_med - p_med
@@ -62,6 +66,7 @@ def summarize(parent, change, better, bound):
         "pairs": len(p),
         "claim_holds": 10 * wins_n >= 9 * len(p) and gain > p_q[1] - p_q[0],
         "within_bound": -gain <= bound * abs(p_med),
+        "resolved": bool(p_q[1] - p_q[0] <= bound * abs(p_med) or apart),
     }
 
 
