@@ -13,12 +13,12 @@ named here:
 
 * ``_pdhg``: the step, its free dual point, the masked repair and the stop.
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
-  loop starts at Q's own Pareto point and its multiplier (one ``_eigh`` of
-  Q's Gram matrix).  Its candidate answers are cheaper than the repair:
-  the iterate, or the iterate scaled along its ray onto the ball when it
-  lies outside (``_ray``), and their gap takes the better of the step's
-  own dual point and the answer's residual, scaled by its exact operator
-  norm (``_op_norm``).
+  loop starts at Q's own Pareto point and its multiplier, X = Q - mu Y and
+  y = -P(Y), both from one ``_eigh`` of Q's Gram matrix.  Its candidate
+  answers are cheaper than the repair: the iterate, or the iterate scaled
+  along its ray onto the ball when it lies outside (``_ray``), and their
+  gap takes the better of the step's own dual point and the answer's
+  residual, scaled by its exact operator norm (``_op_norm``).
 * ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
   ``feasible_intervals``.  The loop starts at zero and projects onto the
   box shrunk by a margin, which draws its iterates, and the repair, strictly
@@ -57,7 +57,9 @@ __all__ = [
     "solve_quantized_mc",
 ]
 
-# The smallest theta / sigma_1 at which _svd_soft's Gram path holds its precision.
+# The smallest theta / sigma_1 at which a Gram eigendecomposition holds its
+# precision: below it _svd_soft takes a full SVD instead, and the ball
+# start's weights w_i = 1 / max(sigma_i, mu) are 0.
 _GRAM_FLOOR = 1e-4
 
 # Interior margin of the one-bit box, in units of the box's largest finite
@@ -159,26 +161,33 @@ def _eigh(Z: np.ndarray, vectors: bool = True):
         return _umath_linalg.eigvalsh_lo(gram, signature="d->d")
 
 
-def _svd_soft(Z: np.ndarray, theta: float, eig=None):
+def _svd_soft(Z: np.ndarray, theta: float):
     """Soft-threshold the singular values of Z by theta; returns (matrix, sv).
 
     It is the one matrix decomposition either solver takes per step.  With
     A = Z, or Z^T when Z is wide, the eigenpairs (lam, v) of the smaller
-    Gram matrix A^T A (``_eigh``, or eig where the caller has them already)
-    with lam > theta^2 give sigma = sqrt(lam) and
-    X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds only
-    those kept.  Squaring puts an error of about eps * sigma_1^2 into every
-    lam, so a singular value near theta is off by at most
+    Gram matrix A^T A (``_eigh``) with lam > theta^2 give sigma = sqrt(lam)
+    and X = A V diag(1 - theta / sigma) V^T, and sv = sigma - theta holds
+    only those kept.  Squaring puts an error of about eps * sigma_1^2 into
+    every lam, so a singular value near theta is off by at most
     eps * sigma_1^2 / (2 theta).  Below theta = _GRAM_FLOOR * sigma_1
     (where that reaches about 1e-12 * sigma_1) a full SVD (``_gesdd``) is
-    taken instead; its sv has one entry per singular value.  Z must be at
-    the solvers' unit scale (module docstring), where A^T A neither
-    overflows nor underflows.  Either routine raises
-    ``np.linalg.LinAlgError`` when LAPACK does not converge (a NaN in Z,
-    for one), which ``run_experiment`` records as a failed trial.
+    taken instead; its sv has one entry per singular value.
+
+    In the loop theta is the step tau, at unit scale in [1, 2) on the ball
+    and in [0.5, 1) on the box, so a step reaches the SVD only where
+    sigma_1(Z) exceeds 1e4 tau.  The largest sigma_1(Z) / tau over the
+    loop's steps is 8.75 on large_n, 7.89 on onebit_known and 4.44 on
+    rate_sweep (first trial of seeds 2-21), and 3.24 over the tests' 150
+    ball stress problems: the floor is that loop's guard, and
+    ``prox_nuclear`` its other user.  Z must be at the solvers' unit scale
+    (module docstring), where A^T A neither overflows nor underflows.
+    Either routine raises ``np.linalg.LinAlgError`` when LAPACK does not
+    converge (a NaN in Z, for one), which ``run_experiment`` records as a
+    failed trial.
     """
     A = Z.T if Z.shape[0] < Z.shape[1] else Z
-    lam, V = eig or _eigh(Z)
+    lam, V = _eigh(Z)
     if theta < _GRAM_FLOOR * math.sqrt(lam.max(initial=0.0)):
         u, s, vt = _gesdd(Z)
         s_shrunk = np.maximum(s - theta, 0.0)
@@ -362,16 +371,16 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     Pareto point, the solution on a full mask: X = SVT_mu(Q) and
     y = (P(X) - q) / mu, with mu the root of
     sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
-    smaller Gram matrix gives all three: its eigenvalues are the sigma_i^2,
-    ``_svd_soft`` takes SVT_mu(Q) from its eigenpairs (or by gesdd, where
-    mu lies below its precision floor), and y = -P(A V diag(w) V^T), with
-    A = Q (Q^T when Q is wide), V the eigenvectors and
-    w_i = 1 / max(sigma_i, mu), is the same multiplier without the
-    subtraction, which at a tiny mu divides X's rounding error by mu.
-    Where max(sigma_i, mu) lies at or below the precision floor,
-    w_i = 0, so a mu of 0 (a radius whose square underflows) divides
-    nothing.  All of this runs on Q and the radius at unit scale (module
-    docstring).
+    smaller Gram matrix gives the pair: its eigenvalues are the sigma_i^2,
+    and with A = Q (Q^T when Q is wide), V the eigenvectors,
+    w_i = 1 / max(sigma_i, mu) and Y = A V diag(w) V^T (transposed back
+    when Q is wide), SVT_mu(Q) = Q - mu Y and y = -P(Y), so that
+    P(X) - q = mu y by construction.  y is formed without the subtraction,
+    which at a tiny mu would divide X's rounding error by mu.  Where
+    max(sigma_i, mu) lies at or below the precision floor _GRAM_FLOOR
+    sigma_1, w_i = 0: that component keeps Q's value, off by at most mu,
+    and a mu of 0 (a radius whose square underflows) divides nothing.  All
+    of this runs on Q and the radius at unit scale (module docstring).
 
     Each step's candidate answer is Xt while its residual r = P(Xt) - q
     has ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the
@@ -417,23 +426,22 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         )
 
     # The start: one syevd of Q's Gram matrix gives Q's squared singular
-    # values and, from the same eigenpairs, SVT_mu(Q).  The start's mu, in
-    # units of ||q||: with the k largest singular values at or above mu, the
-    # Pareto residual squared is tail_k + k mu^2, tail_k the sum of the other
-    # squares, and it rises from 0 to 1 on [0, sigma_1].
-    eig = _eigh(Qm)
-    sq = np.maximum(eig[0][::-1], 0.0) / (qnorm * qnorm)
+    # values and, from the same eigenpairs, the start pair.  The start's mu,
+    # in units of ||q||: with the k largest singular values at or above mu,
+    # the Pareto residual squared is tail_k + k mu^2, tail_k the sum of the
+    # other squares, and it rises from 0 to 1 on [0, sigma_1].
+    lam, V = _eigh(Qm)
+    sq = np.maximum(lam[::-1], 0.0) / (qnorm * qnorm)
     tails = np.append(np.cumsum(sq[::-1])[::-1][1:], 0.0)
     rho2 = (radius / qnorm) ** 2
     k = max(1, int(np.count_nonzero(tails + np.arange(1, len(sq) + 1) * sq > rho2)))
     mu = qnorm * math.sqrt(max(rho2 - tails[k - 1], 0.0) / k)
-    X = _svd_soft(Qm, mu, eig)[0]
-    # The start's multiplier (P(X) - q) / mu in closed form (docstring).
-    lam, V = eig
+    # The start pair in closed form (docstring): X = Q - mu Y, y = -P(Y).
     s = np.maximum(np.sqrt(np.maximum(lam, 0.0)), mu)  # max(sigma_i, mu), ascending
     w = np.divide(1.0, s, out=np.zeros_like(s), where=s > _GRAM_FLOOR * s[-1])
     A = Qm.T if Qm.shape[0] < Qm.shape[1] else Qm
     Y = (A @ (V * w)) @ V.T
+    X, Y = (M if A is Qm else M.T for M in (A - mu * Y, Y))
 
     idx = mask.rows * Qm.shape[1] + mask.cols  # C-order flat index of the mask
     limit = radius * (1.0 + _TOL_FEAS)
@@ -475,7 +483,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         return (X if t == 1.0 else t * X), f_nuc, dual
 
     F, f_nuc, iters, converged = _pdhg(
-        X, -(Y if A is Qm else Y.T).take(idx), idx, 2.0 * qmax, project, support, max_iters, candidate, contains
+        X, -Y.take(idx), idx, 2.0 * qmax, project, support, max_iters, candidate, contains
     )
     f = F.take(idx) - q
     f_nuc = float(np.ldexp(f_nuc, e))

@@ -1,7 +1,8 @@
-"""Every private module-level name of the package is used somewhere in it."""
+"""Every private module-level name of the package is used somewhere in it,
+and every optional parameter of a private function is passed somewhere."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import quantmc
@@ -56,6 +57,53 @@ def unused_private_names(package=PACKAGE):
     ]
 
 
+def _optional_parameters(node):
+    """(name, positional index) of each parameter of function node that has
+    a default; the index is None for a keyword-only one."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, index):
+    """Whether call passes the parameter name, by keyword or at its
+    positional index; a call that unpacks *args or **kwargs might."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == name for k in call.keywords) or (index is not None and len(call.args) > index)
+
+
+def unpassed_optional_parameters(package=PACKAGE):
+    """``module.function(parameter)`` of each optional parameter of a
+    private module-level function of package's modules that no call in the
+    package passes, so that its default is the only value it ever takes.
+
+    A call matches by the called name alone (``f(...)`` or ``obj.f(...)``),
+    from any module; a function that is only passed around as a value, and
+    never called by name, has each of its optional parameters reported.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(call)
+    return [
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for name, node in _definitions(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for param, index in _optional_parameters(node)
+        if not any(_passes(call, param, index) for call in calls[name])
+    ]
+
+
 def test_no_private_name_is_dead():
     assert unused_private_names() == []
 
@@ -72,3 +120,26 @@ def test_a_dead_helper_is_found(tmp_path):
         "    return _USED\n"
     )
     assert unused_private_names(tmp_path) == ["mod._dead"]
+
+
+def test_every_optional_parameter_is_passed():
+    assert unpassed_optional_parameters() == []
+
+
+def test_an_unpassed_optional_parameter_is_found(tmp_path):
+    # the positive control: a parameter with a default that no call passes,
+    # positionally or by keyword, is reported; one passed at its position,
+    # by keyword, or possibly through **kwargs, is not
+    (tmp_path / "mod.py").write_text(
+        "def _kernel(z, theta, eig=None, *, trace=False, log=None):\n"
+        "    return z\n"
+        "def _by_position(a, b=1):\n"
+        "    return a\n"
+        "def _unpacked(a, b=1):\n"
+        "    return a\n"
+        "def public(z, **options):\n"
+        "    _by_position(z, 2)\n"
+        "    _unpacked(z, **options)\n"
+        "    return _kernel(z, 1.0, log=print)\n"
+    )
+    assert unpassed_optional_parameters(tmp_path) == ["mod._kernel(eig)", "mod._kernel(trace)"]

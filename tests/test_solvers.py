@@ -157,8 +157,8 @@ def last_soft(monkeypatch):
     last = []
     svd_soft = quantmc.solvers._svd_soft
 
-    def recording(Z, theta, eig=None):
-        last[:] = svd_soft(Z, theta, eig)
+    def recording(*args):
+        last[:] = svd_soft(*args)
         return tuple(last)
 
     monkeypatch.setattr(quantmc.solvers, "_svd_soft", recording)
@@ -261,20 +261,15 @@ class TestSvdSoft:
     def test_gram_path_decomposes_once(self, eigh_calls, svd_calls, shape):
         # the positive control of the test above: at a threshold above the
         # floor the one decomposition is Z's smaller Gram matrix's, and no
-        # gesdd runs; given those eigenpairs, as the ball solver's start
-        # gives its own, the kernel takes none and the same answer
+        # gesdd runs
         Z = np.random.default_rng(8).standard_normal(shape)
-        theta = 0.1 * np.linalg.norm(Z, 2)
-        X, sv = self._assert_matches_oracle(Z, theta)
+        self._assert_matches_oracle(Z, 0.1 * np.linalg.norm(Z, 2))
         assert eigh_calls == [shape] and len(svd_calls) == 1  # the oracle's own SVD
-        X_given, sv_given = _svd_soft(Z, theta, quantmc.solvers._eigh(Z))
-        assert eigh_calls == [shape, shape] and len(svd_calls) == 1
-        assert np.array_equal(X_given, X) and np.array_equal(sv_given, sv)
 
     @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
     def test_bench_workload_matches_the_oracle(self, monkeypatch, solves, workload):
-        # Each ball solve decomposes Q's Gram matrix once for its start,
-        # whose soft-threshold takes those eigenpairs, then takes one
+        # Each ball solve decomposes Q's Gram matrix once for its start, in
+        # closed form with no soft-threshold and no gesdd, then takes one
         # soft-threshold per step, each by its own Gram matrix, and at most
         # one exact operator norm per step, by the eigenvalues of one more,
         # where _op_lower's bound does not rule it out; none of these solves
@@ -318,11 +313,11 @@ class TestSvdSoft:
                 assert all(step.split() in (["eigh"], ["eigh", "values"]) for step in steps)
                 assert steps[-1].split() == ["eigh", "values"]
             else:
-                start, start_soft, *steps = run.split("soft")
-                assert start.split() == ["eigh"] and start_soft.split() == []
+                start, *steps = run.split("soft")
+                assert start.split() == ["eigh"]
                 assert len(steps) == rep.iterations
                 assert all(step.split() in (["eigh"], ["eigh", "op", "eigvals"]) for step in steps)
-        monkeypatch.setattr(quantmc.solvers, "_svd_soft", lambda Z, theta, eig=None: _gesdd_soft(Z, theta))
+        monkeypatch.setattr(quantmc.solvers, "_svd_soft", lambda Z, theta, *args: _gesdd_soft(Z, theta))
         monkeypatch.setattr(quantmc.solvers, "_op_norm", lambda M: np.linalg.norm(M, 2))
         solves.clear()
         oracle_records, _ = quantmc.harness.run_experiment(cfg)
@@ -511,8 +506,20 @@ class TestSolveQuantizedMC:
     # unrelaxed).
     STRESS_ITERATION_LIMIT = 1850
 
-    def test_stress_set_converges(self):
-        total, missed = 0, []
+    def test_stress_set_converges(self, monkeypatch):
+        # Also: no SVD with vectors runs, so no soft-threshold, in the start
+        # or in the loop, reaches _svd_soft's precision floor (the largest
+        # sigma_1(Z) / tau over the loop's steps is 3.24, the floor 1e4);
+        # the only SVDs are the masked repairs' values-only ones.
+        total, missed, vectors = 0, [], []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                vectors.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         for k in range(150):
             Q, mask, radius = _stress_problem(k)
             rep = solve_quantized_mc(Q, mask, radius)
@@ -521,6 +528,7 @@ class TestSolveQuantizedMC:
                 missed.append(k)
         assert missed == []
         assert total <= self.STRESS_ITERATION_LIMIT
+        assert vectors == []
 
     @pytest.mark.parametrize("k", range(150))
     def test_stress_answer_carries_its_certificate(self, k):
@@ -613,6 +621,35 @@ class TestSolveQuantizedMC:
         expected = _gesdd_soft(Q, mu)[0]
         assert np.max(np.abs(rep.matrix - expected)) <= 1e-10 * np.linalg.norm(Q)
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(expected, "nuc"), rel=1e-10)
+
+    def test_start_is_the_pareto_pair(self):
+        # On partial masks too, the loop's input pair (X0, y0) is Q's Pareto
+        # point and its multiplier, at unit scale: P(X0) - q = mu y0, with mu
+        # the Pareto residual's root by bisection, and, where mu lies at or
+        # above _GRAM_FLOOR sigma_1, X0's singular values (by gesdd) are
+        # max(sigma_i(Q) - mu, 0) and ||X0 - Q||_F is the radius (on 88 of
+        # the 150 stress problems).  Below it only the first holds: the
+        # components at or below the floor keep Q's value by design.
+        checked = 0
+        for k in range(150):
+            Q, mask, radius = _stress_problem(k)
+            _, _, loop = _recorded_steps(solve_quantized_mc, Q, mask, radius)
+            e = quantmc.solvers._unit_scale(Q[mask.rows, mask.cols])[1]
+            Q, radius = np.ldexp(Q, -e), np.ldexp(radius, -e)
+            X0, y0 = loop["X"], loop["y"]
+            sigma = np.linalg.svd(Q, compute_uv=False)
+            lo, hi = 0.0, sigma[0]
+            for _ in range(100):
+                mu = 0.5 * (lo + hi)
+                lo, hi = (mu, hi) if np.linalg.norm(np.minimum(sigma, mu)) < radius else (lo, mu)
+            f = X0[mask.rows, mask.cols] - Q[mask.rows, mask.cols]
+            assert np.linalg.norm(f - mu * y0) <= 1e-13 * np.linalg.norm(Q)
+            if mu >= _GRAM_FLOOR * sigma[0]:
+                checked += 1
+                s0 = np.linalg.svd(X0, compute_uv=False)
+                assert np.max(np.abs(s0 - np.maximum(sigma - mu, 0.0))) <= 1e-12 * sigma[0]
+                assert np.linalg.norm(X0 - Q) == pytest.approx(radius, rel=1e-10)
+        assert checked == 88
 
     def test_full_mask_tiny_radius_pins_solution(self):
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
@@ -855,18 +892,17 @@ def _recorded_steps(solve, *args):
     passes no candidate); projections, the (input, output) pair of each
     call to ``project``; repair, the masked repair (F, ||F||_*) where its
     values-only SVD ran, else None; and last, true on the budget's last
-    step.  Returns (solve's result, steps, loop), with loop the idx, tau,
-    project and max_iters of the last ``_pdhg`` call."""
+    step.  Returns (solve's result, steps, loop), with loop the input pair
+    X and y, idx, tau, project and max_iters of the last ``_pdhg`` call."""
     steps, loop = [], {}
     pdhg, svd_soft, gesdd = quantmc.solvers._pdhg, quantmc.solvers._svd_soft, quantmc.solvers._gesdd
 
-    def recording_soft(Z, theta, eig=None):
-        Xt, sv = svd_soft(Z, theta, eig)
-        if loop:  # not the ball start's soft-threshold
-            loop["iters"] += 1
-            last = loop["iters"] == loop["max_iters"]
-            nuc = float(np.add.reduce(sv))
-            steps.append(dict(Z=Z.copy(), Xt=Xt.copy(), nuc=nuc, masked=True, projections=[], repair=None, last=last))
+    def recording_soft(Z, *args):
+        Xt, sv = svd_soft(Z, *args)
+        loop["iters"] += 1
+        last = loop["iters"] == loop["max_iters"]
+        nuc = float(np.add.reduce(sv))
+        steps.append(dict(Z=Z.copy(), Xt=Xt.copy(), nuc=nuc, masked=True, projections=[], repair=None, last=last))
         return Xt, sv
 
     def recording_gesdd(Z, compute_uv=True):
@@ -876,7 +912,7 @@ def _recorded_steps(solve, *args):
         return out
 
     def recording(X, y, idx, tau, project, support, max_iters, candidate=None, contains=None):
-        loop.update(idx=idx, tau=tau, project=project, max_iters=max_iters, iters=0)
+        loop.update(X=X.copy(), y=y.copy(), idx=idx, tau=tau, project=project, max_iters=max_iters, iters=0)
 
         def recording_project(v):
             p = project(v)
