@@ -142,12 +142,15 @@ def feasible_intervals(system: OneBitObservation):
     Each constraint touches a single entry, so the polyhedron is the box
     lo_k <= x_k < hi_k with lo the largest +1 threshold and hi the smallest
     -1 threshold (-inf/+inf when a side is unconstrained); the open side is
-    the +1 tie rule of ``sign_pm1``.
+    the +1 tie rule of ``sign_pm1``.  Each side takes one pass over the
+    thresholds: those of the other sign set to -inf (+inf) by ``np.where``,
+    then a plain max (min) down each column.
     """
     thresholds = _thresholds(system, "the feasible box")
+    plus = system.signs > 0
     return (
-        thresholds.max(axis=0, where=system.signs > 0, initial=-np.inf),
-        thresholds.min(axis=0, where=system.signs < 0, initial=np.inf),
+        np.where(plus, thresholds, -np.inf).max(axis=0),
+        np.where(plus, np.inf, thresholds).min(axis=0),
     )
 
 

@@ -14,16 +14,20 @@ named here:
 * ``_pdhg``: the step, its free dual point, the masked repair and the stop.
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
   loop starts at Q's own Pareto point and its multiplier, X = Q - mu Y and
-  y = -P(Y), both from one ``_eigh`` of Q's Gram matrix.  Its candidate
-  answers are cheaper than the repair: the iterate, or the iterate scaled
-  along its ray onto the ball when it lies outside (``_ray``), and their
-  gap takes the better of the step's own dual point and the answer's
-  residual, scaled by its exact operator norm (``_op_norm``).
+  y = -P(Y), both from one ``_eigh`` of Q's Gram matrix.  On a full mask
+  that start is the solution, and it is returned after 0 steps where the
+  loop's own stop rule, in closed form from the same eigenvalues, certifies
+  it.  Its candidate answers are cheaper than the repair: the iterate, or
+  the iterate scaled along its ray onto the ball when it lies outside
+  (``_ray``), and their gap takes the better of the step's own dual point
+  and the answer's residual, scaled by its exact operator norm
+  (``_op_norm``).
 * ``solve_one_bit_mc``: C is the sign box lo <= P_mask(X) < hi of
-  ``feasible_intervals``.  The loop starts at zero and projects onto the
-  box shrunk by a margin, which draws its iterates, and the repair, strictly
-  inside the sign box; its support function takes the dual point off the
-  box's unbounded sides.
+  ``feasible_intervals``.  The loop starts where its first step from
+  X = 0, y = 0 lands, in closed form, and projects onto the box shrunk by
+  a margin, which draws its iterates, and the repair, strictly inside the
+  sign box; its support function takes the dual point off the box's
+  unbounded sides.
 
 Both programs are homogeneous in their data, so the floating-point range
 is settled once, where the data comes in: ``prox_nuclear`` and both
@@ -88,8 +92,13 @@ _GAP = 1e-2
 # steps at 1 (582 on onebit_known in the dual-first form), 93, 324, 463 and
 # 3149 at 1.3, 81, 292, 404 and 2825 at 1.5, and 75, 299, 366 and 2746 at
 # 1.7, where rate_sweep turns up again (onebit_known at its earlier step
-# tau = s / 2; it takes 348 at 1.5 and tau = s).
+# tau = s / 2, and from X = 0, y = 0; it takes 348 at 1.5 and tau = s, and
+# 338 from its closed-form first step).
 _RHO = 1.5
+
+# The product sigma tau of the loop's dual and primal steps (``_pdhg``),
+# below 1 / ||P||^2 = 1 as the method's convergence needs.
+_SIGMA_TAU = 0.99
 
 # Relative slack on the ball radius: a ball answer counts as feasible when
 # ||P(X) - q|| <= radius (1 + _TOL_FEAS).  The one-bit solver's answers
@@ -280,11 +289,11 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
         yt = sigma (v - project(v)),
         X <- X + _RHO D,  y <- y + _RHO (yt - y),
 
-    one ``_svd_soft`` per step, with sigma = 0.99 / tau (sigma tau ||P||^2
-    < 1) and ``project`` the Euclidean projection Pi_C onto C.  The step
-    difference D = Xt - X is formed once and serves both the relaxation and
-    the dual point below; the relaxed P(X) is read off the relaxed X, the
-    same bits as relaxing P(X) on its own.  yt is the
+    one ``_svd_soft`` per step, with sigma = _SIGMA_TAU / tau and
+    ``project`` the Euclidean projection Pi_C onto C.  The step difference
+    D = Xt - X is formed once and serves both the relaxation and the dual
+    point below; the relaxed P(X) is read off the relaxed X, the same bits
+    as relaxing P(X) on its own.  yt is the
     prox of sigma * sigma_C at sigma v, by Moreau's identity
     sigma v - sigma Pi_C(v), so each program states C once, as Pi_C.  The
     map (X, y) -> (Xt, yt) is firmly
@@ -321,7 +330,7 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
     iterations, True); after max_iters steps it returns the last step's F
     with False.
     """
-    sigma = 0.99 / tau
+    sigma = _SIGMA_TAU / tau
     x = X.take(idx)
     for iters in range(1, max_iters + 1):
         last = iters == max_iters
@@ -366,9 +375,9 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     entries of Q, is solved by ``_pdhg``, with Pi the projection onto the
     ball, Pi(v) = q + (v - q) radius / ||v - q|| outside it, and the support
     function sigma(y) = <y, q> + radius ||y||.  Its steps are
-    tau = 2 max_k |q_k| and sigma = 0.99 / tau (X and tau scale with Q,
-    y and sigma tau do not).  The loop starts at Q's own
-    Pareto point, the solution on a full mask: X = SVT_mu(Q) and
+    tau = 2 max_k |q_k| and sigma = _SIGMA_TAU / tau (X and tau scale with
+    Q, y and sigma tau do not).  The loop starts at Q's own Pareto point,
+    the solution on a full mask: X = SVT_mu(Q) and
     y = (P(X) - q) / mu, with mu the root of
     sqrt(sum_i min(sigma_i(Q), mu)^2) = radius.  One ``_eigh`` of Q's
     smaller Gram matrix gives the pair: its eigenvalues are the sigma_i^2,
@@ -381,6 +390,19 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     sigma_1, w_i = 0: that component keeps Q's value, off by at most mu,
     and a mu of 0 (a radius whose square underflows) divides nothing.  All
     of this runs on Q and the radius at unit scale (module docstring).
+
+    On a full mask P^* is the identity and the start is the solution, so
+    the loop's stop rule is tried on the start pair before any step, from
+    the eigenvalues already taken: ||P^* y||_op = ||Y||_op = max_i
+    sigma_i w_i (at most 1), ||X||_* = sum over w_i > 0 of
+    max(sigma_i - mu, 0) plus sum over w_i = 0 of sigma_i, and the dual
+    bound is -sigma(y) / max(1, max_i sigma_i w_i).  Where X lies in the
+    ball to the slack below and its gap ||X||_* - dual is at most
+    _GAP ||X||_*, X is returned, converged, after 0 iterations; otherwise
+    the loop runs from the pair as on a partial mask.  The sigma_i with
+    w_i = 0 come from the Gram eigenvalues, good to about 1e-8 sigma_1
+    each, so where Q is of exact low rank and the radius tiny, that ||X||_*
+    can read high by about 1e-8 relative.
 
     Each step's candidate answer is Xt while its residual r = P(Xt) - q
     has ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the
@@ -482,7 +504,19 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
                     dual = max(dual, num / _op_norm(M))
         return (X if t == 1.0 else t * X), f_nuc, dual
 
-    F, f_nuc, iters, converged = _pdhg(
+    start = None
+    if idx.size == Qm.size:
+        # The full-mask exit (docstring), from the start's own eigenvalues.
+        # y is formed here and again for the loop: held in this frame
+        # through every step of a partial-mask solve, it made the large_n
+        # benchmark runs about 2% slower.
+        sig = np.sqrt(np.maximum(lam, 0.0))
+        y = -Y.take(idx)
+        nuc = float(np.where(w > 0.0, np.maximum(sig - mu, 0.0), sig).sum())
+        dual = -support(y) / max(1.0, float((sig * w).max()))
+        if contains(X.take(idx)) and nuc - dual <= _GAP * nuc:
+            start = X, nuc, 0, True
+    F, f_nuc, iters, converged = start or _pdhg(
         X, -Y.take(idx), idx, 2.0 * qmax, project, support, max_iters, candidate, contains
     )
     f = F.take(idx) - q
@@ -516,9 +550,15 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     s the largest finite |bound|, ``_pdhg`` runs on the box shrunk by
     gamma_k = min(_FEAS_MARGIN s, width_k / 4) on each side: its projection
     is the clip onto the shrunk box.  The steps are tau = s and
-    sigma = 0.99 / tau, so the loop is scale-free like the ball's, and it
-    starts at X = 0, y = 0.  Over the first trial of seeds 2-11 of the
-    onebit_known workload it takes 348 steps, against 404 at tau = s / 2.
+    sigma = _SIGMA_TAU / tau, so the loop is scale-free like the ball's.
+    Its first step from X = 0, y = 0 would soft-threshold a zero matrix and
+    move y alone, so the loop starts where that step lands, at X = 0 and
+    y = _RHO sigma (0 - Pi(0)), formed with the loop's own operations in
+    their order: every later iterate is bitwise the one the loop reaches
+    from (0, 0), and ``iterations`` counts the loop's steps alone, as the
+    ball's closed-form start is not counted either.
+    Over the first trial of seeds 2-11 of the onebit_known workload it
+    takes 338 steps (348 from (0, 0), 404 at tau = s / 2).
     Each step's dual point is certified against the sign box [lo, hi]
     itself, whose support function is sum over y > 0 of y hi plus sum over
     y < 0 of y lo.  The dual step puts no weight on an unbounded side, but
@@ -568,7 +608,12 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
         c_norm = math.sqrt((up * up) @ w_hi + (down * down) @ w_lo)
         return float(up @ hi_f + down @ lo_f) / (1.0 + c_norm)
 
-    F, nuc, iters, converged = _pdhg(X, np.zeros(mask.m_prime), idx, tau, project, support, max_iters)
+    # The first step from (0, 0) in closed form (docstring), as _pdhg forms
+    # it: v = y / sigma + P(2 Xt - X) = 0, and y = _RHO sigma (v - Pi(v))
+    v = np.zeros(mask.m_prime)
+    F, nuc, iters, converged = _pdhg(
+        X, _RHO * (_SIGMA_TAU / tau * (v - project(v))), idx, tau, project, support, max_iters
+    )
     F, nuc = np.ldexp(F, e), float(np.ldexp(nuc, e))
     return SolverReport(
         matrix=F,

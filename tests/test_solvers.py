@@ -273,7 +273,9 @@ class TestSvdSoft:
         # soft-threshold per step, each by its own Gram matrix, and at most
         # one exact operator norm per step, by the eigenvalues of one more,
         # where _op_lower's bound does not rule it out; none of these solves
-        # needs the masked repair and its values-only SVD.  The one-bit
+        # needs the masked repair and its values-only SVD.  A full-mask ball
+        # solve (rate_sweep's m' = 1024) is that one decomposition alone:
+        # its start certifies itself before any step.  The one-bit
         # solve takes one soft-threshold per step, each by its own Gram
         # matrix, and one values-only SVD, for its masked repair, at each
         # step whose own gap certifies, the stopping step among them.
@@ -325,7 +327,8 @@ class TestSvdSoft:
         assert len(records) == len(oracle_records) > 0
         for rec, ref in zip(records, oracle_records):
             assert (rec.iterations, rec.converged) == (ref.iterations, ref.converged)
-            assert rec.iterations > 0
+            # only a full-mask ball start is returned before any step
+            assert (rec.iterations == 0) == (workload == "rate_sweep" and rec.m_prime == rec.n1 * rec.n2)
             assert rec.err_fro == pytest.approx(ref.err_fro, rel=1e-9)
 
 
@@ -412,7 +415,7 @@ class TestOpNorm:
 
 
 # Most iterations the first solve of each bench workload may take at trial
-# base_seed 100000: it takes 7 on large_n, 11 on rate_sweep and 49 on
+# base_seed 100000: it takes 7 on large_n, 11 on rate_sweep and 39 on
 # onebit_known (11, 15 and 72 unrelaxed).
 ITERATION_LIMITS = {"large_n": 9, "rate_sweep": 13, "onebit_known": 55}
 
@@ -458,7 +461,8 @@ def _last_step(solve, *args):
     """Run solve(*args) and record the last step ``_pdhg`` takes: its input
     multiplier y, its step difference D = Xt - X, with Xt = SVT_tau(X -
     tau P^* y) for the step's input X, and tau, at the solver's unit scale,
-    which y does not see.  Returns (report, (y, D, tau))."""
+    which y does not see.  Returns (report, (y, D, tau)), or (report, None)
+    where the answer took no step."""
     last = []
     step_dual = quantmc.solvers._step_dual
 
@@ -469,7 +473,7 @@ def _last_step(solve, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_step_dual", recording)
         rep = solve(*args)
-    return rep, last[0]
+    return rep, (last[0] if last else None)
 
 
 def _certified(Q, mask, radius):
@@ -480,18 +484,22 @@ def _certified(Q, mask, radius):
     Two dual points are tried, and the one with the smaller gap is kept.
     The first is the last step's own: from its input multiplier y and its
     step difference D = Xt - X, Xt = SVT_tau(X - tau P^* y), the point
-    y / (1 + ||D||_F / tau).
+    y / (1 + ||D||_F / tau), where the answer took a step (a full-mask
+    start returned before any step has no step point).
     The second is the answer's own residual f = P(answer) - q, as
     f / ||P^* f||_op, unless f = 0.  Returns (report, nuclear norm and
     residual of the answer, ||P^* y||_op of the kept point y, gap
     ||answer||_* + <y, q> + radius ||y||).
     """
-    rep, (y, D, tau) = _last_step(solve_quantized_mc, Q, mask, radius)
+    rep, step = _last_step(solve_quantized_mc, Q, mask, radius)
     q = Q[mask.rows, mask.cols]
     nuclear = np.linalg.norm(rep.matrix, "nuc")
     f = rep.matrix[mask.rows, mask.cols] - q
     residual = np.linalg.norm(f)
-    points = [y / (1.0 + np.linalg.norm(D) / tau)]
+    points = []
+    if step is not None:
+        y, D, tau = step
+        points.append(y / (1.0 + np.linalg.norm(D) / tau))
     if np.any(f != 0.0):
         points.append(f / np.linalg.norm(scatter_vector(f, mask), 2))
     gaps = [nuclear + y @ q + radius * np.linalg.norm(y) for y in points]
@@ -598,19 +606,25 @@ class TestSolveQuantizedMC:
         assert rep.converged and residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
-    @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
-    def test_full_mask_start_is_the_solution(self, share):
-        # On a full mask the start, SVT_mu(Q) with Q's Pareto residual at mu
-        # equal to the radius, solves the program, and y = (P(X) - q) / mu is
-        # its multiplier: the first step's soft-threshold returns the same X
-        # and certifies it.
+    @staticmethod
+    def _full_mask_problem(share):
+        """A fully observed 30 x 30 rank-3 problem with 0.1 noise, at radius
+        share ||q||.  Returns (Q, mask, radius)."""
         gt = generate_low_rank((30, 30), 3, 1.0, seed=2)
         mask = sample_mask_uniform((30, 30), 900, seed=102)
         noise = 0.1 * np.random.default_rng(2).standard_normal((30, 30))
         Q = project(gt + noise, mask)
-        radius = share * float(np.linalg.norm(Q))
+        return Q, mask, share * float(np.linalg.norm(Q))
+
+    @pytest.mark.parametrize("share", [0.3, 0.6, 0.9])
+    def test_full_mask_start_is_the_solution(self, share):
+        # On a full mask the start, SVT_mu(Q) with Q's Pareto residual at mu
+        # equal to the radius, solves the program, and y = (P(X) - q) / mu is
+        # its multiplier: the start certifies itself and is returned before
+        # any step.
+        Q, mask, radius = self._full_mask_problem(share)
         rep = solve_quantized_mc(Q, mask, radius)
-        assert rep.converged and rep.iterations == 1
+        assert rep.converged and rep.iterations == 0
         assert rep.data_residual == pytest.approx(radius, rel=1e-9)
         # the Pareto residual's root, by bisection
         sigma = np.linalg.svd(Q, compute_uv=False)
@@ -622,6 +636,36 @@ class TestSolveQuantizedMC:
         assert np.max(np.abs(rep.matrix - expected)) <= 1e-10 * np.linalg.norm(Q)
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(expected, "nuc"), rel=1e-10)
 
+    def test_full_mask_exit_is_certified(self):
+        # Each full-mask answer is its start, returned after 0 steps: in the
+        # ball to _TOL_FEAS, and certified by its own residual's dual point
+        # f / ||P^* f||_op (by gesdd), the only one _certified has without a
+        # step.  The problems: the 30 x 30 one above, the m' = 1024 solves of
+        # rate_sweep seeds 2-11 and the stress set's five full masks.  No
+        # partial-mask solve among them returns before a step.
+        problems = [self._full_mask_problem(share) for share in (0.3, 0.6, 0.9)]
+        for seed in range(2, 12):
+            problems += TestBallOracle._problems(f"rate_sweep-{seed}")
+        problems += [_stress_problem(k) for k in range(150)]
+        full = [p for p in problems if p[1].m_prime == p[0].size]
+        assert len(full) == 3 + 10 + 5
+        for Q, mask, radius in full:
+            rep, nuclear, residual, op, gap = _certified(Q, mask, radius)
+            assert rep.converged and rep.iterations == 0
+            assert residual <= radius * (1.0 + _TOL_FEAS)
+            assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
+        partial = [p for p in problems if p[1].m_prime < p[0].size]
+        assert len(partial) == 30 + 145
+        assert all(solve_quantized_mc(*p).iterations > 0 for p in partial)
+
+    def test_full_mask_exit_needs_its_gap(self, monkeypatch):
+        # The positive control of the test above: at a gap of -1 no answer
+        # can certify, so the start is not returned, and the loop runs out
+        # its budget of 3 steps.
+        monkeypatch.setattr(quantmc.solvers, "_GAP", -1.0)
+        rep = solve_quantized_mc(*self._full_mask_problem(0.6), 3)
+        assert rep.iterations == 3 and not rep.converged
+
     def test_start_is_the_pareto_pair(self):
         # On partial masks too, the loop's input pair (X0, y0) is Q's Pareto
         # point and its multiplier, at unit scale: P(X0) - q = mu y0, with mu
@@ -629,21 +673,27 @@ class TestSolveQuantizedMC:
         # above _GRAM_FLOOR sigma_1, X0's singular values (by gesdd) are
         # max(sigma_i(Q) - mu, 0) and ||X0 - Q||_F is the radius (on 88 of
         # the 150 stress problems).  Below it only the first holds: the
-        # components at or below the floor keep Q's value by design.
+        # components at or below the floor keep Q's value by design.  The
+        # five full-mask problems return their start before any step, so
+        # there X0 is the answer and y0 is not seen.
         checked = 0
         for k in range(150):
             Q, mask, radius = _stress_problem(k)
-            _, _, loop = _recorded_steps(solve_quantized_mc, Q, mask, radius)
+            rep, _, loop = _recorded_steps(solve_quantized_mc, Q, mask, radius)
             e = quantmc.solvers._unit_scale(Q[mask.rows, mask.cols])[1]
             Q, radius = np.ldexp(Q, -e), np.ldexp(radius, -e)
-            X0, y0 = loop["X"], loop["y"]
             sigma = np.linalg.svd(Q, compute_uv=False)
             lo, hi = 0.0, sigma[0]
             for _ in range(100):
                 mu = 0.5 * (lo + hi)
                 lo, hi = (mu, hi) if np.linalg.norm(np.minimum(sigma, mu)) < radius else (lo, mu)
-            f = X0[mask.rows, mask.cols] - Q[mask.rows, mask.cols]
-            assert np.linalg.norm(f - mu * y0) <= 1e-13 * np.linalg.norm(Q)
+            if loop:
+                X0, y0 = loop["X"], loop["y"]
+                f = X0[mask.rows, mask.cols] - Q[mask.rows, mask.cols]
+                assert np.linalg.norm(f - mu * y0) <= 1e-13 * np.linalg.norm(Q)
+            else:
+                assert mask.m_prime == Q.size and rep.iterations == 0
+                X0 = np.ldexp(rep.matrix, -e)
             if mu >= _GRAM_FLOOR * sigma[0]:
                 checked += 1
                 s0 = np.linalg.svd(X0, compute_uv=False)
@@ -1237,11 +1287,63 @@ def _open_box_system(rng, n):
     return OneBitObservation(signs, np.array([lo, hi]), SampleMask((1, n), np.zeros(n, dtype=int), np.arange(n)))
 
 
-def _old_feasible_intervals(system):
-    """``feasible_intervals`` written out with np.where."""
-    plus = np.where(system.signs > 0, system.thresholds, -np.inf)
-    minus = np.where(system.signs < 0, system.thresholds, np.inf)
-    return plus.max(axis=0), minus.min(axis=0)
+def _masked_feasible_intervals(system):
+    """``feasible_intervals`` in its earlier form, two masked reductions."""
+    t = system.thresholds
+    return (
+        t.max(axis=0, where=system.signs > 0, initial=-np.inf),
+        t.min(axis=0, where=system.signs < 0, initial=np.inf),
+    )
+
+
+def _box_systems(kind):
+    """Sign systems of one kind, on which the one-pass box is checked."""
+    rng = np.random.default_rng(2032)
+    if kind == "onebit_known":
+        return [_bench_one_bit_system(seed) for seed in range(2, 12)]
+    if kind == "m1":
+        # one sequence: every entry's box has one unbounded side
+        return [_one_bit_system((10, 12), 60, 1, seed=seed)[0] for seed in range(5)]
+    if kind == "infinite":
+        # bounds drawn from a grid with +-inf and repeated values
+        grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf])
+        systems = []
+        for _ in range(100):
+            m, n = (int(v) for v in rng.integers(1, 6, 2))
+            mask = SampleMask((1, n), np.zeros(n, dtype=int), np.arange(n))
+            systems.append(OneBitObservation(rng.choice([-1, 1], (m, n)), rng.choice(grid, (m, n)), mask))
+        return systems
+    if kind == "ties":
+        # sequences through the entries themselves (x = t reads as +1), and a
+        # +1 and a -1 threshold at one value
+        gt = generate_low_rank((8, 8), 2, 1.0, seed=50)
+        mask = sample_mask_uniform((8, 8), 30, seed=51)
+        x = gt[mask.rows, mask.cols]
+        thr = np.vstack([x, rng.uniform(-1.0, 1.0, (3, 30)), x])
+        touching = OneBitObservation(np.array([[1], [-1]]), np.array([[0.5], [0.5]]), SampleMask((1, 1), [0], [0]))
+        return [observe_one_bit(gt, mask, thr), touching]
+    if kind == "one_sided_columns":
+        # all-+1 columns (hi = +inf) beside all--1 ones (lo = -inf)
+        signs = np.ones((4, 6), dtype=int)
+        signs[:, 3:] = -1
+        mask = SampleMask((2, 3), [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2])
+        return [OneBitObservation(signs, rng.uniform(-1.0, 1.0, (4, 6)), mask)]
+    # a 1 x 1 mask, under one to three sequences of either sign
+    mask = SampleMask((1, 1), [0], [0])
+    signs = ([[1]], [[-1]], [[1], [-1]], [[-1], [-1], [1]])
+    return [OneBitObservation(np.array(s), rng.uniform(-1.0, 1.0, (len(s), 1)), mask) for s in signs]
+
+
+@pytest.mark.parametrize("kind", ["onebit_known", "m1", "infinite", "ties", "one_sided_columns", "1x1"])
+def test_one_pass_box_matches_the_masked_reductions(kind):
+    # feasible_intervals takes each side in one np.where pass and a plain
+    # max (min); both sides equal those of the masked reductions, over every
+    # kind of column: both sides bounded, one or both open, ties.  (Where a
+    # column holds both -0.0 and 0.0 the two forms may return either; they
+    # bound the entry alike, and np.array_equal counts them equal.)
+    for system in _box_systems(kind):
+        for new, old in zip(feasible_intervals(system), _masked_feasible_intervals(system)):
+            assert np.array_equal(new, old)
 
 
 def test_vector_forms_match_their_definitions():
@@ -1250,8 +1352,7 @@ def test_vector_forms_match_their_definitions():
     # formed from bound vectors with their infinite sides set to 0; on
     # random multipliers with zeros, over boxes of every openness, it is the
     # definition (_support_repair, then _box_support) to 1e-12 relative.
-    # feasible_intervals' masked reductions and consistency_report's
-    # comparison count equal their np.where and sign_pm1 forms
+    # consistency_report's comparison count equals its sign_pm1 form
     # exactly, with ties at thresholds and +-inf thresholds, and
     # violation_measure its per-constraint sum to 1e-12 relative.
     rng = np.random.default_rng(2028)
@@ -1285,8 +1386,6 @@ def test_vector_forms_match_their_definitions():
         m, n = (int(v) for v in rng.integers(1, 6, 2))
         mask = SampleMask((1, n), np.zeros(n, dtype=int), np.arange(n))
         system = OneBitObservation(rng.choice([-1, 1], (m, n)), rng.choice(grid, (m, n)), mask)
-        for new, old in zip(feasible_intervals(system), _old_feasible_intervals(system)):
-            np.testing.assert_array_equal(new, old)
         t = system.thresholds
         xt, xb = (rng.choice(grid[1:-1], (1, n)) for _ in range(2))
         assert consistency_report(xb, system, xt) == np.count_nonzero(sign_pm1(xt - t) != sign_pm1(xb - t))
@@ -1326,37 +1425,48 @@ def test_budget_below_one_rejected(case):
 
 
 # Most steps of the one-bit solver over the first trial of seeds 2-11
-# (base_seed s * 100000) of the onebit_known workload: it takes 348 at its
-# step tau = s, 404 at tau = s / 2 (582 at s / 2 unrelaxed).
-BOX_ITERATION_LIMIT = 355
+# (base_seed s * 100000) of the onebit_known workload: it takes 338 from its
+# closed-form first step (348 from X = 0, y = 0), at its step tau = s; 404
+# at tau = s / 2 from (0, 0) (582 at s / 2 unrelaxed).
+BOX_ITERATION_LIMIT = 345
 
 # Most masked repairs (values-only SVDs) of the one-bit solver over the same
 # trials: it takes 57, against 100 without the loop's lower bound <F, G> on
 # the repair's nuclear norm; one more per solve repairs also while the
-# step's dual bound is at most 0, as at step 1.
+# step's dual bound is at most 0, as at a step from y = 0.
 BOX_REPAIR_LIMIT = 60
+
+
+def _zero_inputs(steps):
+    """The steps whose soft-threshold was given the zero matrix."""
+    return [step for step in steps if not np.any(step["Z"])]
 
 
 def test_bench_workload_box_iterations(solves):
     # Also: no repair runs at a step whose dual bound is at most 0, where it
-    # cannot certify, but on the budget's last step.
-    repairs = []
+    # cannot certify, but on the budget's last step; and no step
+    # soft-thresholds a zero matrix, as a first step from y = 0 did.
+    repairs, zero = [], []
     for seed in range(2, 12):
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
         (records, _), steps, _ = _recorded_steps(quantmc.harness.run_experiment, cfg)
         assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
         repairs += [step for step in steps if step["repair"] is not None]
+        zero += _zero_inputs(steps)
     assert len(solves) == 10 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= BOX_ITERATION_LIMIT
     assert 10 <= len(repairs) <= BOX_REPAIR_LIMIT
     assert all(step["dual"] > 0.0 or step["last"] for step in repairs)
+    assert zero == []
 
 
 # The one-bit regimes beyond the benchmark: the onebit_known workload with
 # these fields changed, and the most steps its solver takes over 3 trials at
-# base_seed 777.  Over 8 trials it takes, at tau = s / 2 and then at s,
-# 233 -> 201, 476 -> 288, 320 -> 263, 293 -> 274, 311 -> 227 and 420 -> 364
-# steps; over these 3, 85, 105, 100, 100, 83 and 135 at tau = s.
+# base_seed 777.  Over 8 trials it takes, at tau = s / 2 and then at s, both
+# from X = 0, y = 0, 233 -> 201, 476 -> 288, 320 -> 263, 293 -> 274,
+# 311 -> 227 and 420 -> 364 steps, and from the closed-form first step 193,
+# 280, 255, 266, 219 and 356; over these 3, 82, 102, 97, 97, 80 and 132
+# (85, 105, 100, 100, 83 and 135 from (0, 0)).
 ONE_BIT_REGIMES = {
     "m1": (dict(m=1), 90),
     "m5": (dict(m=5), 110),
@@ -1369,12 +1479,14 @@ ONE_BIT_REGIMES = {
 
 @pytest.mark.parametrize("regime", ONE_BIT_REGIMES)
 def test_one_bit_regimes_converge(solves, regime):
+    # Also: no step soft-thresholds a zero matrix.
     fields, limit = ONE_BIT_REGIMES[regime]
     cfg = quantmc.harness.ExperimentConfig(trials=3, base_seed=777, **{**BENCH_CONFIGS["onebit_known"], **fields})
-    records, _ = quantmc.harness.run_experiment(cfg)
+    (records, _), steps, _ = _recorded_steps(quantmc.harness.run_experiment, cfg)
     assert records and all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
     assert len(solves) == 3 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= limit
+    assert len(steps) == sum(rep.iterations for rep in solves) and _zero_inputs(steps) == []
 
 
 def _weighed_repairs(solve, *args):
