@@ -116,6 +116,15 @@ class SolverReport:
     stage count; each solver runs one stage, and the entry is its final
     objective, the answer's nuclear norm.  It is empty when the zero matrix
     is returned without a solve.
+
+    ``dual`` is the answer's certificate, the dual point y whose bound the
+    stop compared, one float per observed entry in mask order.  With P^* y
+    the matrix holding y on the mask and 0 elsewhere, ||P^* y||_op <= 1 to
+    rounding, so no point of the program has a nuclear norm below
+    -sigma_C(y), sigma_C the support function of its set C (the ball or
+    the sign box), and a converged answer F has ||F||_* + sigma_C(y) <=
+    _GAP ||F||_*.  y does not scale with the data; it is 0 where the zero
+    matrix is returned without a step.
     """
 
     matrix: np.ndarray
@@ -125,6 +134,7 @@ class SolverReport:
     converged: bool
     nuclear_norm: float
     stage_objectives: tuple = ()
+    dual: np.ndarray | None = None
 
 
 def _unit_scale(a: np.ndarray):
@@ -266,15 +276,6 @@ def prox_nuclear(Z, theta: float) -> np.ndarray:
     return np.ldexp(_svd_soft(np.ldexp(Zm, -e), float(np.ldexp(theta, -e)))[0], e)
 
 
-def _step_dual(y, D, tau):
-    """The dual point a step proves feasible for free: y / (1 + ||D||_F /
-    tau), for the step's input pair (X, y), Xt = SVT_tau(X - tau P^* y) and
-    its step difference D = Xt - X.  (X - tau P^* y - Xt) / tau is a
-    subgradient of ||.||_* at Xt, so its operator norm is at most 1 and
-    ||P^* y||_op is at most 1 + ||D||_F / tau, whatever X is."""
-    return y / (1.0 + np.linalg.norm(D) / tau)
-
-
 def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, contains=None):
     """The primal-dual loop of Chambolle and Pock (J. Math. Imaging Vis.
     2011) on min ||X||_* subject to P(X) in C, from the pair (X, y), with P
@@ -293,42 +294,43 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
     ``project`` the Euclidean projection Pi_C onto C.  The step difference
     D = Xt - X is formed once and serves both the relaxation and the dual
     point below; the relaxed P(X) is read off the relaxed X, the same bits
-    as relaxing P(X) on its own.  yt is the
-    prox of sigma * sigma_C at sigma v, by Moreau's identity
-    sigma v - sigma Pi_C(v), so each program states C once, as Pi_C.  The
-    map (X, y) -> (Xt, yt) is firmly
+    as relaxing P(X) on its own.  yt is the prox of sigma * sigma_C at
+    sigma v, by Moreau's identity sigma v - sigma Pi_C(v), so each program
+    states C once, as Pi_C.  The map (X, y) -> (Xt, yt) is firmly
     nonexpansive in the method's metric, so any relaxation in (0, 2) keeps
     the iteration convergent (Condat, J. Optim. Theory Appl. 2013;
     Chambolle and Pock, Math. Program. 2016).
 
     Any y with ||P^* y||_op <= 1 proves that no point of the program has a
     nuclear norm below -sigma_C(y), and each step has one for free,
-    y' = ``_step_dual(y, D, tau)``: the soft-threshold's subgradient holds
-    for any input X, the relaxed one included.  ``support(y')`` is
-    sigma_C at y', or at a dual-feasible point the program derives from it
-    where sigma_C(y') is infinite; dual = -support(y').
+    y' = y / (1 + ||D||_F / tau): G = (Z - Xt) / tau = -D / tau - P^* y is
+    a subgradient of ||.||_* at Xt, so ||G||_op <= 1 and
+    ||P^* y||_op <= 1 + ||D||_F / tau, whatever X is, the relaxed one
+    included.  ``support(y')`` is sigma_C at y', or at a dual-feasible
+    point the program derives from it where sigma_C(y') is infinite;
+    dual = -support(y').
 
     Each step's answer F is the program's ``candidate(Xt, P(Xt), ||Xt||_*,
-    dual)``, a point of C with (F, ||F||_*, a lower bound at least dual),
-    where it has one; otherwise it is the masked repair, Xt with
-    P(F) = project(P(Xt)), whose nuclear norm takes one values-only SVD
-    (``_gesdd``).  Where the program passes a membership test, the repair
-    counts only if ``contains(P(F))``: rounding can put the projection of
-    a point far outside a tiny ball just outside it.  The SVD is skipped
-    where the repair cannot certify, as it needs
-    dual >= (1 - _GAP) ||F||_* > 0: while dual <= 0 or the step's own gap
-    ||Xt||_* - dual exceeds _GAP ||Xt||_*, and then, with p = project(P(Xt)),
-    where dual lies below (1 - _GAP) times a free lower bound on ||F||_*,
-    less a relative 1e-9 for rounding.  With G = (Z - Xt) / tau the step's
-    subgradient, ||G||_op <= 1 and <Xt, G> = ||Xt||_*, and F - Xt lies on
-    the mask, so ||F||_* >= <F, G> = ||Xt||_* + <p - P(Xt), (z - P(Xt)) / tau>,
+    dual, y')``, a point of C with (F, ||F||_*, a lower bound at least dual,
+    the dual point of that bound), where it has one; otherwise it is the
+    masked repair, Xt with P(F) = project(P(Xt)), with (dual, y'), whose
+    nuclear norm takes one values-only SVD (``_gesdd``).  Where the program
+    passes a membership test, the repair counts only if ``contains(P(F))``:
+    rounding can put the projection of a point far outside a tiny ball just
+    outside it.  The SVD is skipped where the repair cannot certify, as it
+    needs dual >= (1 - _GAP) ||F||_* > 0: while dual <= 0 or the step's own
+    gap ||Xt||_* - dual exceeds _GAP ||Xt||_*, and then, with
+    p = project(P(Xt)), where dual lies below (1 - _GAP) times a free lower
+    bound on ||F||_*, less a relative 1e-9 for rounding.  With G the step's
+    subgradient above, <Xt, G> = ||Xt||_*, and F - Xt lies on the mask, so
+    ||F||_* >= <F, G> = ||Xt||_* + <p - P(Xt), (z - P(Xt)) / tau>,
     z = P(Z).  The cheap tests come first, so most steps project nothing
     for it.  A skip spares only a repair that could not certify, so it
     never moves the stopping step; the budget's last step, which must give
     an answer, skips nothing.  The loop stops at the first F whose gap
     ||F||_* - dual is at most _GAP ||F||_*, and returns (F, ||F||_*,
-    iterations, True); after max_iters steps it returns the last step's F
-    with False.
+    iterations, True, the dual point of F's bound); after max_iters steps
+    it returns the last step's answer and point with False.
     """
     sigma = _SIGMA_TAU / tau
     x = X.take(idx)
@@ -340,8 +342,9 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
         xt = Xt.take(idx)
         D = Xt - X
         nuc = float(np.add.reduce(sv))
-        dual = -support(_step_dual(y, D, tau))
-        answer = candidate(Xt, xt, nuc, dual) if candidate else None
+        point = y / (1.0 + np.linalg.norm(D) / tau)
+        dual = -support(point)
+        answer = candidate(Xt, xt, nuc, dual, point) if candidate else None
         if answer is None and (last or dual > 0.0 and nuc - dual <= _GAP * nuc):
             # z = x - tau y is formed again here: kept alive through every
             # step, it made the large_n solves about 2% slower
@@ -351,17 +354,18 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
                 F.put(idx, p)
                 # a repair outside C cannot stop the loop: its bound is -inf
                 inside = contains is None or contains(p)
-                answer = F, float(_gesdd(F, compute_uv=False).sum()), dual if inside else -math.inf
+                answer = F, float(_gesdd(F, compute_uv=False).sum()), (dual if inside else -math.inf), point
         if answer is not None:
-            F, f_nuc, f_dual = answer
-            if f_nuc - f_dual <= _GAP * f_nuc:
-                return F, f_nuc, iters, True
+            F, f_nuc, f_dual, point = answer
+            converged = f_nuc - f_dual <= _GAP * f_nuc
+            if converged or last:
+                return F, f_nuc, iters, converged, point
+        del answer, point  # not kept alive through the next step, as z above
         v = y / sigma + (2.0 * xt - x)
         yt = sigma * (v - project(v))
         X = X + _RHO * D
         x = X.take(idx)
         y = y + _RHO * (yt - y)
-    return F, f_nuc, iters, False
 
 
 def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 20000) -> SolverReport:
@@ -392,17 +396,16 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     of this runs on Q and the radius at unit scale (module docstring).
 
     On a full mask P^* is the identity and the start is the solution, so
-    the loop's stop rule is tried on the start pair before any step, from
-    the eigenvalues already taken: ||P^* y||_op = ||Y||_op = max_i
-    sigma_i w_i (at most 1), ||X||_* = sum over w_i > 0 of
-    max(sigma_i - mu, 0) plus sum over w_i = 0 of sigma_i, and the dual
-    bound is -sigma(y) / max(1, max_i sigma_i w_i).  Where X lies in the
-    ball to the slack below and its gap ||X||_* - dual is at most
-    _GAP ||X||_*, X is returned, converged, after 0 iterations; otherwise
-    the loop runs from the pair as on a partial mask.  The sigma_i with
-    w_i = 0 come from the Gram eigenvalues, good to about 1e-8 sigma_1
-    each, so where Q is of exact low rank and the radius tiny, that ||X||_*
-    can read high by about 1e-8 relative.
+    where every w_i is positive the loop's stop rule is tried on the start
+    pair before any step, from the eigenvalues already taken:
+    ||P^* y||_op = ||Y||_op = max_i sigma_i w_i (at most 1), ||X||_* = sum_i
+    max(sigma_i - mu, 0), and the dual point is y / max(1, max_i sigma_i
+    w_i).  Where X lies in the ball to the slack below and its gap
+    ||X||_* - dual is at most _GAP ||X||_*, X is returned, converged, after
+    0 iterations; otherwise the loop runs from the pair as on a partial
+    mask.  A w_i of 0 marks a component at the precision floor, whose
+    sigma_i the Gram eigenvalue gives to only about 1e-8 sigma_1, so such a
+    start is left to the loop, whose soft-threshold drops that component.
 
     Each step's candidate answer is Xt while its residual r = P(Xt) - q
     has ||r|| <= radius (1 + _TOL_FEAS).  Otherwise it is t Xt, with t the
@@ -417,10 +420,10 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     direction at the solution.  Its exact norm costs one ``_op_norm``,
     taken only when the first point does not certify and a free lower
     bound on ||P^* f||_op does not rule it out: ``_op_lower``'s power
-    steps, each warm-started from the last.  The loop stops, converged, at
-    the first answer whose gap ||F||_* - dual is at most _GAP ||F||_*.
-    After max_iters steps the last answer is returned with
-    converged=False.
+    steps, each warm-started from the last.  The point that gives the
+    kept bound is the report's ``dual``.  The loop stops, converged, at the
+    first answer whose gap ||F||_* - dual is at most _GAP ||F||_*.  After
+    max_iters steps the last answer is returned with converged=False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -445,6 +448,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
             data_residual=float(np.ldexp(qnorm, e)),
             converged=True,
             nuclear_norm=0.0,
+            dual=np.zeros(q.size),
         )
 
     # The start: one syevd of Q's Gram matrix gives Q's squared singular
@@ -481,7 +485,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         f = p - q
         return math.sqrt(f @ f) <= limit
 
-    def candidate(X, x, nuc, dual):
+    def candidate(X, x, nuc, dual, point):
         # X inside the ball or t X on its ray, or None where the ray misses
         nonlocal u
         r = x - q
@@ -501,22 +505,21 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
                 M.put(idx, f)
                 lower, u = _op_lower(M, u)
                 if lower <= num / ((1.0 - _GAP) * f_nuc):  # the largest norm that certifies
-                    dual = max(dual, num / _op_norm(M))
-        return (X if t == 1.0 else t * X), f_nuc, dual
+                    op = _op_norm(M)
+                    if num / op > dual:
+                        dual, point = num / op, f / op
+        return (X if t == 1.0 else t * X), f_nuc, dual, point
 
     start = None
-    if idx.size == Qm.size:
-        # The full-mask exit (docstring), from the start's own eigenvalues.
-        # y is formed here and again for the loop: held in this frame
-        # through every step of a partial-mask solve, it made the large_n
-        # benchmark runs about 2% slower.
-        sig = np.sqrt(np.maximum(lam, 0.0))
-        y = -Y.take(idx)
-        nuc = float(np.where(w > 0.0, np.maximum(sig - mu, 0.0), sig).sum())
-        dual = -support(y) / max(1.0, float((sig * w).max()))
-        if contains(X.take(idx)) and nuc - dual <= _GAP * nuc:
-            start = X, nuc, 0, True
-    F, f_nuc, iters, converged = start or _pdhg(
+    if idx.size == Qm.size and w.all():
+        # The full-mask exit (docstring): s_i - mu = max(sigma_i - mu, 0).  y
+        # is formed again for the loop: held in this frame through a
+        # partial-mask solve, it made the large_n runs about 2% slower.
+        y = -Y.take(idx) / max(1.0, float((np.sqrt(np.maximum(lam, 0.0)) * w).max()))
+        nuc = float((s - mu).sum())
+        if contains(X.take(idx)) and nuc + support(y) <= _GAP * nuc:
+            start = X, nuc, 0, True, y
+    F, f_nuc, iters, converged, dual = start or _pdhg(
         X, -Y.take(idx), idx, 2.0 * qmax, project, support, max_iters, candidate, contains
     )
     f = F.take(idx) - q
@@ -529,6 +532,7 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
         converged=converged,
         nuclear_norm=f_nuc,
         stage_objectives=(f_nuc,),
+        dual=dual,
     )
 
 
@@ -569,7 +573,9 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     with y+ = max(y, 0), y- = min(y, 0) and the bounds' infinite sides set
     to 0 in hi_f and lo_f: sigma = (<y+, hi_f> + <y-, lo_f>) / (1 + ||c||),
     ||c||^2 the sum of (y+)^2 over hi = +inf and of (y-)^2 over lo = -inf,
-    with hi_f, lo_f and the 0/1 side weights formed once per solve.  Every
+    with hi_f, lo_f and the 0/1 side weights formed once per solve.  The
+    report's ``dual`` is that repaired point (y' - c) / (1 + ||c||_F) of the
+    answer's step, formed once, from the y' the loop returns.  Every
     answer is the loop's masked repair, Xt with its masked entries clipped
     into the shrunk box, so it is strictly sign-feasible by construction,
     and a converged one has a nuclear norm of at most 1 / (1 - _GAP) times
@@ -587,7 +593,7 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     if zero_feasible or scale == 0.0 or not (lo < hi).all():
         return SolverReport(
             matrix=X, iterations=0, objective=0.0, data_residual=violation_measure(system, X),
-            converged=zero_feasible, nuclear_norm=0.0,
+            converged=zero_feasible, nuclear_norm=0.0, dual=np.zeros(mask.m_prime),
         )
     lo, hi = np.ldexp(lo, -e), np.ldexp(hi, -e)  # the box at unit scale
     gamma = np.minimum(_FEAS_MARGIN * scale, 0.25 * (hi - lo))
@@ -611,9 +617,11 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     # The first step from (0, 0) in closed form (docstring), as _pdhg forms
     # it: v = y / sigma + P(2 Xt - X) = 0, and y = _RHO sigma (v - Pi(v))
     v = np.zeros(mask.m_prime)
-    F, nuc, iters, converged = _pdhg(
+    F, nuc, iters, converged, y = _pdhg(
         X, _RHO * (_SIGMA_TAU / tau * (v - project(v))), idx, tau, project, support, max_iters
     )
+    c = y * np.where(y > 0.0, w_hi, w_lo)  # the report's dual (docstring)
+    y = (y - c) / (1.0 + math.sqrt(c @ c))
     F, nuc = np.ldexp(F, e), float(np.ldexp(nuc, e))
     return SolverReport(
         matrix=F,
@@ -623,4 +631,5 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
         converged=converged,
         nuclear_norm=nuc,
         stage_objectives=(nuc,),
+        dual=y,
     )

@@ -1,5 +1,7 @@
 """Nuclear-norm proximal operator and the two recovery solvers."""
 
+import dataclasses
+import inspect
 import math
 import warnings
 
@@ -457,54 +459,17 @@ def _stress_problem(k):
     return Q, mask, float(np.linalg.norm(Q[mask.rows, mask.cols]) * 10.0 ** rng.uniform(-6.0, 0.0))
 
 
-def _last_step(solve, *args):
-    """Run solve(*args) and record the last step ``_pdhg`` takes: its input
-    multiplier y, its step difference D = Xt - X, with Xt = SVT_tau(X -
-    tau P^* y) for the step's input X, and tau, at the solver's unit scale,
-    which y does not see.  Returns (report, (y, D, tau)), or (report, None)
-    where the answer took no step."""
-    last = []
-    step_dual = quantmc.solvers._step_dual
-
-    def recording(y, D, tau):
-        last[:] = [(y.copy(), D.copy(), tau)]
-        return step_dual(y, D, tau)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantmc.solvers, "_step_dual", recording)
-        rep = solve(*args)
-    return rep, (last[0] if last else None)
-
-
-def _certified(Q, mask, radius):
-    """Solve the ball program and recompute the answer's certificate from
-    the inputs and outputs of the loop alone, with every norm taken by
-    gesdd or np.linalg.norm.
-
-    Two dual points are tried, and the one with the smaller gap is kept.
-    The first is the last step's own: from its input multiplier y and its
-    step difference D = Xt - X, Xt = SVT_tau(X - tau P^* y), the point
-    y / (1 + ||D||_F / tau), where the answer took a step (a full-mask
-    start returned before any step has no step point).
-    The second is the answer's own residual f = P(answer) - q, as
-    f / ||P^* f||_op, unless f = 0.  Returns (report, nuclear norm and
-    residual of the answer, ||P^* y||_op of the kept point y, gap
-    ||answer||_* + <y, q> + radius ||y||).
-    """
-    rep, step = _last_step(solve_quantized_mc, Q, mask, radius)
-    q = Q[mask.rows, mask.cols]
+def _certified(Q, mask, radius, rep=None):
+    """Solve the ball program (or take its report rep) and measure the
+    answer's own certificate, the dual point y = rep.dual, with every norm
+    taken by gesdd or np.linalg.norm.  Returns (report, nuclear norm and
+    residual of the answer, ||P^* y||_op, gap ||answer||_* + sigma(y)),
+    with sigma(y) = <y, q> + radius ||y|| the ball's support function."""
+    rep = solve_quantized_mc(Q, mask, radius) if rep is None else rep
+    q, y = Q[mask.rows, mask.cols], rep.dual
     nuclear = np.linalg.norm(rep.matrix, "nuc")
-    f = rep.matrix[mask.rows, mask.cols] - q
-    residual = np.linalg.norm(f)
-    points = []
-    if step is not None:
-        y, D, tau = step
-        points.append(y / (1.0 + np.linalg.norm(D) / tau))
-    if np.any(f != 0.0):
-        points.append(f / np.linalg.norm(scatter_vector(f, mask), 2))
-    gaps = [nuclear + y @ q + radius * np.linalg.norm(y) for y in points]
-    k = int(np.argmin(gaps))
-    return rep, nuclear, residual, np.linalg.norm(scatter_vector(points[k], mask), 2), gaps[k]
+    residual = np.linalg.norm(rep.matrix[mask.rows, mask.cols] - q)
+    return rep, nuclear, residual, np.linalg.norm(scatter_vector(y, mask), 2), nuclear + y @ q + radius * np.linalg.norm(y)
 
 
 class TestSolveQuantizedMC:
@@ -559,7 +524,8 @@ class TestSolveQuantizedMC:
     @pytest.mark.parametrize("k", [-500, 500])
     def test_scale_free_across_the_range(self, k):
         # Q and the radius times 2^k give 2^k times the answer, bitwise and
-        # in the same steps, near either end of the floating-point range
+        # in the same steps, near either end of the floating-point range, and
+        # the same dual point, which does not scale
         for j in range(150):
             Q, mask, radius = _stress_problem(j)
             rep = solve_quantized_mc(Q, mask, radius)
@@ -568,6 +534,7 @@ class TestSolveQuantizedMC:
             np.testing.assert_array_equal(scaled.matrix, np.ldexp(rep.matrix, k))
             assert scaled.nuclear_norm == np.ldexp(rep.nuclear_norm, k)
             assert scaled.data_residual == np.ldexp(rep.data_residual, k)
+            assert np.array_equal(scaled.dual, rep.dual)
 
     @staticmethod
     def _probe():
@@ -638,11 +605,11 @@ class TestSolveQuantizedMC:
 
     def test_full_mask_exit_is_certified(self):
         # Each full-mask answer is its start, returned after 0 steps: in the
-        # ball to _TOL_FEAS, and certified by its own residual's dual point
-        # f / ||P^* f||_op (by gesdd), the only one _certified has without a
-        # step.  The problems: the 30 x 30 one above, the m' = 1024 solves of
-        # rate_sweep seeds 2-11 and the stress set's five full masks.  No
-        # partial-mask solve among them returns before a step.
+        # ball to _TOL_FEAS, and certified by its own dual point, the start
+        # multiplier y0 / max(1, ||P^* y0||_op).  The problems: the 30 x 30
+        # one above, the m' = 1024 solves of rate_sweep seeds 2-11 and the
+        # stress set's five full masks, all with every start weight w_i > 0.
+        # No partial-mask solve among them returns before a step.
         problems = [self._full_mask_problem(share) for share in (0.3, 0.6, 0.9)]
         for seed in range(2, 12):
             problems += TestBallOracle._problems(f"rate_sweep-{seed}")
@@ -702,12 +669,15 @@ class TestSolveQuantizedMC:
         assert checked == 88
 
     def test_full_mask_tiny_radius_pins_solution(self):
+        # Q has exact rank 2, so the start weights its other components 0 and
+        # the loop answers, not the full-mask exit, with gesdd's nuclear norm
         gt = generate_low_rank((8, 8), 2, 1.0, seed=3)
         mask = sample_mask_uniform((8, 8), 64, seed=4)
         Q = project(gt, mask)
         rep = solve_quantized_mc(Q, mask, 9e-7)
         assert np.linalg.norm(rep.matrix - gt) <= 1e-6
         assert rep.converged
+        assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-12)
 
     def test_large_radius_returns_zero(self):
         gt = generate_low_rank((6, 6), 2, 1.0, seed=5)
@@ -716,6 +686,7 @@ class TestSolveQuantizedMC:
         rep = solve_quantized_mc(Q, mask, np.linalg.norm(Q) + 1.0)
         assert rep.nuclear_norm <= 1e-8
         assert rep.converged and rep.iterations == 0
+        assert np.array_equal(rep.dual, np.zeros(mask.m_prime))
 
     def test_q_must_vanish_off_mask(self):
         mask = sample_mask_uniform((3, 3), 4, seed=0)
@@ -862,7 +833,7 @@ class TestSolveQuantizedMC:
 
 class TestBallOracle:
     """Each default ball answer against the program's minimum, from a solve
-    to a gap of 1e-9, with both certificates recomputed by ``_certified``."""
+    to a gap of 1e-9, with both certificates checked by ``_certified``."""
 
     @staticmethod
     def _problems(name):
@@ -943,7 +914,8 @@ def _recorded_steps(solve, *args):
     call to ``project``; repair, the masked repair (F, ||F||_*) where its
     values-only SVD ran, else None; and last, true on the budget's last
     step.  Returns (solve's result, steps, loop), with loop the input pair
-    X and y, idx, tau, project and max_iters of the last ``_pdhg`` call."""
+    X and y, idx, tau, project, support and max_iters of the last ``_pdhg``
+    call."""
     steps, loop = [], {}
     pdhg, svd_soft, gesdd = quantmc.solvers._pdhg, quantmc.solvers._svd_soft, quantmc.solvers._gesdd
 
@@ -961,8 +933,13 @@ def _recorded_steps(solve, *args):
             steps[-1]["repair"] = (Z.copy(), float(out.sum()))
         return out
 
-    def recording(X, y, idx, tau, project, support, max_iters, candidate=None, contains=None):
-        loop.update(X=X.copy(), y=y.copy(), idx=idx, tau=tau, project=project, max_iters=max_iters, iters=0)
+    def recording(*args, **kwargs):
+        # the call's arguments by name, so the loop's signature is stated once
+        call = inspect.signature(pdhg).bind(*args, **kwargs)
+        given = call.arguments
+        project, support, candidate = given["project"], given["support"], given.get("candidate")
+        loop.update(X=given["X"].copy(), y=given["y"].copy(), idx=given["idx"], tau=given["tau"], iters=0)
+        loop.update(project=project, support=support, max_iters=given["max_iters"])
 
         def recording_project(v):
             p = project(v)
@@ -974,13 +951,15 @@ def _recorded_steps(solve, *args):
             steps[-1].update(w=w.copy(), dual=-value)
             return value
 
-        def recording_candidate(Xt, xt, nuc, dual):
-            answer = candidate(Xt, xt, nuc, dual)
+        def recording_candidate(*passed):
+            answer = candidate(*passed)
             steps[-1]["masked"] = answer is None
             return answer
 
-        wrapped = recording_candidate if candidate else None
-        return pdhg(X, y, idx, tau, recording_project, recording_support, max_iters, wrapped, contains)
+        given.update(project=recording_project, support=recording_support)
+        if candidate:
+            given["candidate"] = recording_candidate
+        return pdhg(*call.args, **call.kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantmc.solvers, "_pdhg", recording)
@@ -1074,6 +1053,7 @@ class TestSolveOneBitMC:
         rep = solve_one_bit_mc(system)
         assert np.all(rep.matrix == 0.0) and rep.converged
         assert rep.iterations == 0 and rep.stage_objectives == ()
+        assert np.array_equal(rep.dual, np.zeros(8))
 
     def test_consistent_recovery_mid_size(self):
         gt = generate_low_rank((12, 12), 2, 1.0, seed=20)
@@ -1131,6 +1111,7 @@ class TestSolveOneBitMC:
         mask = SampleMask((1, thresholds.shape[1]), [0] * thresholds.shape[1], list(range(thresholds.shape[1])))
         rep = solve_one_bit_mc(OneBitObservation(np.array(signs), thresholds, mask), 2000)
         assert not rep.converged and rep.iterations == 0 and np.all(rep.matrix == 0.0)
+        assert np.array_equal(rep.dual, np.zeros(mask.m_prime))
 
     @pytest.mark.parametrize("t", [1e-3, 0.75, 1e3])
     def test_margin_keeps_a_sign_at_its_tie(self, t):
@@ -1159,7 +1140,8 @@ class TestSolveOneBitMC:
     @pytest.mark.parametrize("k", [-500, 500])
     def test_scale_free_across_the_range(self, k):
         # truth and thresholds times 2^k keep every sign, and the answer is
-        # 2^k times the answer at scale 1, bitwise and in the same steps
+        # 2^k times the answer at scale 1, bitwise and in the same steps, with
+        # the same dual point
         for seed in range(10):
             system, _ = _one_bit_system((16, 12), 120, 5, seed=seed)
             rep = solve_one_bit_mc(system)
@@ -1168,6 +1150,7 @@ class TestSolveOneBitMC:
             assert scaled.converged and scaled.iterations == rep.iterations
             np.testing.assert_array_equal(scaled.matrix, np.ldexp(rep.matrix, k))
             assert scaled.nuclear_norm == np.ldexp(rep.nuclear_norm, k) and scaled.data_residual == 0.0
+            assert np.array_equal(scaled.dual, rep.dual)
 
     @pytest.mark.parametrize("max_iters", [1, 3, 10])
     def test_budget_answer_is_sign_feasible(self, max_iters):
@@ -1184,31 +1167,35 @@ class TestSolveOneBitMC:
         assert np.all((lo < x) & (x < hi))
         assert rep.nuclear_norm == pytest.approx(np.linalg.norm(rep.matrix, "nuc"), rel=1e-9)
 
-    @pytest.mark.parametrize("problem", ["onebit_known", "unbounded_side"])
+    @pytest.mark.parametrize("problem", ["onebit_known", "unbounded_side", "repaired_stop"])
     def test_stop_gap_is_the_duality_gap_at_w(self, problem):
         # The loop stops at the first feasible answer F whose gap
         # ||F||_* - dual is at most _GAP ||F||_*, with dual = -sigma_[lo, hi](w)
-        # at the step's dual point w taken off the unbounded sides
-        # (_support_repair): ||P^* w||_op <= 1 (gesdd), and w puts no weight
-        # on an unbounded side, so sigma_[lo, hi](w) is finite
+        # at the report's dual point w, the step's taken off the unbounded
+        # sides: ||P^* w||_op <= 1 (gesdd), and w puts no weight on an
+        # unbounded side, so sigma_[lo, hi](w) is finite
         if problem == "onebit_known":
             system = _bench_one_bit_system(1)
-        else:
+        elif problem == "unbounded_side":
             # one dither per entry: every box has exactly one unbounded side
             system = _one_bit_system((10, 10), 50, 1, seed=30)[0]
+        else:  # the stopping step's own point has weight on an unbounded side
+            system = _one_bit_system((16, 12), 120, 5, seed=1)[0]
         rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
         assert rep.converged and rep.iterations == len(steps) > 1 and _at_unit_scale(system)
         lo, hi = feasible_intervals(system)
         assert np.any(np.isinf(lo) | np.isinf(hi))
         if problem == "unbounded_side":
             assert np.all(np.isinf(lo) != np.isinf(hi))
+        if problem == "repaired_stop":
+            w = steps[-1]["w"]
+            assert np.any((w > 0.0) & np.isinf(hi)) or np.any((w < 0.0) & np.isinf(lo))
         for step in steps[:-1]:
             assert step["repair"] is None or step["repair"][1] - step["dual"] > _GAP * step["repair"][1]
-        w, dual, (F, f_nuc) = steps[-1]["w"], steps[-1]["dual"], steps[-1]["repair"]
+        w, dual, (F, f_nuc) = rep.dual, steps[-1]["dual"], steps[-1]["repair"]
         np.testing.assert_array_equal(F, rep.matrix)
         assert f_nuc == rep.nuclear_norm
         assert f_nuc == pytest.approx(np.linalg.norm(F, "nuc"), rel=1e-9)
-        w = _support_repair(w, lo, hi)
         assert np.all(w[np.isinf(hi)] <= 0.0) and np.all(w[np.isinf(lo)] >= 0.0)
         support = _box_support(w, lo, hi)
         assert math.isfinite(support)
@@ -1219,8 +1206,9 @@ class TestSolveOneBitMC:
     def test_stop_certifies_against_the_sign_box(self):
         # The loop's iterates are drawn into the box shrunk by gamma, but the
         # stop takes its bound against the sign box [lo, hi] itself: at the
-        # stopping step dual = -sigma_[lo, hi](w), which lies sum_k gamma_k |w_k|
-        # below the shrunk box's -sigma(w), a bound for the shrunk program only.
+        # stopping step dual = -sigma_[lo, hi](w), w the report's dual point,
+        # which lies sum_k gamma_k |w_k| below the shrunk box's -sigma(w), a
+        # bound for the shrunk program only.
         # The answer satisfies every sign, strictly.
         system = _bench_one_bit_system(1)
         rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
@@ -1230,8 +1218,7 @@ class TestSolveOneBitMC:
         assert np.all((lo <= x) & (x < hi))
         bounds = np.abs(np.concatenate((lo, hi)))
         gamma = np.minimum(_FEAS_MARGIN * bounds[np.isfinite(bounds)].max(), 0.25 * (hi - lo))
-        w, dual, (F, f_nuc) = steps[-1]["w"], steps[-1]["dual"], steps[-1]["repair"]
-        w = _support_repair(w, lo, hi)
+        w, dual, f_nuc = rep.dual, steps[-1]["dual"], rep.nuclear_norm
         sign_box = -_box_support(w, lo, hi)
         shrunk_box = -_box_support(w, lo + gamma, hi - gamma)
         margin = float(gamma @ np.abs(w))
@@ -1356,19 +1343,9 @@ def test_vector_forms_match_their_definitions():
     # exactly, with ties at thresholds and +-inf thresholds, and
     # violation_measure its per-constraint sum to 1e-12 relative.
     rng = np.random.default_rng(2028)
-    pdhg = quantmc.solvers._pdhg
     for _ in range(20):
         system = _open_box_system(rng, 40)
-        supports = []
-
-        def recording(X, y, idx, tau, project, support, *args):
-            supports.append(support)
-            return pdhg(X, y, idx, tau, project, support, *args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quantmc.solvers, "_pdhg", recording)
-            solve_one_bit_mc(system, 1)
-        (support,) = supports
+        support = _recorded_steps(solve_one_bit_mc, system, 1)[2]["support"]
         lo, hi = feasible_intervals(system)
         for open_lo in (False, True):
             for open_hi in (False, True):
@@ -1539,28 +1516,34 @@ def test_repair_bound_skips_only_futile_repairs():
         assert skips > 0 and taken > 0
 
 
-def _box_certified(system):
-    """Solve the one-bit program and recompute the answer's certificate
-    against the sign box [lo, hi] from the inputs and outputs of the loop
-    alone, with every norm taken by gesdd.
-
-    From the last step's input multiplier y and its step difference
-    D = Xt - X, Xt = SVT_tau(X - tau P^* y), the step's dual point is
-    y' = y / (1 + ||D||_F / tau), and ``_support_repair`` takes it off the
-    unbounded sides.  Returns (report,
-    nuclear norm of the answer, ||P^* y''||_op, gap ||answer||_* +
-    sigma_[lo, hi](y'')) for that repaired point y''.
-    """
-    rep, (y, D, tau) = _last_step(solve_one_bit_mc, system)
+def _box_certified(system, rep=None):
+    """Solve the one-bit program (or take its report rep) and measure the
+    answer's own certificate, the dual point y = rep.dual, against the sign
+    box [lo, hi], with every norm taken by gesdd.  Returns (report, nuclear
+    norm of the answer, ||P^* y||_op, gap ||answer||_* + sigma_[lo, hi](y))."""
+    rep = solve_one_bit_mc(system) if rep is None else rep
     lo, hi = feasible_intervals(system)
-    y = _support_repair(y / (1.0 + np.linalg.norm(D) / tau), lo, hi)
     nuclear = np.linalg.norm(rep.matrix, "nuc")
-    return rep, nuclear, np.linalg.norm(scatter_vector(y, system.mask), 2), nuclear + _box_support(y, lo, hi)
+    return rep, nuclear, np.linalg.norm(scatter_vector(rep.dual, system.mask), 2), nuclear + _box_support(rep.dual, lo, hi)
+
+
+def test_public_check_can_fail():
+    # The positive control of _certified and _box_certified: a nonzero
+    # answer that passes fails with its dual point doubled (||P^* y||_op > 1)
+    # and with the zero point (a gap of ||F||_*).
+    problem, system = _stress_problem(0), _one_bit_system((10, 12), 60, 10, seed=41)[0]
+    checks = (lambda rep: _certified(*problem, rep)[3:], lambda rep: _box_certified(system, rep)[2:])
+    for rep, check in zip((solve_quantized_mc(*problem), solve_one_bit_mc(system)), checks):
+        op, gap = check(rep)
+        assert rep.converged and rep.iterations > 0 and rep.nuclear_norm > 0.0
+        assert op <= 1.0 + 1e-9 and gap <= _GAP * rep.nuclear_norm
+        assert check(dataclasses.replace(rep, dual=2.0 * rep.dual))[0] > 1.0 + 1e-9
+        assert check(dataclasses.replace(rep, dual=np.zeros_like(rep.dual)))[1] > _GAP * rep.nuclear_norm
 
 
 class TestBoxOracle:
     """Each default one-bit answer against the program's minimum, from a
-    solve to a gap of 1e-5, with both certificates recomputed by
+    solve to a gap of 1e-5, with both certificates checked by
     ``_box_certified``."""
 
     @staticmethod
