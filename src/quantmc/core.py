@@ -85,13 +85,11 @@ class SampleMask:
             raise ValueError("row index out of range")
         if cols.min(initial=0) < 0 or cols.max(initial=0) >= dims.n2:
             raise ValueError("column index out of range")
-        flat = rows + cols * dims.n1
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
+        flat = np.sort(rows + cols * dims.n1)
         if (flat[1:] == flat[:-1]).any():
             raise ValueError("mask entries must be distinct")
-        rows = rows[order]
-        cols = cols[order]
+        # distinct entries: the sorted flat index gives each entry back
+        cols, rows = divmod(flat, dims.n1)
         rows.flags.writeable = False
         cols.flags.writeable = False
         object.__setattr__(self, "dims", dims)

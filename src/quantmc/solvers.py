@@ -11,7 +11,8 @@ misses C by projecting its masked entries onto C, under one rule for when
 that repair's SVD can pay.  Each rule is stated once, in the docstring
 named here:
 
-* ``_pdhg``: the step, its free dual point, the masked repair and the stop.
+* ``_pdhg``: the step, its free dual point, the masked repair, the
+  repair's second dual point and the stop.
 * ``solve_quantized_mc``: C is the ball ||P_mask(X) - Q||_F <= radius.  The
   loop starts at Q's own Pareto point and its multiplier, X = Q - mu Y and
   y = -P(Y), both from one ``_eigh`` of Q's Gram matrix.  On a full mask
@@ -92,8 +93,9 @@ _GAP = 1e-2
 # steps at 1 (582 on onebit_known in the dual-first form), 93, 324, 463 and
 # 3149 at 1.3, 81, 292, 404 and 2825 at 1.5, and 75, 299, 366 and 2746 at
 # 1.7, where rate_sweep turns up again (onebit_known at its earlier step
-# tau = s / 2, and from X = 0, y = 0; it takes 348 at 1.5 and tau = s, and
-# 338 from its closed-form first step).
+# tau = s / 2, and from X = 0, y = 0; it takes 348 at 1.5 and tau = s, 338
+# from its closed-form first step, and 291 where a repair that misses is
+# also certified against the multiplier at its exact norm).
 _RHO = 1.5
 
 # The product sigma tau of the loop's dual and primal steps (``_pdhg``),
@@ -317,20 +319,31 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
     nuclear norm takes one values-only SVD (``_gesdd``).  Where the program
     passes a membership test, the repair counts only if ``contains(P(F))``:
     rounding can put the projection of a point far outside a tiny ball just
-    outside it.  The SVD is skipped where the repair cannot certify, as it
-    needs dual >= (1 - _GAP) ||F||_* > 0: while dual <= 0 or the step's own
-    gap ||Xt||_* - dual exceeds _GAP ||Xt||_*, and then, with
+    outside it.  The SVD is skipped where the repair cannot certify against
+    y', as it needs dual >= (1 - _GAP) ||F||_* > 0: while dual <= 0 or the
+    step's own gap ||Xt||_* - dual exceeds _GAP ||Xt||_*, and then, with
     p = project(P(Xt)), where dual lies below (1 - _GAP) times a free lower
     bound on ||F||_*, less a relative 1e-9 for rounding.  With G the step's
     subgradient above, <Xt, G> = ||Xt||_*, and F - Xt lies on the mask, so
     ||F||_* >= <F, G> = ||Xt||_* + <p - P(Xt), (z - P(Xt)) / tau>,
     z = P(Z).  The cheap tests come first, so most steps project nothing
-    for it.  A skip spares only a repair that could not certify, so it
-    never moves the stopping step; the budget's last step, which must give
-    an answer, skips nothing.  The loop stops at the first F whose gap
-    ||F||_* - dual is at most _GAP ||F||_*, and returns (F, ||F||_*,
-    iterations, True, the dual point of F's bound); after max_iters steps
-    it returns the last step's answer and point with False.
+    for it.  A skip spares only a repair that could not certify against y',
+    so it never moves the stopping step; the budget's last step, which must
+    give an answer, skips nothing.
+
+    A repair whose SVD has run, that lies in C and whose gap against y'
+    misses, is certified against a second dual point as well: the
+    multiplier at its exact operator norm, y / ||P^* y||_op, one
+    ``_op_norm`` of the matrix holding y on the mask, and the larger bound
+    is kept with its point.  That bound is -support(y / ||P^* y||_op), not
+    -support(y) / ||P^* y||_op, as a support function that repairs the
+    point (the one-bit one divides by 1 + ||c||_F) is not positively
+    homogeneous.  The point costs at most one norm per repair SVD, and
+    neither the skip nor the loop's path reads it, so it can only stop the
+    loop sooner.  The loop stops at the first F whose gap ||F||_* - dual is
+    at most _GAP ||F||_*, and returns (F, ||F||_*, iterations, True, the
+    dual point of F's bound); after max_iters steps it returns the last
+    step's answer and point with False.
     """
     sigma = _SIGMA_TAU / tau
     x = X.take(idx)
@@ -352,9 +365,20 @@ def _pdhg(X, y, idx, tau, project, support, max_iters: int, candidate=None, cont
             if last or not dual < (1.0 - _GAP) * (1.0 - 1e-9) * (nuc + (p - xt) @ (x - tau * y - xt) / tau):
                 F = Xt.copy()
                 F.put(idx, p)
-                # a repair outside C cannot stop the loop: its bound is -inf
-                inside = contains is None or contains(p)
-                answer = F, float(_gesdd(F, compute_uv=False).sum()), (dual if inside else -math.inf), point
+                f_nuc = float(_gesdd(F, compute_uv=False).sum())
+                if contains is not None and not contains(p):
+                    dual = -math.inf  # a repair outside C cannot stop the loop
+                elif f_nuc - dual > _GAP * f_nuc:
+                    # the second dual point, y at its exact norm (docstring)
+                    M = np.zeros(X.shape)
+                    M.put(idx, y)
+                    op = _op_norm(M)
+                    if op > 0.0:
+                        exact = y / op
+                        exact_dual = -support(exact)
+                        if exact_dual > dual:
+                            dual, point = exact_dual, exact
+                answer = F, f_nuc, dual, point
         if answer is not None:
             F, f_nuc, f_dual, point = answer
             converged = f_nuc - f_dual <= _GAP * f_nuc
@@ -414,13 +438,14 @@ def solve_quantized_mc(Q, mask: SampleMask, radius: float, max_iters: int = 2000
     Xt's rank.  Where that line misses the ball (or rounding puts t Xt
     outside it), there is no candidate, and the loop takes its masked
     repair, P(F) = Pi(P(Xt)), which counts while it lies in the ball to
-    the same slack.  A candidate is certified with the better of two dual
-    points.  The first is the loop's own y'.  The second is the candidate's
-    own residual, f / ||P^* f||_op with f = P(F) - q, the multiplier's
-    direction at the solution.  Its exact norm costs one ``_op_norm``,
-    taken only when the first point does not certify and a free lower
-    bound on ||P^* f||_op does not rule it out: ``_op_lower``'s power
-    steps, each warm-started from the last.  The point that gives the
+    the same slack and is certified as ``_pdhg`` states, against y' and the
+    multiplier at its exact norm.  A candidate is certified with the better
+    of two dual points.  The first is the loop's own y'.  The second is the
+    candidate's own residual, f / ||P^* f||_op with f = P(F) - q, the
+    multiplier's direction at the solution.  Its exact norm costs one
+    ``_op_norm``, taken only when the first point does not certify and a
+    free lower bound on ||P^* f||_op does not rule it out: ``_op_lower``'s
+    power steps, each warm-started from the last.  The point that gives the
     kept bound is the report's ``dual``.  The loop stops, converged, at the
     first answer whose gap ||F||_* - dual is at most _GAP ||F||_*.  After
     max_iters steps the last answer is returned with converged=False.
@@ -561,8 +586,6 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     their order: every later iterate is bitwise the one the loop reaches
     from (0, 0), and ``iterations`` counts the loop's steps alone, as the
     ball's closed-form start is not counted either.
-    Over the first trial of seeds 2-11 of the onebit_known workload it
-    takes 338 steps (348 from (0, 0), 404 at tau = s / 2).
     Each step's dual point is certified against the sign box [lo, hi]
     itself, whose support function is sum over y > 0 of y hi plus sum over
     y < 0 of y lo.  The dual step puts no weight on an unbounded side, but
@@ -573,15 +596,24 @@ def solve_one_bit_mc(system: OneBitObservation, max_iters: int = 20000) -> Solve
     with y+ = max(y, 0), y- = min(y, 0) and the bounds' infinite sides set
     to 0 in hi_f and lo_f: sigma = (<y+, hi_f> + <y-, lo_f>) / (1 + ||c||),
     ||c||^2 the sum of (y+)^2 over hi = +inf and of (y-)^2 over lo = -inf,
-    with hi_f, lo_f and the 0/1 side weights formed once per solve.  The
-    report's ``dual`` is that repaired point (y' - c) / (1 + ||c||_F) of the
-    answer's step, formed once, from the y' the loop returns.  Every
-    answer is the loop's masked repair, Xt with its masked entries clipped
-    into the shrunk box, so it is strictly sign-feasible by construction,
-    and a converged one has a nuclear norm of at most 1 / (1 - _GAP) times
-    the program's minimum.  Over the same trials the loop takes 57 repair
-    SVDs.  After max_iters steps the last step's repair is returned with
-    converged=False.
+    with hi_f, lo_f and the 0/1 side weights formed once per solve.  As
+    1 + ||c|| does not scale with the point, this support function is not
+    positively homogeneous, and the loop's second point y / ||P^* y||_op,
+    taken after a repair that misses against y', is repaired and bounded
+    as it stands.  Every answer is the loop's masked repair, Xt with its
+    masked entries clipped into the shrunk box, so it is strictly
+    sign-feasible by construction, and a converged one has a nuclear norm
+    of at most 1 / (1 - _GAP) times the program's minimum.  The report's
+    ``dual`` is the repaired point (w - c) / (1 + ||c||_F) of the point w
+    whose bound stopped the loop, y' or the second point, formed once, from
+    the w the loop returns.  After max_iters steps the last step's repair is
+    returned with converged=False.
+
+    Over the first trial of seeds 2-11 of the onebit_known workload the
+    loop takes 291 steps and 10 repair SVDs, one per solve, each followed by
+    one ``_op_norm`` for the second point, which stops every solve; without
+    that point it takes 338 steps and 57 repair SVDs (348 steps from
+    (0, 0), 404 at tau = s / 2).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")

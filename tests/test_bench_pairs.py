@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py; Tier-1 runs no benchmark."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -125,3 +126,37 @@ def test_commit_of_a_checkout(tmp_path):
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("2801-2804") == [2801, 2802, 2803, 2804]
     assert bench_pairs.parse_seeds("5,7,9") == [5, 7, 9]
+
+
+def _run(wall_svd, wall_s, ref_svd_ms):
+    """A run result as run_once returns it, with one end-to-end metric."""
+    return {
+        "correct": True, "attempted": 3, "failed": 0, "report_csv_sha256": "ab",
+        "metrics": {"wall_svd": {"value": wall_svd}},
+        "info": {"wall_s": wall_s, "ref_svd_ms": ref_svd_ms},
+    }
+
+
+def test_run_info_is_read_from_the_report(tmp_path):
+    # wall_svd's two inputs come from the report perfbench/run.py writes
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    report = {"end_to_end_info": {"wall_s": 0.004, "ref_svd_ms": 0.1, "trials": 7}}
+    (out / "onebit_known-seed3-trace0.json").write_text(json.dumps(report))
+    assert bench_pairs.read_info(tmp_path, "onebit_known", 3) == {"wall_s": 0.004, "ref_svd_ms": 0.1}
+    with pytest.raises(FileNotFoundError):
+        bench_pairs.read_info(tmp_path, "onebit_known", 4)
+
+
+def test_row_holds_each_sides_run_info_and_medians():
+    spec = {"end_to_end": [{"name": "wall_svd", "unit": "svd", "better": "lower", "bound": 0.25}]}
+    results = {
+        "parent": [_run(40.0, 0.004, 0.10), _run(44.0, 0.005, 0.11), _run(42.0, 0.006, 0.12)],
+        "change": [_run(36.0, 0.0036, 0.10), _run(38.0, 0.0035, 0.09), _run(37.0, 0.0040, 0.11)],
+    }
+    row = bench_pairs.workload_row("onebit_known", [1, 2, 3], 30.0, ["parent", "change", "parent"], results, spec)
+    assert row["metrics"]["wall_svd"]["parent_median"] == 42.0
+    wall, ref = row["info"]["wall_s"], row["info"]["ref_svd_ms"]
+    assert wall["parent"] == [0.004, 0.005, 0.006] and wall["change"] == [0.0036, 0.0035, 0.0040]
+    assert wall["parent_median"] == 0.005 and wall["change_median"] == 0.0036
+    assert ref["parent_median"] == 0.11 and ref["change_median"] == 0.10

@@ -89,6 +89,26 @@ class TestSampleMask:
         assert mask.rows.tolist() == [0, 2, 1]
         assert mask.cols.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("rows, cols", [([3], [0]), ([-1], [0]), ([0], [4]), ([0], [-1])])
+    def test_rejects_entries_out_of_range(self, rows, cols):
+        with pytest.raises(ValueError, match="out of range"):
+            SampleMask((3, 4), rows, cols)
+
+    def test_entries_match_a_stable_argsort(self):
+        # the entries come back from the sorted flat index, as read-only
+        # int64 arrays equal to the input reordered by a stable argsort of
+        # that index, on square, tall and wide masks
+        rng = np.random.default_rng(12)
+        for n1, n2 in [(7, 7), (9, 4), (4, 9), (1, 6), (6, 1)]:
+            for m_prime in (1, n1 * n2 // 2, n1 * n2):
+                flat = rng.choice(n1 * n2, m_prime, replace=False)
+                rows, cols = flat % n1, flat // n1
+                order = np.argsort(rows + cols * n1, kind="stable")
+                mask = SampleMask((n1, n2), rows, cols)
+                assert mask.rows.dtype == mask.cols.dtype == np.int64
+                assert np.array_equal(mask.rows, rows[order]) and np.array_equal(mask.cols, cols[order])
+                assert not (mask.rows.flags.writeable or mask.cols.flags.writeable)
+
     def test_deterministic(self):
         a = sample_mask_uniform((20, 20), 100, seed=3)
         b = sample_mask_uniform((20, 20), 100, seed=3)

@@ -280,7 +280,10 @@ class TestSvdSoft:
         # its start certifies itself before any step.  The one-bit
         # solve takes one soft-threshold per step, each by its own Gram
         # matrix, and one values-only SVD, for its masked repair, at each
-        # step whose own gap certifies, the stopping step among them.
+        # step whose own gap certifies, the stopping step among them; where
+        # that repair misses against the step's own dual point, one exact
+        # operator norm of the step's multiplier follows it, by the
+        # eigenvalues of one more Gram matrix, and never without it.
         events = []
         svd, svd_soft = np.linalg.svd, quantmc.solvers._svd_soft
         eigh, op_norm = quantmc.solvers._eigh, quantmc.solvers._op_norm
@@ -314,8 +317,11 @@ class TestSvdSoft:
             if workload == "onebit_known":
                 steps = run.split("soft")[1:]
                 assert len(steps) == rep.iterations
-                assert all(step.split() in (["eigh"], ["eigh", "values"]) for step in steps)
-                assert steps[-1].split() == ["eigh", "values"]
+                repaired = (["eigh", "values"], ["eigh", "values", "op", "eigvals"])
+                assert all(step.split() in (["eigh"], *repaired) for step in steps)
+                assert all("op" not in step or "values" in step.split("op")[0] for step in steps)
+                assert steps[-1].split() in repaired
+                assert "op" in run  # this solve takes the second point
             else:
                 start, *steps = run.split("soft")
                 assert start.split() == ["eigh"]
@@ -417,9 +423,10 @@ class TestOpNorm:
 
 
 # Most iterations the first solve of each bench workload may take at trial
-# base_seed 100000: it takes 7 on large_n, 11 on rate_sweep and 39 on
-# onebit_known (11, 15 and 72 unrelaxed).
-ITERATION_LIMITS = {"large_n": 9, "rate_sweep": 13, "onebit_known": 55}
+# base_seed 100000: it takes 7 on large_n, 11 on rate_sweep and 28 on
+# onebit_known (11, 15 and 72 unrelaxed; onebit_known 39 while its repairs
+# were certified against the step's own dual point alone).
+ITERATION_LIMITS = {"large_n": 9, "rate_sweep": 13, "onebit_known": 30}
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_CONFIGS))
@@ -474,10 +481,11 @@ def _certified(Q, mask, radius, rep=None):
 
 class TestSolveQuantizedMC:
     # Most iterations over the 150 problems of _stress_problem at the default
-    # budget: the loop takes 1817 (2825 while the ball held back its masked
-    # repair's SVD until an upper bound on ||F||_* certified; 4011
-    # unrelaxed).
-    STRESS_ITERATION_LIMIT = 1850
+    # budget: the loop takes 1685 with 370 masked repairs (1812 and 485
+    # while a repair was certified against the step's own dual point alone;
+    # 2825 while the ball held back its masked repair's SVD until an upper
+    # bound on ||F||_* certified; 4011 unrelaxed).
+    STRESS_ITERATION_LIMIT = 1720
 
     def test_stress_set_converges(self, monkeypatch):
         # Also: no SVD with vectors runs, so no soft-threshold, in the start
@@ -748,13 +756,15 @@ class TestSolveQuantizedMC:
     @pytest.mark.parametrize("radius", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
     def test_tiny_radius_converges(self, radius):
         # On the inputs of test_budget_exhaustion_reports_not_converged, each
-        # radius is certified in 19 steps (20 at 1e-12; 39 under the ball's
-        # former upper-bound gate on the repair's SVD, 58 and 60 unrelaxed)
-        # by the masked repair (the ray misses the ball).
+        # radius is certified in 18 steps by the masked repair (the ray
+        # misses the ball), against the multiplier at its exact norm (19,
+        # and 20 at 1e-12, against the step's own dual point alone; 39 under
+        # the ball's former upper-bound gate on the repair's SVD, 58 and 60
+        # unrelaxed).
         gt = generate_low_rank((10, 10), 3, 1.0, seed=18)
         mask = sample_mask_uniform((10, 10), 55, seed=19)
         rep, nuclear, residual, op, gap = _certified(project(gt, mask), mask, radius)
-        assert rep.converged and rep.iterations <= 22
+        assert rep.converged and rep.iterations <= 20
         assert residual <= radius * (1.0 + _TOL_FEAS)
         assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
@@ -907,11 +917,14 @@ def _bench_one_bit_system(seed):
 def _recorded_steps(solve, *args):
     """Run solve(*args) and record each step ``_pdhg`` takes, at the
     solver's unit scale, as a dict: Z and Xt, the soft-threshold's input and
-    output, and nuc = ||Xt||_*; w, the dual point the loop passed to the
-    program's support function, and dual = -support(w); masked, true where
-    the step had no candidate answer (on every step of a program that
-    passes no candidate); projections, the (input, output) pair of each
-    call to ``project``; repair, the masked repair (F, ||F||_*) where its
+    output, and nuc = ||Xt||_*; w, the step's own dual point y' that the
+    loop passed to the program's support function, and dual = -support(w);
+    exact, the pair (w, dual) of the second dual point, the multiplier at
+    its exact operator norm, where a masked repair missed against dual and
+    the loop took it, else None; masked, true where the step had no
+    candidate answer (on every step of a program that passes no
+    candidate); projections, the (input, output) pair of each call to
+    ``project``; repair, the masked repair (F, ||F||_*) where its
     values-only SVD ran, else None; and last, true on the budget's last
     step.  Returns (solve's result, steps, loop), with loop the input pair
     X and y, idx, tau, project, support and max_iters of the last ``_pdhg``
@@ -924,7 +937,9 @@ def _recorded_steps(solve, *args):
         loop["iters"] += 1
         last = loop["iters"] == loop["max_iters"]
         nuc = float(np.add.reduce(sv))
-        steps.append(dict(Z=Z.copy(), Xt=Xt.copy(), nuc=nuc, masked=True, projections=[], repair=None, last=last))
+        steps.append(
+            dict(Z=Z.copy(), Xt=Xt.copy(), nuc=nuc, masked=True, projections=[], repair=None, exact=None, last=last)
+        )
         return Xt, sv
 
     def recording_gesdd(Z, compute_uv=True):
@@ -947,8 +962,9 @@ def _recorded_steps(solve, *args):
             return p
 
         def recording_support(w):
+            # the step's own point comes first, the second point after it
             value = support(w)
-            steps[-1].update(w=w.copy(), dual=-value)
+            steps[-1].update({"exact": (w.copy(), -value)} if "w" in steps[-1] else {"w": w.copy(), "dual": -value})
             return value
 
         def recording_candidate(*passed):
@@ -967,6 +983,15 @@ def _recorded_steps(solve, *args):
         mp.setattr(quantmc.solvers, "_gesdd", recording_gesdd)
         result = solve(*args)
     return result, steps, loop
+
+
+def _kept(step):
+    """The (dual point, bound) pair a recorded step certified its answer
+    with: the second point where the loop took it and its bound is larger,
+    else the step's own point."""
+    if step["exact"] is not None and step["exact"][1] > step["dual"]:
+        return step["exact"]
+    return step["w"], step["dual"]
 
 
 def _at_unit_scale(system):
@@ -1171,15 +1196,16 @@ class TestSolveOneBitMC:
     def test_stop_gap_is_the_duality_gap_at_w(self, problem):
         # The loop stops at the first feasible answer F whose gap
         # ||F||_* - dual is at most _GAP ||F||_*, with dual = -sigma_[lo, hi](w)
-        # at the report's dual point w, the step's taken off the unbounded
-        # sides: ||P^* w||_op <= 1 (gesdd), and w puts no weight on an
-        # unbounded side, so sigma_[lo, hi](w) is finite
+        # at the report's dual point w, the kept one of the step's own point
+        # and the second point taken off the unbounded sides: ||P^* w||_op
+        # <= 1 (gesdd), and w puts no weight on an unbounded side, so
+        # sigma_[lo, hi](w) is finite
         if problem == "onebit_known":
             system = _bench_one_bit_system(1)
         elif problem == "unbounded_side":
             # one dither per entry: every box has exactly one unbounded side
             system = _one_bit_system((10, 10), 50, 1, seed=30)[0]
-        else:  # the stopping step's own point has weight on an unbounded side
+        else:  # the stopping point has weight on an unbounded side
             system = _one_bit_system((16, 12), 120, 5, seed=1)[0]
         rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
         assert rep.converged and rep.iterations == len(steps) > 1 and _at_unit_scale(system)
@@ -1187,12 +1213,16 @@ class TestSolveOneBitMC:
         assert np.any(np.isinf(lo) | np.isinf(hi))
         if problem == "unbounded_side":
             assert np.all(np.isinf(lo) != np.isinf(hi))
+        w, dual = _kept(steps[-1])
         if problem == "repaired_stop":
-            w = steps[-1]["w"]
+            # the stop is on the second point, the multiplier at its exact
+            # norm, where the step's own point missed
+            assert steps[-1]["exact"] is not None and steps[-1]["exact"][1] == dual > steps[-1]["dual"]
+            assert np.linalg.norm(scatter_vector(w, system.mask), 2) == pytest.approx(1.0, rel=1e-12)
             assert np.any((w > 0.0) & np.isinf(hi)) or np.any((w < 0.0) & np.isinf(lo))
         for step in steps[:-1]:
-            assert step["repair"] is None or step["repair"][1] - step["dual"] > _GAP * step["repair"][1]
-        w, dual, (F, f_nuc) = rep.dual, steps[-1]["dual"], steps[-1]["repair"]
+            assert step["repair"] is None or step["repair"][1] - _kept(step)[1] > _GAP * step["repair"][1]
+        w, (F, f_nuc) = rep.dual, steps[-1]["repair"]
         np.testing.assert_array_equal(F, rep.matrix)
         assert f_nuc == rep.nuclear_norm
         assert f_nuc == pytest.approx(np.linalg.norm(F, "nuc"), rel=1e-9)
@@ -1200,8 +1230,10 @@ class TestSolveOneBitMC:
         support = _box_support(w, lo, hi)
         assert math.isfinite(support)
         assert dual == pytest.approx(-support, rel=1e-12, abs=1e-12 * f_nuc)
-        assert np.linalg.norm(scatter_vector(w, system.mask), 2) <= 1.0 + 1e-9
         assert 0.0 <= f_nuc - dual <= _GAP * f_nuc
+        # the public check of the report's point, by gesdd
+        _, nuclear, op, gap = _box_certified(system, rep)
+        assert op <= 1.0 + 1e-9 and gap <= _GAP * nuclear
 
     def test_stop_certifies_against_the_sign_box(self):
         # The loop's iterates are drawn into the box shrunk by gamma, but the
@@ -1218,7 +1250,7 @@ class TestSolveOneBitMC:
         assert np.all((lo <= x) & (x < hi))
         bounds = np.abs(np.concatenate((lo, hi)))
         gamma = np.minimum(_FEAS_MARGIN * bounds[np.isfinite(bounds)].max(), 0.25 * (hi - lo))
-        w, dual, f_nuc = rep.dual, steps[-1]["dual"], rep.nuclear_norm
+        w, dual, f_nuc = rep.dual, _kept(steps[-1])[1], rep.nuclear_norm
         sign_box = -_box_support(w, lo, hi)
         shrunk_box = -_box_support(w, lo + gamma, hi - gamma)
         margin = float(gamma @ np.abs(w))
@@ -1232,10 +1264,10 @@ class TestSolveOneBitMC:
         # the relaxed multiplier puts weight of the wrong sign on unbounded
         # sides at most steps, where sigma_[lo, hi] of the step's dual point w
         # is infinite.  The support function drops that part c of w and
-        # divides the rest by 1 + ||c||_F: at every step the repaired point
-        # has ||P^* w||_op <= 1 (gesdd), and the bound passed on is its
-        # -sigma_[lo, hi], finite and at most the nuclear norm of a solve to
-        # a gap of 1e-5.
+        # divides the rest by 1 + ||c||_F: at every step, and at every
+        # second point, the repaired point has ||P^* w||_op <= 1 (gesdd),
+        # and the bound passed on is its -sigma_[lo, hi], finite and at most
+        # the nuclear norm of a solve to a gap of 1e-5.
         system = _one_bit_system((16, 12), 120, 5, seed=5)[0]
         lo, hi = feasible_intervals(system)
         rep, steps, _ = _recorded_steps(solve_one_bit_mc, system)
@@ -1245,7 +1277,9 @@ class TestSolveOneBitMC:
         assert rep.converged and ref.converged and _at_unit_scale(system)
         ref_nuclear = np.linalg.norm(ref.matrix, "nuc")
         repaired = 0
-        for w, dual in ((step["w"], step["dual"]) for step in steps):
+        points = [(step["w"], step["dual"]) for step in steps] + [step["exact"] for step in steps if step["exact"]]
+        assert len(points) > len(steps)
+        for w, dual in points:
             repaired += bool(np.any((w > 0.0) & np.isinf(hi)) or np.any((w < 0.0) & np.isinf(lo)))
             w = _support_repair(w, lo, hi)
             assert np.linalg.norm(scatter_vector(w, system.mask), 2) <= 1.0 + 1e-9
@@ -1402,16 +1436,19 @@ def test_budget_below_one_rejected(case):
 
 
 # Most steps of the one-bit solver over the first trial of seeds 2-11
-# (base_seed s * 100000) of the onebit_known workload: it takes 338 from its
+# (base_seed s * 100000) of the onebit_known workload: it takes 291 where a
+# repair that misses against the step's own dual point is certified against
+# the multiplier at its exact norm, 338 without that second point, from its
 # closed-form first step (348 from X = 0, y = 0), at its step tau = s; 404
 # at tau = s / 2 from (0, 0) (582 at s / 2 unrelaxed).
-BOX_ITERATION_LIMIT = 345
+BOX_ITERATION_LIMIT = 300
 
 # Most masked repairs (values-only SVDs) of the one-bit solver over the same
-# trials: it takes 57, against 100 without the loop's lower bound <F, G> on
-# the repair's nuclear norm; one more per solve repairs also while the
-# step's dual bound is at most 0, as at a step from y = 0.
-BOX_REPAIR_LIMIT = 60
+# trials: it takes 10, one per solve, each followed by one exact norm for
+# the second point; 57 without that point, and 100 without the loop's lower
+# bound <F, G> on the repair's nuclear norm; one more per solve repairs
+# also while the step's dual bound is at most 0, as at a step from y = 0.
+BOX_REPAIR_LIMIT = 12
 
 
 def _zero_inputs(steps):
@@ -1421,8 +1458,9 @@ def _zero_inputs(steps):
 
 def test_bench_workload_box_iterations(solves):
     # Also: no repair runs at a step whose dual bound is at most 0, where it
-    # cannot certify, but on the budget's last step; and no step
-    # soft-thresholds a zero matrix, as a first step from y = 0 did.
+    # cannot certify, but on the budget's last step; the second dual point
+    # is taken only at a step whose repair ran; and no step soft-thresholds
+    # a zero matrix, as a first step from y = 0 did.
     repairs, zero = [], []
     for seed in range(2, 12):
         cfg = quantmc.harness.ExperimentConfig(trials=1, base_seed=seed * 100000, **BENCH_CONFIGS["onebit_known"])
@@ -1430,6 +1468,7 @@ def test_bench_workload_box_iterations(solves):
         assert all(rec.zeta == 0 and rec.violation == 0.0 for rec in records)
         repairs += [step for step in steps if step["repair"] is not None]
         zero += _zero_inputs(steps)
+        assert all(step["repair"] is not None for step in steps if step["exact"] is not None)
     assert len(solves) == 10 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= BOX_ITERATION_LIMIT
     assert 10 <= len(repairs) <= BOX_REPAIR_LIMIT
@@ -1442,21 +1481,23 @@ def test_bench_workload_box_iterations(solves):
 # base_seed 777.  Over 8 trials it takes, at tau = s / 2 and then at s, both
 # from X = 0, y = 0, 233 -> 201, 476 -> 288, 320 -> 263, 293 -> 274,
 # 311 -> 227 and 420 -> 364 steps, and from the closed-form first step 193,
-# 280, 255, 266, 219 and 356; over these 3, 82, 102, 97, 97, 80 and 132
-# (85, 105, 100, 100, 83 and 135 from (0, 0)).
+# 280, 255, 266, 219 and 356; over these 3, 81, 96, 88, 87, 76 and 119,
+# with the second dual point after a repair that missed (82, 102, 97, 97,
+# 80 and 132 without it, 85, 105, 100, 100, 83 and 135 from (0, 0)).
 ONE_BIT_REGIMES = {
-    "m1": (dict(m=1), 90),
-    "m5": (dict(m=5), 110),
-    "m20": (dict(m=20), 105),
-    "gaussian": (dict(dither_kind="gaussian"), 105),
-    "48x24_r3": (dict(n1=48, n2=24, r=3, m_prime=576), 88),
-    "64x64": (dict(n1=64, n2=64, m_prime=2048), 142),
+    "m1": (dict(m=1), 89),
+    "m5": (dict(m=5), 104),
+    "m20": (dict(m=20), 96),
+    "gaussian": (dict(dither_kind="gaussian"), 95),
+    "48x24_r3": (dict(n1=48, n2=24, r=3, m_prime=576), 84),
+    "64x64": (dict(n1=64, n2=64, m_prime=2048), 129),
 }
 
 
 @pytest.mark.parametrize("regime", ONE_BIT_REGIMES)
 def test_one_bit_regimes_converge(solves, regime):
-    # Also: no step soft-thresholds a zero matrix.
+    # Also: no step soft-thresholds a zero matrix, and the second dual point
+    # is taken only at a step whose repair ran.
     fields, limit = ONE_BIT_REGIMES[regime]
     cfg = quantmc.harness.ExperimentConfig(trials=3, base_seed=777, **{**BENCH_CONFIGS["onebit_known"], **fields})
     (records, _), steps, _ = _recorded_steps(quantmc.harness.run_experiment, cfg)
@@ -1464,6 +1505,7 @@ def test_one_bit_regimes_converge(solves, regime):
     assert len(solves) == 3 and all(rep.converged for rep in solves)
     assert sum(rep.iterations for rep in solves) <= limit
     assert len(steps) == sum(rep.iterations for rep in solves) and _zero_inputs(steps) == []
+    assert all(step["repair"] is not None for step in steps if step["exact"] is not None)
 
 
 def _weighed_repairs(solve, *args):

@@ -14,8 +14,12 @@ both sides alike.  Every run (its end-to-end metrics, trial counts and
 report hash) and, per workload and metric, each side's median and
 quartiles, the change's relative move of the median, the pairs the change
 wins and the three results of the review rule (``summarize``) go into
-``BENCH_<pr>.json`` in the current directory.  Keys of an existing file
-that this script does not write (notes, step counts) are kept.
+``BENCH_<pr>.json`` in the current directory.  So do the two numbers that
+``wall_svd`` divides, each run's median trial wall time ``wall_s`` and its
+reference SVD time ``ref_svd_ms``, read from the report the run writes to
+``.bench_out/<workload>-seed<seed>-trace0.json`` in its checkout, with
+each side's median (``INFO_KEYS``).  Keys of an existing file that this
+script does not write (notes, step counts) are kept.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+
+# The numbers behind wall_svd, from the end_to_end_info of each run's report:
+# the median trial wall time and the reference SVD time it is divided by.
+INFO_KEYS = ("wall_s", "ref_svd_ms")
 
 
 def summarize(parent, change, better, bound):
@@ -70,9 +78,17 @@ def summarize(parent, change, better, bound):
     }
 
 
+def read_info(checkout: Path, workload: str, seed: int) -> dict:
+    """The ``INFO_KEYS`` of the end_to_end_info in the report that an
+    untraced run of workload at seed wrote in checkout."""
+    report = json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {key: report["end_to_end_info"][key] for key in INFO_KEYS}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout: its last stdout line, the JSON result,
-    with the report hash the run printed added as ``report_csv_sha256``."""
+    with the report hash the run printed added as ``report_csv_sha256`` and
+    the run's ``read_info`` as ``info``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
@@ -80,6 +96,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {out.returncode}: {out.stderr.strip()}")
     result = json.loads(lines[-1])
     result["report_csv_sha256"] = next((line.split()[1] for line in lines if line.startswith("report_csv_sha256 ")), None)
+    result["info"] = read_info(checkout, workload, seed)
     return result
 
 
@@ -104,7 +121,11 @@ def workload_row(workload, seeds, seconds, first_sides, results, spec):
         "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
         "metrics": {},
+        "info": {},
     }
+    for key in INFO_KEYS:
+        values = {side: [r["info"][key] for r in results[side]] for side in SIDES}
+        row["info"][key] = {**values, **{f"{side}_median": float(np.median(values[side])) for side in SIDES}}
     for metric in spec["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
